@@ -7,9 +7,9 @@
 //! Replications are embarrassingly parallel: replication `k` always
 //! draws from seed `base_seed + k`, so its sample path is fixed no
 //! matter which thread runs it or in what order. [`Experiment::jobs`]
-//! sets the worker count (default: all available cores when the
-//! `parallel` feature is on); scheduling never changes sampling, so
-//! results are bit-identical across any `jobs` value. Sequential
+//! sets the worker count (default: all available cores); scheduling
+//! never changes sampling, so results are bit-identical across any
+//! `jobs` value. Sequential
 //! stopping runs in *chunks*: each round launches
 //! `min(jobs, remaining)` replications, then re-tests the confidence
 //! interval, so a parallel run may overshoot the target by at most one
@@ -29,7 +29,8 @@ use ckpt_san::ReactivationMode;
 use ckpt_stats::{ConfidenceInterval, Replications};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Why an experiment did not produce an estimate.
@@ -174,18 +175,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Default worker count: every core the OS grants us when threading is
-/// compiled in, otherwise the sequential path.
+/// Default worker count: every core the OS grants us.
 #[must_use]
 fn default_jobs() -> usize {
-    #[cfg(feature = "parallel")]
-    {
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    }
-    #[cfg(not(feature = "parallel"))]
-    {
-        1
-    }
+    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 /// Runs `count` indexed tasks across up to `jobs` worker threads and
@@ -196,9 +189,8 @@ fn default_jobs() -> usize {
 /// decides only *when* each task runs — task `i` computes the same
 /// value regardless. Because the counter hands out indices in order
 /// and every claimed task runs to completion, the completed slots
-/// always form a prefix of `0..count`. With `jobs <= 1`, `count <= 1`,
-/// or the `parallel` feature disabled this degenerates to a plain
-/// sequential loop.
+/// always form a prefix of `0..count`. With `jobs <= 1` or `count <= 1`
+/// this degenerates to a plain sequential loop on the calling thread.
 fn run_indexed<T, F>(
     count: usize,
     jobs: usize,
@@ -209,34 +201,27 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    #[cfg(feature = "parallel")]
-    {
-        use std::sync::atomic::AtomicUsize;
-        use std::sync::Mutex;
-
-        let workers = jobs.min(count);
-        if workers > 1 {
-            let next = AtomicUsize::new(0);
-            let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..count).map(|_| None).collect());
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        if interrupt.is_some_and(|f| f.load(Ordering::SeqCst)) {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= count {
-                            break;
-                        }
-                        let value = task(i);
-                        slots.lock().expect("a sibling worker panicked")[i] = Some(value);
-                    });
-                }
-            });
-            return slots.into_inner().expect("workers joined cleanly");
-        }
+    let workers = jobs.min(count);
+    if workers > 1 {
+        let next = AtomicUsize::new(0);
+        let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..count).map(|_| None).collect());
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    if interrupt.is_some_and(|f| f.load(Ordering::SeqCst)) {
+                        break;
+                    }
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= count {
+                        break;
+                    }
+                    let value = task(i);
+                    slots.lock().expect("a sibling worker panicked")[i] = Some(value);
+                });
+            }
+        });
+        return slots.into_inner().expect("workers joined cleanly");
     }
-    let _ = jobs;
     let mut out: Vec<Option<T>> = Vec::with_capacity(count);
     for i in 0..count {
         if interrupt.is_some_and(|f| f.load(Ordering::SeqCst)) {
@@ -747,10 +732,10 @@ impl Experiment {
     }
 
     /// Worker threads for replication execution (clamped to at least
-    /// 1). The default is the machine's available parallelism with the
-    /// `parallel` feature enabled, 1 otherwise. `jobs(1)` forces the
-    /// sequential path; any value yields bit-identical metrics because
-    /// replication `k` always draws from seed `base_seed + k`.
+    /// 1). The default is the machine's available parallelism.
+    /// `jobs(1)` forces the sequential path; any value yields
+    /// bit-identical metrics because replication `k` always draws from
+    /// seed `base_seed + k`.
     #[must_use]
     pub fn jobs(mut self, n: usize) -> Experiment {
         self.jobs = n.max(1);
@@ -1052,10 +1037,8 @@ impl Experiment {
         // lock so snapshots leave in strictly increasing `completed`
         // order at any worker count. The planned total grows when
         // sequential stopping schedules another round.
-        let progress = control
-            .progress
-            .map(|sink| (sink, std::sync::Mutex::new(0usize)));
-        let planned = std::sync::atomic::AtomicUsize::new(self.replications as usize);
+        let progress = control.progress.map(|sink| (sink, Mutex::new(0usize)));
+        let planned = AtomicUsize::new(self.replications as usize);
         let run_started = Instant::now();
         let launch = |from: u32,
                       count: u32,
@@ -1503,7 +1486,6 @@ mod tests {
 
     use std::collections::HashMap;
     use std::sync::atomic::AtomicU32;
-    use std::sync::Mutex;
 
     /// In-memory [`ReplicationStore`] that can also inject panics: it
     /// panics on the first `panic_on_record` calls to [`record`] for

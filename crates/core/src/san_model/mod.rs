@@ -48,8 +48,8 @@ use ckpt_des::telem::TelemetrySnapshot;
 use ckpt_des::SimTime;
 use ckpt_obs::{Observer, TraceBuffer};
 use ckpt_san::{
-    ActivityId, Delay, InputGate, Pred, QueueKind, Reactivation, ReactivationMode, Sampling, San,
-    SanBuilder, SanError, Scheduling, Simulator,
+    ActivityId, Delay, InputGate, Pred, QueueKind, Reactivation, ReactivationMode, San, SanBuilder,
+    SanError, Scheduling, Simulator,
 };
 use ckpt_stats::Dist;
 use std::fmt;
@@ -124,10 +124,6 @@ pub struct RunOptions {
     /// Event-scheduling strategy; both choices are bit-identical on the
     /// same seed (the full scan is kept as an equivalence oracle).
     pub scheduling: Scheduling,
-    /// Exponential-sampler choice. [`Sampling::InverseCdf`] (the
-    /// default) is the bit-identity oracle; [`Sampling::Ziggurat`] is
-    /// faster and distribution-equivalent but draws a different stream.
-    pub sampling: Sampling,
     /// Reactivation realisation. [`ReactivationMode::Resample`] (the
     /// default) is the bit-identity oracle; [`ReactivationMode::Lazy`]
     /// elides the redraws of marking-independent exponential timers —
@@ -145,7 +141,6 @@ impl Default for RunOptions {
             transient: SimTime::from_hours(1_000.0),
             horizon: SimTime::from_hours(20_000.0),
             scheduling: Scheduling::default(),
-            sampling: Sampling::default(),
             reactivation: ReactivationMode::default(),
             queue: QueueKind::default(),
         }
@@ -286,21 +281,12 @@ impl CheckpointSan {
     ///
     /// Propagates SAN execution errors.
     pub fn run(&self, opts: &RunOptions) -> Result<RunOutcome, ModelError> {
-        self.run_steady_state_inner(
-            opts.seed,
-            opts.transient,
-            opts.horizon,
-            None,
-            opts.scheduling,
-            opts.sampling,
-            opts.reactivation,
-            opts.queue,
-        )
-        .map(|(metrics, events, phases, _)| RunOutcome {
-            metrics,
-            events,
-            phases,
-        })
+        self.run_inner(opts, None)
+            .map(|(metrics, events, phases, _)| RunOutcome {
+                metrics,
+                events,
+                phases,
+            })
     }
 
     /// Like [`CheckpointSan::run`], but streams the measurement window
@@ -320,21 +306,12 @@ impl CheckpointSan {
         opts: &RunOptions,
         observer: &mut dyn Observer,
     ) -> Result<RunOutcome, ModelError> {
-        self.run_steady_state_inner(
-            opts.seed,
-            opts.transient,
-            opts.horizon,
-            Some(observer),
-            opts.scheduling,
-            opts.sampling,
-            opts.reactivation,
-            opts.queue,
-        )
-        .map(|(metrics, events, phases, _)| RunOutcome {
-            metrics,
-            events,
-            phases,
-        })
+        self.run_inner(opts, Some(observer))
+            .map(|(metrics, events, phases, _)| RunOutcome {
+                metrics,
+                events,
+                phases,
+            })
     }
 
     /// Like [`CheckpointSan::run_observed`], but also returns the
@@ -353,26 +330,17 @@ impl CheckpointSan {
         opts: &RunOptions,
         observer: &mut dyn Observer,
     ) -> Result<(RunOutcome, TelemetrySnapshot), ModelError> {
-        self.run_steady_state_inner(
-            opts.seed,
-            opts.transient,
-            opts.horizon,
-            Some(observer),
-            opts.scheduling,
-            opts.sampling,
-            opts.reactivation,
-            opts.queue,
-        )
-        .map(|(metrics, events, phases, telemetry)| {
-            (
-                RunOutcome {
-                    metrics,
-                    events,
-                    phases,
-                },
-                telemetry,
-            )
-        })
+        self.run_inner(opts, Some(observer))
+            .map(|(metrics, events, phases, telemetry)| {
+                (
+                    RunOutcome {
+                        metrics,
+                        events,
+                        phases,
+                    },
+                    telemetry,
+                )
+            })
     }
 
     /// Runs one replication from time zero (no transient) with a
@@ -391,39 +359,28 @@ impl CheckpointSan {
         capacity: usize,
     ) -> Result<(Metrics, TraceBuffer), ModelError> {
         let mut buf = TraceBuffer::new(capacity);
-        let (metrics, _, _, _) = self.run_steady_state_inner(
+        let opts = RunOptions {
             seed,
-            SimTime::ZERO,
+            transient: SimTime::ZERO,
             horizon,
-            Some(&mut buf),
-            Scheduling::default(),
-            Sampling::default(),
-            ReactivationMode::default(),
-            QueueKind::default(),
-        )?;
+            ..RunOptions::default()
+        };
+        let (metrics, _, _, _) = self.run_inner(&opts, Some(&mut buf))?;
         Ok((metrics, buf))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_steady_state_inner(
+    fn run_inner(
         &self,
-        seed: u64,
-        transient: SimTime,
-        horizon: SimTime,
+        opts: &RunOptions,
         observer: Option<&mut dyn Observer>,
-        scheduling: Scheduling,
-        sampling: Sampling,
-        reactivation: ReactivationMode,
-        queue: QueueKind,
     ) -> Result<(Metrics, u64, PhaseProfile, TelemetrySnapshot), ModelError> {
         let ids = self.ids;
         let mut sim = Simulator::with_exec_options(
             &self.san,
-            seed,
-            scheduling,
-            sampling,
-            reactivation,
-            queue,
+            opts.seed,
+            opts.scheduling,
+            opts.reactivation,
+            opts.queue,
         )?;
 
         // Phase-time rate rewards (used for the time-breakdown metric).
@@ -488,7 +445,7 @@ impl CheckpointSan {
             .reads(&[ids.rebooting]),
         )?;
 
-        sim.run_for(transient)?;
+        sim.run_for(opts.transient)?;
         let w0 = sim.marking().fluid(ids.work);
         let lost0 = sim.marking().fluid(ids.lost);
         let counters0 = self.read_counters(&sim);
@@ -503,7 +460,7 @@ impl CheckpointSan {
         if let Some(b) = obs_bridge.as_mut() {
             sim.set_observer(b);
         }
-        sim.run_for(horizon)?;
+        sim.run_for(opts.horizon)?;
 
         let report = sim.reward_report();
         let mut phase_times = PhaseTimes::default();
@@ -519,7 +476,7 @@ impl CheckpointSan {
 
         let counters1 = self.read_counters(&sim);
         let metrics = Metrics {
-            window_secs: horizon.as_secs(),
+            window_secs: opts.horizon.as_secs(),
             useful_work_secs: sim.marking().fluid(ids.work) - w0,
             work_lost_secs: sim.marking().fluid(ids.lost) - lost0,
             counters: diff_counters(counters0, counters1),

@@ -14,9 +14,9 @@
 //! and every probe is an empty `#[inline(always)]` function — the
 //! default build pays nothing, not even a branch, which is what keeps
 //! disabled-telemetry runs bit- and speed-identical to the pre-telemetry
-//! tree (pinned by the golden fingerprints in `tests/` and the
-//! `bench_gate.sh` throughput gate). Check [`ENABLED`] at run time to
-//! discover which kind of build this is.
+//! tree (pinned by the golden fingerprints in `tests/`; speed is
+//! measured by `python3 perfbench/run.py`). Check [`ENABLED`] at run
+//! time to discover which kind of build this is.
 //!
 //! RNG draws are counted in a thread-local because the engines thread
 //! `SimRng` values through deep call chains; a replication always runs

@@ -3,11 +3,11 @@
 //! [`ckpt_des::prof`] attributes per-event wall time to seven hot
 //! phases; this module turns an accumulated
 //! [`PhaseProfile`](ckpt_des::prof::PhaseProfile) into the stable JSON
-//! breakdown consumed by `ckptsim run --profile-phases` and
-//! `bench_engines --phases`. The schema is versioned
-//! (`phase_schema_version`) so downstream tooling can detect format
-//! changes; version 2 added the `event_dispatch` container phase, the
-//! `activity_firing` phase, and the top-level `attributed_share` field.
+//! breakdown printed by `ckptsim run --profile-phases`. The schema is
+//! versioned (`phase_schema_version`) so downstream tooling can detect
+//! format changes; version 2 added the `event_dispatch` container
+//! phase, the `activity_firing` phase, and the top-level
+//! `attributed_share` field.
 
 use crate::manifest::json_escape;
 use ckpt_des::prof::{HotPhase, PhaseProfile};

@@ -75,7 +75,7 @@ pub use pred::Pred;
 pub use reward::{RewardReport, RewardSpec, RewardValue};
 pub use simulator::{ReactivationMode, SanObserver, Scheduling, Simulator};
 
-// The sampler and queue-backend choices travel with the simulator API:
-// `Simulator::with_exec_options` takes them, so callers should not need
+// The queue-backend choice travels with the simulator API:
+// `Simulator::with_exec_options` takes it, so callers should not need
 // a direct `ckpt-des` dependency.
-pub use ckpt_des::{QueueKind, Sampling};
+pub use ckpt_des::QueueKind;

@@ -7,7 +7,7 @@ use crate::model::San;
 use crate::reward::{RewardReport, RewardSpec, RewardValue};
 use ckpt_des::prof::{HotPhase, PhaseProfile, PhaseProfiler};
 use ckpt_des::telem::{HotTelemetry, TelemetrySnapshot};
-use ckpt_des::{EventId, EventQueue, QueueKind, Sampling, SimRng, SimTime};
+use ckpt_des::{EventId, EventQueue, QueueKind, SimRng, SimTime};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -81,7 +81,7 @@ pub enum Scheduling {
 /// Lazy mode is **distribution-equivalent, not bit-identical**: skipped
 /// draws shift the RNG stream, so a lazy run is statistically a new
 /// stream over the same model (validated by the KS/moment and
-/// CI-overlap suites, like [`Sampling::Ziggurat`]). Timers with
+/// CI-overlap suites). Timers with
 /// marking-dependent delays ([`crate::Delay::MarkingDependent`]) are
 /// never elided — a rate modulated by the marking must be observed at
 /// the marking change — and [`Reactivation::Keep`] timers are
@@ -259,7 +259,7 @@ impl<'m> Simulator<'m> {
     }
 
     /// Creates a simulator with an explicit [`Scheduling`] strategy and
-    /// the default ([`Sampling::InverseCdf`]) sampler.
+    /// the default reactivation mode and queue backend.
     ///
     /// # Errors
     ///
@@ -270,42 +270,23 @@ impl<'m> Simulator<'m> {
         seed: u64,
         scheduling: Scheduling,
     ) -> Result<Simulator<'m>, SanError> {
-        Simulator::with_options(san, seed, scheduling, Sampling::default())
-    }
-
-    /// Creates a simulator with explicit [`Scheduling`] and [`Sampling`]
-    /// choices. The sampling mode is set before any initial delay draw,
-    /// so the whole run — including initialization — uses one sampler.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SanError`] if the initial settling livelocks or a delay
-    /// sampler misbehaves.
-    pub fn with_options(
-        san: &'m San,
-        seed: u64,
-        scheduling: Scheduling,
-        sampling: Sampling,
-    ) -> Result<Simulator<'m>, SanError> {
         Simulator::with_exec_options(
             san,
             seed,
             scheduling,
-            sampling,
             ReactivationMode::default(),
             QueueKind::default(),
         )
     }
 
     /// Creates a simulator with every execution switch explicit:
-    /// [`Scheduling`], [`Sampling`], [`ReactivationMode`], and the
-    /// event-queue backend ([`QueueKind`]).
+    /// [`Scheduling`], [`ReactivationMode`], and the event-queue backend
+    /// ([`QueueKind`]).
     ///
-    /// The defaults (`Incremental`, `InverseCdf`, `Resample`,
-    /// `IndexedHeap`) are the pinned bit-identical reference; `Lazy`
-    /// and the non-default sampler are distribution-equivalent opt-ins,
-    /// while `Calendar` is bit-identical (both backends pop the same
-    /// `(time, FIFO)` order).
+    /// The defaults (`Incremental`, `Resample`, `IndexedHeap`) are the
+    /// pinned bit-identical reference; `Lazy` is a
+    /// distribution-equivalent opt-in, while `Calendar` is bit-identical
+    /// (both backends pop the same `(time, FIFO)` order).
     ///
     /// # Errors
     ///
@@ -315,13 +296,10 @@ impl<'m> Simulator<'m> {
         san: &'m San,
         seed: u64,
         scheduling: Scheduling,
-        sampling: Sampling,
         reactivation: ReactivationMode,
         queue: QueueKind,
     ) -> Result<Simulator<'m>, SanError> {
         let n = san.activities.len();
-        let mut rng = SimRng::seed_from_u64(seed);
-        rng.set_sampling(sampling);
         let mut sim = Simulator {
             san,
             marking: san.initial_marking(),
@@ -329,7 +307,7 @@ impl<'m> Simulator<'m> {
             queue: EventQueue::with_kind(queue),
             scheduled: vec![None; n],
             sampled_version: vec![0; n],
-            rng,
+            rng: SimRng::seed_from_u64(seed),
             rewards: Vec::new(),
             totals: Vec::new(),
             rate_mode: Vec::new(),
@@ -363,12 +341,6 @@ impl<'m> Simulator<'m> {
     #[must_use]
     pub fn scheduling(&self) -> Scheduling {
         self.scheduling
-    }
-
-    /// The sampling strategy this simulator's RNG runs with.
-    #[must_use]
-    pub fn sampling(&self) -> Sampling {
-        self.rng.sampling()
     }
 
     /// The reactivation mode this simulator runs with.
@@ -1603,29 +1575,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn ziggurat_sampling_reproduces_availability() {
-        // Ziggurat is distribution-equivalent, not bit-identical: the
-        // repair model's long-run availability must still come out at
-        // ~0.9 within Monte-Carlo noise.
-        let san = repair_model();
-        let up = san.place_by_name("up").unwrap();
-        let mut sim =
-            Simulator::with_options(&san, 1, Scheduling::Incremental, Sampling::Ziggurat).unwrap();
-        assert_eq!(sim.sampling(), Sampling::Ziggurat);
-        sim.add_reward(RewardSpec::rate("avail", move |m| {
-            if m.has_token(up) {
-                1.0
-            } else {
-                0.0
-            }
-        }))
-        .unwrap();
-        sim.run_for(SimTime::from_secs(200_000.0)).unwrap();
-        let a = sim.reward_report().value("avail").unwrap().time_average();
-        assert!((a - 0.9).abs() < 0.01, "availability {a}");
-    }
-
     /// Repair model with the failure timer marked `Resample` (plain
     /// exponential, declared dependencies) — the shape lazy mode elides
     /// — plus an unrelated `Keep` noise timer whose firings dirty the
@@ -1674,7 +1623,6 @@ mod tests {
             &san,
             1,
             Scheduling::Incremental,
-            Sampling::InverseCdf,
             ReactivationMode::Lazy,
             QueueKind::IndexedHeap,
         )
@@ -1704,7 +1652,6 @@ mod tests {
                 &san,
                 9,
                 scheduling,
-                Sampling::InverseCdf,
                 ReactivationMode::Lazy,
                 QueueKind::IndexedHeap,
             )
@@ -1751,7 +1698,6 @@ mod tests {
             &san,
             7,
             Scheduling::Incremental,
-            Sampling::InverseCdf,
             ReactivationMode::Lazy,
             QueueKind::IndexedHeap,
         )
@@ -1779,7 +1725,6 @@ mod tests {
                 &san,
                 13,
                 Scheduling::Incremental,
-                Sampling::InverseCdf,
                 reactivation,
                 queue,
             )

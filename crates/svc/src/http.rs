@@ -91,6 +91,10 @@ struct Request {
     body: String,
 }
 
+/// Reads one request. A connection closed before its request line
+/// yields `None`, and so does a body the server refuses to read: an
+/// unparseable `Content-Length` is answered with 400 and one above
+/// [`MAX_BODY`] with 413, so a handler never sees a cut-off body.
 fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut line = String::new();
@@ -100,7 +104,7 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
     let mut parts = line.split_whitespace();
     let method = parts.next().unwrap_or("").to_string();
     let path = parts.next().unwrap_or("").to_string();
-    let mut content_length = 0usize;
+    let mut content_length = Some(0usize);
     let mut tenant = "default".to_string();
     loop {
         let mut header = String::new();
@@ -114,13 +118,30 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
         if let Some((name, value)) = header.split_once(':') {
             let value = value.trim();
             if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.parse().unwrap_or(0);
+                content_length = value.parse().ok();
             } else if name.eq_ignore_ascii_case("x-tenant") && !value.is_empty() {
                 tenant = value.to_string();
             }
         }
     }
-    let mut body = vec![0u8; content_length.min(MAX_BODY)];
+    let content_length = match content_length {
+        Some(n) if n <= MAX_BODY => n,
+        Some(n) => {
+            let message = format!("request body of {n} bytes exceeds the {MAX_BODY}-byte limit");
+            respond(stream, 413, "Payload Too Large", &error_body(&message))?;
+            return Ok(None);
+        }
+        None => {
+            respond(
+                stream,
+                400,
+                "Bad Request",
+                &error_body("unparseable Content-Length"),
+            )?;
+            return Ok(None);
+        }
+    };
+    let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
     Ok(Some(Request {
         method,
@@ -267,10 +288,7 @@ fn route_progress(stream: &mut TcpStream, sched: &Scheduler, id: &str) -> std::i
         "HTTP/1.1 200 OK\r\nContent-Type: application/jsonl\r\nTransfer-Encoding: chunked\r\nConnection: close\r\n\r\n"
     )?;
     let mut cursor = 0usize;
-    loop {
-        let Some((lines, terminal)) = sched.progress(id, cursor) else {
-            break;
-        };
+    while let Some((lines, terminal)) = sched.progress(id, cursor) {
         for line in &lines {
             let chunk = format!("{line}\n");
             write!(stream, "{:x}\r\n{chunk}\r\n", chunk.len())?;

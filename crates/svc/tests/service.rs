@@ -7,8 +7,9 @@ use ckpt_core::SystemConfig;
 use ckpt_des::SimTime;
 use ckpt_harness::ExperimentSpec;
 use ckpt_svc::{Client, JobStore, Scheduler, Server, Tuning};
-use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::io::{Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,7 +31,7 @@ fn store_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn start_server(dir: &PathBuf, tuning: Tuning) -> (SocketAddr, Arc<Scheduler>) {
+fn start_server(dir: &Path, tuning: Tuning) -> (SocketAddr, Arc<Scheduler>) {
     let store = JobStore::open(dir).unwrap();
     let server = Server::bind("127.0.0.1:0", Scheduler::new(store, tuning)).unwrap();
     let addr = server.local_addr().unwrap();
@@ -136,5 +137,39 @@ fn unknown_jobs_and_malformed_specs_are_rejected() {
     assert!(client.status("00000000deadbeef").is_err());
     assert_eq!(client.result("00000000deadbeef").unwrap(), None);
     assert!(client.progress("00000000deadbeef").is_err());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sends `head` (request line and headers, no body) over a raw socket,
+/// closes the write half, and returns the whole response.
+fn raw_exchange(addr: SocketAddr, head: &str) -> String {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(head.as_bytes()).unwrap();
+    stream.shutdown(Shutdown::Write).unwrap();
+    let mut response = String::new();
+    let _ = stream.read_to_string(&mut response);
+    response
+}
+
+#[test]
+fn bad_content_lengths_are_refused_before_the_body_is_read() {
+    let dir = store_dir("length");
+    let (addr, _) = start_server(&dir, Tuning::default());
+    // Oversized: refused with 413 rather than truncated to the limit.
+    let oversized = raw_exchange(
+        addr,
+        "POST /v1/jobs HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n",
+    );
+    assert!(oversized.starts_with("HTTP/1.1 413 "), "{oversized}");
+    // Unparseable: refused with 400 rather than read as an empty body.
+    let unparseable = raw_exchange(
+        addr,
+        "POST /v1/jobs HTTP/1.1\r\nContent-Length: 12x\r\n\r\n",
+    );
+    assert!(unparseable.starts_with("HTTP/1.1 400 "), "{unparseable}");
+    assert!(unparseable.contains("Content-Length"), "{unparseable}");
     let _ = std::fs::remove_dir_all(&dir);
 }

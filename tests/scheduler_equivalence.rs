@@ -3,41 +3,52 @@
 //! statistically close — both schedulers consume the same RNG stream in
 //! the same order by construction, and these tests enforce it on every
 //! paper configuration class the SAN engine supports.
+//!
+//! Every check runs in all four execution modes (reactivation ×
+//! event-queue backend), and within each reactivation mode the calendar
+//! queue must reproduce the indexed heap bit for bit, since both pop
+//! the same `(time, FIFO)` order.
 
 use ckptsim::des::SimTime;
 use ckptsim::model::config::{ErrorPropagation, GenericCorrelated};
 use ckptsim::model::san_model::{CheckpointSan, RunOptions};
 use ckptsim::model::{CoordinationMode, SystemConfig};
-use ckptsim::san::Scheduling;
+use ckptsim::san::{QueueKind, ReactivationMode, Scheduling};
 
 fn assert_bit_identical(cfg: SystemConfig, what: &str) {
     let model = CheckpointSan::build(&cfg).expect("model builds");
     for seed in [1, 42] {
-        let run = |scheduling| {
+        let run = |scheduling, reactivation, queue| {
             let outcome = model
                 .run(&RunOptions {
                     seed,
                     transient: SimTime::from_hours(50.0),
                     horizon: SimTime::from_hours(500.0),
                     scheduling,
-                    ..RunOptions::default()
+                    reactivation,
+                    queue,
                 })
                 .expect("replication runs");
             (outcome.metrics, outcome.events)
         };
-        let (m_inc, ev_inc) = run(Scheduling::Incremental);
-        let (m_full, ev_full) = run(Scheduling::FullScan);
-        assert_eq!(
-            ev_inc, ev_full,
-            "{what} (seed {seed}): event counts diverged"
-        );
-        // Metrics is PartialEq over raw f64 fields, so this is an exact
-        // bit-level comparison (no tolerances).
-        assert_eq!(m_inc, m_full, "{what} (seed {seed}): metrics diverged");
-        assert!(
-            m_inc.useful_work_fraction() > 0.0,
-            "{what} (seed {seed}): degenerate run"
-        );
+        for reactivation in [ReactivationMode::Resample, ReactivationMode::Lazy] {
+            let mut per_queue = Vec::new();
+            for queue in [QueueKind::IndexedHeap, QueueKind::Calendar] {
+                let mode = format!("{what} (seed {seed}, {reactivation}, {queue:?})");
+                let (m_inc, ev_inc) = run(Scheduling::Incremental, reactivation, queue);
+                let (m_full, ev_full) = run(Scheduling::FullScan, reactivation, queue);
+                assert_eq!(ev_inc, ev_full, "{mode}: event counts diverged");
+                // Metrics is PartialEq over raw f64 fields, so this is an
+                // exact bit-level comparison (no tolerances).
+                assert_eq!(m_inc, m_full, "{mode}: metrics diverged");
+                assert!(m_inc.useful_work_fraction() > 0.0, "{mode}: degenerate run");
+                per_queue.push((m_inc, ev_inc));
+            }
+            assert_eq!(
+                per_queue[0], per_queue[1],
+                "{what} (seed {seed}, {reactivation}): calendar queue diverged from the heap"
+            );
+        }
     }
 }
 
