@@ -102,8 +102,9 @@ RUN FLAGS:
                              lazy skips redraws of memoryless exponential
                              timers (--engine san only; new RNG stream)
     --queue KIND             heap | calendar                [heap]
-                             event-queue backend; both pop identical
-                             (time, FIFO) order, so results never change
+                             the SAN executor's event queue; both pop
+                             identical (time, FIFO) order, so results
+                             never change (the direct engine ignores it)
 
 SERVE FLAGS:
     --addr A                 listen address                 [127.0.0.1:7070]

@@ -45,6 +45,32 @@ pub(crate) enum Event {
     WindowClose,
 }
 
+impl Event {
+    /// Number of event kinds.
+    pub(crate) const COUNT: usize = 17;
+
+    /// Every kind, indexed by its discriminant.
+    pub(crate) const ALL: [Event; Event::COUNT] = [
+        Event::CheckpointTrigger,
+        Event::QuiesceArrive,
+        Event::CoordinationDone,
+        Event::MasterTimeout,
+        Event::DumpDone,
+        Event::CkptFsWriteDone,
+        Event::AppPhaseEnd,
+        Event::AppDataWriteDone,
+        Event::ComputeFailure,
+        Event::IoFailure,
+        Event::MasterFailure,
+        Event::GenericFailure,
+        Event::RecoveryStage1Done,
+        Event::RecoveryStage2Done,
+        Event::IoRestartDone,
+        Event::RebootDone,
+        Event::WindowClose,
+    ];
+}
+
 impl fmt::Display for Event {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{self:?}")
@@ -119,6 +145,13 @@ mod tests {
     fn event_display_is_debug() {
         assert_eq!(Event::DumpDone.to_string(), "DumpDone");
         assert_eq!(Event::WindowClose.to_string(), "WindowClose");
+    }
+
+    #[test]
+    fn all_is_indexed_by_discriminant() {
+        for (k, &ev) in Event::ALL.iter().enumerate() {
+            assert_eq!(ev as usize, k, "{ev}");
+        }
     }
 
     #[test]

@@ -25,46 +25,25 @@
 //! ```
 
 mod events;
+mod timers;
 
 use crate::config::{CoordinationMode, RecoveryTimeModel, SystemConfig};
 use crate::metrics::{Counters, Metrics, PhaseKind, PhaseTimes};
 use crate::policy::CheckpointPolicy;
 use crate::trace::{AbortReason, TraceBuffer, TraceEvent};
 use ckpt_des::telem::{HotTelemetry, TelemetrySnapshot};
-use ckpt_des::{EventId, EventQueue, QueueKind, RngFactory, SimRng, SimTime, StreamId};
+use ckpt_des::{QueueKind, RngFactory, SimRng, SimTime, StreamId};
 use ckpt_obs::{ObsEvent, Observer};
 use ckpt_stats::dist::sample_max_exponential;
 use events::{AppPhase, Event, IoState, RecoveryStage, SysPhase};
 use std::fmt;
-
-/// Pending singleton events, one slot per [`Event`] variant that can be
-/// outstanding at a time.
-#[derive(Debug, Default)]
-struct Pending {
-    trigger: Option<EventId>,
-    quiesce_arrive: Option<EventId>,
-    coordination_done: Option<EventId>,
-    master_timeout: Option<EventId>,
-    dump_done: Option<EventId>,
-    fs_write_done: Option<EventId>,
-    app_phase_end: Option<EventId>,
-    app_data_done: Option<EventId>,
-    compute_failure: Option<EventId>,
-    io_failure: Option<EventId>,
-    master_failure: Option<EventId>,
-    generic_failure: Option<EventId>,
-    recovery_stage1: Option<EventId>,
-    recovery_stage2: Option<EventId>,
-    io_restart: Option<EventId>,
-    reboot: Option<EventId>,
-    window_close: Option<EventId>,
-}
+use timers::Timers;
 
 /// The direct event-driven simulator (see module docs).
 pub struct DirectSimulator<'c> {
     cfg: &'c SystemConfig,
-    queue: EventQueue<Event>,
-    pending: Pending,
+    /// Future-event list: one timer per event kind (see [`timers`]).
+    timers: Timers,
     now: SimTime,
 
     phase: SysPhase,
@@ -130,19 +109,10 @@ impl<'c> DirectSimulator<'c> {
     /// first checkpoint one interval away.
     #[must_use]
     pub fn new(cfg: &'c SystemConfig, seed: u64) -> DirectSimulator<'c> {
-        DirectSimulator::with_queue(cfg, seed, QueueKind::default())
-    }
-
-    /// Like [`DirectSimulator::new`], with an explicit event-queue
-    /// backend. Both backends pop the same `(time, FIFO)` order, so the
-    /// choice never changes results — only dispatch cost.
-    #[must_use]
-    pub fn with_queue(cfg: &'c SystemConfig, seed: u64, queue: QueueKind) -> DirectSimulator<'c> {
         let f = RngFactory::new(seed);
         let mut sim = DirectSimulator {
             cfg,
-            queue: EventQueue::with_kind(queue),
-            pending: Pending::default(),
+            timers: Timers::default(),
             now: SimTime::ZERO,
             phase: SysPhase::Executing,
             app: AppPhase::Compute,
@@ -182,6 +152,16 @@ impl<'c> DirectSimulator<'c> {
         sim
     }
 
+    /// Same as [`DirectSimulator::new`]. The direct engine keeps its
+    /// own per-kind timer table rather than a general event queue, so
+    /// it has no backend to select and ignores `queue`; the parameter
+    /// remains so callers can pass one [`QueueKind`] to either engine.
+    #[must_use]
+    pub fn with_queue(cfg: &'c SystemConfig, seed: u64, queue: QueueKind) -> DirectSimulator<'c> {
+        let _ = queue;
+        DirectSimulator::new(cfg, seed)
+    }
+
     // ------------------------------------------------------------------
     // Public API
     // ------------------------------------------------------------------
@@ -202,7 +182,7 @@ impl<'c> DirectSimulator<'c> {
     pub fn run_until_useful_work(&mut self, target: f64, deadline: SimTime) -> Option<SimTime> {
         assert!(target >= 0.0 && target.is_finite(), "bad work target");
         while self.w < target {
-            let t = self.queue.peek_time()?;
+            let (t, event) = self.timers.next()?;
             if t > deadline {
                 return None;
             }
@@ -216,42 +196,22 @@ impl<'c> DirectSimulator<'c> {
                     return Some(self.now);
                 }
             }
-            let Some(ev) = self.queue.pop() else {
-                unreachable!("peek_time returned Some")
-            };
-            self.advance_clock(t);
-            self.events_processed += 1;
-            self.telem.record_queue_depth(self.queue.len());
-            let id = ev.id();
-            let event = ev.into_payload();
-            self.clear_pending(event, id);
-            self.dispatch(event);
-            self.notify_phase();
+            self.fire(t, event);
         }
         Some(self.now)
     }
 
     /// Runs until the absolute simulated time `horizon`.
     pub fn run_until(&mut self, horizon: SimTime) {
-        while let Some(t) = self.queue.peek_time() {
+        while let Some((t, event)) = self.timers.next() {
             if t > horizon {
                 break;
             }
-            let Some(ev) = self.queue.pop() else {
-                unreachable!("peek_time returned Some")
-            };
-            self.advance_clock(t);
-            self.events_processed += 1;
-            self.telem.record_queue_depth(self.queue.len());
-            let id = ev.id();
-            let event = ev.into_payload();
-            self.clear_pending(event, id);
-            self.dispatch(event);
-            self.notify_phase();
+            self.fire(t, event);
             debug_assert!(
                 !self.cfg.failures_enabled()
                     || self.phase == SysPhase::Rebooting
-                    || self.pending.compute_failure.is_some(),
+                    || self.timers.is_armed(Event::ComputeFailure),
                 "compute-failure stream lost after {event:?} in phase {:?}",
                 self.phase
             );
@@ -395,50 +355,21 @@ impl<'c> DirectSimulator<'c> {
         self.now = to;
     }
 
-    /// Clears the pending-slot for the event that just fired (only if the
-    /// slot still refers to that event).
-    fn clear_pending(&mut self, event: Event, id: EventId) {
-        let slot = self.slot(event);
-        if *slot == Some(id) {
-            *slot = None;
-        }
-    }
-
-    fn slot(&mut self, event: Event) -> &mut Option<EventId> {
-        match event {
-            Event::CheckpointTrigger => &mut self.pending.trigger,
-            Event::QuiesceArrive => &mut self.pending.quiesce_arrive,
-            Event::CoordinationDone => &mut self.pending.coordination_done,
-            Event::MasterTimeout => &mut self.pending.master_timeout,
-            Event::DumpDone => &mut self.pending.dump_done,
-            Event::CkptFsWriteDone => &mut self.pending.fs_write_done,
-            Event::AppPhaseEnd => &mut self.pending.app_phase_end,
-            Event::AppDataWriteDone => &mut self.pending.app_data_done,
-            Event::ComputeFailure => &mut self.pending.compute_failure,
-            Event::IoFailure => &mut self.pending.io_failure,
-            Event::MasterFailure => &mut self.pending.master_failure,
-            Event::GenericFailure => &mut self.pending.generic_failure,
-            Event::RecoveryStage1Done => &mut self.pending.recovery_stage1,
-            Event::RecoveryStage2Done => &mut self.pending.recovery_stage2,
-            Event::IoRestartDone => &mut self.pending.io_restart,
-            Event::RebootDone => &mut self.pending.reboot,
-            Event::WindowClose => &mut self.pending.window_close,
-        }
-    }
-
-    /// Cancels a pending singleton event if present.
-    fn cancel(&mut self, event: Event) {
-        if let Some(id) = self.slot(event).take() {
-            self.queue.cancel(id);
-        }
+    /// Disarms the earliest pending event, `event` due at `t`, advances
+    /// the clock to it and handles it.
+    fn fire(&mut self, t: SimTime, event: Event) {
+        self.timers.cancel(event);
+        self.advance_clock(t);
+        self.events_processed += 1;
+        self.telem.record_queue_depth(self.timers.len());
+        self.dispatch(event);
+        self.notify_phase();
     }
 
     /// Schedules a singleton event `delay` from now, replacing any
     /// pending instance.
     fn schedule(&mut self, event: Event, delay: SimTime) {
-        self.cancel(event);
-        let id = self.queue.schedule(self.now + delay, event);
-        *self.slot(event) = Some(id);
+        self.timers.schedule(event, self.now + delay);
     }
 
     // ------------------------------------------------------------------
@@ -494,7 +425,7 @@ impl<'c> DirectSimulator<'c> {
             Event::MasterFailure,
             Event::GenericFailure,
         ] {
-            self.cancel(ev);
+            self.timers.cancel(ev);
         }
         if !self.cfg.failures_enabled() || self.phase == SysPhase::Rebooting {
             return;
@@ -549,7 +480,7 @@ impl<'c> DirectSimulator<'c> {
             AppPhase::Io => self.cycle_io_phase,
         };
         if self.cfg.compute_fraction_jitter().is_none() && self.cfg.io_phase().is_zero() {
-            self.cancel(Event::AppPhaseEnd);
+            self.timers.cancel(Event::AppPhaseEnd);
             return;
         }
         self.schedule(Event::AppPhaseEnd, d);
@@ -572,7 +503,7 @@ impl<'c> DirectSimulator<'c> {
             Event::MasterTimeout,
             Event::DumpDone,
         ] {
-            self.cancel(ev);
+            self.timers.cancel(ev);
         }
     }
 
@@ -610,7 +541,7 @@ impl<'c> DirectSimulator<'c> {
         if self.window_open {
             self.record(TraceEvent::WindowClosed);
             self.window_open = false;
-            self.cancel(Event::WindowClose);
+            self.timers.cancel(Event::WindowClose);
             self.reschedule_failure_streams();
         }
     }
@@ -631,12 +562,12 @@ impl<'c> DirectSimulator<'c> {
         let lost = (self.w - point).max(0.0);
         self.work_lost += lost;
         self.w = point;
-        self.cancel(Event::CheckpointTrigger);
-        self.cancel(Event::AppPhaseEnd);
+        self.timers.cancel(Event::CheckpointTrigger);
+        self.timers.cancel(Event::AppPhaseEnd);
         self.cancel_protocol_events();
         // Application data in flight belongs to rolled-back computation.
         if self.io == IoState::WritingAppData {
-            self.cancel(Event::AppDataWriteDone);
+            self.timers.cancel(Event::AppDataWriteDone);
             self.io = IoState::Idle;
         }
         self.maybe_open_window();
@@ -645,8 +576,8 @@ impl<'c> DirectSimulator<'c> {
 
     /// Begins (or restarts) recovery from the current I/O-node state.
     fn start_recovery(&mut self) {
-        self.cancel(Event::RecoveryStage1Done);
-        self.cancel(Event::RecoveryStage2Done);
+        self.timers.cancel(Event::RecoveryStage1Done);
+        self.timers.cancel(Event::RecoveryStage2Done);
         match self.io {
             IoState::Restarting | IoState::Down => {
                 self.phase = SysPhase::Recovering(RecoveryStage::WaitIo);
@@ -706,7 +637,7 @@ impl<'c> DirectSimulator<'c> {
             return;
         }
         if self.io == IoState::ReadingCkpt {
-            self.cancel(Event::RecoveryStage1Done);
+            self.timers.cancel(Event::RecoveryStage1Done);
             self.io = IoState::Idle;
         }
         self.maybe_open_window();
@@ -717,16 +648,16 @@ impl<'c> DirectSimulator<'c> {
         self.record(TraceEvent::RebootStarted);
         self.counters.reboots += 1;
         // Everything stops: protocol, recovery, I/O activity, failures.
-        self.cancel(Event::CheckpointTrigger);
-        self.cancel(Event::AppPhaseEnd);
+        self.timers.cancel(Event::CheckpointTrigger);
+        self.timers.cancel(Event::AppPhaseEnd);
         self.cancel_protocol_events();
-        self.cancel(Event::RecoveryStage1Done);
-        self.cancel(Event::RecoveryStage2Done);
-        self.cancel(Event::IoRestartDone);
-        self.cancel(Event::AppDataWriteDone);
-        self.cancel(Event::CkptFsWriteDone);
+        self.timers.cancel(Event::RecoveryStage1Done);
+        self.timers.cancel(Event::RecoveryStage2Done);
+        self.timers.cancel(Event::IoRestartDone);
+        self.timers.cancel(Event::AppDataWriteDone);
+        self.timers.cancel(Event::CkptFsWriteDone);
         self.window_open = false;
-        self.cancel(Event::WindowClose);
+        self.timers.cancel(Event::WindowClose);
         self.buffered = false;
         self.io = IoState::Down;
         self.phase = SysPhase::Rebooting;
@@ -803,7 +734,7 @@ impl<'c> DirectSimulator<'c> {
         match self.app {
             AppPhase::Compute => {
                 // Computation stops immediately; coordination begins.
-                self.cancel(Event::AppPhaseEnd);
+                self.timers.cancel(Event::AppPhaseEnd);
                 let y = self.sample_coordination();
                 self.schedule(Event::CoordinationDone, y);
             }
@@ -816,7 +747,7 @@ impl<'c> DirectSimulator<'c> {
 
     fn on_coordination_done(&mut self) {
         debug_assert_eq!(self.phase, SysPhase::Quiescing);
-        self.cancel(Event::MasterTimeout);
+        self.timers.cancel(Event::MasterTimeout);
         self.record(TraceEvent::CoordinationComplete);
         self.w_candidate = self.w;
         if self.io == IoState::Idle {
@@ -879,7 +810,7 @@ impl<'c> DirectSimulator<'c> {
                 self.start_app_data_write();
             }
             (SysPhase::Quiescing, AppPhase::Io) => {
-                // Pending quiesce was waiting for this I/O to finish.
+                // The quiesce was waiting for this I/O to finish.
                 self.app = AppPhase::Compute;
                 self.start_app_data_write();
                 let y = self.sample_coordination();
@@ -939,9 +870,9 @@ impl<'c> DirectSimulator<'c> {
             return;
         }
         self.counters.spatial_co_failures += 1;
-        self.cancel(Event::AppDataWriteDone);
-        self.cancel(Event::CkptFsWriteDone);
-        self.cancel(Event::RecoveryStage1Done);
+        self.timers.cancel(Event::AppDataWriteDone);
+        self.timers.cancel(Event::CkptFsWriteDone);
+        self.timers.cancel(Event::RecoveryStage1Done);
         self.buffered = false;
         self.io = IoState::Restarting;
         let t = self.sample_io_restart();
@@ -990,7 +921,7 @@ impl<'c> DirectSimulator<'c> {
             IoState::WritingAppData => {
                 // Application results are lost: the computation rolls
                 // back too, and the buffers perish with the restart.
-                self.cancel(Event::AppDataWriteDone);
+                self.timers.cancel(Event::AppDataWriteDone);
                 self.buffered = false;
                 self.io = IoState::Restarting;
                 let t = self.sample_io_restart();
@@ -1004,20 +935,20 @@ impl<'c> DirectSimulator<'c> {
                 // affected unless they were mid-protocol.
                 self.counters.checkpoints_aborted_io += 1;
                 self.record(TraceEvent::CheckpointAborted(AbortReason::IoFailure));
-                self.cancel(Event::CkptFsWriteDone);
+                self.timers.cancel(Event::CkptFsWriteDone);
                 self.buffered = false;
                 self.io = IoState::Restarting;
                 let t = self.sample_io_restart();
                 self.schedule(Event::IoRestartDone, t);
                 if self.phase == SysPhase::Recovering(RecoveryStage::Reinit) {
                     // Stage 2 was reading from the buffers that just died.
-                    self.cancel(Event::RecoveryStage2Done);
+                    self.timers.cancel(Event::RecoveryStage2Done);
                     self.recovery_failed();
                 }
             }
             IoState::ReadingCkpt => {
                 // Failure during recovery stage 1.
-                self.cancel(Event::RecoveryStage1Done);
+                self.timers.cancel(Event::RecoveryStage1Done);
                 self.io = IoState::Restarting;
                 let t = self.sample_io_restart();
                 self.schedule(Event::IoRestartDone, t);
@@ -1028,7 +959,7 @@ impl<'c> DirectSimulator<'c> {
                 let t = self.sample_io_restart();
                 self.schedule(Event::IoRestartDone, t);
                 if self.phase == SysPhase::Recovering(RecoveryStage::Reinit) {
-                    self.cancel(Event::RecoveryStage2Done);
+                    self.timers.cancel(Event::RecoveryStage2Done);
                     self.buffered = false;
                     self.recovery_failed();
                 } else if self.phase == SysPhase::Dumping {

@@ -679,9 +679,10 @@ impl Experiment {
         self
     }
 
-    /// Selects the event-queue backend for both engines. The choice is
+    /// Selects the SAN executor's future-event list. The choice is
     /// bit-identical — both backends pop the same `(time, FIFO)` order
-    /// — so it changes dispatch cost only.
+    /// — so it changes dispatch cost only. The direct engine keeps a
+    /// fixed per-kind timer table with that same order and ignores it.
     #[must_use]
     pub fn queue(mut self, queue: QueueKind) -> Experiment {
         self.queue = queue;
@@ -860,7 +861,7 @@ impl Experiment {
         let elided_before = ckpt_des::telem::redraws_elided();
         let (metrics, events, phases, engine_telem) = match san_model {
             None => {
-                let mut sim = DirectSimulator::with_queue(&self.config, seed, self.queue);
+                let mut sim = DirectSimulator::new(&self.config, seed);
                 sim.run(self.transient);
                 sim.reset_metrics();
                 if let Some(rec) = recorder.as_mut() {

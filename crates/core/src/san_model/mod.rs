@@ -129,8 +129,9 @@ pub struct RunOptions {
     /// elides the redraws of marking-independent exponential timers —
     /// distribution-equivalent, different stream.
     pub reactivation: ReactivationMode,
-    /// Event-queue backend; both choices are bit-identical on the same
-    /// seed (both pop the same `(time, FIFO)` order).
+    /// The SAN executor's future-event list; both choices are
+    /// bit-identical on the same seed (both pop the same `(time, FIFO)`
+    /// order).
     pub queue: QueueKind,
 }
 

@@ -45,7 +45,8 @@ pub struct ExecFlags {
     pub quiet: bool,
     /// Timer-reactivation execution mode (SAN engine only).
     pub reactivation: ReactivationMode,
-    /// Event-queue backend; both pop identical (time, FIFO) order.
+    /// The SAN executor's future-event list; both backends pop the
+    /// identical (time, FIFO) order. The direct engine ignores it.
     pub queue: QueueKind,
 }
 

@@ -214,8 +214,9 @@ impl ExperimentSpec {
         self.reactivation
     }
 
-    /// The event-queue backend. Both backends pop the same
-    /// (time, FIFO) order, so this never changes results — only speed.
+    /// The SAN executor's event-queue backend. Both backends pop the
+    /// same (time, FIFO) order, so this never changes results — only
+    /// speed. The direct engine ignores it.
     #[must_use]
     pub fn queue(&self) -> QueueKind {
         self.queue
@@ -471,7 +472,7 @@ impl ExperimentSpecBuilder {
         self
     }
 
-    /// Selects the event-queue backend.
+    /// Selects the SAN executor's event-queue backend.
     #[must_use]
     pub fn queue(mut self, queue: QueueKind) -> ExperimentSpecBuilder {
         self.spec.queue = queue;

@@ -26,6 +26,18 @@ use std::time::Duration;
 
 /// Largest request body the server will read (a spec is ~1 KiB).
 const MAX_BODY: usize = 1 << 20;
+/// Longest request or header line the server buffers, CRLF included.
+const MAX_LINE: usize = 8 << 10;
+/// Most header lines one request may carry.
+const MAX_HEADERS: usize = 64;
+/// Longest `X-Tenant` value. Each distinct tenant gets its own queue in
+/// the scheduler, so tenant names are kept short.
+const MAX_TENANT: usize = 64;
+/// Most bytes of a refused request still read and discarded (see
+/// [`refuse`]).
+const DRAIN_LIMIT: u64 = 64 << 10;
+/// Read timeout while draining a refused request.
+const DRAIN_TIMEOUT: Duration = Duration::from_millis(200);
 /// Poll cadence of the chunked progress stream.
 const PROGRESS_POLL: Duration = Duration::from_millis(25);
 
@@ -92,13 +104,21 @@ struct Request {
 }
 
 /// Reads one request. A connection closed before its request line
-/// yields `None`, and so does a body the server refuses to read: an
-/// unparseable `Content-Length` is answered with 400 and one above
-/// [`MAX_BODY`] with 413, so a handler never sees a cut-off body.
+/// yields `None`, and so does a request the server refuses to read:
+/// a line longer than [`MAX_LINE`] or more than [`MAX_HEADERS`] header
+/// lines is answered with 431, an `X-Tenant` longer than
+/// [`MAX_TENANT`] or an unparseable `Content-Length` with 400, and a
+/// `Content-Length` above [`MAX_BODY`] with 413, so a handler never
+/// sees a cut-off request.
 fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
+    const TOO_LARGE: (u16, &str) = (431, "Request Header Fields Too Large");
+    const BAD: (u16, &str) = (400, "Bad Request");
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut line = String::new();
-    if reader.read_line(&mut line)? == 0 {
+    let Some(line) = read_line(&mut reader)? else {
+        let message = format!("request line exceeds {MAX_LINE} bytes");
+        return refuse(stream, &mut reader, TOO_LARGE, &message);
+    };
+    if line.is_empty() {
         return Ok(None);
     }
     let mut parts = line.split_whitespace();
@@ -106,20 +126,30 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
     let path = parts.next().unwrap_or("").to_string();
     let mut content_length = Some(0usize);
     let mut tenant = "default".to_string();
+    let mut headers = 0;
     loop {
-        let mut header = String::new();
-        if reader.read_line(&mut header)? == 0 {
-            break;
-        }
+        let Some(header) = read_line(&mut reader)? else {
+            let message = format!("header line exceeds {MAX_LINE} bytes");
+            return refuse(stream, &mut reader, TOO_LARGE, &message);
+        };
         let header = header.trim_end();
         if header.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            let message = format!("more than {MAX_HEADERS} header lines");
+            return refuse(stream, &mut reader, TOO_LARGE, &message);
         }
         if let Some((name, value)) = header.split_once(':') {
             let value = value.trim();
             if name.eq_ignore_ascii_case("content-length") {
                 content_length = value.parse().ok();
             } else if name.eq_ignore_ascii_case("x-tenant") && !value.is_empty() {
+                if value.len() > MAX_TENANT {
+                    let message = format!("X-Tenant exceeds {MAX_TENANT} bytes");
+                    return refuse(stream, &mut reader, BAD, &message);
+                }
                 tenant = value.to_string();
             }
         }
@@ -128,18 +158,9 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
         Some(n) if n <= MAX_BODY => n,
         Some(n) => {
             let message = format!("request body of {n} bytes exceeds the {MAX_BODY}-byte limit");
-            respond(stream, 413, "Payload Too Large", &error_body(&message))?;
-            return Ok(None);
+            return refuse(stream, &mut reader, (413, "Payload Too Large"), &message);
         }
-        None => {
-            respond(
-                stream,
-                400,
-                "Bad Request",
-                &error_body("unparseable Content-Length"),
-            )?;
-            return Ok(None);
-        }
+        None => return refuse(stream, &mut reader, BAD, "unparseable Content-Length"),
     };
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
@@ -149,6 +170,37 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
         tenant,
         body: String::from_utf8_lossy(&body).into_owned(),
     }))
+}
+
+/// Reads one line of at most [`MAX_LINE`] bytes, terminator included
+/// (empty at end of stream); `None` if the line is longer.
+fn read_line(reader: &mut impl BufRead) -> std::io::Result<Option<String>> {
+    let mut line = Vec::new();
+    reader
+        .by_ref()
+        .take(MAX_LINE as u64)
+        .read_until(b'\n', &mut line)?;
+    if line.len() == MAX_LINE && line.last() != Some(&b'\n') {
+        return Ok(None);
+    }
+    Ok(Some(String::from_utf8_lossy(&line).into_owned()))
+}
+
+/// Answers a request the server will not read to the end, then
+/// discards what the client has already sent (within [`DRAIN_LIMIT`]
+/// and [`DRAIN_TIMEOUT`]): closing a socket with unread input resets
+/// the connection, which can destroy the answer before the client
+/// reads it.
+fn refuse(
+    stream: &mut TcpStream,
+    reader: &mut impl Read,
+    (status, reason): (u16, &str),
+    message: &str,
+) -> std::io::Result<Option<Request>> {
+    respond(stream, status, reason, &error_body(message))?;
+    stream.set_read_timeout(Some(DRAIN_TIMEOUT))?;
+    let _ = std::io::copy(&mut reader.by_ref().take(DRAIN_LIMIT), &mut std::io::sink());
+    Ok(None)
 }
 
 fn respond(stream: &mut TcpStream, status: u16, reason: &str, body: &str) -> std::io::Result<()> {

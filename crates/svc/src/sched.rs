@@ -531,7 +531,14 @@ fn execute_unit(inner: &Inner, unit: &Unit) {
             let mut st = inner.state.lock().expect("scheduler state poisoned");
             if let Some(job) = st.jobs.get_mut(&fingerprint) {
                 job.status = match published {
-                    Ok(_) => JobStatus::Done { cached: false },
+                    Ok(_) => {
+                        // The store now answers every resubmission before
+                        // the job table is consulted, so the journal (all
+                        // of the job's per-replication records) is never
+                        // read again: release it.
+                        job.journal = None;
+                        JobStatus::Done { cached: false }
+                    }
                     Err(e) => JobStatus::Failed {
                         message: e.to_string(),
                     },
@@ -654,6 +661,30 @@ mod tests {
         assert!(lines[0].contains("\"kind\":\"progress\""));
         assert!(lines[2].contains("\"completed\":3"));
         let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn finished_jobs_release_their_journal() {
+        let spec = small_spec(5);
+        for (tag, shards) in [("release_one", 1), ("release_sharded", 3)] {
+            let store = store_in(tag);
+            let tuning = Tuning {
+                shards,
+                ..Tuning::default()
+            };
+            let sched = Scheduler::new(store.clone(), tuning);
+            let out = sched.submit("t", &spec).unwrap();
+            assert_eq!(
+                sched.wait(&out.id, Duration::from_secs(120)).unwrap(),
+                JobStatus::Done { cached: false }
+            );
+            let fingerprint = Scheduler::parse_id(&out.id).unwrap();
+            assert!(
+                sched.lock().jobs[&fingerprint].journal.is_none(),
+                "{tag}: a published job must not keep its journal"
+            );
+            let _ = std::fs::remove_dir_all(store.root());
+        }
     }
 
     #[test]

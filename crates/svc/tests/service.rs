@@ -173,3 +173,75 @@ fn bad_content_lengths_are_refused_before_the_body_is_read() {
     assert!(unparseable.contains("Content-Length"), "{unparseable}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// The longest line the server accepts is 8 KiB, CRLF included.
+const MAX_LINE: usize = 8 << 10;
+
+#[test]
+fn overlong_request_and_header_lines_are_refused_with_431() {
+    let dir = store_dir("line");
+    let (addr, _) = start_server(&dir, Tuning::default());
+    // A header line of exactly the limit is served...
+    let pad = |len: usize| format!("X-Pad: {}\r\n", "a".repeat(len - "X-Pad: \r\n".len()));
+    let at_limit = raw_exchange(
+        addr,
+        &format!("GET /v1/healthz HTTP/1.1\r\n{}\r\n", pad(MAX_LINE)),
+    );
+    assert!(at_limit.starts_with("HTTP/1.1 200 "), "{at_limit}");
+    // ...one byte more is refused, as is an overlong request line.
+    let header = raw_exchange(
+        addr,
+        &format!("GET /v1/healthz HTTP/1.1\r\n{}\r\n", pad(MAX_LINE + 1)),
+    );
+    assert!(header.starts_with("HTTP/1.1 431 "), "{header}");
+    let path = format!("/v1/jobs/{}", "0".repeat(MAX_LINE));
+    let request_line = raw_exchange(addr, &format!("GET {path} HTTP/1.1\r\n\r\n"));
+    assert!(request_line.starts_with("HTTP/1.1 431 "), "{request_line}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn more_than_64_headers_are_refused_with_431() {
+    let dir = store_dir("headers");
+    let (addr, _) = start_server(&dir, Tuning::default());
+    let request = |n: usize| {
+        let headers: String = (0..n).map(|i| format!("X-Pad-{i}: x\r\n")).collect();
+        raw_exchange(addr, &format!("GET /v1/healthz HTTP/1.1\r\n{headers}\r\n"))
+    };
+    let at_limit = request(64);
+    assert!(at_limit.starts_with("HTTP/1.1 200 "), "{at_limit}");
+    let over = request(65);
+    assert!(over.starts_with("HTTP/1.1 431 "), "{over}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn overlong_tenants_are_refused_with_400() {
+    let dir = store_dir("tenant");
+    let (addr, sched) = start_server(&dir, Tuning::default());
+    let body = spec(9, 1).to_json();
+    let submit = |tenant: &str| {
+        raw_exchange(
+            addr,
+            &format!(
+                "POST /v1/jobs HTTP/1.1\r\nX-Tenant: {tenant}\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            ),
+        )
+    };
+    let over = submit(&"t".repeat(65));
+    assert!(over.starts_with("HTTP/1.1 400 "), "{over}");
+    assert!(over.contains("X-Tenant"), "{over}");
+    assert_eq!(
+        sched.executed_units(),
+        0,
+        "a refused submission must not run"
+    );
+    let at_limit = submit(&"t".repeat(64));
+    assert!(at_limit.starts_with("HTTP/1.1 200 "), "{at_limit}");
+    let id = format!("{:016x}", spec(9, 1).fingerprint());
+    assert!(sched
+        .wait(&id, Duration::from_secs(120))
+        .is_some_and(|s| s.is_terminal()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
