@@ -167,7 +167,9 @@ impl RunOptions {
                          [--quick] [--trace FILE] [--metrics FILE] [--manifest FILE] \
                          [--quiet] [--snapshot FILE] [--snapshot-every N] [--resume FILE] \
                          [--progress FILE] [--histograms FILE] [--prom FILE] \
-                         [--reactivation resample|lazy] [--queue heap|calendar]"
+                         [--reactivation resample|lazy] [--queue heap|calendar]\n\
+                         --queue is accepted for spec compatibility; every engine \
+                         runs its single future-event list"
                             .to_string(),
                     ))
                 }

@@ -102,9 +102,8 @@ RUN FLAGS:
                              lazy skips redraws of memoryless exponential
                              timers (--engine san only; new RNG stream)
     --queue KIND             heap | calendar                [heap]
-                             the SAN executor's event queue; both pop
-                             identical (time, FIFO) order, so results
-                             never change (the direct engine ignores it)
+                             accepted for spec compatibility; every
+                             engine runs its single future-event list
 
 SERVE FLAGS:
     --addr A                 listen address                 [127.0.0.1:7070]

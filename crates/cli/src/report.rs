@@ -173,12 +173,7 @@ fn summarize_telemetry(doc: &JsonValue) -> Vec<(String, JsonValue)> {
             JsonValue::from_u64(det.and_then(|d| get_u64(d, "redraws_elided")).unwrap_or(0)),
         ),
     ];
-    for name in [
-        "failure_gap_secs",
-        "queue_depth",
-        "dirty_set",
-        "band_occupancy",
-    ] {
+    for name in ["failure_gap_secs", "queue_depth", "dirty_set"] {
         if let Some(h) = hists.and_then(|hs| hs.get(name)) {
             fields.extend(histogram_fields(name, h));
         }
@@ -605,5 +600,27 @@ mod tests {
         assert_eq!(get_str(&s, "kind"), Some("run_snapshot"));
         assert_eq!(get_u64(&s, "completed_replications"), Some(2));
         assert_eq!(get_u64(&s, "cells"), Some(2));
+    }
+
+    #[test]
+    fn older_telemetry_with_band_occupancy_still_summarizes() {
+        // Documents written while the calendar queue existed carry a
+        // fourth histogram; it is read past, not rejected.
+        let telem = parse(
+            r#"{"telemetry_schema_version": 1, "kind": "telemetry", "label": "run",
+                "probes_enabled": true,
+                "deterministic": {"events": 3, "rng_draws": 0, "histograms":
+                  {"failure_gap_secs": {"count":1,"sum":4,"min":4,"max":4,"p50":4,"p90":4,"p99":4,"buckets":[[4,1]]},
+                   "queue_depth": {"count":0,"sum":0,"min":0,"max":0,"p50":0,"p90":0,"p99":0,"buckets":[]},
+                   "dirty_set": {"count":0,"sum":0,"min":0,"max":0,"p50":0,"p90":0,"p99":0,"buckets":[]},
+                   "band_occupancy": {"count":2,"sum":5,"min":2,"max":3,"p50":2,"p90":3,"p99":3,"buckets":[[2,1],[3,1]]}}},
+                "provenance": {"spans": []}}"#,
+        )
+        .unwrap();
+        let s = summarize("old.json", &telem).unwrap();
+        assert_eq!(get_u64(&s, "events"), Some(3));
+        assert_eq!(get_u64(&s, "failure_gap_secs_p90"), Some(4));
+        let fields = s.as_object().unwrap();
+        assert!(fields.iter().all(|(k, _)| !k.starts_with("band_occupancy")));
     }
 }

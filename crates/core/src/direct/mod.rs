@@ -152,10 +152,9 @@ impl<'c> DirectSimulator<'c> {
         sim
     }
 
-    /// Same as [`DirectSimulator::new`]. The direct engine keeps its
-    /// own per-kind timer table rather than a general event queue, so
-    /// it has no backend to select and ignores `queue`; the parameter
-    /// remains so callers can pass one [`QueueKind`] to either engine.
+    /// Same as [`DirectSimulator::new`]: `queue` is ignored (see
+    /// [`QueueKind`]). The direct engine keeps its own per-kind timer
+    /// table rather than a general event queue.
     #[must_use]
     pub fn with_queue(cfg: &'c SystemConfig, seed: u64, queue: QueueKind) -> DirectSimulator<'c> {
         let _ = queue;

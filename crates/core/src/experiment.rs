@@ -20,7 +20,7 @@ use crate::direct::DirectSimulator;
 use crate::metrics::Metrics;
 use crate::san_model::{CheckpointSan, ModelError, RunOptions as SanRunOptions};
 use ckpt_des::prof::PhaseProfile;
-use ckpt_des::{QueueKind, SimTime};
+use ckpt_des::SimTime;
 use ckpt_obs::{
     MetricsRegistry, ModelEvent, ObsEvent, Observer, ProgressSink, ProgressSnapshot, Recorder,
     ReplicationTelemetry, RunManifest, RunProfile, SpanKind, SpanRecord,
@@ -634,7 +634,6 @@ pub struct Experiment {
     warmup: u32,
     observe: Option<ObserveSpec>,
     reactivation: ReactivationMode,
-    queue: QueueKind,
 }
 
 impl Experiment {
@@ -656,7 +655,6 @@ impl Experiment {
             warmup: 0,
             observe: None,
             reactivation: ReactivationMode::default(),
-            queue: QueueKind::default(),
         }
     }
 
@@ -676,16 +674,6 @@ impl Experiment {
     #[must_use]
     pub fn reactivation(mut self, mode: ReactivationMode) -> Experiment {
         self.reactivation = mode;
-        self
-    }
-
-    /// Selects the SAN executor's future-event list. The choice is
-    /// bit-identical — both backends pop the same `(time, FIFO)` order
-    /// — so it changes dispatch cost only. The direct engine keeps a
-    /// fixed per-kind timer table with that same order and ignores it.
-    #[must_use]
-    pub fn queue(mut self, queue: QueueKind) -> Experiment {
-        self.queue = queue;
         self
     }
 
@@ -884,7 +872,6 @@ impl Experiment {
                     transient: self.transient,
                     horizon: self.horizon,
                     reactivation: self.reactivation,
-                    queue: self.queue,
                     ..SanRunOptions::default()
                 };
                 match recorder.as_mut() {
@@ -1168,14 +1155,15 @@ impl Experiment {
                 sim.events_processed()
             }
             EngineKind::San => {
-                // The SAN runner owns its transient handling; emulate
-                // batches with one transient and per-slice windows using
-                // successive replications of increasing transient would
-                // re-simulate, so run slices through the direct window
-                // API equivalent: a single simulator with reward resets.
                 let model = CheckpointSan::build(&self.config)?;
-                let (batch_metrics, batch_events) =
-                    model.run_batched_profiled(self.base_seed, self.transient, slice, batches)?;
+                let opts = SanRunOptions {
+                    seed: self.base_seed,
+                    transient: self.transient,
+                    horizon: self.horizon,
+                    reactivation: self.reactivation,
+                    ..SanRunOptions::default()
+                };
+                let (batch_metrics, batch_events) = model.run_batched_profiled(&opts, batches)?;
                 replicates.extend(batch_metrics);
                 batch_events
             }
@@ -1385,6 +1373,28 @@ mod tests {
         // Batch windows tile the horizon.
         let total: f64 = est.replicates().iter().map(|m| m.window_secs).sum();
         assert!((total - 2_000.0 * 3600.0).abs() < 1.0);
+    }
+
+    #[test]
+    fn batch_means_san_engine_honours_reactivation() {
+        // Lazy reactivation draws a different stream than resample, so
+        // the same seed must give different batches under each.
+        let cfg = SystemConfig::builder().build().unwrap();
+        let run = |mode| {
+            Experiment::new(cfg.clone())
+                .engine(EngineKind::San)
+                .estimation(Estimation::BatchMeans { batches: 4 })
+                .reactivation(mode)
+                .transient(SimTime::from_hours(100.0))
+                .horizon(SimTime::from_hours(2_000.0))
+                .run()
+                .unwrap()
+                .replicates()
+                .to_vec()
+        };
+        let lazy = run(ReactivationMode::Lazy);
+        assert_eq!(lazy.len(), 4);
+        assert_ne!(run(ReactivationMode::Resample), lazy);
     }
 
     #[test]

@@ -61,6 +61,7 @@ pub use metrics::{Counters, Metrics, PhaseKind};
 pub use policy::{CheckpointPolicy, PolicySpec};
 
 // Execution-mode switches travel with the experiment API so callers
-// need no direct `ckpt-des` / `ckpt-san` dependency.
+// need no direct `ckpt-des` / `ckpt-san` dependency. `QueueKind` is
+// inert, kept so `--queue` and stored specs still parse.
 pub use ckpt_des::QueueKind;
 pub use ckpt_san::ReactivationMode;

@@ -45,11 +45,11 @@ use crate::metrics::{Counters, Metrics, PhaseKind, PhaseTimes};
 use bridge::SanBridge;
 use ckpt_des::prof::PhaseProfile;
 use ckpt_des::telem::TelemetrySnapshot;
-use ckpt_des::SimTime;
+use ckpt_des::{QueueKind, SimTime};
 use ckpt_obs::{Observer, TraceBuffer};
 use ckpt_san::{
-    ActivityId, Delay, InputGate, Pred, QueueKind, Reactivation, ReactivationMode, San, SanBuilder,
-    SanError, Scheduling, Simulator,
+    ActivityId, Delay, InputGate, Pred, Reactivation, ReactivationMode, San, SanBuilder, SanError,
+    Scheduling, Simulator,
 };
 use ckpt_stats::Dist;
 use std::fmt;
@@ -129,9 +129,8 @@ pub struct RunOptions {
     /// elides the redraws of marking-independent exponential timers —
     /// distribution-equivalent, different stream.
     pub reactivation: ReactivationMode,
-    /// The SAN executor's future-event list; both choices are
-    /// bit-identical on the same seed (both pop the same `(time, FIFO)`
-    /// order).
+    /// Ignored: accepted for spec compatibility; the executor runs its
+    /// single future-event list (see [`QueueKind`]).
     pub queue: QueueKind,
 }
 
@@ -376,13 +375,8 @@ impl CheckpointSan {
         observer: Option<&mut dyn Observer>,
     ) -> Result<(Metrics, u64, PhaseProfile, TelemetrySnapshot), ModelError> {
         let ids = self.ids;
-        let mut sim = Simulator::with_exec_options(
-            &self.san,
-            opts.seed,
-            opts.scheduling,
-            opts.reactivation,
-            opts.queue,
-        )?;
+        let mut sim =
+            Simulator::with_exec_options(&self.san, opts.seed, opts.scheduling, opts.reactivation)?;
 
         // Phase-time rate rewards (used for the time-breakdown metric).
         // Each declares its support places via `reads`, so the executor
@@ -493,25 +487,11 @@ impl CheckpointSan {
         Ok((metrics, events, phases, telemetry))
     }
 
-    /// Runs one long replication cut into `batches` measurement slices
-    /// after a single transient (the batch-means procedure of
-    /// [`crate::experiment::Estimation::BatchMeans`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates SAN execution errors.
-    pub fn run_batched(
-        &self,
-        seed: u64,
-        transient: SimTime,
-        slice: SimTime,
-        batches: u32,
-    ) -> Result<Vec<Metrics>, ModelError> {
-        self.run_batched_profiled(seed, transient, slice, batches)
-            .map(|(metrics, _)| metrics)
-    }
-
-    /// Like [`CheckpointSan::run_batched`], but also reports the total
+    /// Runs one long replication cut into `batches` equal measurement
+    /// slices of `opts.horizon` after a single `opts.transient` (the
+    /// batch-means procedure of
+    /// [`crate::experiment::Estimation::BatchMeans`]), under `opts`'
+    /// seed, scheduling and reactivation mode. Also reports the total
     /// number of activity firings across the whole run (transient
     /// included) for throughput accounting.
     ///
@@ -520,14 +500,14 @@ impl CheckpointSan {
     /// Propagates SAN execution errors.
     pub fn run_batched_profiled(
         &self,
-        seed: u64,
-        transient: SimTime,
-        slice: SimTime,
+        opts: &RunOptions,
         batches: u32,
     ) -> Result<(Vec<Metrics>, u64), ModelError> {
         let ids = self.ids;
-        let mut sim = Simulator::new(&self.san, seed)?;
-        sim.run_for(transient)?;
+        let slice = opts.horizon / f64::from(batches);
+        let mut sim =
+            Simulator::with_exec_options(&self.san, opts.seed, opts.scheduling, opts.reactivation)?;
+        sim.run_for(opts.transient)?;
         let mut out = Vec::with_capacity(batches as usize);
         let mut w0 = sim.marking().fluid(ids.work);
         let mut lost0 = sim.marking().fluid(ids.lost);

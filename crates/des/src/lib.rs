@@ -5,10 +5,10 @@
 //!
 //! * [`SimTime`] — a strongly typed simulation clock value (seconds,
 //!   `f64`), with total ordering that rejects NaN at construction.
-//! * [`EventQueue`] — a cancellable priority queue of scheduled events,
-//!   backed by either an indexed binary heap (the default) or a
-//!   calendar queue, selected per simulation via [`QueueKind`]. Both
-//!   backends pop the identical `(time, FIFO)` event order.
+//! * [`EventQueue`] — the future-event list: a cancellable indexed
+//!   binary heap of scheduled events, popped in `(time, FIFO)` order.
+//!   [`QueueKind`] is the inert `--queue` selector, kept so stored
+//!   specs still parse; every kind runs on the same heap.
 //! * [`RngFactory`] / [`SimRng`] — deterministic, splittable random-number
 //!   streams so that every stochastic component of a model draws from its
 //!   own substream and simulations are exactly reproducible from a single
@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod calendar;
 mod event;
 pub mod hist;
 pub mod prof;

@@ -1,35 +1,24 @@
 //! Cancellable future-event list.
 
-use crate::calendar::CalendarQueue;
 use crate::event::{EventId, ScheduledEvent};
 use crate::time::SimTime;
 
 /// Sentinel for "this slot has no heap position".
 const NO_POS: u32 = u32::MAX;
 
-/// Which future-event-list implementation an [`EventQueue`] runs on.
+/// The event-queue selector of the `--queue` flag and the spec's
+/// `"queue"` key.
 ///
-/// Both backends implement the identical observable contract — the
-/// same `(time, seq)` total order with FIFO among equal times, the
-/// same generation-counted handles, the same watermark causality
-/// panics — so a simulation pops the identical event sequence on
-/// either and its results are bit-identical. The choice is purely a
-/// performance trade:
-///
-/// * [`QueueKind::IndexedHeap`] (the default, and the pinned oracle):
-///   an indexed binary min-heap with true O(log n) cancellation. Best
-///   for small in-flight sets and the reference for all equivalence
-///   tests.
-/// * [`QueueKind::Calendar`]: a calendar queue (Brown 1988) with O(1)
-///   amortized enqueue/dequeue in the dense near-horizon band and a
-///   min-scan fallback for the sparse far tail. Wins when event
-///   populations grow or dispatch dominates the hot loop.
+/// Inert: there is one future-event list, the indexed heap, and every
+/// kind runs on it. `Calendar` names a retired backend; it still parses
+/// so stored specs and their fingerprints stay valid, and a calendar run
+/// pops the identical event order it always did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueueKind {
-    /// Indexed binary min-heap (the default and bit-identity oracle).
+    /// Indexed binary min-heap (the default).
     #[default]
     IndexedHeap,
-    /// Calendar queue: bucketed near-horizon band, scan fallback.
+    /// Accepted for spec compatibility; runs on the indexed heap.
     Calendar,
 }
 
@@ -63,14 +52,26 @@ impl std::fmt::Display for QueueKind {
     }
 }
 
-/// The future-event list of a simulation: scheduled events keyed by
-/// time (FIFO among ties), with cancellation and in-place reschedule
-/// through generation-counted [`EventId`] handles.
+/// The future-event list of a simulation: an **indexed** binary
+/// min-heap of [`ScheduledEvent`]s keyed by time (FIFO among ties),
+/// with true O(log n) cancellation and in-place reschedule through
+/// generation-counted [`EventId`] handles.
 ///
-/// `EventQueue` is a thin facade over two interchangeable backends
-/// selected by [`QueueKind`] — see there for the trade-off. All
-/// documented semantics below hold for both; the backend never leaks
-/// into observable behaviour.
+/// Bookkeeping is a slab of per-event slots indexed directly by the
+/// [`EventId`] (generation-counted so recycled slots never confuse a
+/// stale handle with a live event) — the hot schedule/cancel/pop path
+/// does no hashing and no per-event allocation once the slab has grown
+/// to the working-set size. Each slot tracks its entry's current heap
+/// position, so [`EventQueue::cancel`] removes the entry outright
+/// instead of tombstoning it.
+///
+/// That eager removal is what keeps the heap at exactly the *live* event
+/// count: `Resample`-style workloads cancel and reschedule several
+/// timers per step, and with lazy deletion those tombstones pile up
+/// between the root and the live entries, deepening every sift and
+/// forcing periodic compaction passes. Here every operation works on a
+/// heap of only live events — for the checkpoint model's ~10 in-flight
+/// timers, each sift touches three or four cache-hot entries.
 ///
 /// # Example
 ///
@@ -88,196 +89,6 @@ impl std::fmt::Display for QueueKind {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    backend: Backend<E>,
-}
-
-#[derive(Debug)]
-enum Backend<E> {
-    Heap(IndexedHeap<E>),
-    Calendar(CalendarQueue<E>),
-}
-
-impl<E> Default for EventQueue<E> {
-    fn default() -> Self {
-        EventQueue::new()
-    }
-}
-
-impl<E> EventQueue<E> {
-    /// Creates an empty queue on the default indexed-heap backend with
-    /// the watermark at time zero.
-    #[must_use]
-    pub fn new() -> EventQueue<E> {
-        EventQueue::with_kind(QueueKind::IndexedHeap)
-    }
-
-    /// Creates an empty queue on the selected backend.
-    #[must_use]
-    pub fn with_kind(kind: QueueKind) -> EventQueue<E> {
-        EventQueue {
-            backend: match kind {
-                QueueKind::IndexedHeap => Backend::Heap(IndexedHeap::new()),
-                QueueKind::Calendar => Backend::Calendar(CalendarQueue::new()),
-            },
-        }
-    }
-
-    /// Which backend this queue runs on.
-    #[must_use]
-    pub fn kind(&self) -> QueueKind {
-        match &self.backend {
-            Backend::Heap(_) => QueueKind::IndexedHeap,
-            Backend::Calendar(_) => QueueKind::Calendar,
-        }
-    }
-
-    /// Schedules `payload` to fire at absolute time `time`, returning a
-    /// handle usable with [`EventQueue::cancel`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is earlier than the most recently popped event:
-    /// scheduling into the past would violate causality and always
-    /// indicates a model bug.
-    pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
-        match &mut self.backend {
-            Backend::Heap(q) => q.schedule(time, payload),
-            Backend::Calendar(q) => q.schedule(time, payload),
-        }
-    }
-
-    /// Cancels a previously scheduled event.
-    ///
-    /// Returns `true` if the event was still pending, `false` if it had
-    /// already fired, been cancelled, or never existed.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        match &mut self.backend {
-            Backend::Heap(q) => q.cancel(id),
-            Backend::Calendar(q) => q.cancel(id),
-        }
-    }
-
-    /// Moves a pending event to a new firing time under a fresh FIFO
-    /// sequence — behaviourally `cancel(id)` followed by re-scheduling
-    /// the same payload at `time`, but without slot churn. The handle
-    /// stays valid (same slot, same generation).
-    ///
-    /// This is the `Resample` hot path: reactivation redraws a timer's
-    /// delay on every marking change, and moving the existing entry
-    /// halves the queue traffic of the cancel-then-schedule pair.
-    ///
-    /// Returns `true` if the event was pending and has been moved,
-    /// `false` (leaving the queue untouched) if the handle was stale.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is earlier than the most recently popped event,
-    /// like [`EventQueue::schedule`].
-    pub fn reschedule(&mut self, id: EventId, time: SimTime) -> bool {
-        match &mut self.backend {
-            Backend::Heap(q) => q.reschedule(id, time),
-            Backend::Calendar(q) => q.reschedule(id, time),
-        }
-    }
-
-    /// Removes and returns the earliest live event, advancing the
-    /// watermark to its time.
-    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
-        match &mut self.backend {
-            Backend::Heap(q) => q.pop(),
-            Backend::Calendar(q) => q.pop(),
-        }
-    }
-
-    /// Removes and returns the earliest live event **iff** its time is
-    /// at or before `limit`; otherwise leaves it queued and returns
-    /// `None`, exactly like [`EventQueue::peek_time`] + bounds check +
-    /// [`EventQueue::pop`] fused into one call — the simulator's
-    /// run-loop entry point.
-    pub fn pop_before(&mut self, limit: SimTime) -> Option<ScheduledEvent<E>> {
-        match &mut self.backend {
-            Backend::Heap(q) => q.pop_before(limit),
-            Backend::Calendar(q) => q.pop_before(limit),
-        }
-    }
-
-    /// The time of the earliest live event without removing it.
-    #[must_use]
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        match &mut self.backend {
-            Backend::Heap(q) => q.peek_time(),
-            Backend::Calendar(q) => q.peek_time(),
-        }
-    }
-
-    /// Number of live (non-cancelled) events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Heap(q) => q.len(),
-            Backend::Calendar(q) => q.len(),
-        }
-    }
-
-    /// True if no live events remain.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The causality watermark: the time of the most recently popped
-    /// event. New events must not be scheduled before it.
-    #[must_use]
-    pub fn watermark(&self) -> SimTime {
-        match &self.backend {
-            Backend::Heap(q) => q.watermark,
-            Backend::Calendar(q) => q.watermark(),
-        }
-    }
-
-    /// Drops every pending event without changing the watermark.
-    /// Previously issued handles become stale, never aliases of later
-    /// events.
-    pub fn clear(&mut self) {
-        match &mut self.backend {
-            Backend::Heap(q) => q.clear(),
-            Backend::Calendar(q) => q.clear(),
-        }
-    }
-
-    /// Live entries in the calendar band the dequeue cursor currently
-    /// points at — the per-band occupancy telemetry probe. `None` on
-    /// the heap backend, which has no banding to observe.
-    #[must_use]
-    pub fn band_occupancy(&self) -> Option<usize> {
-        match &self.backend {
-            Backend::Heap(_) => None,
-            Backend::Calendar(q) => Some(q.band_occupancy()),
-        }
-    }
-}
-
-/// The indexed-binary-heap backend: an **indexed** binary min-heap of
-/// [`ScheduledEvent`]s keyed by time (FIFO among ties), with true
-/// O(log n) cancellation.
-///
-/// Bookkeeping is a slab of per-event slots indexed directly by the
-/// [`EventId`] (generation-counted so recycled slots never confuse a
-/// stale handle with a live event) — the hot schedule/cancel/pop path
-/// does no hashing and no per-event allocation once the slab has grown
-/// to the working-set size. Each slot tracks its entry's current heap
-/// position, so [`IndexedHeap::cancel`] removes the entry outright
-/// instead of tombstoning it.
-///
-/// That eager removal is what keeps the heap at exactly the *live* event
-/// count: `Resample`-style workloads cancel and reschedule several
-/// timers per step, and with lazy deletion those tombstones pile up
-/// between the root and the live entries, deepening every sift and
-/// forcing periodic compaction passes. Here every operation works on a
-/// heap of only live events — for the checkpoint model's ~10 in-flight
-/// timers, each sift touches three or four cache-hot entries.
-#[derive(Debug)]
-struct IndexedHeap<E> {
     /// Binary min-heap ordered by `(time, seq)`; `slots[entry-slot].pos`
     /// always names each entry's current index.
     heap: Vec<ScheduledEvent<E>>,
@@ -305,9 +116,17 @@ struct Slot {
     pos: u32,
 }
 
-impl<E> IndexedHeap<E> {
-    fn new() -> IndexedHeap<E> {
-        IndexedHeap {
+impl<E> Default for EventQueue<E> {
+    fn default() -> Self {
+        EventQueue::new()
+    }
+}
+
+impl<E> EventQueue<E> {
+    /// Creates an empty queue with the watermark at time zero.
+    #[must_use]
+    pub fn new() -> EventQueue<E> {
+        EventQueue {
             heap: Vec::new(),
             slots: Vec::new(),
             free: Vec::new(),
@@ -316,7 +135,22 @@ impl<E> IndexedHeap<E> {
         }
     }
 
-    fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
+    /// Creates an empty queue. The kind is ignored: every kind runs on
+    /// the one indexed heap (see [`QueueKind`]).
+    #[must_use]
+    pub fn with_kind(_kind: QueueKind) -> EventQueue<E> {
+        EventQueue::new()
+    }
+
+    /// Schedules `payload` to fire at absolute time `time`, returning a
+    /// handle usable with [`EventQueue::cancel`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is earlier than the most recently popped event:
+    /// scheduling into the past would violate causality and always
+    /// indicates a model bug.
+    pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
         assert!(
             time >= self.watermark,
             "attempted to schedule an event at {time} before current time {}",
@@ -351,7 +185,10 @@ impl<E> IndexedHeap<E> {
 
     /// Cancels a previously scheduled event, removing it from the heap
     /// immediately (O(log n), no tombstone).
-    fn cancel(&mut self, id: EventId) -> bool {
+    ///
+    /// Returns `true` if the event was still pending, `false` if it had
+    /// already fired, been cancelled, or never existed.
+    pub fn cancel(&mut self, id: EventId) -> bool {
         let Some(slot) = self.resolve(id) else {
             return false;
         };
@@ -362,8 +199,23 @@ impl<E> IndexedHeap<E> {
         true
     }
 
-    /// Moves a pending event in one sift pass with no slot churn.
-    fn reschedule(&mut self, id: EventId, time: SimTime) -> bool {
+    /// Moves a pending event to a new firing time under a fresh FIFO
+    /// sequence — behaviourally `cancel(id)` followed by re-scheduling
+    /// the same payload at `time`, but in one sift pass with no slot
+    /// churn. The handle stays valid (same slot, same generation).
+    ///
+    /// This is the `Resample` hot path: reactivation redraws a timer's
+    /// delay on every marking change, and moving the existing entry
+    /// halves the queue traffic of the cancel-then-schedule pair.
+    ///
+    /// Returns `true` if the event was pending and has been moved,
+    /// `false` (leaving the queue untouched) if the handle was stale.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is earlier than the most recently popped event,
+    /// like [`EventQueue::schedule`].
+    pub fn reschedule(&mut self, id: EventId, time: SimTime) -> bool {
         let Some(slot) = self.resolve(id) else {
             return false;
         };
@@ -383,7 +235,9 @@ impl<E> IndexedHeap<E> {
         true
     }
 
-    fn pop(&mut self) -> Option<ScheduledEvent<E>> {
+    /// Removes and returns the earliest live event, advancing the
+    /// watermark to its time.
+    pub fn pop(&mut self) -> Option<ScheduledEvent<E>> {
         if self.heap.is_empty() {
             return None;
         }
@@ -393,22 +247,47 @@ impl<E> IndexedHeap<E> {
         Some(ev)
     }
 
-    fn pop_before(&mut self, limit: SimTime) -> Option<ScheduledEvent<E>> {
+    /// Removes and returns the earliest live event **iff** its time is
+    /// at or before `limit`; otherwise leaves it queued and returns
+    /// `None`, exactly like [`EventQueue::peek_time`] + bounds check +
+    /// [`EventQueue::pop`] fused into one call — the simulator's
+    /// run-loop entry point.
+    pub fn pop_before(&mut self, limit: SimTime) -> Option<ScheduledEvent<E>> {
         if self.heap.first()?.time > limit {
             return None;
         }
         self.pop()
     }
 
-    fn peek_time(&mut self) -> Option<SimTime> {
+    /// The time of the earliest live event without removing it.
+    #[must_use]
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.first().map(|ev| ev.time)
     }
 
-    fn len(&self) -> usize {
+    /// Number of live (non-cancelled) events.
+    #[must_use]
+    pub fn len(&self) -> usize {
         self.heap.len()
     }
 
-    fn clear(&mut self) {
+    /// True if no live events remain.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// The causality watermark: the time of the most recently popped
+    /// event. New events must not be scheduled before it.
+    #[must_use]
+    pub fn watermark(&self) -> SimTime {
+        self.watermark
+    }
+
+    /// Drops every pending event without changing the watermark.
+    /// Previously issued handles become stale, never aliases of later
+    /// events.
+    pub fn clear(&mut self) {
         for ev in self.heap.drain(..) {
             let slot = (ev.id.0 & 0xFFFF_FFFF) as usize;
             Self::release_in(&mut self.slots, &mut self.free, slot);
@@ -427,7 +306,7 @@ impl<E> IndexedHeap<E> {
         Self::release_in(&mut self.slots, &mut self.free, slot);
     }
 
-    /// [`IndexedHeap::release`] on borrowed fields, callable where
+    /// [`EventQueue::release`] on borrowed fields, callable where
     /// `self` is partially borrowed.
     fn release_in(slots: &mut [Slot], free: &mut Vec<u32>, slot: usize) {
         slots[slot].gen = slots[slot].gen.wrapping_add(1);
@@ -505,86 +384,63 @@ impl<E> IndexedHeap<E> {
 mod tests {
     use super::*;
 
-    /// The heap internals behind a facade, for invariant assertions.
-    fn heap_of<E>(q: &EventQueue<E>) -> &IndexedHeap<E> {
-        match &q.backend {
-            Backend::Heap(h) => h,
-            Backend::Calendar(_) => panic!("test expects the heap backend"),
-        }
-    }
-
     /// Every slot's recorded position points at its own entry — the
     /// indexed-heap invariant behind O(log n) cancellation.
     fn assert_positions_consistent<E>(q: &EventQueue<E>) {
-        let h = heap_of(q);
-        for (pos, ev) in h.heap.iter().enumerate() {
+        for (pos, ev) in q.heap.iter().enumerate() {
             let slot = (ev.id.0 & 0xFFFF_FFFF) as usize;
-            assert_eq!(h.slots[slot].pos, pos as u32, "slot {slot} desynced");
+            assert_eq!(q.slots[slot].pos, pos as u32, "slot {slot} desynced");
         }
     }
 
-    /// Both backends, for the contract tests that must hold on each.
-    const KINDS: [QueueKind; 2] = [QueueKind::IndexedHeap, QueueKind::Calendar];
-
     #[test]
     fn kind_round_trips_names() {
-        for kind in KINDS {
+        for kind in [QueueKind::IndexedHeap, QueueKind::Calendar] {
             assert_eq!(QueueKind::parse(kind.name()), Ok(kind));
-            assert_eq!(EventQueue::<()>::with_kind(kind).kind(), kind);
         }
         assert!(QueueKind::parse("splay").is_err());
         assert_eq!(QueueKind::default(), QueueKind::IndexedHeap);
-        assert_eq!(EventQueue::<()>::new().kind(), QueueKind::IndexedHeap);
     }
 
     #[test]
     fn pops_in_time_order() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_secs(3.0), 3);
-            q.schedule(SimTime::from_secs(1.0), 1);
-            q.schedule(SimTime::from_secs(2.0), 2);
-            let order: Vec<i32> =
-                std::iter::from_fn(|| q.pop().map(|e| e.into_payload())).collect();
-            assert_eq!(order, vec![1, 2, 3], "{kind}");
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(3.0), 3);
+        q.schedule(SimTime::from_secs(1.0), 1);
+        q.schedule(SimTime::from_secs(2.0), 2);
+        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.into_payload())).collect();
+        assert_eq!(order, vec![1, 2, 3]);
     }
 
     #[test]
     fn ties_are_fifo() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            let t = SimTime::from_secs(5.0);
-            q.schedule(t, "first");
-            q.schedule(t, "second");
-            q.schedule(t, "third");
-            let order: Vec<&str> =
-                std::iter::from_fn(|| q.pop().map(|e| e.into_payload())).collect();
-            assert_eq!(order, vec!["first", "second", "third"], "{kind}");
-        }
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(5.0);
+        q.schedule(t, "first");
+        q.schedule(t, "second");
+        q.schedule(t, "third");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.into_payload())).collect();
+        assert_eq!(order, vec!["first", "second", "third"]);
     }
 
     #[test]
     fn ties_are_fifo_across_slot_reuse() {
         // Slot indices recycle after pops/cancels; insertion order at a
         // shared timestamp must still win, not slot order.
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            let a = q.schedule(SimTime::from_secs(1.0), "warmup0");
-            q.schedule(SimTime::from_secs(1.0), "warmup1");
-            q.cancel(a);
-            assert_eq!(q.pop().unwrap().into_payload(), "warmup1");
-            // Both slots are now free; reuse happens in LIFO free-list
-            // order, so the ids come out in an order unrelated to
-            // insertion.
-            let t = SimTime::from_secs(5.0);
-            q.schedule(t, "first");
-            q.schedule(t, "second");
-            q.schedule(t, "third");
-            let order: Vec<&str> =
-                std::iter::from_fn(|| q.pop().map(|e| e.into_payload())).collect();
-            assert_eq!(order, vec!["first", "second", "third"], "{kind}");
-        }
+        let mut q = EventQueue::new();
+        let a = q.schedule(SimTime::from_secs(1.0), "warmup0");
+        q.schedule(SimTime::from_secs(1.0), "warmup1");
+        q.cancel(a);
+        assert_eq!(q.pop().unwrap().into_payload(), "warmup1");
+        // Both slots are now free; reuse happens in LIFO free-list
+        // order, so the ids come out in an order unrelated to
+        // insertion.
+        let t = SimTime::from_secs(5.0);
+        q.schedule(t, "first");
+        q.schedule(t, "second");
+        q.schedule(t, "third");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.into_payload())).collect();
+        assert_eq!(order, vec!["first", "second", "third"]);
     }
 
     #[test]
@@ -595,55 +451,45 @@ mod tests {
         assert!(q.cancel(a));
         assert!(!q.cancel(a), "double cancel reports false");
         assert_eq!(q.len(), 1);
-        assert_eq!(
-            heap_of(&q).heap.len(),
-            1,
-            "cancelled entry must leave the heap"
-        );
+        assert_eq!(q.heap.len(), 1, "cancelled entry must leave the heap");
         assert_positions_consistent(&q);
         assert_eq!(q.pop().unwrap().into_payload(), "b");
     }
 
     #[test]
     fn cancel_after_fire_is_noop() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            let a = q.schedule(SimTime::from_secs(1.0), "a");
-            let fired = q.pop().unwrap();
-            assert_eq!(fired.id(), a);
-            assert!(!q.cancel(a));
-            // A stale handle for a fired id must not kill a later event.
-            let b = q.schedule(SimTime::from_secs(2.0), "b");
-            assert_ne!(a, b);
-            assert_eq!(q.pop().unwrap().into_payload(), "b");
-        }
+        let mut q = EventQueue::new();
+        let a = q.schedule(SimTime::from_secs(1.0), "a");
+        let fired = q.pop().unwrap();
+        assert_eq!(fired.id(), a);
+        assert!(!q.cancel(a));
+        // A stale handle for a fired id must not kill a later event.
+        let b = q.schedule(SimTime::from_secs(2.0), "b");
+        assert_ne!(a, b);
+        assert_eq!(q.pop().unwrap().into_payload(), "b");
     }
 
     #[test]
     fn stale_handle_after_slot_reuse_is_noop() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            let a = q.schedule(SimTime::from_secs(1.0), "a");
-            q.pop();
-            // "b" reuses a's slot under a new generation.
-            let b = q.schedule(SimTime::from_secs(2.0), "b");
-            assert_ne!(a, b);
-            assert!(!q.cancel(a), "stale handle must not cancel the new event");
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.pop().unwrap().into_payload(), "b");
-        }
+        let mut q = EventQueue::new();
+        let a = q.schedule(SimTime::from_secs(1.0), "a");
+        q.pop();
+        // "b" reuses a's slot under a new generation.
+        let b = q.schedule(SimTime::from_secs(2.0), "b");
+        assert_ne!(a, b);
+        assert!(!q.cancel(a), "stale handle must not cancel the new event");
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop().unwrap().into_payload(), "b");
     }
 
     #[test]
     fn peek_time_sees_earliest_live_event() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            let a = q.schedule(SimTime::from_secs(1.0), "a");
-            q.schedule(SimTime::from_secs(2.0), "b");
-            q.cancel(a);
-            assert_eq!(q.peek_time(), Some(SimTime::from_secs(2.0)));
-            assert_eq!(q.len(), 1);
-        }
+        let mut q = EventQueue::new();
+        let a = q.schedule(SimTime::from_secs(1.0), "a");
+        q.schedule(SimTime::from_secs(2.0), "b");
+        q.cancel(a);
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2.0)));
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
@@ -657,41 +503,30 @@ mod tests {
 
     #[test]
     fn watermark_tracks_pops() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            q.schedule(SimTime::from_secs(4.0), ());
-            assert_eq!(q.watermark(), SimTime::ZERO);
-            q.pop();
-            assert_eq!(q.watermark(), SimTime::from_secs(4.0));
-        }
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_secs(4.0), ());
+        assert_eq!(q.watermark(), SimTime::ZERO);
+        q.pop();
+        assert_eq!(q.watermark(), SimTime::from_secs(4.0));
     }
 
     #[test]
     fn mass_cancellation_preserves_live_events() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            let mut keep = Vec::new();
-            for i in 0..500 {
-                let id = q.schedule(SimTime::from_secs(f64::from(i)), i);
-                if i % 10 != 0 {
-                    q.cancel(id);
-                } else {
-                    keep.push(i);
-                }
+        let mut q = EventQueue::new();
+        let mut keep = Vec::new();
+        for i in 0..500 {
+            let id = q.schedule(SimTime::from_secs(f64::from(i)), i);
+            if i % 10 != 0 {
+                q.cancel(id);
+            } else {
+                keep.push(i);
             }
-            assert_eq!(q.len(), keep.len());
-            if kind == QueueKind::IndexedHeap {
-                assert_eq!(
-                    heap_of(&q).heap.len(),
-                    keep.len(),
-                    "heap must hold only live events"
-                );
-                assert_positions_consistent(&q);
-            }
-            let popped: Vec<i32> =
-                std::iter::from_fn(|| q.pop().map(|e| e.into_payload())).collect();
-            assert_eq!(popped, keep, "{kind}");
         }
+        assert_eq!(q.len(), keep.len());
+        assert_eq!(q.heap.len(), keep.len(), "heap must hold only live events");
+        assert_positions_consistent(&q);
+        let popped: Vec<i32> = std::iter::from_fn(|| q.pop().map(|e| e.into_payload())).collect();
+        assert_eq!(popped, keep);
     }
 
     #[test]
@@ -715,19 +550,17 @@ mod tests {
 
     #[test]
     fn reschedule_moves_event_and_keeps_handle() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            let a = q.schedule(SimTime::from_secs(5.0), "a");
-            q.schedule(SimTime::from_secs(2.0), "b");
-            // Move a ahead of b; the handle survives the move.
-            assert!(q.reschedule(a, SimTime::from_secs(1.0)));
-            assert_eq!(q.peek_time(), Some(SimTime::from_secs(1.0)));
-            assert!(q.cancel(a), "handle must stay live across reschedule");
-            assert_eq!(q.pop().unwrap().into_payload(), "b");
-            // Stale handles are rejected without touching the queue.
-            assert!(!q.reschedule(a, SimTime::from_secs(9.0)));
-            assert!(q.is_empty());
-        }
+        let mut q = EventQueue::new();
+        let a = q.schedule(SimTime::from_secs(5.0), "a");
+        q.schedule(SimTime::from_secs(2.0), "b");
+        // Move a ahead of b; the handle survives the move.
+        assert!(q.reschedule(a, SimTime::from_secs(1.0)));
+        assert_eq!(q.peek_time(), Some(SimTime::from_secs(1.0)));
+        assert!(q.cancel(a), "handle must stay live across reschedule");
+        assert_eq!(q.pop().unwrap().into_payload(), "b");
+        // Stale handles are rejected without touching the queue.
+        assert!(!q.reschedule(a, SimTime::from_secs(9.0)));
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -735,16 +568,13 @@ mod tests {
         // A rescheduled event takes a fresh sequence number: among ties
         // it fires after events that were already queued at that time,
         // exactly as cancel + schedule would order it.
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            let t = SimTime::from_secs(5.0);
-            let a = q.schedule(t, "a");
-            q.schedule(t, "b");
-            assert!(q.reschedule(a, t));
-            let order: Vec<&str> =
-                std::iter::from_fn(|| q.pop().map(|e| e.into_payload())).collect();
-            assert_eq!(order, vec!["b", "a"], "{kind}");
-        }
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(5.0);
+        let a = q.schedule(t, "a");
+        q.schedule(t, "b");
+        assert!(q.reschedule(a, t));
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|e| e.into_payload())).collect();
+        assert_eq!(order, vec!["b", "a"]);
     }
 
     #[test]
@@ -759,27 +589,25 @@ mod tests {
 
     #[test]
     fn pop_before_respects_limit_and_cancellations() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            let a = q.schedule(SimTime::from_secs(1.0), "a");
-            q.schedule(SimTime::from_secs(2.0), "b");
-            q.schedule(SimTime::from_secs(5.0), "c");
-            q.cancel(a);
-            // The cancelled t=1 event is gone even though it beats the
-            // limit.
-            let ev = q.pop_before(SimTime::from_secs(3.0)).unwrap();
-            assert_eq!(ev.time(), SimTime::from_secs(2.0));
-            assert_eq!(q.watermark(), SimTime::from_secs(2.0));
-            // c is beyond the limit: left queued, watermark unchanged.
-            assert!(q.pop_before(SimTime::from_secs(3.0)).is_none());
-            assert_eq!(q.len(), 1);
-            assert_eq!(q.watermark(), SimTime::from_secs(2.0));
-            // An exact-time limit is inclusive, matching peek+pop
-            // semantics.
-            let ev = q.pop_before(SimTime::from_secs(5.0)).unwrap();
-            assert_eq!(ev.into_payload(), "c");
-            assert!(q.pop_before(SimTime::from_secs(9.0)).is_none());
-        }
+        let mut q = EventQueue::new();
+        let a = q.schedule(SimTime::from_secs(1.0), "a");
+        q.schedule(SimTime::from_secs(2.0), "b");
+        q.schedule(SimTime::from_secs(5.0), "c");
+        q.cancel(a);
+        // The cancelled t=1 event is gone even though it beats the
+        // limit.
+        let ev = q.pop_before(SimTime::from_secs(3.0)).unwrap();
+        assert_eq!(ev.time(), SimTime::from_secs(2.0));
+        assert_eq!(q.watermark(), SimTime::from_secs(2.0));
+        // c is beyond the limit: left queued, watermark unchanged.
+        assert!(q.pop_before(SimTime::from_secs(3.0)).is_none());
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.watermark(), SimTime::from_secs(2.0));
+        // An exact-time limit is inclusive, matching peek+pop
+        // semantics.
+        let ev = q.pop_before(SimTime::from_secs(5.0)).unwrap();
+        assert_eq!(ev.into_payload(), "c");
+        assert!(q.pop_before(SimTime::from_secs(9.0)).is_none());
     }
 
     #[test]
@@ -795,36 +623,23 @@ mod tests {
             q.pop();
         }
         assert!(
-            heap_of(&q).slots.len() <= 4,
+            q.slots.len() <= 4,
             "slab grew to {} slots for 2 in-flight events",
-            heap_of(&q).slots.len()
+            q.slots.len()
         );
     }
 
     #[test]
     fn clear_empties_queue() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            let a = q.schedule(SimTime::from_secs(1.0), ());
-            q.clear();
-            assert!(q.is_empty());
-            assert!(q.pop().is_none());
-            // Handles issued before the clear are stale, not aliases.
-            assert!(!q.cancel(a));
-            let b = q.schedule(SimTime::from_secs(1.0), ());
-            assert_ne!(a, b);
-            assert_eq!(q.len(), 1);
-        }
-    }
-
-    #[test]
-    fn band_occupancy_is_calendar_only() {
-        let mut heap = EventQueue::new();
-        heap.schedule(SimTime::from_secs(1.0), ());
-        assert_eq!(heap.band_occupancy(), None);
-        let mut cal = EventQueue::with_kind(QueueKind::Calendar);
-        cal.schedule(SimTime::from_secs(0.25), ());
-        cal.schedule(SimTime::from_secs(0.5), ());
-        assert_eq!(cal.band_occupancy(), Some(2));
+        let mut q = EventQueue::new();
+        let a = q.schedule(SimTime::from_secs(1.0), ());
+        q.clear();
+        assert!(q.is_empty());
+        assert!(q.pop().is_none());
+        // Handles issued before the clear are stale, not aliases.
+        assert!(!q.cancel(a));
+        let b = q.schedule(SimTime::from_secs(1.0), ());
+        assert_ne!(a, b);
+        assert_eq!(q.len(), 1);
     }
 }

@@ -93,8 +93,6 @@ pub struct HotTelemetry {
     queue_depth: LogHistogram,
     #[cfg(feature = "telemetry")]
     dirty_set: LogHistogram,
-    #[cfg(feature = "telemetry")]
-    band_occupancy: LogHistogram,
 }
 
 impl HotTelemetry {
@@ -126,19 +124,6 @@ impl HotTelemetry {
         }
     }
 
-    /// Records the live occupancy of the calendar queue's current band
-    /// (bucket) observed after popping an event. Calendar backend only;
-    /// heap runs record nothing here.
-    #[inline(always)]
-    pub fn record_band_occupancy(&mut self, occupancy: usize) {
-        #[cfg(feature = "telemetry")]
-        self.band_occupancy.record(occupancy as u64);
-        #[cfg(not(feature = "telemetry"))]
-        {
-            let _ = occupancy;
-        }
-    }
-
     /// Copies the accumulated distributions out. Empty histograms in a
     /// no-feature build, so callers need no gates.
     #[must_use]
@@ -148,7 +133,6 @@ impl HotTelemetry {
             TelemetrySnapshot {
                 queue_depth: self.queue_depth.clone(),
                 dirty_set: self.dirty_set.clone(),
-                band_occupancy: self.band_occupancy.clone(),
             }
         }
         #[cfg(not(feature = "telemetry"))]
@@ -168,9 +152,6 @@ pub struct TelemetrySnapshot {
     pub queue_depth: LogHistogram,
     /// Dirty-place set size at each settled event (SAN engine only).
     pub dirty_set: LogHistogram,
-    /// Live per-band (bucket) occupancy of the calendar queue at each
-    /// hot-loop pop; empty on the heap backend.
-    pub band_occupancy: LogHistogram,
 }
 
 impl TelemetrySnapshot {
@@ -178,7 +159,7 @@ impl TelemetrySnapshot {
     /// a run with zero events).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.queue_depth.is_empty() && self.dirty_set.is_empty() && self.band_occupancy.is_empty()
+        self.queue_depth.is_empty() && self.dirty_set.is_empty()
     }
 }
 
@@ -194,7 +175,6 @@ mod tests {
         let mut t = HotTelemetry::new();
         t.record_queue_depth(17);
         t.record_dirty_set(3);
-        t.record_band_occupancy(5);
         assert!(t.snapshot().is_empty());
         note_rng_draw();
         assert_eq!(rng_draws(), 0);
@@ -214,8 +194,6 @@ mod tests {
         assert_eq!(snap.queue_depth.count(), 2);
         assert_eq!(snap.queue_depth.max(), 17);
         assert_eq!(snap.dirty_set.count(), 1);
-        t.record_band_occupancy(4);
-        assert_eq!(t.snapshot().band_occupancy.count(), 1);
         let before = rng_draws();
         note_rng_draw();
         note_rng_draw();

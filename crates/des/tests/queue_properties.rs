@@ -1,33 +1,14 @@
 //! Property-based tests of the cancellable event queue: for arbitrary
-//! interleavings of schedules and cancellations, pops must come out in
-//! (time, insertion) order and exactly the non-cancelled events appear.
+//! interleavings of schedules, cancellations and reschedules, pops must
+//! come out in (time, insertion) order and exactly the non-cancelled
+//! events appear.
 
-use ckpt_des::{EventQueue, QueueKind, SimTime};
+use ckpt_des::{EventQueue, SimTime};
 use proptest::prelude::*;
 
 /// An abstract queue operation.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Schedule at `now + dt`.
-    Schedule(f64),
-    /// Cancel the k-th previously scheduled event (if any).
-    Cancel(usize),
-    /// Pop one event.
-    Pop,
-}
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        3 => (0.0f64..100.0).prop_map(Op::Schedule),
-        1 => (0usize..64).prop_map(Op::Cancel),
-        2 => Just(Op::Pop),
-    ]
-}
-
-/// An abstract operation for the heap-vs-calendar differential test,
-/// including the reschedule path and deliberate time ties.
-#[derive(Debug, Clone)]
-enum XOp {
     /// Schedule at `now + dt`; `dt` is drawn from a coarse grid so
     /// equal times (FIFO ties) occur constantly.
     Schedule(u32),
@@ -39,23 +20,32 @@ enum XOp {
     Pop,
 }
 
-fn xop_strategy() -> impl Strategy<Value = XOp> {
+fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        3 => (0u32..40).prop_map(XOp::Schedule),
-        1 => (0usize..64).prop_map(XOp::Cancel),
-        2 => ((0usize..64), (0u32..40)).prop_map(|(k, dt)| XOp::Reschedule(k, dt)),
-        2 => Just(XOp::Pop),
+        3 => (0u32..40).prop_map(Op::Schedule),
+        1 => (0usize..64).prop_map(Op::Cancel),
+        2 => ((0usize..64), (0u32..40)).prop_map(|(k, dt)| Op::Reschedule(k, dt)),
+        2 => Just(Op::Pop),
     ]
+}
+
+/// A reference entry: firing time, FIFO sequence, liveness.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    time: f64,
+    seq: usize,
+    alive: bool,
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
     #[test]
-    fn queue_matches_reference_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
+    fn queue_matches_reference_model(ops in proptest::collection::vec(op_strategy(), 1..300)) {
         let mut q = EventQueue::new();
-        // Reference model: Vec of (time, seq, payload, alive).
-        let mut model: Vec<(f64, usize, u32, bool)> = Vec::new();
+        // Reference model: one entry per scheduled event, indexed like
+        // `ids`; the payload is the index.
+        let mut model: Vec<Entry> = Vec::new();
         let mut ids = Vec::new();
         let mut now = 0.0f64;
         let mut seq = 0usize;
@@ -63,20 +53,31 @@ proptest! {
         for op in ops {
             match op {
                 Op::Schedule(dt) => {
-                    let t = now + dt;
-                    let id = q.schedule(SimTime::from_secs(t), seq as u32);
-                    ids.push(id);
-                    model.push((t, seq, seq as u32, true));
+                    let time = now + f64::from(dt);
+                    ids.push(q.schedule(SimTime::from_secs(time), model.len()));
+                    model.push(Entry { time, seq, alive: true });
                     seq += 1;
                 }
                 Op::Cancel(k) => {
                     if !ids.is_empty() {
                         let k = k % ids.len();
-                        let did = q.cancel(ids[k]);
-                        // The model says the cancel succeeds iff entry k
-                        // is still alive.
-                        prop_assert_eq!(did, model[k].3, "cancel result mismatch");
-                        model[k].3 = false;
+                        // The cancel succeeds iff entry k is still alive.
+                        prop_assert_eq!(q.cancel(ids[k]), model[k].alive, "cancel result");
+                        model[k].alive = false;
+                    }
+                }
+                Op::Reschedule(k, dt) => {
+                    if !ids.is_empty() {
+                        let k = k % ids.len();
+                        let time = now + f64::from(dt);
+                        let moved = q.reschedule(ids[k], SimTime::from_secs(time));
+                        prop_assert_eq!(moved, model[k].alive, "reschedule result");
+                        // A moved event requeues at the FIFO tail.
+                        if moved {
+                            model[k].time = time;
+                            model[k].seq = seq;
+                            seq += 1;
+                        }
                     }
                 }
                 Op::Pop => {
@@ -84,18 +85,17 @@ proptest! {
                     let next = model
                         .iter()
                         .enumerate()
-                        .filter(|(_, e)| e.3)
+                        .filter(|(_, e)| e.alive)
                         .min_by(|(_, a), (_, b)| {
-                            a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1))
+                            a.time.partial_cmp(&b.time).unwrap().then(a.seq.cmp(&b.seq))
                         })
-                        .map(|(i, e)| (i, e.0, e.2));
-                    let popped = q.pop();
-                    match (next, popped) {
+                        .map(|(i, e)| (i, e.time));
+                    match (next, q.pop()) {
                         (None, None) => {}
-                        (Some((i, t, payload)), Some(ev)) => {
+                        (Some((i, t)), Some(ev)) => {
                             prop_assert_eq!(ev.time(), SimTime::from_secs(t));
-                            prop_assert_eq!(ev.into_payload(), payload);
-                            model[i].3 = false;
+                            prop_assert_eq!(ev.into_payload(), i);
+                            model[i].alive = false;
                             now = t;
                         }
                         (m, p) => {
@@ -104,107 +104,29 @@ proptest! {
                             )))
                         }
                     }
+                    prop_assert_eq!(q.watermark(), SimTime::from_secs(now));
                 }
             }
             // len() always agrees with the model's live count.
-            let live = model.iter().filter(|e| e.3).count();
+            let live = model.iter().filter(|e| e.alive).count();
             prop_assert_eq!(q.len(), live);
         }
     }
 
-    /// Draining any schedule-only workload yields a sorted sequence —
-    /// on both backends.
+    /// Draining any schedule-only workload yields a sorted sequence.
     #[test]
     fn drain_is_sorted(times in proptest::collection::vec(0.0f64..1e6, 1..300)) {
-        for kind in [QueueKind::IndexedHeap, QueueKind::Calendar] {
-            let mut q = EventQueue::with_kind(kind);
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule(SimTime::from_secs(t), i);
-            }
-            let mut last = SimTime::ZERO;
-            let mut count = 0;
-            while let Some(ev) = q.pop() {
-                prop_assert!(ev.time() >= last);
-                last = ev.time();
-                count += 1;
-            }
-            prop_assert_eq!(count, times.len());
+        let mut q = EventQueue::new();
+        for (i, &t) in times.iter().enumerate() {
+            q.schedule(SimTime::from_secs(t), i);
         }
-    }
-
-    /// The calendar queue is observationally identical to the indexed
-    /// heap: the same schedule/cancel/reschedule/pop script pops the
-    /// same (time, payload) sequence with the same cancel/reschedule
-    /// outcomes — including FIFO order among the equal times the
-    /// coarse-grid deltas produce. This is the contract that makes
-    /// `--queue calendar` bit-identical at the simulation level.
-    #[test]
-    fn calendar_matches_heap_on_random_schedules(
-        ops in proptest::collection::vec(xop_strategy(), 1..300),
-    ) {
-        let mut heap = EventQueue::with_kind(QueueKind::IndexedHeap);
-        let mut cal = EventQueue::with_kind(QueueKind::Calendar);
-        let mut heap_ids = Vec::new();
-        let mut cal_ids = Vec::new();
-        let mut now = SimTime::ZERO;
-
-        for op in ops {
-            match op {
-                XOp::Schedule(dt) => {
-                    let t = now + SimTime::from_secs(f64::from(dt));
-                    let payload = heap_ids.len() as u32;
-                    heap_ids.push(heap.schedule(t, payload));
-                    cal_ids.push(cal.schedule(t, payload));
-                }
-                XOp::Cancel(k) => {
-                    if !heap_ids.is_empty() {
-                        let k = k % heap_ids.len();
-                        prop_assert_eq!(heap.cancel(heap_ids[k]), cal.cancel(cal_ids[k]));
-                    }
-                }
-                XOp::Reschedule(k, dt) => {
-                    if !heap_ids.is_empty() {
-                        let k = k % heap_ids.len();
-                        let t = now + SimTime::from_secs(f64::from(dt));
-                        prop_assert_eq!(
-                            heap.reschedule(heap_ids[k], t),
-                            cal.reschedule(cal_ids[k], t)
-                        );
-                    }
-                }
-                XOp::Pop => {
-                    match (heap.pop(), cal.pop()) {
-                        (None, None) => {}
-                        (Some(h), Some(c)) => {
-                            prop_assert_eq!(h.time(), c.time());
-                            prop_assert_eq!(h.payload(), c.payload());
-                            now = h.time();
-                        }
-                        (h, c) => {
-                            return Err(TestCaseError::fail(format!(
-                                "heap {h:?} vs calendar {c:?}"
-                            )))
-                        }
-                    }
-                    prop_assert_eq!(heap.watermark(), cal.watermark());
-                }
-            }
-            prop_assert_eq!(heap.len(), cal.len());
+        let mut last = SimTime::ZERO;
+        let mut count = 0;
+        while let Some(ev) = q.pop() {
+            prop_assert!(ev.time() >= last);
+            last = ev.time();
+            count += 1;
         }
-        // Drain both: the tails must agree event for event.
-        loop {
-            match (heap.pop(), cal.pop()) {
-                (None, None) => break,
-                (Some(h), Some(c)) => {
-                    prop_assert_eq!(h.time(), c.time());
-                    prop_assert_eq!(h.payload(), c.payload());
-                }
-                (h, c) => {
-                    return Err(TestCaseError::fail(format!(
-                        "drain: heap {h:?} vs calendar {c:?}"
-                    )))
-                }
-            }
-        }
+        prop_assert_eq!(count, times.len());
     }
 }

@@ -11,9 +11,12 @@
 //! * `--quiet` — suppress human heartbeats (an explicit `--progress`
 //!   file stays active: requested machine output is output, not
 //!   chatter);
-//! * `--reactivation MODE` / `--queue KIND` — engine execution modes
-//!   (lazy timer reactivation, calendar event queue) that travel with
-//!   the experiment spec and perturb its fingerprint when non-default.
+//! * `--reactivation MODE` — lazy timer reactivation, an engine
+//!   execution mode that travels with the experiment spec and perturbs
+//!   its fingerprint when non-default;
+//! * `--queue KIND` — accepted for spec compatibility; every engine
+//!   runs its single future-event list. A non-default kind still
+//!   travels with the spec and its fingerprint.
 //!
 //! [`ExecFlags`] owns the parsing ([`ExecFlags::accept`]), the journal
 //! open/resume policy ([`ExecFlags::open_journal`]), and the sink
@@ -45,8 +48,8 @@ pub struct ExecFlags {
     pub quiet: bool,
     /// Timer-reactivation execution mode (SAN engine only).
     pub reactivation: ReactivationMode,
-    /// The SAN executor's future-event list; both backends pop the
-    /// identical (time, FIFO) order. The direct engine ignores it.
+    /// The `--queue` selector: accepted for spec compatibility and
+    /// recorded in the spec, but no engine reads it.
     pub queue: QueueKind,
 }
 

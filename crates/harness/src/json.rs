@@ -189,29 +189,38 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. Far above
+/// any document the workspace writes; it bounds the parser's recursion
+/// so hostile input gets an error instead of overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (trailing whitespace allowed,
 /// trailing garbage rejected).
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] locating the first malformed token.
+/// Returns a [`JsonError`] locating the first malformed token, or the
+/// first container nested deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
-        bytes: input.as_bytes(),
+        input,
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.input.len() {
         return Err(p.err("trailing characters after the document"));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    input: &'a str,
     pos: usize,
+    /// Containers open at the cursor.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -223,7 +232,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -242,7 +251,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.input[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -252,8 +261,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -261,6 +270,21 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one container one level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
@@ -346,11 +370,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("peeked a byte");
+                    // Consume one UTF-8 scalar. The cursor only ever
+                    // advances by whole scalars, so it sits on a char
+                    // boundary and the slice is O(1).
+                    let c = self.input[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("peeked a byte");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -407,9 +433,7 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ASCII")
-            .to_string();
+        let raw = self.input[start..self.pos].to_string();
         // Validate the token now so downstream as_f64() cannot fail on
         // a malformed-but-accepted document.
         if raw.parse::<f64>().is_err() {
@@ -490,6 +514,28 @@ mod tests {
     fn parses_escapes_and_unicode() {
         let v = parse(r#""a\"\\Aé😀""#).unwrap();
         assert_eq!(v.as_str(), Some("a\"\\Aé😀"));
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nest =
+            |open: &str, close: &str, depth: usize| open.repeat(depth) + &close.repeat(depth);
+        assert!(parse(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nest("{\"k\":", "}", MAX_DEPTH).replace(":}", ":1}")).is_ok());
+        let e = parse(&nest("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.offset, MAX_DEPTH);
+        assert!(e.message.contains("nesting"), "{e}");
+        assert!(parse(&nest("[{\"a\":", "}]", MAX_DEPTH)).is_err());
+        // Far past the limit the parser still answers instead of
+        // overflowing the stack.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn long_non_ascii_strings_parse_in_linear_time() {
+        let body = "é".repeat(200_000);
+        let v = parse(&format!("\"{body}\"")).unwrap();
+        assert_eq!(v.as_str(), Some(body.as_str()));
     }
 
     #[test]

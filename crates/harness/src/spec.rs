@@ -214,9 +214,9 @@ impl ExperimentSpec {
         self.reactivation
     }
 
-    /// The SAN executor's event-queue backend. Both backends pop the
-    /// same (time, FIFO) order, so this never changes results — only
-    /// speed. The direct engine ignores it.
+    /// The `"queue"` key: accepted for spec compatibility and part of
+    /// the fingerprint when non-default, but inert — every engine runs
+    /// its single future-event list.
     #[must_use]
     pub fn queue(&self) -> QueueKind {
         self.queue
@@ -238,7 +238,7 @@ impl ExperimentSpec {
         if let Some(jobs) = self.jobs {
             exp = exp.jobs(jobs);
         }
-        exp.reactivation(self.reactivation).queue(self.queue)
+        exp.reactivation(self.reactivation)
     }
 
     /// Serializes the spec as one compact JSON object. Deterministic:
@@ -392,8 +392,8 @@ impl ExperimentSpec {
             .estimation(estimation)
             .reactivation(reactivation)
             .queue(queue)
-            .transient(SimTime::from_secs(req_f64(&doc, "transient_secs")?))
-            .horizon(SimTime::from_secs(req_f64(&doc, "horizon_secs")?))
+            .transient(req_secs(&doc, "transient_secs")?)
+            .horizon(req_secs(&doc, "horizon_secs")?)
             .replications(
                 u32::try_from(req_u64(&doc, "replications")?)
                     .map_err(|_| SpecError::Parse("replications out of range".into()))?,
@@ -472,7 +472,7 @@ impl ExperimentSpecBuilder {
         self
     }
 
-    /// Selects the SAN executor's event-queue backend.
+    /// Sets the inert `"queue"` key (see [`ExperimentSpec::queue`]).
     #[must_use]
     pub fn queue(mut self, queue: QueueKind) -> ExperimentSpecBuilder {
         self.spec.queue = queue;
@@ -541,6 +541,16 @@ fn opt_f64(v: Option<&JsonValue>) -> Option<f64> {
 
 fn req_f64(doc: &JsonValue, key: &str) -> Result<f64, SpecError> {
     opt_f64(doc.get(key)).ok_or_else(|| SpecError::Parse(format!("missing number '{key}'")))
+}
+
+/// A time key: a number that must also be a valid [`SimTime`]
+/// (finite, non-negative).
+fn secs_of(secs: f64, key: &str) -> Result<SimTime, SpecError> {
+    SimTime::try_from_secs(secs).map_err(|e| SpecError::Parse(format!("'{key}': {e}")))
+}
+
+fn req_secs(doc: &JsonValue, key: &str) -> Result<SimTime, SpecError> {
+    secs_of(req_f64(doc, key)?, key)
 }
 
 fn req_u64(doc: &JsonValue, key: &str) -> Result<u64, SpecError> {
@@ -758,8 +768,7 @@ fn policy_from_json(doc: &JsonValue) -> Result<PolicySpec, SpecError> {
 /// [`SpecError::Parse`] for missing/malformed fields,
 /// [`SpecError::Config`] when the values fail config validation.
 pub fn config_from_json(doc: &JsonValue) -> Result<SystemConfig, SpecError> {
-    let secs =
-        |key: &str| -> Result<SimTime, SpecError> { req_f64(doc, key).map(SimTime::from_secs) };
+    let secs = |key: &str| req_secs(doc, key);
     let coordination = match doc.get("coordination").and_then(JsonValue::as_str) {
         Some("fixed_quiesce") => CoordinationMode::FixedQuiesce,
         Some("system_exponential") => CoordinationMode::SystemExponential,
@@ -818,7 +827,11 @@ pub fn config_from_json(doc: &JsonValue) -> Result<SystemConfig, SpecError> {
         .broadcast_overhead(secs("broadcast_overhead_secs")?)
         .software_overhead(secs("software_overhead_secs")?)
         .coordination(coordination)
-        .timeout(opt_f64(doc.get("timeout_secs")).map(SimTime::from_secs))
+        .timeout(
+            opt_f64(doc.get("timeout_secs"))
+                .map(|t| secs_of(t, "timeout_secs"))
+                .transpose()?,
+        )
         .background_checkpoint_write(req_bool(doc, "background_checkpoint_write")?)
         .buffered_recovery(req_bool(doc, "buffered_recovery")?)
         .mttf_per_node(secs("mttf_per_node_secs")?)
@@ -1082,7 +1095,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, SpecError::LazyReactivationNeedsSan);
         assert!(err.to_string().contains("--engine san"));
-        // The SAN engine accepts it; the calendar queue is engine-blind.
+        // The SAN engine accepts it; the inert queue key fits any engine.
         assert!(ExperimentSpec::builder(cfg.clone())
             .engine(EngineKind::San)
             .reactivation(ReactivationMode::Lazy)

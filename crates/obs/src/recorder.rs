@@ -204,12 +204,10 @@ mod tests {
         use ckpt_des::telem::TelemetrySnapshot;
         let mut snap = TelemetrySnapshot::default();
         snap.queue_depth.record(4);
-        snap.band_occupancy.record(2);
         let mut rec = Recorder::new(None, false).with_telemetry();
         rec.absorb_engine_telemetry(&snap, 99, 7);
         let t = rec.telemetry().unwrap();
         assert_eq!(t.queue_depth.count(), 1);
-        assert_eq!(t.band_occupancy.count(), 1);
         assert_eq!(t.rng_draws, 99);
         assert_eq!(t.redraws_elided, 7);
         // Without telemetry enabled it's a no-op, not a panic.

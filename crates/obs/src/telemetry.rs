@@ -14,7 +14,7 @@
 //! * `failure_gaps` is derived from the observed [`ModelEvent`](crate::ModelEvent) stream
 //!   (sim-time gaps between consecutive failures), so it works on every
 //!   build and is always deterministic;
-//! * `queue_depth` / `dirty_set` / `band_occupancy` come from the
+//! * `queue_depth` / `dirty_set` come from the
 //!   engines' probes and stay empty unless the `telemetry` cargo
 //!   feature is enabled — when it is, they are still functions of the
 //!   (deterministic) simulation state only, never of wall time;
@@ -42,9 +42,6 @@ pub struct ReplicationTelemetry {
     /// Dirty-place set size per settled event (SAN engine under
     /// incremental scheduling only; empty without the feature).
     pub dirty_set: LogHistogram,
-    /// Calendar-queue bucket occupancy at each hot-loop pop (calendar
-    /// backend only; empty on the heap or without the feature).
-    pub band_occupancy: LogHistogram,
     /// Model events observed in the measurement window.
     pub events: u64,
     /// Raw RNG words drawn by the replication (0 without the feature).
@@ -66,7 +63,6 @@ impl ReplicationTelemetry {
     pub fn absorb_engine(&mut self, snapshot: &TelemetrySnapshot) {
         self.queue_depth.merge(&snapshot.queue_depth);
         self.dirty_set.merge(&snapshot.dirty_set);
-        self.band_occupancy.merge(&snapshot.band_occupancy);
     }
 
     /// Adds `other` into `self`. Histogram merges are element-wise and
@@ -76,7 +72,6 @@ impl ReplicationTelemetry {
         self.failure_gaps.merge(&other.failure_gaps);
         self.queue_depth.merge(&other.queue_depth);
         self.dirty_set.merge(&other.dirty_set);
-        self.band_occupancy.merge(&other.band_occupancy);
         self.events += other.events;
         self.rng_draws += other.rng_draws;
         self.redraws_elided += other.redraws_elided;
@@ -88,7 +83,6 @@ impl ReplicationTelemetry {
         self.failure_gaps.is_empty()
             && self.queue_depth.is_empty()
             && self.dirty_set.is_empty()
-            && self.band_occupancy.is_empty()
             && self.events == 0
             && self.rng_draws == 0
             && self.redraws_elided == 0
@@ -100,14 +94,13 @@ impl ReplicationTelemetry {
     #[must_use]
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"events\":{},\"rng_draws\":{},\"redraws_elided\":{},\"histograms\":{{\"failure_gap_secs\":{},\"queue_depth\":{},\"dirty_set\":{},\"band_occupancy\":{}}}}}",
+            "{{\"events\":{},\"rng_draws\":{},\"redraws_elided\":{},\"histograms\":{{\"failure_gap_secs\":{},\"queue_depth\":{},\"dirty_set\":{}}}}}",
             self.events,
             self.rng_draws,
             self.redraws_elided,
             self.failure_gaps.to_json(),
             self.queue_depth.to_json(),
             self.dirty_set.to_json(),
-            self.band_occupancy.to_json(),
         )
     }
 }
@@ -162,7 +155,7 @@ mod tests {
         assert!(
             j.starts_with("{\"events\":0,\"rng_draws\":0,\"redraws_elided\":0,\"histograms\":{")
         );
-        assert!(j.contains("\"band_occupancy\":{"));
+        assert!(j.contains("\"dirty_set\":{"));
         let doc = telemetry_json("run", &t, "[]");
         assert!(doc.contains("\"telemetry_schema_version\": 1"));
         assert!(doc.contains("\"kind\": \"telemetry\""));

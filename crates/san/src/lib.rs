@@ -74,8 +74,3 @@ pub use model::{ActivityBuilder, CaseBuilder, San, SanBuilder};
 pub use pred::Pred;
 pub use reward::{RewardReport, RewardSpec, RewardValue};
 pub use simulator::{ReactivationMode, SanObserver, Scheduling, Simulator};
-
-// The queue-backend choice travels with the simulator API:
-// `Simulator::with_exec_options` takes it, so callers should not need
-// a direct `ckpt-des` dependency.
-pub use ckpt_des::QueueKind;

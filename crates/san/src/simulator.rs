@@ -7,7 +7,7 @@ use crate::model::San;
 use crate::reward::{RewardReport, RewardSpec, RewardValue};
 use ckpt_des::prof::{HotPhase, PhaseProfile, PhaseProfiler};
 use ckpt_des::telem::{HotTelemetry, TelemetrySnapshot};
-use ckpt_des::{EventId, EventQueue, QueueKind, SimRng, SimTime};
+use ckpt_des::{EventId, EventQueue, SimRng, SimTime};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -259,7 +259,7 @@ impl<'m> Simulator<'m> {
     }
 
     /// Creates a simulator with an explicit [`Scheduling`] strategy and
-    /// the default reactivation mode and queue backend.
+    /// the default reactivation mode.
     ///
     /// # Errors
     ///
@@ -270,23 +270,15 @@ impl<'m> Simulator<'m> {
         seed: u64,
         scheduling: Scheduling,
     ) -> Result<Simulator<'m>, SanError> {
-        Simulator::with_exec_options(
-            san,
-            seed,
-            scheduling,
-            ReactivationMode::default(),
-            QueueKind::default(),
-        )
+        Simulator::with_exec_options(san, seed, scheduling, ReactivationMode::default())
     }
 
     /// Creates a simulator with every execution switch explicit:
-    /// [`Scheduling`], [`ReactivationMode`], and the event-queue backend
-    /// ([`QueueKind`]).
+    /// [`Scheduling`] and [`ReactivationMode`].
     ///
-    /// The defaults (`Incremental`, `Resample`, `IndexedHeap`) are the
-    /// pinned bit-identical reference; `Lazy` is a
-    /// distribution-equivalent opt-in, while `Calendar` is bit-identical
-    /// (both backends pop the same `(time, FIFO)` order).
+    /// The defaults (`Incremental`, `Resample`) are the pinned
+    /// bit-identical reference; `Lazy` is a distribution-equivalent
+    /// opt-in.
     ///
     /// # Errors
     ///
@@ -297,14 +289,13 @@ impl<'m> Simulator<'m> {
         seed: u64,
         scheduling: Scheduling,
         reactivation: ReactivationMode,
-        queue: QueueKind,
     ) -> Result<Simulator<'m>, SanError> {
         let n = san.activities.len();
         let mut sim = Simulator {
             san,
             marking: san.initial_marking(),
             now: SimTime::ZERO,
-            queue: EventQueue::with_kind(queue),
+            queue: EventQueue::new(),
             scheduled: vec![None; n],
             sampled_version: vec![0; n],
             rng: SimRng::seed_from_u64(seed),
@@ -347,12 +338,6 @@ impl<'m> Simulator<'m> {
     #[must_use]
     pub fn reactivation(&self) -> ReactivationMode {
         self.reactivation
-    }
-
-    /// The event-queue backend this simulator runs on.
-    #[must_use]
-    pub fn queue_kind(&self) -> QueueKind {
-        self.queue.kind()
     }
 
     /// The hot-phase profile accumulated so far. All-zero unless the
@@ -572,14 +557,6 @@ impl<'m> Simulator<'m> {
     fn step_event(&mut self, t: SimTime, activity: ActivityId) -> Result<(), SanError> {
         let dispatch = self.prof.begin();
         self.telem.record_queue_depth(self.queue.len());
-        // `ENABLED` is a compile-time constant, so the occupancy scan
-        // (calendar backend only) vanishes entirely from non-telemetry
-        // builds.
-        if ckpt_des::telem::ENABLED {
-            if let Some(occ) = self.queue.band_occupancy() {
-                self.telem.record_band_occupancy(occ);
-            }
-        }
         self.integrate_to(t);
         self.now = t;
         self.scheduled[activity.0] = None;
@@ -1619,14 +1596,9 @@ mod tests {
         // long-run availability must still come out at ~0.9.
         let san = resample_repair_model();
         let up = san.place_by_name("up").unwrap();
-        let mut sim = Simulator::with_exec_options(
-            &san,
-            1,
-            Scheduling::Incremental,
-            ReactivationMode::Lazy,
-            QueueKind::IndexedHeap,
-        )
-        .unwrap();
+        let mut sim =
+            Simulator::with_exec_options(&san, 1, Scheduling::Incremental, ReactivationMode::Lazy)
+                .unwrap();
         assert_eq!(sim.reactivation(), ReactivationMode::Lazy);
         sim.add_reward(RewardSpec::rate("avail", move |m| {
             if m.has_token(up) {
@@ -1648,14 +1620,8 @@ mod tests {
         // mode exactly as they are under eager resampling.
         let san = resample_repair_model();
         let run = |scheduling| {
-            let mut sim = Simulator::with_exec_options(
-                &san,
-                9,
-                scheduling,
-                ReactivationMode::Lazy,
-                QueueKind::IndexedHeap,
-            )
-            .unwrap();
+            let mut sim =
+                Simulator::with_exec_options(&san, 9, scheduling, ReactivationMode::Lazy).unwrap();
             sim.run_for(SimTime::from_secs(50_000.0)).unwrap();
             (
                 sim.firing_count(san.activity_by_name("fail").unwrap()),
@@ -1694,14 +1660,9 @@ mod tests {
             .output_arc(failures, 1)
             .build();
         let san = b.build().unwrap();
-        let mut sim = Simulator::with_exec_options(
-            &san,
-            7,
-            Scheduling::Incremental,
-            ReactivationMode::Lazy,
-            QueueKind::IndexedHeap,
-        )
-        .unwrap();
+        let mut sim =
+            Simulator::with_exec_options(&san, 7, Scheduling::Incremental, ReactivationMode::Lazy)
+                .unwrap();
         sim.run_until(SimTime::from_secs(5.0)).unwrap();
         let before = sim.firing_count(fail);
         sim.run_until(SimTime::from_secs(6.0)).unwrap();
@@ -1715,38 +1676,21 @@ mod tests {
     }
 
     #[test]
-    fn calendar_queue_is_bit_identical_to_heap() {
-        // Both backends pop the same (time, FIFO) order, so switching
-        // the backend changes nothing observable — on the eager path
-        // and on the lazy path alike.
+    fn lazy_reactivation_draws_a_different_stream() {
+        // Lazy keeps samples that resample redraws, so the same seed
+        // yields a different (distribution-equivalent) trajectory.
         let san = resample_repair_model();
-        let run = |reactivation, queue| {
-            let mut sim = Simulator::with_exec_options(
-                &san,
-                13,
-                Scheduling::Incremental,
-                reactivation,
-                queue,
-            )
-            .unwrap();
+        let run = |reactivation| {
+            let mut sim =
+                Simulator::with_exec_options(&san, 13, Scheduling::Incremental, reactivation)
+                    .unwrap();
             sim.run_for(SimTime::from_secs(50_000.0)).unwrap();
             (
                 sim.firing_count(san.activity_by_name("fail").unwrap()),
                 sim.firing_count(san.activity_by_name("repair").unwrap()),
             )
         };
-        for mode in [ReactivationMode::Resample, ReactivationMode::Lazy] {
-            assert_eq!(
-                run(mode, QueueKind::IndexedHeap),
-                run(mode, QueueKind::Calendar),
-                "queue backends diverged under {mode}"
-            );
-        }
-        // And the lazy stream really is a different stream.
-        assert_ne!(
-            run(ReactivationMode::Resample, QueueKind::IndexedHeap),
-            run(ReactivationMode::Lazy, QueueKind::IndexedHeap)
-        );
+        assert_ne!(run(ReactivationMode::Resample), run(ReactivationMode::Lazy));
     }
 
     #[test]

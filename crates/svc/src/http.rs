@@ -30,8 +30,8 @@ const MAX_BODY: usize = 1 << 20;
 const MAX_LINE: usize = 8 << 10;
 /// Most header lines one request may carry.
 const MAX_HEADERS: usize = 64;
-/// Longest `X-Tenant` value. Each distinct tenant gets its own queue in
-/// the scheduler, so tenant names are kept short.
+/// Longest `X-Tenant` value. Each tenant with queued work holds its own
+/// queue in the scheduler, so tenant names are kept short.
 const MAX_TENANT: usize = 64;
 /// Most bytes of a refused request still read and discarded (see
 /// [`refuse`]).

@@ -121,6 +121,8 @@ struct Unit {
 }
 
 struct State {
+    /// One FIFO per tenant with queued units, in arrival order; a
+    /// tenant's entry goes when its queue drains.
     queues: Vec<(String, VecDeque<Unit>)>,
     rr: usize,
     jobs: HashMap<u64, Job>,
@@ -437,13 +439,22 @@ fn worker_loop(inner: &Inner) {
 }
 
 /// Round-robin across tenants, FIFO within each: the fairness policy.
+/// A tenant whose queue drains is dropped, so the list holds only
+/// tenants with work and never grows with the number ever seen.
 fn next_unit(st: &mut State) -> Option<Unit> {
-    let n = st.queues.len();
-    for k in 0..n {
-        let i = (st.rr + k) % n;
-        if let Some(unit) = st.queues[i].1.pop_front() {
-            st.rr = (i + 1) % n;
-            return Some(unit);
+    while !st.queues.is_empty() {
+        let i = st.rr % st.queues.len();
+        let queue = &mut st.queues[i].1;
+        let unit = queue.pop_front();
+        if queue.is_empty() {
+            // The next tenant slides into slot `i` and is served next.
+            st.queues.remove(i);
+            st.rr = i;
+        } else {
+            st.rr = i + 1;
+        }
+        if unit.is_some() {
+            return unit;
         }
     }
     None
@@ -685,6 +696,56 @@ mod tests {
             );
             let _ = std::fs::remove_dir_all(store.root());
         }
+    }
+
+    #[test]
+    fn round_robin_stays_fair_as_drained_tenants_leave() {
+        let mut st = State {
+            queues: Vec::new(),
+            rr: 0,
+            jobs: HashMap::new(),
+            shutdown: false,
+        };
+        for (tenant, units) in [("a", 2), ("b", 1), ("c", 3)] {
+            let queue = (0..units)
+                .map(|k| Unit {
+                    fingerprint: u64::from(tenant.as_bytes()[0]),
+                    range: (k, k + 1),
+                    exclusive: false,
+                })
+                .collect();
+            st.queues.push((tenant.to_string(), queue));
+        }
+        let order: Vec<u8> = std::iter::from_fn(|| next_unit(&mut st))
+            .map(|u| u.fingerprint as u8)
+            .collect();
+        assert_eq!(order, b"abcacc");
+        assert!(st.queues.is_empty());
+    }
+
+    #[test]
+    fn drained_tenant_queues_are_dropped() {
+        let store = store_in("tenants");
+        let sched = Scheduler::new(store.clone(), Tuning::default());
+        let ids: Vec<String> = (0..8)
+            .map(|k| {
+                sched
+                    .submit(&format!("tenant-{k}"), &small_spec(100 + k))
+                    .unwrap()
+                    .id
+            })
+            .collect();
+        for id in &ids {
+            assert_eq!(
+                sched.wait(id, Duration::from_secs(120)).unwrap(),
+                JobStatus::Done { cached: false }
+            );
+        }
+        assert!(
+            sched.lock().queues.is_empty(),
+            "every tenant drained, so no queue may remain"
+        );
+        let _ = std::fs::remove_dir_all(store.root());
     }
 
     #[test]

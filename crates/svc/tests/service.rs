@@ -245,3 +245,24 @@ fn overlong_tenants_are_refused_with_400() {
         .is_some_and(|s| s.is_terminal()));
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn deeply_nested_bodies_are_refused_and_the_server_keeps_serving() {
+    let dir = store_dir("nesting");
+    let (addr, _) = start_server(&dir, Tuning::default());
+    // 10,000 levels would overflow the parser's stack and abort the
+    // process if nesting were unbounded.
+    let body = "[".repeat(10_000);
+    let nested = raw_exchange(
+        addr,
+        &format!(
+            "POST /v1/jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        ),
+    );
+    assert!(nested.starts_with("HTTP/1.1 400 "), "{nested}");
+    assert!(nested.contains("nesting"), "{nested}");
+    let next = raw_exchange(addr, "GET /v1/healthz HTTP/1.1\r\n\r\n");
+    assert!(next.starts_with("HTTP/1.1 200 "), "{next}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

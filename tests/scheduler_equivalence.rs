@@ -4,21 +4,18 @@
 //! the same order by construction, and these tests enforce it on every
 //! paper configuration class the SAN engine supports.
 //!
-//! Every check runs in all four execution modes (reactivation ×
-//! event-queue backend), and within each reactivation mode the calendar
-//! queue must reproduce the indexed heap bit for bit, since both pop
-//! the same `(time, FIFO)` order.
+//! Every check runs under both reactivation modes.
 
 use ckptsim::des::SimTime;
 use ckptsim::model::config::{ErrorPropagation, GenericCorrelated};
 use ckptsim::model::san_model::{CheckpointSan, RunOptions};
 use ckptsim::model::{CoordinationMode, SystemConfig};
-use ckptsim::san::{QueueKind, ReactivationMode, Scheduling};
+use ckptsim::san::{ReactivationMode, Scheduling};
 
 fn assert_bit_identical(cfg: SystemConfig, what: &str) {
     let model = CheckpointSan::build(&cfg).expect("model builds");
     for seed in [1, 42] {
-        let run = |scheduling, reactivation, queue| {
+        let run = |scheduling, reactivation| {
             let outcome = model
                 .run(&RunOptions {
                     seed,
@@ -26,28 +23,20 @@ fn assert_bit_identical(cfg: SystemConfig, what: &str) {
                     horizon: SimTime::from_hours(500.0),
                     scheduling,
                     reactivation,
-                    queue,
+                    ..RunOptions::default()
                 })
                 .expect("replication runs");
             (outcome.metrics, outcome.events)
         };
         for reactivation in [ReactivationMode::Resample, ReactivationMode::Lazy] {
-            let mut per_queue = Vec::new();
-            for queue in [QueueKind::IndexedHeap, QueueKind::Calendar] {
-                let mode = format!("{what} (seed {seed}, {reactivation}, {queue:?})");
-                let (m_inc, ev_inc) = run(Scheduling::Incremental, reactivation, queue);
-                let (m_full, ev_full) = run(Scheduling::FullScan, reactivation, queue);
-                assert_eq!(ev_inc, ev_full, "{mode}: event counts diverged");
-                // Metrics is PartialEq over raw f64 fields, so this is an
-                // exact bit-level comparison (no tolerances).
-                assert_eq!(m_inc, m_full, "{mode}: metrics diverged");
-                assert!(m_inc.useful_work_fraction() > 0.0, "{mode}: degenerate run");
-                per_queue.push((m_inc, ev_inc));
-            }
-            assert_eq!(
-                per_queue[0], per_queue[1],
-                "{what} (seed {seed}, {reactivation}): calendar queue diverged from the heap"
-            );
+            let mode = format!("{what} (seed {seed}, {reactivation})");
+            let (m_inc, ev_inc) = run(Scheduling::Incremental, reactivation);
+            let (m_full, ev_full) = run(Scheduling::FullScan, reactivation);
+            assert_eq!(ev_inc, ev_full, "{mode}: event counts diverged");
+            // Metrics is PartialEq over raw f64 fields, so this is an
+            // exact bit-level comparison (no tolerances).
+            assert_eq!(m_inc, m_full, "{mode}: metrics diverged");
+            assert!(m_inc.useful_work_fraction() > 0.0, "{mode}: degenerate run");
         }
     }
 }
