@@ -3,13 +3,9 @@
 use crate::config_flags::parse_config;
 use ckpt_analytic::{availability, coordination, daly, vaidya, young};
 use ckpt_bench::{experiment_spec, figures, runner, RunOptions};
-use ckpt_core::san_model::{CheckpointSan, RunOptions as SanRunOptions};
-use ckpt_core::{
-    EngineKind, Estimate, ObserveSpec, PhaseKind, ReplicationStore, RunControl, SystemConfig,
-};
-use ckpt_des::prof::{HotPhase, PhaseProfile};
+use ckpt_core::{Estimate, ObserveSpec, PhaseKind, ReplicationStore, RunControl, SystemConfig};
 use ckpt_harness::{signal, CkptError};
-use ckpt_obs::{phases_json, spans_json, telemetry_json, ProgressSink, Recorder};
+use ckpt_obs::{spans_json, telemetry_json, ProgressSink, Recorder};
 use ckpt_svc::{LocalRun, Scheduler};
 use std::fmt::Write as _;
 
@@ -94,13 +90,8 @@ fn metrics_json(est: &Estimate) -> String {
 /// re-runs only the missing replications — bit-identical to an
 /// uninterrupted run at any `--jobs`.
 pub fn run_single(args: Vec<String>) -> Result<(), CkptError> {
-    let (cfg, mut rest) = parse_config(args)?;
-    let profile_phases = rest.iter().any(|a| a == "--profile-phases");
-    rest.retain(|a| a != "--profile-phases");
+    let (cfg, rest) = parse_config(args)?;
     let opts = run_options(rest)?;
-    if profile_phases {
-        return run_profile_phases(&cfg, &opts);
-    }
     let telemetry = opts.histograms.is_some() || opts.prom.is_some();
     let observing = opts.trace.is_some() || opts.metrics.is_some() || telemetry;
     if observing && opts.exec.journaling() {
@@ -282,95 +273,6 @@ fn profile_section(est: &Estimate, csv: bool) -> String {
         }
     }
     s
-}
-
-/// `ckptsim run --profile-phases`: attribute hot-loop wall time to the
-/// seven instrumented phases and emit the versioned JSON breakdown.
-///
-/// Needs a binary built with `--features prof` (the profiler compiles
-/// to nothing otherwise) and the SAN engine (the hot phases are SAN
-/// executor concepts). Replications run sequentially — profiling
-/// measures *where the time goes*, not how fast the run is, and
-/// parallel workers would interleave their instrumentation.
-fn run_profile_phases(cfg: &SystemConfig, opts: &RunOptions) -> Result<(), CkptError> {
-    if !ckpt_des::prof::ENABLED {
-        return Err(CkptError::Usage(
-            "--profile-phases needs the hot-phase profiler compiled in; rebuild with \
-             `cargo build -p ckpt-cli --release --features prof`"
-                .into(),
-        ));
-    }
-    if opts.engine != EngineKind::San {
-        return Err(CkptError::Usage(
-            "--profile-phases requires --engine san (the instrumented hot phases \
-             live in the SAN executor)"
-                .into(),
-        ));
-    }
-    if opts.exec.journaling() {
-        return Err(CkptError::Usage(
-            "--profile-phases cannot be combined with --snapshot/--resume: cached \
-             replications carry no phase profile"
-                .into(),
-        ));
-    }
-    let model = CheckpointSan::build(cfg).map_err(|e| CkptError::Experiment(e.into()))?;
-    let run_opts = |seed: u64| SanRunOptions {
-        seed,
-        transient: opts.transient,
-        horizon: opts.horizon,
-        ..SanRunOptions::default()
-    };
-    for w in 0..u64::from(opts.warmup) {
-        model
-            .run(&run_opts(opts.seed + w))
-            .map_err(|e| CkptError::Experiment(e.into()))?;
-    }
-    let mut phases = PhaseProfile::default();
-    let mut events = 0u64;
-    let start = std::time::Instant::now();
-    for k in 0..u64::from(opts.reps) {
-        let outcome = model
-            .run(&run_opts(opts.seed + k))
-            .map_err(|e| CkptError::Experiment(e.into()))?;
-        phases.merge(&outcome.phases);
-        events += outcome.events;
-    }
-    let wall_secs = start.elapsed().as_secs_f64();
-    if !opts.exec.quiet {
-        let attributed = phases.total_nanos();
-        let coverage = attributed as f64 / (wall_secs * 1e9).max(1.0);
-        eprintln!(
-            "{} replications, {events} events, {wall_secs:.2} s wall, \
-             {:.1}% attributed \
-             (instrumented build — use an uninstrumented build for headline numbers)",
-            opts.reps,
-            100.0 * coverage.min(1.0)
-        );
-        eprintln!(
-            "  {:<24} {:>12} {:>12} {:>12} {:>7}",
-            "phase", "nanos", "count", "ns/event", "share"
-        );
-        for phase in HotPhase::ALL {
-            let idx = phase as usize;
-            let nanos = phases.nanos[idx];
-            eprintln!(
-                "  {:<24} {:>12} {:>12} {:>12.2} {:>6.1}%",
-                phase.name(),
-                nanos,
-                phases.counts[idx],
-                nanos as f64 / (events.max(1)) as f64,
-                100.0 * nanos as f64 / (attributed.max(1)) as f64
-            );
-        }
-    }
-    let label = format!("{}proc-san-incremental", cfg.processors());
-    let json = phases_json(&label, &phases, wall_secs, events);
-    print!("{json}");
-    if let Some(path) = &opts.metrics {
-        write_file(path, &json)?;
-    }
-    Ok(())
 }
 
 fn phase_rows() -> [(&'static str, PhaseKind); 5] {

@@ -19,7 +19,6 @@ use crate::config::SystemConfig;
 use crate::direct::DirectSimulator;
 use crate::metrics::Metrics;
 use crate::san_model::{CheckpointSan, ModelError, RunOptions as SanRunOptions};
-use ckpt_des::prof::PhaseProfile;
 use ckpt_des::SimTime;
 use ckpt_obs::{
     MetricsRegistry, ModelEvent, ObsEvent, Observer, ProgressSink, ProgressSnapshot, Recorder,
@@ -242,10 +241,6 @@ pub struct ReplicationProfile {
     pub wall_secs: f64,
     /// Simulation events the replication processed.
     pub events: u64,
-    /// Hot-phase wall-time breakdown; all-zero except for SAN runs
-    /// under the `prof` feature (see [`ckpt_des::prof`]). Feeds the
-    /// phase-level leaves of [`Estimate::span_tree`].
-    pub phases: PhaseProfile,
 }
 
 impl ReplicationProfile {
@@ -275,10 +270,11 @@ pub struct ObserveSpec {
     /// Accumulate a [`MetricsRegistry`] (event counters, activity
     /// firings, sim-time-weighted phase times) per replication.
     pub registry: bool,
-    /// Accumulate [`ReplicationTelemetry`] per replication
-    /// (inter-failure gap histogram and event counts always; the
-    /// engines' queue-depth / dirty-set histograms and RNG-draw counts
-    /// additionally when the build has the `telemetry` feature).
+    /// Accumulate [`ReplicationTelemetry`] per replication: the
+    /// inter-failure gap histogram and event counts from the observed
+    /// stream, plus the engine's queue-depth / dirty-set histograms,
+    /// RNG-draw and elided-redraw counts, which this switches on for
+    /// the whole replication, transient included.
     pub histograms: bool,
 }
 
@@ -445,8 +441,7 @@ impl Estimate {
     }
 
     /// Per-replication [`SpanRecord`]s (wall time, events, RNG draws),
-    /// in index order, with phase-level child spans where a hot-phase
-    /// profile was recorded (SAN engine under the `prof` feature).
+    /// in index order.
     #[must_use]
     pub fn replication_spans(&self) -> Vec<SpanRecord> {
         self.profiles
@@ -458,16 +453,6 @@ impl Estimate {
                 span.events = p.events;
                 if let Some(t) = self.recordings.get(i).and_then(Recorder::telemetry) {
                     span.rng_draws = t.rng_draws;
-                }
-                for phase in ckpt_des::prof::HotPhase::ALL {
-                    let nanos = p.phases.nanos[phase as usize];
-                    let count = p.phases.counts[phase as usize];
-                    if count > 0 {
-                        let mut child = SpanRecord::new(SpanKind::Phase, phase.name());
-                        child.wall_nanos = nanos;
-                        child.events = count;
-                        span.children.push(child);
-                    }
                 }
                 span
             })
@@ -841,15 +826,14 @@ impl Experiment {
                 rec
             }
         });
+        let telemetry = self.observe.is_some_and(|spec| spec.histograms);
         let start = Instant::now();
-        // A replication runs entirely on one thread, so differencing
-        // the thread-local draw counter around it attributes its RNG
-        // consumption exactly (0 in non-`telemetry` builds).
-        let draws_before = ckpt_des::telem::rng_draws();
-        let elided_before = ckpt_des::telem::redraws_elided();
-        let (metrics, events, phases, engine_telem) = match san_model {
+        let (metrics, events, engine_telem) = match san_model {
             None => {
                 let mut sim = DirectSimulator::new(&self.config, seed);
+                if telemetry {
+                    sim.enable_telemetry();
+                }
                 sim.run(self.transient);
                 sim.reset_metrics();
                 if let Some(rec) = recorder.as_mut() {
@@ -864,7 +848,7 @@ impl Experiment {
                 if let Some(rec) = recorder.as_mut() {
                     rec.on_window_end(end);
                 }
-                (out.0, out.1, PhaseProfile::default(), telem)
+                (out.0, out.1, telem)
             }
             Some(model) => {
                 let opts = SanRunOptions {
@@ -874,43 +858,19 @@ impl Experiment {
                     reactivation: self.reactivation,
                     ..SanRunOptions::default()
                 };
-                match recorder.as_mut() {
-                    None => {
-                        let outcome = model.run(&opts)?;
-                        (
-                            outcome.metrics,
-                            outcome.events,
-                            outcome.phases,
-                            Default::default(),
-                        )
-                    }
-                    Some(rec) if rec.telemetry().is_some() => {
-                        let (outcome, telem) = model.run_observed_with_telemetry(&opts, rec)?;
-                        (outcome.metrics, outcome.events, outcome.phases, telem)
-                    }
-                    Some(rec) => {
-                        let outcome = model.run_observed(&opts, rec)?;
-                        (
-                            outcome.metrics,
-                            outcome.events,
-                            outcome.phases,
-                            Default::default(),
-                        )
-                    }
-                }
+                let (outcome, telem) = match recorder.as_mut() {
+                    None => (model.run(&opts)?, None),
+                    Some(rec) => model.run_observed(&opts, rec, telemetry)?,
+                };
+                (outcome.metrics, outcome.events, telem)
             }
         };
-        if let Some(rec) = recorder.as_mut() {
-            rec.absorb_engine_telemetry(
-                &engine_telem,
-                ckpt_des::telem::rng_draws() - draws_before,
-                ckpt_des::telem::redraws_elided() - elided_before,
-            );
+        if let (Some(rec), Some(snapshot)) = (recorder.as_mut(), engine_telem) {
+            rec.absorb_engine_telemetry(&snapshot);
         }
         let profile = ReplicationProfile {
             wall_secs: start.elapsed().as_secs_f64(),
             events,
-            phases,
         };
         Ok((metrics, profile, recorder))
     }
@@ -941,7 +901,6 @@ impl Experiment {
                 let profile = ReplicationProfile {
                     wall_secs: 0.0,
                     events: cached.events,
-                    phases: PhaseProfile::default(),
                 };
                 return Ok((cached.metrics, profile, None, None));
             }
@@ -1171,7 +1130,6 @@ impl Experiment {
         let profiles = vec![ReplicationProfile {
             wall_secs: start.elapsed().as_secs_f64(),
             events,
-            phases: PhaseProfile::default(),
         }];
         Ok((replicates, profiles, Vec::new(), Vec::new()))
     }
@@ -1458,25 +1416,65 @@ mod tests {
 
     #[test]
     fn observed_run_matches_unobserved_and_records() {
+        // Observers and switched-on probes are pure consumers: attaching
+        // them must not perturb the sample path on either engine, in
+        // either reactivation mode.
+        let bits = |m: &Metrics| {
+            let mut v = vec![
+                m.window_secs.to_bits(),
+                m.useful_work_secs.to_bits(),
+                m.work_lost_secs.to_bits(),
+            ];
+            v.extend(
+                ckpt_obs::PhaseKind::ALL
+                    .iter()
+                    .map(|&p| m.phase_times.get(p).to_bits()),
+            );
+            v
+        };
         let cfg = SystemConfig::builder().build().unwrap();
-        let plain = quick(cfg.clone(), EngineKind::Direct);
-        let observed = Experiment::new(cfg)
-            .transient(SimTime::from_hours(100.0))
-            .horizon(SimTime::from_hours(1_000.0))
-            .replications(3)
-            .observe(ObserveSpec::full(64))
-            .run()
-            .unwrap();
-        assert_eq!(observed.recordings().len(), 3);
-        // Observers are pure consumers: attaching one must not perturb
-        // the sample path.
-        for (a, b) in plain.replicates().iter().zip(observed.replicates()) {
-            assert_eq!(a.useful_work_secs, b.useful_work_secs);
-            assert_eq!(a.counters, b.counters);
+        for engine in [EngineKind::Direct, EngineKind::San] {
+            for mode in [ReactivationMode::Resample, ReactivationMode::Lazy] {
+                let run = |observe: Option<ObserveSpec>| {
+                    let exp = Experiment::new(cfg.clone())
+                        .engine(engine)
+                        .reactivation(mode)
+                        .transient(SimTime::from_hours(100.0))
+                        .horizon(SimTime::from_hours(1_000.0))
+                        .replications(2);
+                    match observe {
+                        Some(spec) => exp.observe(spec),
+                        None => exp,
+                    }
+                    .run()
+                    .unwrap()
+                };
+                let plain = run(None);
+                for spec in [
+                    ObserveSpec::full(64),
+                    ObserveSpec::metrics().with_histograms(),
+                ] {
+                    let observed = run(Some(spec));
+                    let label = format!("{engine:?}/{mode:?}/{spec:?}");
+                    assert_eq!(observed.recordings().len(), 2, "{label}");
+                    for (a, b) in plain.replicates().iter().zip(observed.replicates()) {
+                        assert_eq!(bits(a), bits(b), "{label}");
+                        assert_eq!(a.counters, b.counters, "{label}");
+                    }
+                    for (a, b) in plain.profiles().iter().zip(observed.profiles()) {
+                        assert_eq!(a.events, b.events, "{label}");
+                    }
+                    let reg = observed.merged_registry().unwrap();
+                    assert!(reg.window_secs() > 0.0, "{label}");
+                    if spec.histograms {
+                        let t = observed.merged_telemetry().unwrap();
+                        assert!(t.rng_draws > 0 && !t.queue_depth.is_empty(), "{label}");
+                    } else {
+                        assert!(!observed.recordings()[0].trace().unwrap().is_empty());
+                    }
+                }
+            }
         }
-        let reg = observed.merged_registry().unwrap();
-        assert!(reg.window_secs() > 0.0);
-        assert!(!observed.recordings()[0].trace().unwrap().is_empty());
     }
 
     #[test]

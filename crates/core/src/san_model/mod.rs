@@ -43,7 +43,6 @@ pub use ids::Ids;
 use crate::config::{CoordinationMode, RecoveryTimeModel, SystemConfig};
 use crate::metrics::{Counters, Metrics, PhaseKind, PhaseTimes};
 use bridge::SanBridge;
-use ckpt_des::prof::PhaseProfile;
 use ckpt_des::telem::TelemetrySnapshot;
 use ckpt_des::{QueueKind, SimTime};
 use ckpt_obs::{Observer, TraceBuffer};
@@ -156,10 +155,6 @@ pub struct RunOutcome {
     pub metrics: Metrics,
     /// Activity firings processed across transient + window.
     pub events: u64,
-    /// Hot-phase wall-time attribution for the replication. All-zero
-    /// unless the build enables the `prof` feature (see
-    /// [`ckpt_des::prof`]).
-    pub phases: PhaseProfile,
 }
 
 /// Handles to the activities whose firing counts become [`Counters`].
@@ -281,12 +276,8 @@ impl CheckpointSan {
     ///
     /// Propagates SAN execution errors.
     pub fn run(&self, opts: &RunOptions) -> Result<RunOutcome, ModelError> {
-        self.run_inner(opts, None)
-            .map(|(metrics, events, phases, _)| RunOutcome {
-                metrics,
-                events,
-                phases,
-            })
+        self.run_inner(opts, None, false)
+            .map(|(outcome, _)| outcome)
     }
 
     /// Like [`CheckpointSan::run`], but streams the measurement window
@@ -294,9 +285,11 @@ impl CheckpointSan {
     /// plus the derived model events and phase transitions of the
     /// shared vocabulary (see [`ckpt_obs`]). The observer's window
     /// opens after the transient discard, aligned with the reward
-    /// reset, and closes at the horizon. Observation never affects
-    /// results: metrics are bit-identical to an unobserved run on the
-    /// same seed.
+    /// reset, and closes at the horizon. With `telemetry` the engine's
+    /// hot-loop probes run from construction (transient included) and
+    /// their snapshot comes back with the outcome. Observation never
+    /// affects results: metrics are bit-identical to an unobserved run
+    /// on the same seed.
     ///
     /// # Errors
     ///
@@ -305,42 +298,9 @@ impl CheckpointSan {
         &self,
         opts: &RunOptions,
         observer: &mut dyn Observer,
-    ) -> Result<RunOutcome, ModelError> {
-        self.run_inner(opts, Some(observer))
-            .map(|(metrics, events, phases, _)| RunOutcome {
-                metrics,
-                events,
-                phases,
-            })
-    }
-
-    /// Like [`CheckpointSan::run_observed`], but also returns the
-    /// engine's hot-loop telemetry (queue-depth and dirty-set
-    /// distributions). The snapshot is empty unless the build has the
-    /// `telemetry` cargo feature (check [`ckpt_des::telem::ENABLED`]);
-    /// either way the metrics stay bit-identical to
-    /// [`CheckpointSan::run`] on the same seed — probes never draw from
-    /// or reorder the simulation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SAN execution errors.
-    pub fn run_observed_with_telemetry(
-        &self,
-        opts: &RunOptions,
-        observer: &mut dyn Observer,
-    ) -> Result<(RunOutcome, TelemetrySnapshot), ModelError> {
-        self.run_inner(opts, Some(observer))
-            .map(|(metrics, events, phases, telemetry)| {
-                (
-                    RunOutcome {
-                        metrics,
-                        events,
-                        phases,
-                    },
-                    telemetry,
-                )
-            })
+        telemetry: bool,
+    ) -> Result<(RunOutcome, Option<TelemetrySnapshot>), ModelError> {
+        self.run_inner(opts, Some(observer), telemetry)
     }
 
     /// Runs one replication from time zero (no transient) with a
@@ -365,18 +325,22 @@ impl CheckpointSan {
             horizon,
             ..RunOptions::default()
         };
-        let (metrics, _, _, _) = self.run_inner(&opts, Some(&mut buf))?;
-        Ok((metrics, buf))
+        let (outcome, _) = self.run_inner(&opts, Some(&mut buf), false)?;
+        Ok((outcome.metrics, buf))
     }
 
     fn run_inner(
         &self,
         opts: &RunOptions,
         observer: Option<&mut dyn Observer>,
-    ) -> Result<(Metrics, u64, PhaseProfile, TelemetrySnapshot), ModelError> {
+        telemetry: bool,
+    ) -> Result<(RunOutcome, Option<TelemetrySnapshot>), ModelError> {
         let ids = self.ids;
         let mut sim =
             Simulator::with_exec_options(&self.san, opts.seed, opts.scheduling, opts.reactivation)?;
+        if telemetry {
+            sim.enable_telemetry();
+        }
 
         // Phase-time rate rewards (used for the time-breakdown metric).
         // Each declares its support places via `reads`, so the executor
@@ -478,13 +442,12 @@ impl CheckpointSan {
             phase_times,
         };
         let events = sim.events_processed();
-        let phases = sim.take_phase_profile();
         let telemetry = sim.telemetry_snapshot();
         let end = sim.now();
         if let Some(b) = obs_bridge.as_mut() {
             b.finish(end);
         }
-        Ok((metrics, events, phases, telemetry))
+        Ok((RunOutcome { metrics, events }, telemetry))
     }
 
     /// Runs one long replication cut into `batches` equal measurement

@@ -1,318 +1,7 @@
-//! Feature-gated phase profiler for the per-event hot loop.
+//! The build flag of the removed phase profiler.
 //!
-//! The simulators attribute wall time and counts to the seven hot
-//! phases of event processing:
-//!
-//! 1. **delay sampling** — drawing firing delays for newly (re)enabled
-//!    timed activities;
-//! 2. **instantaneous settle** — selecting enabled instantaneous
-//!    activities to fire after each state change (minus the nested
-//!    firing work, attributed to its own phase);
-//! 3. **schedule reconciliation** — deciding which timed activities to
-//!    schedule, cancel, or resample after a firing;
-//! 4. **event-queue ops** — heap pushes, pops, and in-place moves;
-//! 5. **reward accumulation** — integrating rate rewards and fluid
-//!    flows over elapsed simulated time;
-//! 6. **activity firing** — consuming input arcs, running gate
-//!    functions, case selection, output effects, and impulse rewards;
-//! 7. **event dispatch** — the per-event bookkeeping around all of the
-//!    above (clock advance, dirty-window reset, telemetry probes,
-//!    rate-cache refresh, consistency checks).
-//!
-//! Phases 2, 3, and 7 are *containers*: their instrumented regions
-//! enclose other instrumented regions, so they are recorded via
-//! [`PhaseProfiler::end_excluding_nested`], which subtracts whatever
-//! the nested regions already attributed. The seven accumulators are
-//! therefore disjoint and sum to (at most) the instrumented wall time.
-//!
-//! Everything here compiles to **nothing** unless the `prof` cargo
-//! feature is enabled: [`PhaseSpan`] is a zero-sized token, and
-//! [`PhaseProfiler::begin`]/[`PhaseProfiler::end`] are empty inline
-//! functions, so an unprofiled build pays zero overhead — not even a
-//! branch (verified by benchmarking a no-feature build against the
-//! pre-profiler baseline). With the feature on, each instrumented
-//! region costs two monotonic clock reads, which roughly triples the
-//! per-event cost; profiled builds measure *where* time goes, never
-//! *how fast* the engine is. Check [`ENABLED`] to discover at run time
-//! which kind of build this is.
+//! Only this constant remains, because the benchmark's provenance line
+//! still records it; it goes with the next change to the benchmark.
 
-/// `true` when this build was compiled with the `prof` feature and the
-/// hooks below actually record; `false` when they are no-ops.
-pub const ENABLED: bool = cfg!(feature = "prof");
-
-/// The seven instrumented phases of the per-event kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum HotPhase {
-    /// Drawing firing delays for (re)enabled timed activities.
-    DelaySampling = 0,
-    /// Selecting instantaneous activities to fire (minus the nested
-    /// firing work, which is attributed to
-    /// [`HotPhase::ActivityFiring`]).
-    InstantaneousSettle = 1,
-    /// Post-firing schedule reconciliation (minus its nested delay
-    /// sampling and queue operations, which are attributed to their
-    /// own phases).
-    ScheduleReconciliation = 2,
-    /// Event-queue pushes, pops, peeks, cancellations, and in-place
-    /// reschedules.
-    QueueOps = 3,
-    /// Rate-reward and fluid-flow integration over elapsed sim time.
-    RewardAccumulation = 4,
-    /// Firing one activity: arc consumption, gate functions, case
-    /// selection, output effects, impulse rewards, observer calls.
-    ActivityFiring = 5,
-    /// Per-event dispatch and bookkeeping around the other phases:
-    /// clock advance, dirty-window reset, rate-cache refresh,
-    /// telemetry probes, and (debug builds) consistency checks.
-    EventDispatch = 6,
-}
-
-/// Number of instrumented phases.
-pub const PHASE_COUNT: usize = 7;
-
-impl HotPhase {
-    /// All phases, in display order.
-    pub const ALL: [HotPhase; PHASE_COUNT] = [
-        HotPhase::DelaySampling,
-        HotPhase::InstantaneousSettle,
-        HotPhase::ScheduleReconciliation,
-        HotPhase::QueueOps,
-        HotPhase::RewardAccumulation,
-        HotPhase::ActivityFiring,
-        HotPhase::EventDispatch,
-    ];
-
-    /// Stable snake_case name used in JSON breakdowns.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            HotPhase::DelaySampling => "delay_sampling",
-            HotPhase::InstantaneousSettle => "instantaneous_settle",
-            HotPhase::ScheduleReconciliation => "schedule_reconciliation",
-            HotPhase::QueueOps => "queue_ops",
-            HotPhase::RewardAccumulation => "reward_accumulation",
-            HotPhase::ActivityFiring => "activity_firing",
-            HotPhase::EventDispatch => "event_dispatch",
-        }
-    }
-}
-
-/// Accumulated wall nanoseconds and region counts per phase.
-///
-/// Always available (so APIs returning one need no feature gates), but
-/// stays all-zero unless the build has the `prof` feature.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseProfile {
-    /// Wall nanoseconds attributed to each phase, indexed by
-    /// `HotPhase as usize`.
-    pub nanos: [u64; PHASE_COUNT],
-    /// Number of instrumented regions entered per phase.
-    pub counts: [u64; PHASE_COUNT],
-}
-
-impl PhaseProfile {
-    /// Adds `other`'s accumulators into `self` (e.g. merging
-    /// replications).
-    pub fn merge(&mut self, other: &PhaseProfile) {
-        for i in 0..PHASE_COUNT {
-            self.nanos[i] += other.nanos[i];
-            self.counts[i] += other.counts[i];
-        }
-    }
-
-    /// Total attributed nanoseconds across all phases.
-    #[must_use]
-    pub fn total_nanos(&self) -> u64 {
-        self.nanos.iter().sum()
-    }
-
-    /// `true` when nothing was recorded (e.g. a no-feature build).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.counts.iter().all(|&c| c == 0)
-    }
-}
-
-/// Opaque token marking the start of an instrumented region.
-///
-/// Zero-sized when the `prof` feature is off.
-#[derive(Clone, Copy)]
-pub struct PhaseSpan {
-    #[cfg(feature = "prof")]
-    at: std::time::Instant,
-    /// Total attributed nanos (all phases) at region start; used by
-    /// [`PhaseProfiler::end_excluding_nested`].
-    #[cfg(feature = "prof")]
-    nested: u64,
-}
-
-/// Per-simulator phase accumulator driving the [`PhaseSpan`] tokens.
-#[derive(Debug, Clone, Default)]
-pub struct PhaseProfiler {
-    profile: PhaseProfile,
-}
-
-impl PhaseProfiler {
-    /// Creates an empty profiler.
-    #[must_use]
-    pub fn new() -> PhaseProfiler {
-        PhaseProfiler::default()
-    }
-
-    /// Opens an instrumented region. Free when the feature is off.
-    #[inline(always)]
-    #[must_use]
-    pub fn begin(&self) -> PhaseSpan {
-        PhaseSpan {
-            #[cfg(feature = "prof")]
-            at: std::time::Instant::now(),
-            #[cfg(feature = "prof")]
-            nested: self.profile.total_nanos(),
-        }
-    }
-
-    /// Closes a region, attributing its full elapsed time to `phase`.
-    #[inline(always)]
-    pub fn end(&mut self, phase: HotPhase, span: PhaseSpan) {
-        #[cfg(feature = "prof")]
-        {
-            let dt = span.at.elapsed().as_nanos() as u64;
-            self.profile.nanos[phase as usize] += dt;
-            self.profile.counts[phase as usize] += 1;
-        }
-        #[cfg(not(feature = "prof"))]
-        {
-            let _ = (phase, span);
-        }
-    }
-
-    /// Closes a region, attributing its elapsed time *minus* anything
-    /// the nested instrumented regions already attributed to `phase`.
-    ///
-    /// Used for the container phases (settle, reconciliation, event
-    /// dispatch), whose bodies contain other instrumented regions:
-    /// attributing leaves to their own phases and only the remainder
-    /// here keeps the accumulators disjoint, so they sum to (at most)
-    /// the instrumented wall time. Containers may nest (dispatch
-    /// encloses settle encloses firing) as long as each inner region
-    /// is closed before its enclosing one.
-    #[inline(always)]
-    pub fn end_excluding_nested(&mut self, phase: HotPhase, span: PhaseSpan) {
-        #[cfg(feature = "prof")]
-        {
-            let dt = span.at.elapsed().as_nanos() as u64;
-            let nested = self.profile.total_nanos() - span.nested;
-            self.profile.nanos[phase as usize] += dt.saturating_sub(nested);
-            self.profile.counts[phase as usize] += 1;
-        }
-        #[cfg(not(feature = "prof"))]
-        {
-            let _ = (phase, span);
-        }
-    }
-
-    /// The accumulated profile so far.
-    #[must_use]
-    pub fn profile(&self) -> &PhaseProfile {
-        &self.profile
-    }
-
-    /// Returns the accumulated profile and resets the accumulators.
-    pub fn take(&mut self) -> PhaseProfile {
-        std::mem::take(&mut self.profile)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn empty_profile_is_empty() {
-        let p = PhaseProfiler::new();
-        assert!(p.profile().is_empty());
-        assert_eq!(p.profile().total_nanos(), 0);
-    }
-
-    #[test]
-    fn names_are_stable_snake_case() {
-        let names: Vec<&str> = HotPhase::ALL.iter().map(|p| p.name()).collect();
-        assert_eq!(
-            names,
-            [
-                "delay_sampling",
-                "instantaneous_settle",
-                "schedule_reconciliation",
-                "queue_ops",
-                "reward_accumulation",
-                "activity_firing",
-                "event_dispatch"
-            ]
-        );
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = PhaseProfile::default();
-        let mut b = PhaseProfile::default();
-        a.nanos[0] = 5;
-        a.counts[0] = 1;
-        b.nanos[0] = 7;
-        b.counts[0] = 2;
-        b.nanos[6] = 11;
-        b.counts[6] = 1;
-        a.merge(&b);
-        assert_eq!(a.nanos[0], 12);
-        assert_eq!(a.counts[0], 3);
-        assert_eq!(a.total_nanos(), 23);
-        assert!(!a.is_empty());
-    }
-
-    #[cfg(feature = "prof")]
-    #[test]
-    fn spans_record_when_enabled() {
-        const { assert!(ENABLED) };
-        let mut p = PhaseProfiler::new();
-        let s = p.begin();
-        std::hint::black_box(0u64);
-        p.end(HotPhase::QueueOps, s);
-        assert_eq!(p.profile().counts[HotPhase::QueueOps as usize], 1);
-        let taken = p.take();
-        assert!(!taken.is_empty());
-        assert!(p.profile().is_empty());
-    }
-
-    #[cfg(feature = "prof")]
-    #[test]
-    fn containers_exclude_any_nested_phase() {
-        // A dispatch-style container wrapping a leaf from a *different*
-        // phase must not double count the leaf's time: container nanos
-        // stay below its wall time once the leaf is subtracted.
-        let mut p = PhaseProfiler::new();
-        let outer = p.begin();
-        let inner = p.begin();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        p.end(HotPhase::ActivityFiring, inner);
-        p.end_excluding_nested(HotPhase::EventDispatch, outer);
-        let fired = p.profile().nanos[HotPhase::ActivityFiring as usize];
-        let dispatch = p.profile().nanos[HotPhase::EventDispatch as usize];
-        assert!(fired >= 1_000_000, "leaf recorded {fired} ns");
-        assert!(
-            dispatch < fired,
-            "container must exclude the nested leaf ({dispatch} vs {fired})"
-        );
-    }
-
-    #[cfg(not(feature = "prof"))]
-    #[test]
-    fn spans_are_noops_when_disabled() {
-        const { assert!(!ENABLED) };
-        let mut p = PhaseProfiler::new();
-        let s = p.begin();
-        p.end(HotPhase::QueueOps, s);
-        p.end_excluding_nested(HotPhase::ScheduleReconciliation, s);
-        assert!(p.profile().is_empty());
-        assert_eq!(std::mem::size_of::<PhaseSpan>(), 0);
-    }
-}
+/// Always `false`: no build carries the phase profiler.
+pub const ENABLED: bool = false;

@@ -128,6 +128,8 @@ pub struct SimRng {
     /// Buffered raw words; `buf[pos..]` are not yet consumed.
     buf: [u64; RNG_BLOCK],
     pos: usize,
+    /// Block refills so far; with `pos` this counts consumed words.
+    refills: u64,
 }
 
 impl SimRng {
@@ -136,6 +138,7 @@ impl SimRng {
             inner,
             buf: [0; RNG_BLOCK],
             pos: RNG_BLOCK,
+            refills: 0,
         }
     }
 
@@ -146,18 +149,25 @@ impl SimRng {
         SimRng::from_inner(SmallRng::seed_from_u64(seed))
     }
 
+    /// Raw 64-bit words consumed since this stream was created. Every
+    /// sampler and the `RngCore` impl draw through one buffer, so this
+    /// counts them all; keeping it costs one add per block refill.
+    #[must_use]
+    pub fn words_drawn(&self) -> u64 {
+        // `pos` starts at `RNG_BLOCK` (an empty block), which the first
+        // refill's `RNG_BLOCK` words cancel.
+        self.refills * RNG_BLOCK as u64 + self.pos as u64 - RNG_BLOCK as u64
+    }
+
     /// Next buffered raw word, refilling the block when exhausted.
     #[inline]
     fn next_raw(&mut self) -> u64 {
-        // Every sampler and the `RngCore` impl funnel through here, so
-        // this one probe counts all consumed words (free when the
-        // `telemetry` feature is off).
-        crate::telem::note_rng_draw();
         if self.pos == RNG_BLOCK {
             for slot in &mut self.buf {
                 *slot = self.inner.next_u64();
             }
             self.pos = 0;
+            self.refills += 1;
         }
         let v = self.buf[self.pos];
         self.pos += 1;
@@ -375,6 +385,35 @@ mod tests {
             } else {
                 assert_eq!(sim.next_u64(), raw.next_u64());
             }
+        }
+    }
+
+    #[test]
+    fn words_drawn_counts_raw_words_through_every_sampler() {
+        use rand::rngs::SmallRng;
+        for draws in [0, 1, 8, 9, 17] {
+            let mut sim = SimRng::seed_from_u64(5);
+            for k in 0..draws {
+                let _ = match k % 6 {
+                    0 => sim.open_unit(),
+                    1 => sim.exponential(2.0),
+                    2 => f64::from(sim.next_u32()),
+                    3 => f64::from(u8::from(sim.bernoulli(0.5))),
+                    4 => sim.standard_normal(),
+                    _ => {
+                        sim.fill_bytes(&mut [0u8; 11]);
+                        0.0
+                    }
+                };
+            }
+            let counted = sim.words_drawn();
+            // Find the consumed prefix independently: the next word must
+            // be the unbuffered generator's word number `consumed`.
+            let next = sim.next_u64();
+            let mut raw = SmallRng::seed_from_u64(5);
+            let consumed = (0..).find(|_| raw.next_u64() == next).unwrap();
+            assert_eq!(counted, consumed, "after {draws} draws");
+            assert_eq!(sim.words_drawn(), consumed + 1);
         }
     }
 

@@ -1,15 +1,18 @@
 //! Property-based robustness tests of the untrusted-input parsers: the
-//! JSON parser and `ExperimentSpec::from_json`, which `POST /v1/jobs`
-//! feeds request bodies into. Every input — random bytes, random token
-//! soup, truncations and byte flips of a valid spec, deep nesting —
-//! must come back `Ok` or a typed error, never a panic or a stack
-//! overflow; and whatever is accepted must survive a render round trip.
+//! JSON parser, `ExperimentSpec::from_json`, which `POST /v1/jobs`
+//! feeds request bodies into, and `SweepJournal::resume`, which reads
+//! journals back from disk. Every input — random bytes, random token
+//! soup, truncations and byte flips of a valid spec or journal, deep
+//! nesting — must come back `Ok` or a typed error, never a panic or a
+//! stack overflow; and whatever is accepted must survive a render round
+//! trip.
 
-use ckpt_core::{CoordinationMode, EngineKind, SystemConfig};
+use ckpt_core::{CoordinationMode, EngineKind, Metrics, PhaseKind, SystemConfig};
 use ckpt_des::SimTime;
 use ckpt_harness::json::{parse, MAX_DEPTH};
-use ckpt_harness::ExperimentSpec;
+use ckpt_harness::{ExperimentSpec, SweepJournal};
 use proptest::prelude::*;
+use std::path::{Path, PathBuf};
 
 /// A valid spec exercising most keys (optional ones included).
 fn valid_spec_json() -> String {
@@ -66,6 +69,82 @@ const TOKENS: [&str; 20] = [
     " ",
     "é",
 ];
+
+/// Fingerprint of the journal under test.
+const JOURNAL_FP: u64 = 0x00c0_ffee_d00d_f00d;
+
+/// A scratch directory unique to this process and `tag`.
+fn scratch_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ckpt_parse_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// The bytes of a real journal: opened in a store directory, a few
+/// replications of two cells recorded, then persisted.
+fn journal_bytes() -> Vec<u8> {
+    let dir = scratch_dir("journal_src");
+    let journal = SweepJournal::open_in_dir(&dir, JOURNAL_FP, 0).unwrap();
+    for (i, (cell, rep)) in [(0, 0), (0, 1), (1, 0), (0, 2), (1, 3)]
+        .into_iter()
+        .enumerate()
+    {
+        let x = i as f64;
+        let mut m = Metrics {
+            window_secs: 3.6e6,
+            useful_work_secs: 2.9e6 + 1234.5678 * x,
+            work_lost_secs: 1.0e4 / (x + 1.0),
+            ..Metrics::default()
+        };
+        m.counters.compute_failures = 3 + i as u64;
+        m.phase_times.add(PhaseKind::Executing, 3.1e6 - x);
+        m.phase_times.add(PhaseKind::Dumping, 1.0 / 3.0 + x);
+        journal.record(cell, rep, &m, 10_000 + 17 * i as u64);
+    }
+    journal.persist().unwrap();
+    let bytes = std::fs::read(journal.path()).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    bytes
+}
+
+/// Writes `bytes` to `path` and resumes from it. A journal that loads
+/// must render a document that loads back to the same rendering.
+fn check_journal(path: &Path, bytes: &[u8]) -> Result<Option<String>, TestCaseError> {
+    std::fs::write(path, bytes).unwrap();
+    let Ok(journal) = SweepJournal::resume(path, JOURNAL_FP, 0) else {
+        return Ok(None);
+    };
+    let rendered = journal.to_json();
+    std::fs::write(path, &rendered).unwrap();
+    let again = SweepJournal::resume(path, JOURNAL_FP, 0).map(|j| j.to_json());
+    prop_assert_eq!(again.ok(), Some(rendered.clone()));
+    Ok(Some(rendered))
+}
+
+#[test]
+fn truncated_and_byte_flipped_journals_are_rejected_or_round_trip() {
+    let bytes = journal_bytes();
+    let dir = scratch_dir("journal_damage");
+    let path = dir.join("damaged.journal.json");
+    // The file is the rendering plus a trailing newline.
+    let intact = check_journal(&path, &bytes).unwrap();
+    let text = String::from_utf8(bytes.clone()).unwrap();
+    assert_eq!(intact.as_deref(), Some(text.trim_end()));
+    for at in 0..bytes.len() {
+        check_journal(&path, &bytes[..at]).unwrap();
+    }
+    // Structural characters, a digit, a sign and invalid UTF-8 at every
+    // position.
+    for at in 0..bytes.len() {
+        for byte in [b'"', b'}', b',', b'7', b'-', 0xff] {
+            let mut flipped = bytes.clone();
+            flipped[at] = byte;
+            check_journal(&path, &flipped).unwrap();
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
 /// `depth` containers, alternating arrays and objects, around `1`.
 fn nested(depth: usize) -> String {

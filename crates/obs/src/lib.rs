@@ -35,7 +35,6 @@ mod event;
 pub mod export;
 mod manifest;
 mod observer;
-mod phases;
 pub mod progress;
 mod recorder;
 mod registry;
@@ -46,7 +45,6 @@ mod trace;
 pub use event::{AbortReason, ModelEvent, PhaseKind, PhaseTimes};
 pub use manifest::{json_escape, RunManifest, RunProfile, MANIFEST_SCHEMA_VERSION};
 pub use observer::{NoopObserver, ObsEvent, Observer};
-pub use phases::phases_json;
 pub use progress::{HumanSink, JsonlSink, MultiSink, NullSink, ProgressSink, ProgressSnapshot};
 pub use recorder::Recorder;
 pub use registry::{MetricsRegistry, ReconcileError};

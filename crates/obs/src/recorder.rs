@@ -61,19 +61,12 @@ impl Recorder {
         self.telemetry.as_ref()
     }
 
-    /// Folds the engine's hot-loop probe snapshot and the
-    /// replication's RNG-draw and elided-redraw counts into the
-    /// telemetry (no-op when telemetry is disabled).
-    pub fn absorb_engine_telemetry(
-        &mut self,
-        snapshot: &TelemetrySnapshot,
-        rng_draws: u64,
-        redraws_elided: u64,
-    ) {
+    /// Folds the engine's hot-loop probe snapshot, with its RNG-draw
+    /// and elided-redraw counts, into the telemetry (no-op when
+    /// telemetry is disabled).
+    pub fn absorb_engine_telemetry(&mut self, snapshot: &TelemetrySnapshot) {
         if let Some(t) = &mut self.telemetry {
             t.absorb_engine(snapshot);
-            t.rng_draws += rng_draws;
-            t.redraws_elided += redraws_elided;
         }
     }
 
@@ -202,17 +195,21 @@ mod tests {
     #[test]
     fn engine_snapshot_is_absorbed() {
         use ckpt_des::telem::TelemetrySnapshot;
-        let mut snap = TelemetrySnapshot::default();
+        let mut snap = TelemetrySnapshot {
+            rng_draws: 99,
+            redraws_elided: 7,
+            ..TelemetrySnapshot::default()
+        };
         snap.queue_depth.record(4);
         let mut rec = Recorder::new(None, false).with_telemetry();
-        rec.absorb_engine_telemetry(&snap, 99, 7);
+        rec.absorb_engine_telemetry(&snap);
         let t = rec.telemetry().unwrap();
         assert_eq!(t.queue_depth.count(), 1);
         assert_eq!(t.rng_draws, 99);
         assert_eq!(t.redraws_elided, 7);
         // Without telemetry enabled it's a no-op, not a panic.
         let mut off = Recorder::new(None, false);
-        off.absorb_engine_telemetry(&snap, 99, 7);
+        off.absorb_engine_telemetry(&snap);
         assert!(off.telemetry().is_none());
     }
 }

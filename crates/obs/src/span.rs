@@ -1,5 +1,5 @@
 //! Hierarchical telemetry spans: `experiment → sweep-point →
-//! replication → phase`.
+//! replication`.
 //!
 //! A [`SpanRecord`] is a finished, owned node of the span tree — the
 //! post-hoc record of one nested unit of work, carrying wall time,
@@ -11,11 +11,9 @@
 //! [`crate::telemetry::ReplicationTelemetry`]).
 //!
 //! There is no live global collector: the experiment layer assembles
-//! trees from data it already owns (per-replication profiles, the
-//! feature-gated phase profiler, sweep cell timings), in
-//! replication-index order, so span assembly adds nothing to the hot
-//! path — the in-loop cost is the `prof`/`telemetry` features' own
-//! zero-when-disabled probes.
+//! trees from data it already owns (per-replication profiles and
+//! telemetry, sweep cell timings), in replication-index order, so span
+//! assembly adds nothing to the hot path.
 
 use crate::json_escape;
 
@@ -28,9 +26,6 @@ pub enum SpanKind {
     SweepPoint,
     /// One replication.
     Replication,
-    /// One instrumented hot phase inside a replication (only present
-    /// in `prof` builds).
-    Phase,
 }
 
 impl SpanKind {
@@ -41,7 +36,6 @@ impl SpanKind {
             SpanKind::Experiment => "experiment",
             SpanKind::SweepPoint => "sweep_point",
             SpanKind::Replication => "replication",
-            SpanKind::Phase => "phase",
         }
     }
 }
@@ -52,14 +46,14 @@ pub struct SpanRecord {
     /// Hierarchy level.
     pub kind: SpanKind,
     /// Human-readable label (series/x for sweep points, `rep N` for
-    /// replications, the phase name for phases).
+    /// replications).
     pub label: String,
     /// Wall nanoseconds spent in this span (0 when unmeasured).
     pub wall_nanos: u64,
     /// Simulation events processed inside this span.
     pub events: u64,
-    /// Raw RNG words drawn inside this span (0 without the `telemetry`
-    /// feature).
+    /// Raw RNG words drawn inside this span (0 unless the run recorded
+    /// telemetry).
     pub rng_draws: u64,
     /// Child spans, in deterministic (index) order.
     pub children: Vec<SpanRecord>,
@@ -137,16 +131,16 @@ mod tests {
     fn tree_serializes_depth_first() {
         let mut root = SpanRecord::new(SpanKind::Experiment, "exp");
         root.wall_nanos = 5;
+        let mut point = SpanRecord::new(SpanKind::SweepPoint, "base/8");
         let mut rep = SpanRecord::new(SpanKind::Replication, "rep 0");
         rep.events = 42;
-        rep.children
-            .push(SpanRecord::new(SpanKind::Phase, "queue_ops"));
-        root.children.push(rep);
+        point.children.push(rep);
+        root.children.push(point);
         assert_eq!(root.len(), 3);
         let j = root.to_json();
         assert!(j.starts_with("{\"kind\":\"experiment\",\"label\":\"exp\",\"wall_nanos\":5,"));
+        assert!(j.contains("\"kind\":\"sweep_point\",\"label\":\"base/8\""));
         assert!(j.contains("\"kind\":\"replication\",\"label\":\"rep 0\""));
-        assert!(j.contains("\"kind\":\"phase\",\"label\":\"queue_ops\""));
         assert_eq!(
             spans_json(&[root.clone(), root])
                 .matches("experiment")

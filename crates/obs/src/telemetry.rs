@@ -3,8 +3,9 @@
 //!
 //! A [`ReplicationTelemetry`] is accumulated per replication (partly by
 //! the [`Recorder`](crate::Recorder) from the observed event stream,
-//! partly copied out of the engine's feature-gated hot-loop probes) and
-//! merged across replications in index order by the experiment layer.
+//! partly copied out of the engine's hot-loop probes, which the engine
+//! switches on for that replication) and merged across replications in
+//! index order by the experiment layer.
 //! Every histogram is a fixed-layout [`LogHistogram`], so the merged
 //! result — and therefore its JSON — is invariant under worker count
 //! and merge order.
@@ -12,12 +13,11 @@
 //! The split matters for determinism guarantees:
 //!
 //! * `failure_gaps` is derived from the observed [`ModelEvent`](crate::ModelEvent) stream
-//!   (sim-time gaps between consecutive failures), so it works on every
-//!   build and is always deterministic;
-//! * `queue_depth` / `dirty_set` come from the
-//!   engines' probes and stay empty unless the `telemetry` cargo
-//!   feature is enabled — when it is, they are still functions of the
-//!   (deterministic) simulation state only, never of wall time;
+//!   (sim-time gaps between consecutive failures);
+//! * `queue_depth` / `dirty_set` come from the engines' probes and
+//!   cover the whole replication, transient included; they are
+//!   functions of the (deterministic) simulation state only, never of
+//!   wall time;
 //! * `rng_draws` counts raw RNG words and `redraws_elided` counts the
 //!   exponential redraws lazy reactivation skipped — again
 //!   sim-domain-deterministic.
@@ -36,18 +36,17 @@ pub struct ReplicationTelemetry {
     /// events (`Rollback`, `IoFailure`, `RecoveryInterrupted`) inside
     /// the measurement window.
     pub failure_gaps: LogHistogram,
-    /// Event-queue depth at each hot-loop pop (empty without the
-    /// `telemetry` feature).
+    /// Event-queue depth at each hot-loop pop.
     pub queue_depth: LogHistogram,
     /// Dirty-place set size per settled event (SAN engine under
-    /// incremental scheduling only; empty without the feature).
+    /// incremental scheduling only).
     pub dirty_set: LogHistogram,
     /// Model events observed in the measurement window.
     pub events: u64,
-    /// Raw RNG words drawn by the replication (0 without the feature).
+    /// Raw RNG words drawn by the replication.
     pub rng_draws: u64,
     /// Exponential redraws skipped by lazy reactivation (0 in eager
-    /// `resample` mode or without the feature).
+    /// `resample` mode and on the direct engine).
     pub redraws_elided: u64,
 }
 
@@ -59,10 +58,12 @@ impl ReplicationTelemetry {
     }
 
     /// Absorbs an engine-side probe snapshot (queue-depth / dirty-set
-    /// histograms).
+    /// histograms, RNG-draw and elided-redraw counts).
     pub fn absorb_engine(&mut self, snapshot: &TelemetrySnapshot) {
         self.queue_depth.merge(&snapshot.queue_depth);
         self.dirty_set.merge(&snapshot.dirty_set);
+        self.rng_draws += snapshot.rng_draws;
+        self.redraws_elided += snapshot.redraws_elided;
     }
 
     /// Adds `other` into `self`. Histogram merges are element-wise and
@@ -113,9 +114,8 @@ impl ReplicationTelemetry {
 #[must_use]
 pub fn telemetry_json(label: &str, merged: &ReplicationTelemetry, spans_json: &str) -> String {
     format!(
-        "{{\n  \"telemetry_schema_version\": 1,\n  \"kind\": \"telemetry\",\n  \"label\": \"{}\",\n  \"probes_enabled\": {},\n  \"deterministic\": {},\n  \"provenance\": {{\"spans\": {}}}\n}}\n",
+        "{{\n  \"telemetry_schema_version\": 1,\n  \"kind\": \"telemetry\",\n  \"label\": \"{}\",\n  \"probes_enabled\": true,\n  \"deterministic\": {},\n  \"provenance\": {{\"spans\": {}}}\n}}\n",
         json_escape(label),
-        ckpt_des::telem::ENABLED,
         merged.to_json(),
         spans_json,
     )

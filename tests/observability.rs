@@ -215,12 +215,20 @@ fn registry_reconciles_with_telemetry_enabled() {
                 .unwrap_or_else(|e| panic!("{engine:?} rep {rep}: {e}"));
         }
         let merged = est.merged_telemetry().expect("telemetry recorded");
-        // Failure gaps come from the recorder, so they are populated in
-        // every build; engine-side probes need `--features telemetry`.
+        // Failure gaps come from the recorder; the rest from the
+        // engine's own probes and counters.
         assert!(
             !merged.failure_gaps.is_empty(),
             "{engine:?}: no failure gaps"
         );
+        assert!(merged.rng_draws > 0, "{engine:?}: no RNG draws counted");
+        assert!(
+            !merged.queue_depth.is_empty(),
+            "{engine:?}: no queue depths"
+        );
+        if engine == EngineKind::San {
+            assert!(!merged.dirty_set.is_empty(), "SAN: no dirty-set sizes");
+        }
     }
 }
 
