@@ -1,11 +1,12 @@
-//! Minimal command-line options shared by the figure binaries.
+//! The run options every `ckptsim` simulation command parses, and the
+//! one rule for the flags a command cannot honour
+//! ([`RunOptions::refuse_unhonoured`]).
 
 use ckpt_core::EngineKind;
 use ckpt_des::SimTime;
 use ckpt_harness::{CkptError, ExecFlags};
-use std::fmt;
 
-/// Options accepted by every figure binary.
+/// Options accepted by every simulation command.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
     /// Simulation engine.
@@ -20,8 +21,6 @@ pub struct RunOptions {
     pub seed: u64,
     /// Emit CSV instead of an aligned table.
     pub csv: bool,
-    /// Smoke-test parameters (few short replications).
-    pub quick: bool,
     /// Worker threads for sweep cells and replications (default: all
     /// available cores; 1 forces the sequential path).
     pub jobs: usize,
@@ -56,7 +55,6 @@ impl Default for RunOptions {
             transient: SimTime::from_hours(1_000.0),
             seed: 0x5eed,
             csv: false,
-            quick: false,
             jobs: default_jobs(),
             warmup: 0,
             trace: None,
@@ -69,23 +67,21 @@ impl Default for RunOptions {
     }
 }
 
+/// Parses the numeric value of `flag`.
+fn number<T: std::str::FromStr>(flag: &str, value: String) -> Result<T, CkptError>
+where
+    T::Err: std::fmt::Display,
+{
+    value
+        .parse()
+        .map_err(|e| CkptError::Usage(format!("{flag}: {e}")))
+}
+
 /// Default worker count: available parallelism, 1 if unknown.
 #[must_use]
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
-
-/// Error from option parsing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError(String);
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
-impl std::error::Error for ParseError {}
 
 impl RunOptions {
     /// Parses options from an argument iterator (without the program
@@ -93,93 +89,51 @@ impl RunOptions {
     ///
     /// # Errors
     ///
-    /// Returns [`ParseError`] on unknown flags or malformed values.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<RunOptions, ParseError> {
+    /// [`CkptError::Usage`] on unknown flags or malformed values.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<RunOptions, CkptError> {
         let mut opts = RunOptions::default();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
-            let mut value_for = |name: &str| {
+            let mut value = || {
                 it.next()
-                    .ok_or_else(|| ParseError(format!("{name} expects a value")))
+                    .ok_or_else(|| CkptError::Usage(format!("{arg} expects a value")))
             };
             match arg.as_str() {
                 "--engine" => {
-                    let v = value_for("--engine")?;
-                    opts.engine = match v.as_str() {
+                    opts.engine = match value()?.as_str() {
                         "direct" => EngineKind::Direct,
                         "san" => EngineKind::San,
                         other => {
-                            return Err(ParseError(format!(
+                            return Err(CkptError::Usage(format!(
                                 "unknown engine '{other}' (expected direct|san)"
                             )))
                         }
                     };
                 }
-                "--reps" => {
-                    opts.reps = value_for("--reps")?
-                        .parse()
-                        .map_err(|e| ParseError(format!("--reps: {e}")))?;
-                }
-                "--hours" => {
-                    let h: f64 = value_for("--hours")?
-                        .parse()
-                        .map_err(|e| ParseError(format!("--hours: {e}")))?;
-                    opts.horizon = SimTime::from_hours(h);
-                }
-                "--transient" => {
-                    let h: f64 = value_for("--transient")?
-                        .parse()
-                        .map_err(|e| ParseError(format!("--transient: {e}")))?;
-                    opts.transient = SimTime::from_hours(h);
-                }
-                "--seed" => {
-                    opts.seed = value_for("--seed")?
-                        .parse()
-                        .map_err(|e| ParseError(format!("--seed: {e}")))?;
-                }
-                "--jobs" => {
-                    let n: usize = value_for("--jobs")?
-                        .parse()
-                        .map_err(|e| ParseError(format!("--jobs: {e}")))?;
-                    opts.jobs = n.max(1);
-                }
-                "--warmup" => {
-                    opts.warmup = value_for("--warmup")?
-                        .parse()
-                        .map_err(|e| ParseError(format!("--warmup: {e}")))?;
-                }
-                "--trace" => opts.trace = Some(value_for("--trace")?),
-                "--metrics" => opts.metrics = Some(value_for("--metrics")?),
-                "--manifest" => opts.manifest = Some(value_for("--manifest")?),
-                "--histograms" => opts.histograms = Some(value_for("--histograms")?),
-                "--prom" => opts.prom = Some(value_for("--prom")?),
+                "--reps" => opts.reps = number(&arg, value()?)?,
+                "--hours" => opts.horizon = SimTime::from_hours(number(&arg, value()?)?),
+                "--transient" => opts.transient = SimTime::from_hours(number(&arg, value()?)?),
+                "--seed" => opts.seed = number(&arg, value()?)?,
+                "--jobs" => opts.jobs = number::<usize>(&arg, value()?)?.max(1),
+                "--warmup" => opts.warmup = number(&arg, value()?)?,
+                "--trace" => opts.trace = Some(value()?),
+                "--metrics" => opts.metrics = Some(value()?),
+                "--manifest" => opts.manifest = Some(value()?),
+                "--histograms" => opts.histograms = Some(value()?),
+                "--prom" => opts.prom = Some(value()?),
                 "--csv" => opts.csv = true,
                 "--quick" => {
-                    opts.quick = true;
                     opts.reps = 2;
                     opts.horizon = SimTime::from_hours(2_000.0);
                     opts.transient = SimTime::from_hours(200.0);
                 }
-                "--help" | "-h" => {
-                    return Err(ParseError(
-                        "usage: [--engine direct|san] [--reps N] [--hours H] \
-                         [--transient H] [--seed S] [--jobs N] [--warmup N] [--csv] \
-                         [--quick] [--trace FILE] [--metrics FILE] [--manifest FILE] \
-                         [--quiet] [--snapshot FILE] [--snapshot-every N] [--resume FILE] \
-                         [--progress FILE] [--histograms FILE] [--prom FILE] \
-                         [--reactivation resample|lazy] [--queue heap|calendar]\n\
-                         --queue is accepted for spec compatibility; every engine \
-                         runs its single future-event list"
-                            .to_string(),
-                    ))
-                }
                 other => {
                     let consumed = opts
                         .exec
-                        .accept(other, |name| value_for(name).map_err(|e| e.to_string()))
-                        .map_err(ParseError)?;
+                        .accept(other, |_| value().map_err(|e| e.to_string()))
+                        .map_err(CkptError::Usage)?;
                     if !consumed {
-                        return Err(ParseError(format!("unknown flag '{other}'")));
+                        return Err(CkptError::Usage(format!("unknown flag '{other}'")));
                     }
                 }
             }
@@ -202,25 +156,58 @@ impl RunOptions {
         self.exec.progress_sink(!self.csv)
     }
 
-    /// Parses from the process environment, printing errors/usage and
-    /// exiting on failure — the entry point used by the binaries.
-    #[must_use]
-    pub fn from_env() -> RunOptions {
-        match RunOptions::parse(std::env::args().skip(1)) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
+    /// The one rule for flags a command cannot honour: every command
+    /// parses the full flag set, then names the flags it honours out of
+    /// [`OPTIONAL_FLAGS`], and the first other one that was set is
+    /// refused. Returns the options unchanged otherwise.
+    ///
+    /// # Errors
+    ///
+    /// [`CkptError::Usage`] (exit 2) naming `command` and the flag.
+    pub fn refuse_unhonoured(self, command: &str, honoured: &[&str]) -> Result<Self, CkptError> {
+        let given = [
+            self.trace.is_some(),
+            self.metrics.is_some(),
+            self.manifest.is_some(),
+            self.histograms.is_some(),
+            self.prom.is_some(),
+            self.exec.snapshot.is_some(),
+            self.exec.resume.is_some(),
+            self.exec.progress.is_some(),
+            self.warmup > 0,
+            self.engine == EngineKind::San,
+        ];
+        let unhonoured = |(flag, given): &(&str, bool)| *given && !honoured.contains(flag);
+        match OPTIONAL_FLAGS.into_iter().zip(given).find(unhonoured) {
+            Some((flag, _)) => Err(CkptError::Usage(format!(
+                "'{command}' does not support {flag}"
+            ))),
+            None => Ok(self),
         }
     }
 }
+
+/// The flags only some commands honour, as typed on the command line:
+/// the output files, the journal, the progress stream, warm-up
+/// replications and the SAN engine.
+pub const OPTIONAL_FLAGS: [&str; 10] = [
+    "--trace",
+    "--metrics",
+    "--manifest",
+    "--histograms",
+    "--prom",
+    "--snapshot",
+    "--resume",
+    "--progress",
+    "--warmup",
+    "--engine san",
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(s: &[&str]) -> Result<RunOptions, ParseError> {
+    fn parse(s: &[&str]) -> Result<RunOptions, CkptError> {
         RunOptions::parse(s.iter().map(|s| s.to_string()))
     }
 
@@ -259,8 +246,18 @@ mod tests {
     #[test]
     fn quick_shrinks_run() {
         let o = parse(&["--quick"]).unwrap();
-        assert!(o.quick);
+        assert_eq!(o.reps, 2);
         assert!(o.horizon < RunOptions::default().horizon);
+    }
+
+    #[test]
+    fn refuse_unhonoured_names_the_first_flag_not_honoured() {
+        let o = parse(&["--engine", "san", "--prom", "p", "--resume", "r"]).unwrap();
+        assert!(o.clone().refuse_unhonoured("run", &OPTIONAL_FLAGS).is_ok());
+        let err = o.refuse_unhonoured("figure", &["--resume", "--engine san"]);
+        let msg = err.unwrap_err().to_string();
+        assert_eq!(msg, "'figure' does not support --prom");
+        assert!(parse(&[]).unwrap().refuse_unhonoured("ablate", &[]).is_ok());
     }
 
     #[test]

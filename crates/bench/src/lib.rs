@@ -1,27 +1,12 @@
-//! Figure-regeneration harness for the DSN'05 reproduction.
+//! Figure-regeneration library for the DSN'05 reproduction: the code
+//! behind `ckptsim figure <id>`, `ckptsim figure all`, `ckptsim table3`
+//! and the table studies (`ckptsim --help` lists them).
 //!
-//! One binary per table/figure of the paper's evaluation section (run
-//! them with `cargo run -p ckpt-bench --release --bin fig4a`, etc.):
-//!
-//! | Binary | Regenerates |
-//! |---|---|
-//! | `table3` | Table 3 (model parameters / config defaults) |
-//! | `fig4a`…`fig4h` | Figure 4 sensitivity study of the base model |
-//! | `fig5` | Figure 5: coordination-only scalability (no failures) |
-//! | `fig6` | Figure 6: coordination + timeout under failures |
-//! | `fig7` | Figure 7: error-propagation correlated failures |
-//! | `fig8` | Figure 8: generic correlated failures |
-//! | `ablate` | Design-choice ablations called out in DESIGN.md |
-//! | `all` | Everything above, writing CSVs into `results/` |
-//!
-//! Common flags: `--engine direct|san`, `--reps N`, `--hours H`,
-//! `--transient H`, `--seed S`, `--quick` (fast smoke parameters),
-//! `--csv` (machine-readable output).
-//!
-//! The library half hosts the sweep driver ([`sweep`]), the output
-//! formatting ([`table`]), the per-figure sweep definitions
-//! ([`figures`]), the paper's published curves ([`paper`]) used by the
-//! integration tests for shape checks, and the tiny argument parser
+//! It hosts the sweep driver ([`sweep`]), the crash-safe figure runner
+//! ([`runner`]), the output formatting ([`table`], [`svg`]), the
+//! per-figure sweep definitions ([`figures`]), the table studies
+//! ([`studies`]), the paper's published curves ([`paper`]) used by the
+//! integration tests for shape checks, and the run-option parser
 //! ([`args`]).
 
 #![forbid(unsafe_code)]
@@ -31,12 +16,12 @@ pub mod args;
 pub mod figures;
 pub mod paper;
 pub mod runner;
+pub mod studies;
 pub mod svg;
 pub mod sweep;
 pub mod table;
 
 pub use args::RunOptions;
-pub use runner::{figure_main, run_figure};
 pub use sweep::{
     experiment_spec, run_sweep, run_sweep_controlled, sweep_fingerprint, sweep_manifest_json,
     Point, Series, SweepControl,

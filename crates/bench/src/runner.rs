@@ -1,34 +1,36 @@
-//! Shared crash-safe driver for the figure binaries.
+//! Crash-safe drivers behind `ckptsim figure`.
 //!
-//! Every `fig*` / `ext_*` binary is a three-liner over
-//! [`figure_main`]: it installs the graceful SIGINT/SIGTERM handler,
-//! opens (or resumes) the progress journal when `--snapshot` /
-//! `--resume` are given, runs the sweep through
+//! [`run_figure`] runs one figure: it installs the graceful
+//! SIGINT/SIGTERM handler, opens (or resumes) the progress journal when
+//! `--snapshot` / `--resume` are given, runs the sweep through
 //! [`crate::sweep::run_sweep_controlled`], persists the journal, and
-//! renders the figure. Failures never panic: they map to a typed
-//! [`CkptError`] and its exit code (interrupts exit `128 + signal`
-//! after saving the snapshot).
+//! renders the figure. [`run_all`] regenerates every figure into a
+//! directory of CSV, SVG and manifest files. Failures never panic: they
+//! map to a typed [`CkptError`] and its exit code (interrupts exit
+//! `128 + signal` after saving the snapshot).
 
 use crate::args::RunOptions;
-use crate::figures::FigureSpec;
-use crate::sweep::{run_sweep_controlled, sweep_fingerprint, Series, SweepControl};
-use crate::table;
+use crate::figures::{self, FigureSpec};
+use crate::sweep::{
+    run_sweep, run_sweep_controlled, sweep_fingerprint, Metric, Series, SweepControl,
+};
+use crate::{svg, table};
 use ckpt_core::ExperimentError;
 use ckpt_harness::{signal, CkptError, SweepJournal};
-/// Opens the journal requested by `--snapshot` / `--resume`, validating
-/// a resumed snapshot against `fingerprint` — a thin wrapper over
-/// [`ckpt_harness::ExecFlags::open_journal`], the single
-/// implementation of the journal-open policy.
+use std::path::Path;
+use std::time::Instant;
+
+/// Writes `contents` to `path`, mapping failure to [`CkptError::Io`].
 ///
 /// # Errors
 ///
-/// Any [`ckpt_harness::SnapshotError`] from loading or validating the
-/// resumed snapshot.
-pub fn open_journal(
-    fingerprint: u64,
-    opts: &RunOptions,
-) -> Result<Option<SweepJournal>, CkptError> {
-    opts.exec.open_journal(fingerprint).map_err(CkptError::from)
+/// [`CkptError::Io`] naming `path`.
+pub fn write_file(path: impl AsRef<Path>, contents: &str) -> Result<(), CkptError> {
+    let path = path.as_ref();
+    std::fs::write(path, contents).map_err(|e| CkptError::Io {
+        path: path.display().to_string(),
+        message: e.to_string(),
+    })
 }
 
 /// Persists `journal` (if any) and translates a cooperative interrupt
@@ -68,7 +70,7 @@ pub fn seal_interrupted(journal: Option<&SweepJournal>, error: CkptError) -> Ckp
 pub fn run_figure(id: &str, spec: FigureSpec, opts: &RunOptions) -> Result<Vec<Series>, CkptError> {
     signal::install();
     let fingerprint = sweep_fingerprint(id, &spec.cells, opts)?;
-    let journal = open_journal(fingerprint, opts)?;
+    let journal = opts.exec.open_journal(fingerprint)?;
     let sink = opts.progress_sink()?;
     let control = SweepControl {
         journal: journal.as_ref(),
@@ -76,7 +78,7 @@ pub fn run_figure(id: &str, spec: FigureSpec, opts: &RunOptions) -> Result<Vec<S
         progress: (!sink.is_empty()).then_some(&sink as &dyn ckpt_obs::ProgressSink),
     };
     let cell_count = spec.cells.len();
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     match run_sweep_controlled(&spec.labels, spec.cells, spec.metric, opts, control) {
         Ok(series) => {
             if let Some(j) = &journal {
@@ -92,10 +94,7 @@ pub fn run_figure(id: &str, spec: FigureSpec, opts: &RunOptions) -> Result<Vec<S
             );
             if let Some(path) = &opts.manifest {
                 let manifest = crate::sweep_manifest_json(id, cell_count, opts, wall_secs);
-                std::fs::write(path, &manifest).map_err(|e| CkptError::Io {
-                    path: path.clone(),
-                    message: e.to_string(),
-                })?;
+                write_file(path, &manifest)?;
             }
             table::emit(&spec.title, &spec.x_name, &series, opts.csv);
             Ok(series)
@@ -104,13 +103,51 @@ pub fn run_figure(id: &str, spec: FigureSpec, opts: &RunOptions) -> Result<Vec<S
     }
 }
 
-/// [`run_figure`] plus error reporting and process exit — the entry
-/// point the figure binaries call from `main`.
-pub fn figure_main(id: &str, spec: FigureSpec, opts: &RunOptions) {
-    if let Err(e) = run_figure(id, spec, opts) {
-        eprintln!("error: {e}");
-        std::process::exit(e.exit_code());
+/// Regenerates every figure of [`figures::all_figures`] into
+/// `out_dir`: `{id}.csv`, `{id}.svg` and `{id}.manifest.json` (the
+/// run's provenance, wall time included), printing one summary line per
+/// figure.
+///
+/// # Errors
+///
+/// Everything [`run_sweep`] can return, and [`CkptError::Io`] when
+/// `out_dir` or a file in it cannot be written.
+pub fn run_all(out_dir: &Path, opts: &RunOptions) -> Result<(), CkptError> {
+    std::fs::create_dir_all(out_dir).map_err(|e| CkptError::Io {
+        path: out_dir.display().to_string(),
+        message: e.to_string(),
+    })?;
+    for (id, spec) in figures::all_figures() {
+        let started = Instant::now();
+        let cell_count = spec.cells.len();
+        let series = run_sweep(&spec.labels, spec.cells, spec.metric, opts)?;
+        let csv_path = out_dir.join(format!("{id}.csv"));
+        write_file(&csv_path, &table::to_csv(&spec.x_name, &series))?;
+        let manifest =
+            crate::sweep_manifest_json(id, cell_count, opts, started.elapsed().as_secs_f64());
+        write_file(out_dir.join(format!("{id}.manifest.json")), &manifest)?;
+        let y_name = match spec.metric {
+            Metric::UsefulWorkFraction => "useful work fraction",
+            Metric::TotalUsefulWork => "total useful work (job units)",
+        };
+        let x_scale = if spec.x_name.contains("processors") || spec.x_name == "nodes" {
+            svg::XScale::Log2
+        } else {
+            svg::XScale::Linear
+        };
+        let chart = svg::render(&spec.title, &spec.x_name, y_name, &series, x_scale);
+        write_file(out_dir.join(format!("{id}.svg")), &chart)?;
+        println!(
+            "{id}: {} series × {} points → {} + .svg ({:.1}s)",
+            series.len(),
+            series.first().map_or(0, |s| s.points.len()),
+            csv_path.display(),
+            started.elapsed().as_secs_f64()
+        );
     }
+    let dir = out_dir.display();
+    println!("done; open {dir}/*.svg or plot {dir}/*.csv");
+    Ok(())
 }
 
 #[cfg(test)]

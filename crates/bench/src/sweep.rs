@@ -102,7 +102,7 @@ impl std::fmt::Debug for SweepControl<'_> {
 
 /// Builds a validated [`ExperimentSpec`] from a configuration, an
 /// engine override and the shared run options — the single construction
-/// path every bench binary goes through.
+/// path of every sweep cell, study and `ckptsim run`.
 ///
 /// # Errors
 ///
@@ -120,22 +120,6 @@ pub fn experiment_spec(
         .replications(opts.reps)
         .seed(opts.seed)
         .jobs(opts.jobs)
-        .reactivation(opts.exec.reactivation)
-        .queue(opts.exec.queue)
-        .build()
-        .map_err(CkptError::from)
-}
-
-/// Builds the validated per-cell experiment spec shared by the sweep
-/// driver and the resume fingerprint.
-fn cell_spec(cell: &Cell, opts: &RunOptions, jobs: usize) -> Result<ExperimentSpec, CkptError> {
-    ExperimentSpec::builder(cell.config.clone())
-        .engine(opts.engine)
-        .transient(opts.transient)
-        .horizon(opts.horizon)
-        .replications(opts.reps)
-        .seed(opts.seed)
-        .jobs(jobs)
         .reactivation(opts.exec.reactivation)
         .queue(opts.exec.queue)
         .build()
@@ -163,7 +147,8 @@ pub fn sweep_fingerprint(id: &str, cells: &[Cell], opts: &RunOptions) -> Result<
     }
     eat(0);
     for cell in cells {
-        for byte in cell_spec(cell, opts, 1)?.fingerprint().to_le_bytes() {
+        let spec = experiment_spec(cell.config.clone(), opts.engine, opts)?;
+        for byte in spec.fingerprint().to_le_bytes() {
             eat(byte);
         }
     }
@@ -227,7 +212,7 @@ pub fn run_sweep_controlled(
     // Validate the whole sweep before running any of it.
     let specs = cells
         .iter()
-        .map(|c| cell_spec(c, opts, inner_jobs))
+        .map(|c| experiment_spec(c.config.clone(), opts.engine, opts))
         .collect::<Result<Vec<_>, _>>()?;
 
     let next = AtomicUsize::new(0);
@@ -253,11 +238,13 @@ pub fn run_sweep_controlled(
                 let store = control
                     .journal
                     .map(|j| j.cell_store(u32::try_from(i).unwrap_or(u32::MAX)));
-                // Warm-up is a runtime-only option (it never changes
-                // sampling), so it rides on the experiment rather than
-                // the spec — the resume fingerprint stays warmup-blind.
+                // Worker count and warm-up never change sampling, so
+                // they ride on the experiment: each cell gets its share
+                // of the leftover workers, and the resume fingerprint
+                // stays blind to both.
                 let outcome = specs[i]
                     .to_experiment()
+                    .jobs(inner_jobs)
                     .warmup(opts.warmup)
                     .run_controlled(RunControl {
                         store: store.as_ref().map(|s| s as &dyn ReplicationStore),

@@ -2,7 +2,10 @@
 
 use crate::config_flags::parse_config;
 use ckpt_analytic::{availability, coordination, daly, vaidya, young};
-use ckpt_bench::{experiment_spec, figures, runner, RunOptions};
+use ckpt_bench::args::OPTIONAL_FLAGS;
+use ckpt_bench::runner::{self, write_file};
+use ckpt_bench::studies::Study;
+use ckpt_bench::{experiment_spec, figures, RunOptions};
 use ckpt_core::{Estimate, ObserveSpec, PhaseKind, ReplicationStore, RunControl, SystemConfig};
 use ckpt_harness::{signal, CkptError};
 use ckpt_obs::{spans_json, telemetry_json, ProgressSink, Recorder};
@@ -13,17 +16,6 @@ use std::fmt::Write as _;
 /// model event of a default-length replication; if a longer run
 /// overflows it, the JSONL notes the dropped count per replication.
 const TRACE_CAPACITY: usize = 1 << 20;
-
-fn run_options(rest: Vec<String>) -> Result<RunOptions, CkptError> {
-    RunOptions::parse(rest).map_err(|e| CkptError::Usage(e.to_string()))
-}
-
-fn write_file(path: &str, contents: &str) -> Result<(), CkptError> {
-    std::fs::write(path, contents).map_err(|e| CkptError::Io {
-        path: path.to_string(),
-        message: e.to_string(),
-    })
-}
 
 /// Renders the per-replication trace buffers as JSON Lines, one model
 /// event per line, tagged with the replication index (index order, so
@@ -91,7 +83,7 @@ fn metrics_json(est: &Estimate) -> String {
 /// uninterrupted run at any `--jobs`.
 pub fn run_single(args: Vec<String>) -> Result<(), CkptError> {
     let (cfg, rest) = parse_config(args)?;
-    let opts = run_options(rest)?;
+    let opts = RunOptions::parse(rest)?.refuse_unhonoured("run", &OPTIONAL_FLAGS)?;
     let telemetry = opts.histograms.is_some() || opts.prom.is_some();
     let observing = opts.trace.is_some() || opts.metrics.is_some() || telemetry;
     if observing && opts.exec.journaling() {
@@ -104,7 +96,7 @@ pub fn run_single(args: Vec<String>) -> Result<(), CkptError> {
     }
     let spec = experiment_spec(cfg.clone(), opts.engine, &opts)?;
     signal::install();
-    let journal = runner::open_journal(spec.fingerprint(), &opts)?;
+    let journal = opts.exec.open_journal(spec.fingerprint())?;
     let store = journal.as_ref().map(|j| j.cell_store(0));
     let sink = opts.progress_sink()?;
     let observe = observing.then(|| {
@@ -288,6 +280,9 @@ fn phase_rows() -> [(&'static str, PhaseKind); 5] {
 /// `ckptsim figure <id>`: regenerate one of the paper's figures via the
 /// crash-safe runner ([`runner::run_figure`]), which handles signals,
 /// `--snapshot`/`--resume` journaling, the sweep manifest, and output.
+/// `ckptsim figure all` regenerates every figure into `results/`
+/// ([`runner::run_all`]); one journal cannot span figures and each
+/// figure writes its own manifest, so it refuses those flags.
 pub fn run_figure(mut args: Vec<String>) -> Result<(), CkptError> {
     if args.is_empty() {
         return Err(CkptError::Usage(
@@ -295,56 +290,45 @@ pub fn run_figure(mut args: Vec<String>) -> Result<(), CkptError> {
         ));
     }
     let id = args.remove(0);
-    let spec = figures::all_figures()
-        .into_iter()
-        .find(|(fid, _)| *fid == id)
-        .map(|(_, spec)| spec)
+    if id == "all" {
+        let honoured = ["--warmup", "--engine san"];
+        let opts = RunOptions::parse(args)?.refuse_unhonoured("figure all", &honoured)?;
+        return runner::run_all(std::path::Path::new("results"), &opts);
+    }
+    let spec = figures::find(&id)
         .ok_or_else(|| CkptError::Usage(format!("unknown figure '{id}' (see 'ckptsim list')")))?;
-    let opts = run_options(args)?;
+    let honoured = [
+        "--manifest",
+        "--snapshot",
+        "--resume",
+        "--progress",
+        "--warmup",
+        "--engine san",
+    ];
+    let opts = RunOptions::parse(args)?.refuse_unhonoured("figure", &honoured)?;
     runner::run_figure(&id, spec, &opts).map(|_| ())
 }
 
-/// `ckptsim list`: list the available figure ids.
-pub fn list_figures() -> Result<(), CkptError> {
-    for (id, spec) in figures::all_figures() {
+/// The output of `ckptsim list`: one line per id `ckptsim figure`
+/// accepts, the id first.
+#[must_use]
+pub fn figure_list() -> String {
+    let mut s = String::new();
+    for (id, spec) in figures::catalog() {
         let title = spec.title.split(':').nth(1).unwrap_or(&spec.title);
-        println!("{id:<14} {}", title.trim());
+        let _ = writeln!(s, "{id:<14} {}", title.trim());
     }
-    Ok(())
+    s.push_str("all            every figure above except ext_spatial, into results/\n");
+    s
 }
 
-/// `ckptsim table3`: print the model parameters.
-pub fn table3() -> Result<(), CkptError> {
-    let c = SystemConfig::builder().build().map_err(CkptError::from)?;
-    println!("Model parameters (paper's Table 3 defaults)");
-    println!(
-        "  checkpoint interval     {} min",
-        c.checkpoint_interval().as_mins()
-    );
-    println!(
-        "  MTTF per node           {:.2} yr",
-        c.mttf_per_node().as_years()
-    );
-    println!(
-        "  MTTR (compute)          {} min",
-        c.mttr_system().as_mins()
-    );
-    println!("  MTTR (I/O nodes)        {} min", c.mttr_io().as_mins());
-    println!("  processors              {}", c.processors());
-    println!("  processors per node     {}", c.procs_per_node());
-    println!("  MTTQ                    {} s", c.mttq().as_secs());
-    println!(
-        "  app cycle / compute     {} min / {}",
-        c.app_cycle_period().as_mins(),
-        c.compute_fraction()
-    );
-    println!("  reboot time             {} h", c.reboot_time().as_hours());
-    println!(
-        "  dump / FS write         {:.1} s / {:.1} s",
-        c.checkpoint_dump_time().as_secs(),
-        c.checkpoint_fs_write_time().as_secs()
-    );
-    println!("(run 'cargo run -p ckpt-bench --bin table3' for the full table)");
+/// `ckptsim <study>`: run one of the table studies of
+/// [`ckpt_bench::studies`] and print its report. No study writes a
+/// journal or an output file, and each picks its own engines, so every
+/// optional flag is refused.
+pub fn run_study(name: &str, study: Study, args: Vec<String>) -> Result<(), CkptError> {
+    let opts = RunOptions::parse(args)?.refuse_unhonoured(name, &[])?;
+    print!("{}", study(&opts)?);
     Ok(())
 }
 

@@ -2,7 +2,7 @@
 
 /// The shared `--snapshot/--snapshot-every/--resume/--progress/--quiet`
 /// execution switches, re-exported from the harness: every command
-/// (run, figure, optimize, submit, and the per-figure bench binaries)
+/// (run, figure, optimize, submit, and the table studies)
 /// parses and validates them through this one type instead of
 /// duplicating the plumbing.
 pub use ckpt_harness::ExecFlags;

@@ -3,9 +3,13 @@
 //! Subcommands:
 //!
 //! * `run` — simulate one configuration and print its metrics,
-//! * `figure <id>` — regenerate one of the paper's figures,
-//! * `list` — list the available figure ids,
-//! * `table3` — print the model parameters (paper's Table 3),
+//! * `figure <id>` — regenerate one of the paper's figures
+//!   (`figure all` writes every figure's CSV and SVG into `results/`),
+//! * `list` — list the ids `figure` accepts,
+//! * `table3` — print the model parameters (paper's Table 3) and the
+//!   derived quantities,
+//! * `ablate` / `baselines` / `sensitivity` / `compare-engines` — the
+//!   table studies of [`ckpt_bench::studies`],
 //! * `analytic` — print the closed-form baselines for a configuration,
 //! * `optimize` — search the checkpoint-policy space for the best
 //!   useful-work fraction and emit a versioned JSON report,
@@ -16,7 +20,9 @@
 //! * `submit` / `status` / `result` — the client side of `serve`.
 //!
 //! Configuration flags are shared between `run`, `analytic`, and
-//! `submit`; see [`config_flags::parse_config`]. `run` itself is a thin
+//! `submit`; see [`config_flags::parse_config`]. Each command refuses
+//! the run flags it cannot honour through
+//! [`ckpt_bench::RunOptions::refuse_unhonoured`]. `run` itself is a thin
 //! wrapper over the service execution core
 //! ([`ckpt_svc::Scheduler::run_local`]), so a locally-run spec and a
 //! served one go through the same code path.
@@ -39,8 +45,13 @@ ckptsim — coordinated-checkpointing model of Wang et al., DSN 2005
 USAGE:
     ckptsim run      [CONFIG FLAGS] [RUN FLAGS]   simulate one configuration
     ckptsim figure   <id> [RUN FLAGS]             regenerate a paper figure
+    ckptsim figure   all [RUN FLAGS]              every figure → results/*.{csv,svg}
     ckptsim list                                  list figure ids
-    ckptsim table3                                print model parameters
+    ckptsim table3                                print model parameters (Table 3)
+    ckptsim ablate   [RUN FLAGS]                  design-choice ablations
+    ckptsim baselines [RUN FLAGS]                 simulation vs Young/Daly/Vaidya
+    ckptsim sensitivity [RUN FLAGS]               parameter elasticities
+    ckptsim compare-engines [RUN FLAGS]           direct vs SAN engine, side by side
     ckptsim analytic [CONFIG FLAGS]               closed-form baselines
     ckptsim dot      [CONFIG FLAGS]               SAN structure as Graphviz DOT
     ckptsim optimize [CONFIG FLAGS] [RUN FLAGS] [--out FILE]
@@ -122,6 +133,9 @@ CLIENT FLAGS:
     --wait                   poll until done, then print the result bytes
     --wait-secs S            like --wait with an explicit timeout     [600]
 
+A command refuses (exit 2) any run flag it cannot honour, such as
+'figure all --manifest' or 'ablate --engine san'.
+
 Results are independent of --jobs: replication k always draws from
 seed S + k, so parallelism changes scheduling, never sampling —
 observers included (traces and registries merge in replication order).
@@ -156,8 +170,10 @@ fn dispatch(mut args: Vec<String>) -> Result<(), CkptError> {
     match sub.as_str() {
         "run" => commands::run_single(args),
         "figure" => commands::run_figure(args),
-        "list" => commands::list_figures(),
-        "table3" => commands::table3(),
+        "list" => {
+            print!("{}", commands::figure_list());
+            Ok(())
+        }
         "analytic" => commands::analytic(args),
         "dot" => commands::dot(args),
         "optimize" => optimize::optimize(args),
@@ -170,7 +186,13 @@ fn dispatch(mut args: Vec<String>) -> Result<(), CkptError> {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(CkptError::Usage(format!("unknown subcommand '{other}'"))),
+        other => match ckpt_bench::studies::STUDIES
+            .iter()
+            .find(|(n, _)| *n == other)
+        {
+            Some(&(name, study)) => commands::run_study(name, study, args),
+            None => Err(CkptError::Usage(format!("unknown subcommand '{other}'"))),
+        },
     }
 }
 
@@ -215,9 +237,7 @@ mod tests {
     }
 
     #[test]
-    fn optimize_rejects_report_sinks_and_bad_flags() {
-        assert_eq!(run(argv(&["optimize", "--metrics", "m.json"])), 2);
-        assert_eq!(run(argv(&["optimize", "--trace", "t.jsonl"])), 2);
+    fn optimize_rejects_bad_flags() {
         assert_eq!(run(argv(&["optimize", "--out"])), 2);
         assert_eq!(run(argv(&["optimize", "--bogus"])), 2);
     }

@@ -5,7 +5,7 @@
 //! fixed intervals (always including the configured one), the
 //! Daly-optimal interval, and (on the direct engine) the load-adaptive
 //! policy — evaluates every candidate through the same crash-safe
-//! parallel sweep machinery the figure binaries use, and emits a
+//! parallel sweep machinery `ckptsim figure` uses, and emits a
 //! versioned JSON report of the whole frontier plus the winner.
 //!
 //! Determinism: candidates are derived only from the base
@@ -255,7 +255,7 @@ fn run_search_with_sink(
     let labels: Vec<String> = cands.iter().map(|c| c.label.clone()).collect();
     let cells = cells(&cands);
     let fingerprint = sweep_fingerprint("optimize", &cells, opts)?;
-    let journal = runner::open_journal(fingerprint, opts)?;
+    let journal = opts.exec.open_journal(fingerprint)?;
     let control = SweepControl {
         journal: journal.as_ref(),
         interrupt: Some(signal::interrupt_flag()),
@@ -285,23 +285,20 @@ fn run_search_with_sink(
 pub fn optimize(args: Vec<String>) -> Result<(), CkptError> {
     let (cfg, mut rest) = parse_config(args)?;
     let out = take_out_flag(&mut rest)?;
-    let opts = RunOptions::parse(rest).map_err(|e| CkptError::Usage(e.to_string()))?;
-    if opts.trace.is_some() || opts.metrics.is_some() || opts.manifest.is_some() {
-        return Err(CkptError::Usage(
-            "optimize emits its own report; --trace/--metrics/--manifest are not supported \
-             (use --out FILE to redirect the report)"
-                .into(),
-        ));
-    }
+    let honoured = [
+        "--snapshot",
+        "--resume",
+        "--progress",
+        "--warmup",
+        "--engine san",
+    ];
+    let opts = RunOptions::parse(rest)?.refuse_unhonoured("optimize", &honoured)?;
     signal::install();
     let sink = opts.progress_sink()?;
     let report = run_search_with_sink(&cfg, &opts, &sink)?;
     match &out {
         Some(path) => {
-            std::fs::write(path, &report).map_err(|e| CkptError::Io {
-                path: path.clone(),
-                message: e.to_string(),
-            })?;
+            runner::write_file(path, &report)?;
             // Same --quiet gating as the heartbeats: the sink stack is
             // empty under --quiet/--csv, so this line vanishes with it.
             ckpt_obs::ProgressSink::message(&sink, &format!("optimize report written to {path}"));

@@ -132,21 +132,8 @@ fn client_flags(args: Vec<String>) -> Result<ClientFlags, CkptError> {
 pub fn submit(args: Vec<String>) -> Result<(), CkptError> {
     let flags = client_flags(args)?;
     let (cfg, rest) = parse_config(flags.rest)?;
-    let opts = RunOptions::parse(rest).map_err(|e| usage(e.to_string()))?;
-    if opts.trace.is_some()
-        || opts.metrics.is_some()
-        || opts.manifest.is_some()
-        || opts.histograms.is_some()
-        || opts.prom.is_some()
-        || opts.exec.journaling()
-    {
-        return Err(usage(
-            "submit executes on the server; local output flags \
-             (--trace/--metrics/--manifest/--histograms/--prom/\
-             --snapshot/--resume) are not supported"
-                .to_string(),
-        ));
-    }
+    // The job executes on the server, so no local file is written.
+    let opts = RunOptions::parse(rest)?.refuse_unhonoured("submit", &["--engine san"])?;
     let spec = experiment_spec(cfg, opts.engine, &opts)?;
     let client = Client::new(&flags.server, &flags.tenant);
     let reply = client.submit(&spec.to_json())?;

@@ -1,4 +1,4 @@
-//! The typed front-end error: every failure a CLI or bench binary can
+//! The typed front-end error: every failure a `ckptsim` command can
 //! hit, with a stable exit code per class.
 
 use crate::snapshot::SnapshotError;

@@ -1,9 +1,9 @@
 //! The shared execution-control flags: crash-safety journaling and
 //! progress/quiet plumbing, parsed and validated in exactly one place.
 //!
-//! Every front end that runs experiments — `ckptsim run`, `ckptsim
-//! figure`, `ckptsim optimize`, `ckptsim submit`, and the per-figure
-//! bench binaries — accepts the same switches:
+//! Every `ckptsim` command that runs experiments — `run`, `figure`,
+//! `optimize`, `submit` and the table studies — accepts the same
+//! switches (and refuses the journal ones where it cannot honour them):
 //!
 //! * `--snapshot FILE` / `--snapshot-every N` / `--resume FILE` —
 //!   crash-safe journaling through [`crate::SweepJournal`];
