@@ -6,8 +6,10 @@ use ckpt_bench::args::OPTIONAL_FLAGS;
 use ckpt_bench::runner::{self, write_file};
 use ckpt_bench::studies::Study;
 use ckpt_bench::{experiment_spec, figures, RunOptions};
-use ckpt_core::{Estimate, ObserveSpec, PhaseKind, ReplicationStore, RunControl, SystemConfig};
-use ckpt_harness::{signal, CkptError};
+use ckpt_core::{
+    san_model, Estimate, ObserveSpec, PhaseKind, ReplicationStore, RunControl, SystemConfig,
+};
+use ckpt_harness::{signal, CkptError, SpecError};
 use ckpt_obs::{spans_json, telemetry_json, ProgressSink, Recorder};
 use ckpt_svc::{LocalRun, Scheduler};
 use std::fmt::Write as _;
@@ -339,8 +341,11 @@ pub fn dot(args: Vec<String>) -> Result<(), CkptError> {
     if !rest.is_empty() {
         return Err(CkptError::Usage(format!("unknown flags: {rest:?}")));
     }
-    let model = ckpt_core::san_model::CheckpointSan::build(&cfg)
-        .map_err(|e| CkptError::Experiment(e.into()))?;
+    if let Some(switch) = san_model::unsupported_ablation(&cfg) {
+        return Err(CkptError::Spec(SpecError::UnsupportedAblation { switch }));
+    }
+    let model =
+        san_model::CheckpointSan::build(&cfg).map_err(|e| CkptError::Experiment(e.into()))?;
     print!("{}", ckpt_san::dot::to_dot(model.san()));
     Ok(())
 }
@@ -494,5 +499,18 @@ mod tests {
         assert_eq!(csv.lines().count(), 1 + est.profiles().len());
         let table = profile_section(&est, false);
         assert_eq!(table.lines().count(), 1 + est.profiles().len());
+    }
+
+    #[test]
+    fn dot_refuses_san_ablations_like_run() {
+        for flags in [["--policy", "adaptive"], ["--spatial", "0.2"]] {
+            let args = |cmd: &[&str]| -> Vec<String> {
+                cmd.iter().chain(&flags).map(|s| (*s).to_string()).collect()
+            };
+            let dot_err = dot(args(&[])).unwrap_err();
+            let run_err = run_single(args(&["--engine", "san", "--quick"])).unwrap_err();
+            assert_eq!(dot_err.exit_code(), 2, "{flags:?}: {dot_err}");
+            assert_eq!(dot_err.to_string(), run_err.to_string(), "{flags:?}");
+        }
     }
 }

@@ -30,7 +30,7 @@ mod timers;
 use crate::config::{CoordinationMode, RecoveryTimeModel, SystemConfig};
 use crate::metrics::{Counters, Metrics, PhaseKind, PhaseTimes};
 use crate::policy::CheckpointPolicy;
-use crate::trace::{AbortReason, TraceBuffer, TraceEvent};
+use crate::trace::{AbortReason, TraceEvent};
 use ckpt_des::telem::{HotTelemetry, TelemetrySnapshot};
 use ckpt_des::{QueueKind, RngFactory, SimRng, SimTime, StreamId};
 use ckpt_obs::{ObsEvent, Observer};
@@ -94,7 +94,6 @@ pub struct DirectSimulator<'c> {
     counters: Counters,
     phase_times: PhaseTimes,
     events_processed: u64,
-    trace: Option<TraceBuffer>,
     observer: Option<&'c mut dyn Observer>,
     /// Last phase reported to the observer (suppresses no-op `Phase`
     /// notifications).
@@ -143,7 +142,6 @@ impl<'c> DirectSimulator<'c> {
             counters: Counters::default(),
             phase_times: PhaseTimes::default(),
             events_processed: 0,
-            trace: None,
             observer: None,
             observed_phase: PhaseKind::Executing,
             telem: None,
@@ -267,19 +265,6 @@ impl<'c> DirectSimulator<'c> {
         Some(telem.snapshot(rng_draws, 0))
     }
 
-    /// Attaches a bounded execution trace retaining the most recent
-    /// `capacity` model events (see [`crate::trace`]). Replaces any
-    /// existing trace.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(TraceBuffer::new(capacity));
-    }
-
-    /// The execution trace, if [`Self::enable_trace`] was called.
-    #[must_use]
-    pub fn trace(&self) -> Option<&TraceBuffer> {
-        self.trace.as_ref()
-    }
-
     /// Attaches an observer receiving every subsequent model event plus
     /// phase transitions. Observation never affects simulation results
     /// (observers are pure consumers; see [`ckpt_obs::Observer`]), so
@@ -302,9 +287,6 @@ impl<'c> DirectSimulator<'c> {
 
     fn record(&mut self, event: TraceEvent) {
         self.policy.observe(self.now, event);
-        if let Some(t) = &mut self.trace {
-            t.record(self.now, event);
-        }
         if let Some(o) = self.observer.as_deref_mut() {
             o.on_event(self.now, ObsEvent::Model(event));
         }

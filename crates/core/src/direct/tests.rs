@@ -2,6 +2,7 @@
 
 use super::*;
 use crate::config::{ErrorPropagation, GenericCorrelated, SystemConfig};
+use crate::trace::TraceBuffer;
 
 fn base_config() -> SystemConfig {
     SystemConfig::builder().build().unwrap()
@@ -418,10 +419,10 @@ fn trace_records_checkpoint_lifecycle_in_order() {
         .compute_fraction(1.0)
         .build()
         .unwrap();
+    let mut trace = TraceBuffer::new(64);
     let mut sim = DirectSimulator::new(&cfg, 0);
-    sim.enable_trace(64);
+    sim.set_observer(&mut trace);
     sim.run(SimTime::from_hours(1.0));
-    let trace = sim.trace().expect("trace enabled");
     use crate::trace::TraceEvent;
     let kinds: Vec<&TraceEvent> = trace.iter().map(|e| &e.event).collect();
     // One full cycle: initiate → coordinate → complete → on FS.
@@ -446,10 +447,10 @@ fn trace_records_rollback_and_recovery() {
         .mttf_per_node(SimTime::from_years(0.125))
         .build()
         .unwrap();
+    let mut trace = TraceBuffer::new(4096);
     let mut sim = DirectSimulator::new(&cfg, 1);
-    sim.enable_trace(4096);
+    sim.set_observer(&mut trace);
     sim.run(SimTime::from_hours(100.0));
-    let trace = sim.trace().unwrap();
     use crate::trace::TraceEvent;
     let rollbacks = trace
         .filter(|e| matches!(e, TraceEvent::Rollback { .. }))
@@ -472,13 +473,12 @@ fn trace_records_rollback_and_recovery() {
 }
 
 #[test]
-fn trace_is_optional_and_bounded() {
+fn trace_is_bounded() {
     let cfg = base_config();
+    let mut t = TraceBuffer::new(4);
     let mut sim = DirectSimulator::new(&cfg, 2);
-    assert!(sim.trace().is_none());
-    sim.enable_trace(4);
+    sim.set_observer(&mut t);
     sim.run(SimTime::from_hours(50.0));
-    let t = sim.trace().unwrap();
     assert!(t.len() <= 4);
     assert!(t.dropped() > 0, "long run must overflow a 4-entry buffer");
 }

@@ -186,42 +186,42 @@ impl fmt::Debug for CheckpointSan {
     }
 }
 
+/// The first switch of `cfg` the SAN composition does not implement,
+/// or `None` when `cfg` stays within the paper's semantics. These
+/// ablations run on the direct simulator only: [`CheckpointSan::build`]
+/// refuses them, and experiment-spec validation reports them before
+/// any simulation runs.
+#[must_use]
+pub fn unsupported_ablation(cfg: &SystemConfig) -> Option<&'static str> {
+    if !cfg.background_checkpoint_write() {
+        Some("background_checkpoint_write")
+    } else if !cfg.buffered_recovery() {
+        Some("buffered_recovery")
+    } else if cfg.spatial_correlation().is_some() {
+        Some("spatial_correlation")
+    } else if cfg.compute_fraction_jitter().is_some() {
+        Some("compute_fraction_jitter")
+    } else if cfg.policy().static_interval(cfg).is_none() {
+        // The SAN composition compiles the trigger interval into an
+        // activity distribution at build time, so dynamic policies
+        // (load-adaptive) only run on the direct engine.
+        Some("load_adaptive_policy")
+    } else {
+        None
+    }
+}
+
 impl CheckpointSan {
     /// Builds the composed model for `cfg`.
     ///
     /// # Errors
     ///
     /// Returns [`ModelError::UnsupportedAblation`] when `cfg` selects a
-    /// non-paper ablation (blocking checkpoint writes or disabled
-    /// buffered recovery), or a [`SanError`] if composition fails.
+    /// non-paper ablation (see [`unsupported_ablation`]), or a
+    /// [`SanError`] if composition fails.
     pub fn build(cfg: &SystemConfig) -> Result<CheckpointSan, ModelError> {
-        if !cfg.background_checkpoint_write() {
-            return Err(ModelError::UnsupportedAblation {
-                switch: "background_checkpoint_write",
-            });
-        }
-        if !cfg.buffered_recovery() {
-            return Err(ModelError::UnsupportedAblation {
-                switch: "buffered_recovery",
-            });
-        }
-        if cfg.spatial_correlation().is_some() {
-            return Err(ModelError::UnsupportedAblation {
-                switch: "spatial_correlation",
-            });
-        }
-        if cfg.compute_fraction_jitter().is_some() {
-            return Err(ModelError::UnsupportedAblation {
-                switch: "compute_fraction_jitter",
-            });
-        }
-        if cfg.policy().static_interval(cfg).is_none() {
-            // The SAN composition compiles the trigger interval into an
-            // activity distribution at build time, so dynamic policies
-            // (load-adaptive) only run on the direct engine.
-            return Err(ModelError::UnsupportedAblation {
-                switch: "load_adaptive_policy",
-            });
+        if let Some(switch) = unsupported_ablation(cfg) {
+            return Err(ModelError::UnsupportedAblation { switch });
         }
 
         let mut b = SanBuilder::new("coordinated_checkpointing");
@@ -306,7 +306,8 @@ impl CheckpointSan {
     /// Runs one replication from time zero (no transient) with a
     /// [`TraceBuffer`] of `capacity` entries attached, returning the
     /// metrics and the recorded trace — the SAN counterpart of
-    /// [`crate::direct::DirectSimulator::enable_trace`], so the two
+    /// attaching a [`TraceBuffer`] to the direct engine with
+    /// [`crate::direct::DirectSimulator::set_observer`], so the two
     /// engines can be diffed event by event on the same seed.
     ///
     /// # Errors

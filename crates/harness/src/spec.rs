@@ -20,7 +20,8 @@ use ckpt_core::config::{
     CoordinationMode, ErrorPropagation, GenericCorrelated, RecoveryTimeModel, SystemConfig,
 };
 use ckpt_core::{
-    ConfigError, EngineKind, Estimation, Experiment, PolicySpec, QueueKind, ReactivationMode,
+    san_model, ConfigError, EngineKind, Estimation, Experiment, PolicySpec, QueueKind,
+    ReactivationMode,
 };
 use ckpt_des::SimTime;
 use std::fmt;
@@ -511,23 +512,7 @@ impl ExperimentSpecBuilder {
             return Err(SpecError::LazyReactivationNeedsSan);
         }
         if s.engine == EngineKind::San {
-            // Mirror CheckpointSan::build's ablation gate so front ends
-            // learn about the combination before any simulation runs.
-            let cfg = &s.config;
-            let switch = if !cfg.background_checkpoint_write() {
-                Some("background_checkpoint_write")
-            } else if !cfg.buffered_recovery() {
-                Some("buffered_recovery")
-            } else if cfg.spatial_correlation().is_some() {
-                Some("spatial_correlation")
-            } else if cfg.compute_fraction_jitter().is_some() {
-                Some("compute_fraction_jitter")
-            } else if cfg.policy().static_interval(cfg).is_none() {
-                Some("load_adaptive_policy")
-            } else {
-                None
-            };
-            if let Some(switch) = switch {
+            if let Some(switch) = san_model::unsupported_ablation(&s.config) {
                 return Err(SpecError::UnsupportedAblation { switch });
             }
         }

@@ -38,8 +38,8 @@ pub struct ReplicationTelemetry {
     pub failure_gaps: LogHistogram,
     /// Event-queue depth at each hot-loop pop.
     pub queue_depth: LogHistogram,
-    /// Dirty-place set size per settled event (SAN engine under
-    /// incremental scheduling only).
+    /// Dirty-place set size per settled event (SAN engine only, under
+    /// either scheduling strategy).
     pub dirty_set: LogHistogram,
     /// Model events observed in the measurement window.
     pub events: u64,

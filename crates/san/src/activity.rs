@@ -163,6 +163,7 @@ impl ActivityDef {
 mod tests {
     use super::*;
     use crate::marking::Marking;
+    use crate::pred::Pred;
 
     #[test]
     fn delay_from_dist_samples() {
@@ -200,7 +201,7 @@ mod tests {
             timing: Timing::Instantaneous { priority: 0 },
             reactivation: Reactivation::Keep,
             input_arcs: vec![(p, 1)],
-            input_gates: vec![InputGate::predicate_only("no_q", move |m| !m.has_token(q))],
+            input_gates: vec![InputGate::when("no_q", Pred::empty(q))],
             cases: vec![],
         };
         assert!(def.enabled(&Marking::new(vec![1, 0], vec![])));

@@ -16,32 +16,31 @@
 //! * **Residual gate predicates** (disjunctions and other shapes that
 //!   don't flatten into interval requirements) become *gate programs*:
 //!   flat postfix bytecode ([`GateOp`]) over the token array, evaluated
-//!   by a fixed-size stack machine with zero dynamic dispatch. Closure
-//!   gates (and pathological expressions deeper than [`MAX_STACK`])
-//!   fall back to a single [`GateOp::Closure`] op that invokes the
-//!   original predicate — same result, original cost.
-//! * **Dependencies** become bitmasks: one bit per activity, one row per
+//!   by a fixed-size stack machine with zero dynamic dispatch. An
+//!   expression deeper than [`MAX_STACK`] becomes a single
+//!   [`GateOp::Tree`] op that evaluates it with [`Pred::eval`] — same
+//!   result, tree-walk cost.
+//! * **Dependencies** are bitmasks: one bit per activity, one row per
 //!   place (`place → timed dependents`, `place → instantaneous
-//!   dependents`), plus the conservatively re-checked global rows. The
-//!   scheduler OR-folds the rows of the event's dirty places and walks
-//!   set bits in ascending index order — replacing the per-event
-//!   stamp/push/sort dance with a handful of word ORs.
+//!   dependents`) set from each activity's input arcs and its gates'
+//!   [`Pred::reads`], plus one global row of the `Resample` timers,
+//!   which are revisited on every event. The scheduler OR-folds the
+//!   rows of the event's dirty places and walks set bits in ascending
+//!   index order.
 //!
-//! Everything here is *derived* state: the trait-dispatch path
+//! Everything here is *derived* state: the tree-walk path
 //! ([`ActivityDef::enabled`]) remains the semantic reference, and the
 //! debug-build consistency assertion in the simulator cross-checks the
 //! two on every event.
 
 use crate::activity::{ActivityDef, Delay, Reactivation, Timing};
-use crate::gate::InputGate;
 use crate::marking::{Marking, PlaceId};
-use crate::model::DependencyIndex;
 use crate::pred::Pred;
 use ckpt_stats::Dist;
 
 /// Stack budget of the gate-program interpreter. Expressions needing
 /// more (operand `i` of an `All`/`Any` starts with `i` results already
-/// parked) fall back to the closure path at compile time.
+/// parked) compile to one [`GateOp::Tree`] instead.
 const MAX_STACK: usize = 16;
 
 /// One postfix instruction of a compiled gate program.
@@ -57,8 +56,8 @@ pub(crate) enum GateOp {
     AllOf { n: u16 },
     /// Pop `n` results, push their disjunction (`false` when `n == 0`).
     AnyOf { n: u16 },
-    /// Push the result of an opaque closure gate (fallback path).
-    Closure { gate: u32 },
+    /// Push [`Pred::eval`] of an expression too deep for the stack.
+    Tree(Box<Pred>),
 }
 
 /// One token-interval requirement: activity enabling demands
@@ -84,8 +83,6 @@ pub(crate) struct CompiledSan {
     term_ops: Vec<(u32, u32)>,
     /// Per-activity `[start, end)` into `term_ops`.
     term_range: Vec<(u32, u32)>,
-    /// Fallback gates referenced by [`GateOp::Closure`].
-    closures: Vec<InputGate>,
     /// Words per activity bitmask row (`ceil(activities / 64)`, min 1).
     pub(crate) mask_words: usize,
     /// Place-major rows of timed dependents: bit `a` of row `p` is set
@@ -93,16 +90,15 @@ pub(crate) struct CompiledSan {
     place_timed_mask: Vec<u64>,
     /// Place-major rows of instantaneous dependents.
     place_inst_mask: Vec<u64>,
-    /// Timed activities re-checked on every event (one row).
+    /// Timed activities re-checked on every event: exactly the
+    /// [`Reactivation::Resample`] ones, whose contract is to redraw on
+    /// *every* marking change, relevant or not.
     pub(crate) global_timed_mask: Vec<u64>,
-    /// The global timed row under lazy reactivation: `Resample`
-    /// activities whose redraw is elidable (marking-independent
-    /// exponential delay) *and* whose gates all declare their reads are
-    /// dropped — the place rows cover every marking change that can
-    /// affect them, and lazy mode never redraws them anyway.
+    /// The global timed row under lazy reactivation:
+    /// `global_timed_mask & !lazy_elidable_words`. Lazy mode never
+    /// redraws an elidable timer, and the place rows reach it whenever
+    /// its enabling can change.
     pub(crate) global_timed_mask_lazy: Vec<u64>,
-    /// Instantaneous activities re-checked on every event (one row).
-    pub(crate) global_inst_mask: Vec<u64>,
     /// Bit `a` set iff activity `a` is timed with
     /// [`Reactivation::Resample`].
     resample_words: Vec<u64>,
@@ -115,15 +111,16 @@ pub(crate) struct CompiledSan {
     /// rate change *must* be observed at the marking change).
     lazy_elidable_words: Vec<u64>,
     /// Bit `a` set iff activity `a` is timed.
-    timed_words: Vec<u64>,
+    pub(crate) timed_words: Vec<u64>,
+    /// Bit `a` set iff activity `a` is instantaneous.
+    pub(crate) inst_words: Vec<u64>,
+    /// Every instantaneous activity, highest priority first (ties by
+    /// definition order) — the firing order of the settle loop.
+    pub(crate) inst_priority_order: Vec<u32>,
 }
 
 impl CompiledSan {
-    pub(crate) fn build(
-        place_count: usize,
-        activities: &[ActivityDef],
-        deps: &DependencyIndex,
-    ) -> CompiledSan {
+    pub(crate) fn build(place_count: usize, activities: &[ActivityDef]) -> CompiledSan {
         let n = activities.len();
         let mask_words = n.div_ceil(64).max(1);
         let mut c = CompiledSan {
@@ -132,21 +129,19 @@ impl CompiledSan {
             ops: Vec::new(),
             term_ops: Vec::new(),
             term_range: Vec::with_capacity(n),
-            closures: Vec::new(),
             mask_words,
             place_timed_mask: vec![0; place_count * mask_words],
             place_inst_mask: vec![0; place_count * mask_words],
             global_timed_mask: vec![0; mask_words],
             global_timed_mask_lazy: vec![0; mask_words],
-            global_inst_mask: vec![0; mask_words],
             resample_words: vec![0; mask_words],
             lazy_elidable_words: vec![0; mask_words],
             timed_words: vec![0; mask_words],
+            inst_words: vec![0; mask_words],
+            inst_priority_order: Vec::new(),
         };
-        // Activities lazy mode drops from the global timed row:
-        // elidable (see `lazy_elidable_words`) with fully declared
-        // gates, so the dependency-index place rows reach them.
-        let mut lazy_exempt = vec![0u64; mask_words];
+        let mut by_priority: Vec<(u32, u32)> = Vec::new();
+        let mut residual = Vec::new();
         for (i, def) in activities.iter().enumerate() {
             let req_start = u32::try_from(c.reqs.len()).expect("req arena overflow");
             for &(p, need) in &def.input_arcs {
@@ -157,29 +152,19 @@ impl CompiledSan {
                 });
             }
             let term_start = u32::try_from(c.term_ops.len()).expect("term arena overflow");
-            let mut residual = Vec::new();
             for g in &def.input_gates {
-                match g.expr() {
-                    Some(pred) if compilable(pred) => {
-                        // Conjunctive leaves join the requirement list;
-                        // only non-conjunctive residue (every sub-tree
-                        // of a compilable predicate is itself
-                        // compilable) needs a gate program.
-                        split(pred, &mut c.reqs, &mut residual);
-                        for r in residual.drain(..) {
-                            let op_start = u32::try_from(c.ops.len()).expect("op arena overflow");
-                            emit(&r, &mut c.ops);
-                            let op_end = u32::try_from(c.ops.len()).expect("op arena overflow");
-                            c.term_ops.push((op_start, op_end));
-                        }
+                // Conjunctive leaves join the requirement list; only
+                // non-conjunctive residue needs a gate program.
+                split(g.pred(), &mut c.reqs, &mut residual);
+                for r in residual.drain(..) {
+                    let op_start = u32::try_from(c.ops.len()).expect("op arena overflow");
+                    if compilable(&r) {
+                        emit(&r, &mut c.ops);
+                    } else {
+                        c.ops.push(GateOp::Tree(Box::new(r)));
                     }
-                    _ => {
-                        let op_start = u32::try_from(c.ops.len()).expect("op arena overflow");
-                        let gate = u32::try_from(c.closures.len()).expect("closure arena overflow");
-                        c.ops.push(GateOp::Closure { gate });
-                        c.closures.push(g.clone());
-                        c.term_ops.push((op_start, op_start + 1));
-                    }
+                    let op_end = u32::try_from(c.ops.len()).expect("op arena overflow");
+                    c.term_ops.push((op_start, op_end));
                 }
             }
             let req_end = u32::try_from(c.reqs.len()).expect("req arena overflow");
@@ -187,45 +172,42 @@ impl CompiledSan {
             let term_end = u32::try_from(c.term_ops.len()).expect("term arena overflow");
             c.term_range.push((term_start, term_end));
 
-            if matches!(def.timing, Timing::Timed(_)) {
-                set_bit(&mut c.timed_words, i);
-                if def.reactivation == Reactivation::Resample {
-                    set_bit(&mut c.resample_words, i);
-                    if matches!(
-                        def.timing,
-                        Timing::Timed(Delay::Dist(Dist::Exponential { .. }))
-                    ) {
-                        set_bit(&mut c.lazy_elidable_words, i);
-                        let undeclared =
-                            def.input_gates.iter().any(|g| g.declared_reads().is_none());
-                        if !undeclared {
-                            set_bit(&mut lazy_exempt, i);
+            // Dependency rows: the places whose token counts can flip
+            // this activity's enabling.
+            let place_mask = match def.timing {
+                Timing::Timed(_) => &mut c.place_timed_mask,
+                Timing::Instantaneous { .. } => &mut c.place_inst_mask,
+            };
+            let reads = def.input_gates.iter().flat_map(|g| g.pred().reads());
+            for p in def.input_arcs.iter().map(|&(p, _)| p).chain(reads) {
+                set_bit(&mut place_mask[p.0 * mask_words..(p.0 + 1) * mask_words], i);
+            }
+
+            match def.timing {
+                Timing::Instantaneous { priority } => {
+                    set_bit(&mut c.inst_words, i);
+                    by_priority.push((
+                        priority,
+                        u32::try_from(i).expect("more than 2^32 activities"),
+                    ));
+                }
+                Timing::Timed(ref delay) => {
+                    set_bit(&mut c.timed_words, i);
+                    if def.reactivation == Reactivation::Resample {
+                        set_bit(&mut c.resample_words, i);
+                        if matches!(delay, Delay::Dist(Dist::Exponential { .. })) {
+                            set_bit(&mut c.lazy_elidable_words, i);
                         }
                     }
                 }
             }
         }
-        for (p, list) in deps.place_to_timed.iter().enumerate() {
-            let row = &mut c.place_timed_mask[p * mask_words..(p + 1) * mask_words];
-            for &a in list {
-                row[(a >> 6) as usize] |= 1u64 << (a & 63);
-            }
+        c.global_timed_mask.clone_from(&c.resample_words);
+        for (w, lazy) in c.global_timed_mask_lazy.iter_mut().enumerate() {
+            *lazy = c.global_timed_mask[w] & !c.lazy_elidable_words[w];
         }
-        for (p, list) in deps.place_to_inst.iter().enumerate() {
-            let row = &mut c.place_inst_mask[p * mask_words..(p + 1) * mask_words];
-            for &a in list {
-                row[(a >> 6) as usize] |= 1u64 << (a & 63);
-            }
-        }
-        for &a in &deps.global_timed {
-            set_bit(&mut c.global_timed_mask, a as usize);
-        }
-        for (w, (&g, &x)) in c.global_timed_mask.iter().zip(&lazy_exempt).enumerate() {
-            c.global_timed_mask_lazy[w] = g & !x;
-        }
-        for &a in &deps.global_inst {
-            set_bit(&mut c.global_inst_mask, a as usize);
-        }
+        by_priority.sort_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)));
+        c.inst_priority_order = by_priority.into_iter().map(|(_, a)| a).collect();
         c
     }
 
@@ -286,8 +268,8 @@ impl CompiledSan {
                     stack[base] = acc;
                     sp = base + 1;
                 }
-                GateOp::Closure { gate } => {
-                    stack[sp] = self.closures[gate as usize].holds(marking);
+                GateOp::Tree(ref pred) => {
+                    stack[sp] = pred.eval(marking);
                     sp += 1;
                 }
             }
@@ -333,7 +315,7 @@ fn set_bit(words: &mut [u64], bit: usize) {
 }
 
 /// Whether `pred` compiles within the interpreter's stack and arity
-/// limits; anything else takes the closure fallback.
+/// limits; anything else becomes one [`GateOp::Tree`].
 fn compilable(pred: &Pred) -> bool {
     arity_ok(pred) && depth(pred) <= MAX_STACK
 }
@@ -457,8 +439,8 @@ fn emit(pred: &Pred, ops: &mut Vec<GateOp>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gate::InputGate;
     use crate::model::SanBuilder;
-    use ckpt_stats::Dist;
 
     #[test]
     fn depth_accounts_for_parked_operands() {
@@ -472,7 +454,7 @@ mod tests {
     }
 
     #[test]
-    fn too_deep_predicates_take_the_closure_fallback() {
+    fn too_deep_predicates_evaluate_as_trees() {
         // A right-leaning chain of nested Anys: operand i of each level
         // parks one more result. 20 levels exceeds MAX_STACK.
         let mut p = Pred::has(PlaceId(0));
@@ -493,9 +475,9 @@ mod tests {
             .output_arc(place, 1)
             .build();
         let san = b.build().unwrap();
-        // Fallback still evaluates correctly.
+        // The tree op still evaluates correctly.
         assert!(san.compiled.enabled(0, &san.initial_marking()));
-        assert!(!san.compiled.closures.is_empty());
+        assert!(matches!(san.compiled.ops[..], [GateOp::Tree(_)]));
     }
 
     #[test]
@@ -504,14 +486,15 @@ mod tests {
         let p0 = b.place("p0", 2);
         let p1 = b.place("p1", 0);
         let p2 = b.place("p2", 1);
-        // Expression gate + closure gate + input arc on one activity.
+        // Conjunctive leaves, a disjunctive residue, a negated
+        // threshold and an input arc on one activity.
         b.timed_activity("a", crate::Delay::from(Dist::deterministic(1.0)))
             .input_arc(p0, 1)
             .input_gate(InputGate::when(
                 "expr",
                 Pred::at_least(p0, 2).and(Pred::empty(p1).or(Pred::has(p2))),
             ))
-            .enabled_when("closure", move |m| m.tokens(p2) < 5)
+            .enabled_if("below_five", Pred::at_least(p2, 5).negate())
             .output_arc(p1, 1)
             .build();
         b.instantaneous_activity("b", 1)
@@ -559,9 +542,8 @@ mod tests {
         let san = b.build().unwrap();
         let c = &san.compiled;
         assert_eq!(c.mask_words, 1);
-        // t0 depends on p0; t1 is Resample ⇒ global, and (its reads all
-        // being declared) also indexed under its place p1 for lazy mode;
-        // i0 depends on p1.
+        // t0 depends on p0; t1 is Resample ⇒ global, and also indexed
+        // under its place p1 for lazy mode; i0 depends on p1.
         assert_eq!(c.place_timed_row(p0.0), &[0b001]);
         assert_eq!(c.place_timed_row(p1.0), &[0b010]);
         assert_eq!(c.place_inst_row(p1.0), &[0b100]);
@@ -570,7 +552,9 @@ mod tests {
         // redraws and drops it from the global row — the p1 place row
         // still reaches it when its enabling can change.
         assert_eq!(c.global_timed_mask_lazy, &[0b000]);
-        assert_eq!(c.global_inst_mask, &[0b000]);
+        assert_eq!(c.timed_words, &[0b011]);
+        assert_eq!(c.inst_words, &[0b100]);
+        assert_eq!(c.inst_priority_order, &[2]);
         assert!(c.is_timed(0) && c.is_timed(1) && !c.is_timed(2));
         assert!(!c.is_resample(0) && c.is_resample(1) && !c.is_resample(2));
         assert!(!c.is_lazy_elidable(0) && c.is_lazy_elidable(1));

@@ -1,75 +1,32 @@
 //! Input and output gates.
+//!
+//! An input gate's enabling condition is always a declarative [`Pred`]:
+//! its read set is derived from the expression and
+//! [`SanBuilder::build`](crate::SanBuilder::build) compiles it into the
+//! model's flat gate program. Only the gate's firing *function* is an
+//! opaque closure, and its writes are tracked by the marking itself.
 
 use crate::marking::{Marking, PlaceId};
 use crate::pred::Pred;
 use std::fmt;
 use std::sync::Arc;
 
-/// Predicate half of an input gate.
-pub type GatePredicate = Arc<dyn Fn(&Marking) -> bool + Send + Sync>;
 /// Marking-transformation half of a gate.
 pub type GateFunction = Arc<dyn Fn(&mut Marking) + Send + Sync>;
-
-/// How an input gate's enabling condition is expressed: an opaque
-/// closure (compatibility path) or a declarative [`Pred`] expression the
-/// builder can inspect and compile.
-#[derive(Clone)]
-enum PredicateImpl {
-    Closure(GatePredicate),
-    Expr(Pred),
-}
 
 /// An input gate: the activity it is attached to is enabled only while
 /// the predicate holds, and the gate's function is applied to the marking
 /// when the activity fires (after input arcs are consumed).
-///
-/// A gate may additionally *declare* the discrete places its predicate
-/// reads via [`InputGate::reads`]. The declaration is a contract with the
-/// incremental scheduler: the predicate's result must depend **only** on
-/// the token counts of the declared places (never on fluid levels), so
-/// the scheduler can skip re-evaluating the activity when none of them
-/// changed. Undeclared gates are handled conservatively — the activity is
-/// re-checked after every firing — so existing models keep working
-/// unchanged, just without the fast path.
 #[derive(Clone)]
 pub struct InputGate {
     name: String,
-    predicate: PredicateImpl,
+    predicate: Pred,
     function: GateFunction,
-    reads: Option<Vec<PlaceId>>,
 }
 
 impl InputGate {
-    /// Creates an input gate from a predicate and a firing function.
-    pub fn new<P, F>(name: impl Into<String>, predicate: P, function: F) -> InputGate
-    where
-        P: Fn(&Marking) -> bool + Send + Sync + 'static,
-        F: Fn(&mut Marking) + Send + Sync + 'static,
-    {
-        InputGate {
-            name: name.into(),
-            predicate: PredicateImpl::Closure(Arc::new(predicate)),
-            function: Arc::new(function),
-            reads: None,
-        }
-    }
-
-    /// A pure enabling condition with no marking effect.
-    pub fn predicate_only<P>(name: impl Into<String>, predicate: P) -> InputGate
-    where
-        P: Fn(&Marking) -> bool + Send + Sync + 'static,
-    {
-        InputGate::new(name, predicate, |_| {})
-    }
-
     /// A pure enabling condition given as a declarative [`Pred`]
-    /// expression.
-    ///
-    /// The gate's read set is **derived** from the expression — no
-    /// [`InputGate::reads`] call needed, and no way to under-declare —
-    /// and the builder compiles the expression into the model's flat
-    /// gate program, so the hot loop evaluates it without dynamic
-    /// dispatch.
+    /// expression, with no marking effect.
     pub fn when(name: impl Into<String>, pred: Pred) -> InputGate {
         InputGate::when_with(name, pred, |_| {})
     }
@@ -81,46 +38,25 @@ impl InputGate {
     where
         F: Fn(&mut Marking) + Send + Sync + 'static,
     {
-        let reads = pred.reads();
         InputGate {
             name: name.into(),
-            predicate: PredicateImpl::Expr(pred),
+            predicate: pred,
             function: Arc::new(function),
-            reads: Some(reads),
         }
     }
 
-    /// Declares the discrete places the predicate reads, opting the
-    /// attached activity into incremental scheduling.
-    ///
-    /// Contract: the predicate's result may change **only** when the
-    /// token count of one of `places` changes. Declaring too few places
-    /// makes the scheduler miss enablings/disablings (a debug-build
-    /// consistency assertion in the simulator catches this); declaring
-    /// extra places is safe, merely slower. The gate's *function* needs
-    /// no declaration — its writes are tracked by the marking itself.
+    /// The discrete places the predicate reads, derived from the
+    /// expression ([`Pred::reads`]): sorted, de-duplicated, and never
+    /// short of a place the predicate depends on.
     #[must_use]
-    pub fn reads(mut self, places: &[PlaceId]) -> InputGate {
-        self.reads = Some(places.to_vec());
-        self
+    pub fn declared_reads(&self) -> Vec<PlaceId> {
+        self.predicate.reads()
     }
 
-    /// The declared read set, or `None` for a conservative (re-check
-    /// always) gate. [`Pred`]-backed gates always have one (derived).
-    #[must_use]
-    pub fn declared_reads(&self) -> Option<&[PlaceId]> {
-        self.reads.as_deref()
-    }
-
-    /// The declarative expression behind this gate, if it was built with
-    /// [`InputGate::when`] / [`InputGate::when_with`]; `None` for
-    /// closure gates. The builder compiles this into the flat gate
-    /// program.
-    pub(crate) fn expr(&self) -> Option<&Pred> {
-        match &self.predicate {
-            PredicateImpl::Expr(p) => Some(p),
-            PredicateImpl::Closure(_) => None,
-        }
+    /// The declarative expression behind this gate; the builder compiles
+    /// it into the flat gate program.
+    pub(crate) fn pred(&self) -> &Pred {
+        &self.predicate
     }
 
     /// The gate's diagnostic name.
@@ -132,10 +68,7 @@ impl InputGate {
     /// Evaluates the enabling predicate.
     #[must_use]
     pub fn holds(&self, marking: &Marking) -> bool {
-        match &self.predicate {
-            PredicateImpl::Closure(p) => p(marking),
-            PredicateImpl::Expr(p) => p.eval(marking),
-        }
+        self.predicate.eval(marking)
     }
 
     /// Applies the firing function.
@@ -202,37 +135,6 @@ mod tests {
     }
 
     #[test]
-    fn input_gate_predicate_and_function() {
-        let p0 = PlaceId(0);
-        let p1 = PlaceId(1);
-        let g = InputGate::new(
-            "move",
-            move |m| m.tokens(p0) >= 2,
-            move |m| {
-                m.remove_tokens(p0, 2);
-                m.add_tokens(p1, 1);
-            },
-        );
-        let mut m = marking();
-        assert!(g.holds(&m));
-        g.apply(&mut m);
-        assert_eq!(m.tokens(p0), 0);
-        assert_eq!(m.tokens(p1), 1);
-        assert!(!g.holds(&m));
-        assert_eq!(g.name(), "move");
-    }
-
-    #[test]
-    fn predicate_only_gate_leaves_marking_alone() {
-        let p0 = PlaceId(0);
-        let g = InputGate::predicate_only("check", move |m| m.has_token(p0));
-        let mut m = marking();
-        let v = m.version();
-        g.apply(&mut m);
-        assert_eq!(m.version(), v);
-    }
-
-    #[test]
     fn output_gate_applies() {
         let p1 = PlaceId(1);
         let g = OutputGate::new("emit", move |m| m.add_tokens(p1, 3));
@@ -249,22 +151,12 @@ mod tests {
     }
 
     #[test]
-    fn reads_declaration_is_recorded() {
-        let p0 = PlaceId(0);
-        let g = InputGate::predicate_only("check", move |m| m.has_token(p0));
-        assert_eq!(g.declared_reads(), None, "undeclared by default");
-        let g = g.reads(&[p0]);
-        assert_eq!(g.declared_reads(), Some(&[p0][..]));
-    }
-
-    #[test]
     fn pred_gate_derives_reads_and_evaluates() {
         use crate::pred::Pred;
         let p0 = PlaceId(0);
         let p1 = PlaceId(1);
         let g = InputGate::when("both", Pred::has(p0).and(Pred::empty(p1)));
-        assert_eq!(g.declared_reads(), Some(&[p0, p1][..]));
-        assert!(g.expr().is_some());
+        assert_eq!(g.declared_reads(), vec![p0, p1]);
         let mut m = marking(); // tokens [2, 0]
         assert!(g.holds(&m));
         m.add_tokens(p1, 1);

@@ -10,8 +10,9 @@
 //!   `ckpt-stats` or a marking-dependent sampler) or instantaneous with a
 //!   priority, with probabilistic **cases** choosing among output
 //!   effects;
-//! * **input gates** (enabling predicate + marking transformation) and
-//!   **output gates** (marking transformation);
+//! * **input gates** (a declarative [`Pred`] enabling predicate +
+//!   marking transformation) and **output gates** (marking
+//!   transformation);
 //! * **composition by state sharing**: submodels built against the same
 //!   [`SanBuilder`] share places by name, exactly how the paper's
 //!   submodels are "integrated into an overall model";

@@ -13,98 +13,6 @@ use std::sync::Arc;
 /// Marking-dependent flow rate attached to a fluid place.
 pub(crate) type FlowRate = Arc<dyn Fn(&Marking) -> f64 + Send + Sync>;
 
-/// Static place→activity dependency index, computed once at
-/// [`SanBuilder::build`] time and consulted by the incremental scheduler
-/// after every firing.
-///
-/// An activity's *dependency set* is the union of its input-arc places
-/// and the declared [`InputGate::reads`] sets of its input gates: the
-/// only places whose token counts can flip its enabling predicate. Two
-/// classes of activity opt out of the index and are re-checked on every
-/// event instead:
-///
-/// * activities with an **undeclared** gate (no `reads()`), whose
-///   predicate may read anything — the conservative compatibility path;
-/// * timed activities with [`Reactivation::Resample`], whose contract is
-///   to redraw their delay on *every* marking change, relevant or not —
-///   skipping a redraw would change the RNG draw sequence versus the
-///   full-scan reference executor.
-#[derive(Debug, Default)]
-pub(crate) struct DependencyIndex {
-    /// Place index → ascending indices of timed activities whose
-    /// enabling depends on that place.
-    pub(crate) place_to_timed: Vec<Vec<u32>>,
-    /// Place index → ascending indices of instantaneous activities whose
-    /// enabling depends on that place.
-    pub(crate) place_to_inst: Vec<Vec<u32>>,
-    /// Ascending indices of timed activities revisited on every event.
-    pub(crate) global_timed: Vec<u32>,
-    /// Ascending indices of instantaneous activities considered on every
-    /// event.
-    pub(crate) global_inst: Vec<u32>,
-    /// Every instantaneous activity, highest priority first (ties by
-    /// definition order) — the firing order of the settle loop.
-    pub(crate) inst_priority_order: Vec<u32>,
-}
-
-impl DependencyIndex {
-    fn build(place_count: usize, activities: &[ActivityDef]) -> DependencyIndex {
-        let mut idx = DependencyIndex {
-            place_to_timed: vec![Vec::new(); place_count],
-            place_to_inst: vec![Vec::new(); place_count],
-            ..DependencyIndex::default()
-        };
-        let mut by_priority: Vec<(u32, u32)> = Vec::new();
-        let mut dep_places: Vec<usize> = Vec::new();
-        for (i, def) in activities.iter().enumerate() {
-            let a = u32::try_from(i).expect("more than 2^32 activities");
-            let timed = matches!(def.timing, Timing::Timed(_));
-            if let Timing::Instantaneous { priority } = def.timing {
-                by_priority.push((priority, a));
-            }
-            let resample = timed && def.reactivation == Reactivation::Resample;
-            let undeclared = def.input_gates.iter().any(|g| g.declared_reads().is_none());
-            if resample || undeclared {
-                if timed {
-                    idx.global_timed.push(a);
-                } else {
-                    idx.global_inst.push(a);
-                }
-                if undeclared {
-                    continue;
-                }
-                // A `Resample` activity whose gates all declare their
-                // reads falls through: its dependency places are indexed
-                // *as well*. Under eager resampling the place rows are
-                // redundant with the global row (the visit set is a
-                // bitmask OR, so the union is unchanged), but lazy
-                // reactivation drops these activities from its global
-                // mask and relies on the place rows to revisit them when
-                // their enabling can actually change.
-            }
-            dep_places.clear();
-            dep_places.extend(def.input_arcs.iter().map(|&(p, _)| p.0));
-            for g in &def.input_gates {
-                if let Some(reads) = g.declared_reads() {
-                    dep_places.extend(reads.iter().map(|p| p.0));
-                }
-            }
-            dep_places.sort_unstable();
-            dep_places.dedup();
-            for &p in &dep_places {
-                if timed {
-                    idx.place_to_timed[p].push(a);
-                } else {
-                    idx.place_to_inst[p].push(a);
-                }
-            }
-        }
-        by_priority.sort_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)));
-        idx.inst_priority_order = by_priority.into_iter().map(|(_, a)| a).collect();
-        idx
-    }
-}
-
 /// An immutable, validated Stochastic Activity Network.
 ///
 /// Built with [`SanBuilder`]; executed by
@@ -117,8 +25,7 @@ pub struct San {
     pub(crate) initial_fluid: Vec<f64>,
     pub(crate) flows: Vec<(FluidId, FlowRate)>,
     pub(crate) activities: Vec<ActivityDef>,
-    pub(crate) deps: DependencyIndex,
-    /// Flat arena form of the enabling rules and dependency index,
+    /// Flat arena form of the enabling rules and the dependency index,
     /// evaluated by the incremental scheduler's hot loop (see
     /// `compiled.rs`).
     pub(crate) compiled: CompiledSan,
@@ -207,9 +114,9 @@ impl San {
         self.compiled.enabled(activity.0, marking)
     }
 
-    /// Evaluates `activity`'s enabling rule through the original
-    /// trait-dispatch chain (input arcs, then each gate's predicate) —
-    /// the semantic reference for [`San::enabled_fast`].
+    /// Evaluates `activity`'s enabling rule by walking its definition
+    /// (input arcs, then each gate's [`Pred::eval`]) — the semantic
+    /// reference for [`San::enabled_fast`].
     #[must_use]
     pub fn enabled_reference(&self, activity: ActivityId, marking: &Marking) -> bool {
         self.activities[activity.0].enabled(marking)
@@ -369,8 +276,7 @@ impl SanBuilder {
                 });
             }
         }
-        let deps = DependencyIndex::build(self.place_names.len(), &self.activities);
-        let compiled = CompiledSan::build(self.place_names.len(), &self.activities, &deps);
+        let compiled = CompiledSan::build(self.place_names.len(), &self.activities);
         Ok(San {
             name: self.name,
             place_names: self.place_names,
@@ -379,7 +285,6 @@ impl SanBuilder {
             initial_fluid: self.initial_fluid,
             flows: self.flows,
             activities: self.activities,
-            deps,
             compiled,
         })
     }
@@ -449,15 +354,6 @@ impl<'a> ActivityBuilder<'a> {
     pub fn input_gate(mut self, gate: InputGate) -> Self {
         self.input_gates.push(gate);
         self
-    }
-
-    /// Shorthand for a predicate-only input gate.
-    #[must_use]
-    pub fn enabled_when<P>(self, name: &str, predicate: P) -> Self
-    where
-        P: Fn(&Marking) -> bool + Send + Sync + 'static,
-    {
-        self.input_gate(InputGate::predicate_only(name, predicate))
     }
 
     /// Shorthand for a declarative predicate-only input gate

@@ -1,16 +1,14 @@
 //! Declarative gate predicates.
 //!
 //! A [`Pred`] is a small boolean expression tree over discrete place
-//! token counts. Unlike a closure ([`crate::InputGate::new`]), a `Pred`
-//! is *inspectable*: the builder derives the gate's read set from it
-//! automatically (no hand-maintained [`crate::InputGate::reads`]
-//! declaration to get wrong), and [`San::build`](crate::SanBuilder::build)
-//! compiles it into a flat postfix program evaluated with no dynamic
-//! dispatch in the hot loop (see `compiled.rs`).
-//!
-//! Closure gates keep working exactly as before; `Pred` is an opt-in
-//! fast path for the overwhelmingly common "token-count comparison"
-//! predicates.
+//! token counts, and the only form an input gate's enabling condition
+//! takes. It is *inspectable*: the builder derives the gate's read set
+//! from it ([`Pred::reads`]), so no hand-maintained declaration can go
+//! stale, and [`San::build`](crate::SanBuilder::build) compiles it into
+//! a flat postfix program evaluated with no dynamic dispatch in the hot
+//! loop (see `compiled.rs`). [`Pred::eval`] is the reference semantics
+//! the compiled form must match; the full-scan scheduler evaluates
+//! gates with it.
 //!
 //! ```
 //! use ckpt_san::{Pred, SanBuilder};
@@ -117,8 +115,9 @@ impl Pred {
 
     /// The discrete places this predicate reads, sorted and de-duplicated.
     ///
-    /// This *is* the gate's [`crate::InputGate::reads`] declaration —
-    /// derived, so it can never under-declare.
+    /// This is the gate's dependency set
+    /// ([`crate::InputGate::declared_reads`]) — derived, so it can never
+    /// under-declare.
     #[must_use]
     pub fn reads(&self) -> Vec<PlaceId> {
         let mut places = Vec::new();

@@ -56,8 +56,8 @@ impl RewardSpec {
     }
 
     /// Declares the rate function's support: the discrete places its
-    /// value depends on — the same contract as
-    /// [`InputGate::reads`](crate::InputGate::reads).
+    /// value depends on. A rate closure is opaque, so unlike a gate's
+    /// [`Pred`](crate::Pred) its read set cannot be derived.
     ///
     /// A declared rate reward is evaluated only when one of these
     /// places changes (its value is cached between changes), instead of

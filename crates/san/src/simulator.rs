@@ -1,6 +1,6 @@
 //! Discrete-event execution of a SAN.
 
-use crate::activity::{ActivityId, Reactivation, Timing};
+use crate::activity::{ActivityId, Timing};
 use crate::error::SanError;
 use crate::marking::Marking;
 use crate::model::San;
@@ -15,59 +15,36 @@ use std::sync::Arc;
 /// the simulator reports a livelock.
 const INSTANTANEOUS_LIMIT: u32 = 100_000;
 
-/// One deferred schedule-reconciliation action (incremental mode).
+/// Which activities a [`Simulator`] visits after each firing, and how
+/// it checks their enabling.
 ///
-/// The classification pass pushes these in ascending activity order;
-/// the batch sampling pass fills `at` for the entries that draw a
-/// delay; the apply pass executes the queue operations in the same
-/// order. Keeping all three passes in ascending activity order makes
-/// the RNG draw sequence AND the queue-operation sequence (hence
-/// event-id assignment) identical to the one-activity-at-a-time
-/// reference path.
-struct PendingOp {
-    /// Activity index.
-    act: u32,
-    /// Absolute completion time, filled in by the sampling pass
-    /// (cancels keep `SimTime::ZERO`).
-    at: SimTime,
-    kind: PendingKind,
-}
-
-enum PendingKind {
-    /// The activity was disabled while scheduled: abort its completion.
-    Cancel(EventId),
-    /// The activity became enabled: draw a delay and schedule it.
-    Schedule,
-    /// A `Resample` activity saw a marking change while scheduled:
-    /// redraw and move its completion in place.
-    Reschedule(EventId),
-}
-
-/// Which scheduling strategy a [`Simulator`] uses to reconcile activity
-/// schedules after each firing.
-///
-/// Both strategies are **bit-identical**: same RNG draw sequence, same
-/// firing order, same rewards, same final marking. The full scan is kept
-/// as the reference executor (and as an equivalence oracle in tests and
-/// benchmarks); the incremental scheduler is the default because its
-/// per-event cost is proportional to what the firing actually changed,
-/// not to the total number of activities in the model.
+/// Both strategies run the same settle loop and the same per-activity
+/// reconcile, in ascending activity index, so they are
+/// **bit-identical**: same RNG draw sequence, same firing order, same
+/// rewards, same final marking. They differ only in the visit set and
+/// the enabling check. The full scan is kept as the reference executor
+/// (and as an equivalence oracle in tests and benchmarks); the
+/// incremental scheduler is the default because its per-event cost is
+/// proportional to what the firing actually changed, not to the total
+/// number of activities in the model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scheduling {
-    /// Visit only activities whose dependency set (input-arc places ∪
-    /// declared [`InputGate::reads`](crate::InputGate::reads) sets)
-    /// intersects the places dirtied by the current event, plus the
-    /// conservatively re-checked "global" activities (undeclared gates,
-    /// `Resample` timers). The default.
+    /// Visit only the fired activity, the `Resample` timers, and the
+    /// activities whose dependency set (input-arc places ∪ the places
+    /// their gate predicates read) intersects the places dirtied by the
+    /// current event; check enabling with the compiled gate programs.
+    /// The default.
     #[default]
     Incremental,
-    /// Re-examine every activity after every event — the original O(A)
-    /// reference behaviour.
+    /// Visit every activity after every event and check enabling by
+    /// walking its definition ([`Pred::eval`](crate::Pred::eval)) — the
+    /// O(A) reference behaviour.
     FullScan,
 }
 
-/// How a [`Simulator`] realises the [`Reactivation::Resample`] policy
-/// for timers whose delay is a marking-independent exponential.
+/// How a [`Simulator`] realises the
+/// [`Reactivation::Resample`](crate::Reactivation::Resample) policy for
+/// timers whose delay is a marking-independent exponential.
 ///
 /// [`ReactivationMode::Resample`] (the default) redraws the delay and
 /// moves the queue entry on every marking change — the reference
@@ -83,7 +60,8 @@ pub enum Scheduling {
 /// CI-overlap suites). Timers with
 /// marking-dependent delays ([`crate::Delay::MarkingDependent`]) are
 /// never elided — a rate modulated by the marking must be observed at
-/// the marking change — and [`Reactivation::Keep`] timers are
+/// the marking change — and
+/// [`Reactivation::Keep`](crate::Reactivation::Keep) timers are
 /// untouched by either mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReactivationMode {
@@ -177,8 +155,8 @@ pub trait SanObserver {
 /// * enabled **timed** activities sample a completion delay when they
 ///   become enabled; if they become disabled the sampled completion is
 ///   **aborted**, and on other marking changes the
-///   [`Reactivation`] policy decides whether the sample is kept or
-///   redrawn;
+///   [`Reactivation`](crate::Reactivation) policy decides whether the
+///   sample is kept or redrawn;
 /// * on completion, input arcs are consumed, input-gate functions run, a
 ///   probabilistic case is selected by (marking-dependent) weights, and
 ///   the case's output arcs/gates are applied;
@@ -211,7 +189,7 @@ pub struct Simulator<'m> {
     /// does not rebuild a `HashMap` per call.
     reward_names: Arc<HashMap<String, usize>>,
     /// Place index → declared-support rate rewards reading it; drives
-    /// dirty-place-gated cache refresh under incremental scheduling.
+    /// dirty-place-gated cache refresh (empty under the full scan).
     rate_by_place: Vec<Vec<u32>>,
     /// Activity index → `(reward index, impulse index)` pairs, so firing
     /// only touches rewards that actually attach an impulse to it.
@@ -225,15 +203,12 @@ pub struct Simulator<'m> {
     reactivation: ReactivationMode,
     /// Reused per multi-case firing; never reallocated in steady state.
     weights_scratch: Vec<f64>,
-    /// Visit bitmask scratch for incremental reconciliation: one bit per
-    /// timed activity to revisit this event.
+    /// Visit bitmask scratch for reconciliation: one bit per timed
+    /// activity to revisit this event.
     timed_acc: Vec<u64>,
-    /// Candidate bitmask scratch for incremental settling: one bit per
+    /// Candidate bitmask scratch for settling: one bit per
     /// instantaneous activity that may have become enabled.
     inst_acc: Vec<u64>,
-    /// Deferred reconciliation actions; reused across events, never
-    /// reallocated in steady state.
-    pending: Vec<PendingOp>,
     /// Queue-depth / dirty-set distribution probes; `Some` once
     /// [`Simulator::enable_telemetry`] switched them on (see
     /// [`ckpt_des::telem`]); boxed, so an unobserved run carries one
@@ -314,16 +289,13 @@ impl<'m> Simulator<'m> {
             weights_scratch: Vec::new(),
             timed_acc: vec![0; san.compiled.mask_words],
             inst_acc: vec![0; san.compiled.mask_words],
-            pending: Vec::with_capacity(n),
             telem: None,
             redraws_elided: 0,
         };
-        // Initialization settles and schedules with the full scan in both
-        // modes: it visits every activity in ascending index order, which
-        // is exactly what the incremental scheduler must be equivalent to,
-        // and there is no previous event to diff against.
-        sim.settle_instantaneous()?;
-        sim.update_schedules()?;
+        // Initialization visits every activity in both modes: there is
+        // no previous event to diff against.
+        sim.settle(true)?;
+        sim.update_schedules(None)?;
         Ok(sim)
     }
 
@@ -377,9 +349,9 @@ impl<'m> Simulator<'m> {
         // Rate rewards with a declared support are cached under
         // incremental scheduling: the rate is evaluated now and
         // re-evaluated only when a support place changes, instead of on
-        // every integration step. The full scan has no dirty-place
-        // information, so it keeps evaluating directly — same bits,
-        // original cost.
+        // every integration step. The full scan keeps evaluating
+        // directly — same bits, original cost — so it stays the oracle
+        // for the cache too.
         let mut rate_mode = RateMode::NoRate;
         let mut cached_rate = 0.0;
         if let Some(rate) = spec.rate_fn() {
@@ -542,23 +514,11 @@ impl<'m> Simulator<'m> {
         self.integrate_to(t);
         self.now = t;
         self.scheduled[activity.0] = None;
-        match self.scheduling {
-            Scheduling::FullScan => self.step_full_scan(activity),
-            Scheduling::Incremental => self.step_incremental(activity),
-        }
-    }
-
-    fn step_full_scan(&mut self, activity: ActivityId) -> Result<(), SanError> {
-        self.fire(activity)?;
-        self.settle_instantaneous()?;
-        self.update_schedules()
-    }
-
-    fn step_incremental(&mut self, activity: ActivityId) -> Result<(), SanError> {
         self.marking.begin_dirty_window();
         self.fire(activity)?;
-        self.settle_incremental()?;
-        self.update_schedules_incremental(activity)?;
+        let scan = self.scheduling == Scheduling::FullScan;
+        self.settle(scan)?;
+        self.update_schedules((!scan).then_some(activity))?;
         self.refresh_dirty_rate_caches();
         if let Some(telem) = &mut self.telem {
             telem.record_dirty_set(self.marking.dirty_places().len());
@@ -566,6 +526,18 @@ impl<'m> Simulator<'m> {
         #[cfg(debug_assertions)]
         self.assert_schedule_consistency();
         Ok(())
+    }
+
+    /// Activity `a`'s enabling check under this simulator's
+    /// [`Scheduling`]: the compiled gate programs, or the definition
+    /// walk the full scan keeps as the reference. Both agree on every
+    /// marking.
+    #[inline]
+    fn enabled(&self, a: usize) -> bool {
+        match self.scheduling {
+            Scheduling::Incremental => self.san.compiled.enabled(a, &self.marking),
+            Scheduling::FullScan => self.san.activities[a].enabled(&self.marking),
+        }
     }
 
     /// Re-evaluates declared-support rate-reward caches whose support
@@ -698,85 +670,49 @@ impl<'m> Simulator<'m> {
         Ok(())
     }
 
-    /// Fires enabled instantaneous activities (highest priority first)
-    /// until none remain, re-checking every activity each round — the
-    /// full-scan reference path, also used during initialization.
-    fn settle_instantaneous(&mut self) -> Result<(), SanError> {
-        let mut fired = 0u32;
-        loop {
-            let mut best: Option<(u32, usize)> = None;
-            for (i, def) in self.san.activities.iter().enumerate() {
-                if let Timing::Instantaneous { priority } = def.timing {
-                    if def.enabled(&self.marking) {
-                        let better = match best {
-                            None => true,
-                            Some((bp, _)) => priority > bp,
-                        };
-                        if better {
-                            best = Some((priority, i));
-                        }
-                    }
-                }
-            }
-            let Some((_, idx)) = best else {
-                return Ok(());
-            };
-            self.fire(ActivityId(idx))?;
-            fired += 1;
-            if fired > INSTANTANEOUS_LIMIT {
-                return Err(SanError::InstantaneousLivelock {
-                    limit: INSTANTANEOUS_LIMIT,
-                });
-            }
-        }
-    }
-
-    /// Incremental settle: between events no instantaneous activity is
+    /// Fires enabled instantaneous activities (highest priority first,
+    /// ties by definition order) until none remain.
+    ///
+    /// The candidates are a bitmask. With `all` (initialization and the
+    /// full scan) it starts as every instantaneous activity. Otherwise
+    /// it starts empty: between events no instantaneous activity is
     /// enabled (the previous settle reached a fixpoint, and neither
     /// schedule reconciliation nor fluid integration changes discrete
-    /// token counts), so the only activities that can have become enabled
-    /// are those depending on a place dirtied during this event — plus
-    /// the conservatively re-checked global set. The candidate set is a
-    /// bitmask: folding a dirty place in is an OR over the precomputed
-    /// `place → instantaneous dependents` row. Candidates accumulate as
-    /// firings dirty further places; priority order and tie-breaking
-    /// match the full scan exactly.
-    fn settle_incremental(&mut self) -> Result<(), SanError> {
+    /// token counts), so the only ones that can have become enabled
+    /// depend on a place dirtied during this event. Each round folds in
+    /// the `place → instantaneous dependents` rows of the places dirtied
+    /// since the previous round, then fires the first enabled candidate
+    /// in `inst_priority_order`, which is sorted (priority desc, index
+    /// asc).
+    fn settle(&mut self, all: bool) -> Result<(), SanError> {
         let san = self.san;
         let compiled = &san.compiled;
-        self.inst_acc.copy_from_slice(&compiled.global_inst_mask);
+        if all {
+            self.inst_acc.copy_from_slice(&compiled.inst_words);
+        } else {
+            self.inst_acc.fill(0);
+        }
         let mut consumed = 0usize;
         let mut fired = 0u32;
         loop {
-            // Fold places dirtied since the previous round into the
-            // candidate set.
-            loop {
-                let dirty = self.marking.dirty_places();
-                if consumed >= dirty.len() {
-                    break;
-                }
-                let p = dirty[consumed] as usize;
-                consumed += 1;
-                for (acc, &row) in self.inst_acc.iter_mut().zip(compiled.place_inst_row(p)) {
+            for &p in &self.marking.dirty_places()[consumed..] {
+                for (acc, &row) in self
+                    .inst_acc
+                    .iter_mut()
+                    .zip(compiled.place_inst_row(p as usize))
+                {
                     *acc |= row;
                 }
             }
+            consumed = self.marking.dirty_places().len();
             if self.inst_acc.iter().all(|&w| w == 0) {
                 return Ok(()); // no candidates at all — the common case
             }
-            // `inst_priority_order` is sorted (priority desc, index asc),
-            // so the first enabled candidate is exactly the activity the
-            // full scan's "first maximum" selection would pick.
-            let mut chosen = None;
-            for &a in &san.deps.inst_priority_order {
-                let idx = a as usize;
-                if self.inst_acc[idx >> 6] & (1u64 << (idx & 63)) != 0
-                    && compiled.enabled(idx, &self.marking)
-                {
-                    chosen = Some(idx);
-                    break;
-                }
-            }
+            let chosen = compiled
+                .inst_priority_order
+                .iter()
+                .map(|&a| a as usize)
+                .find(|&a| self.inst_acc[a >> 6] & (1u64 << (a & 63)) != 0 && self.enabled(a));
             let Some(idx) = chosen else {
                 return Ok(());
             };
@@ -790,235 +726,107 @@ impl<'m> Simulator<'m> {
         }
     }
 
-    /// Reconciles timed-activity schedules with the current marking by
-    /// examining every activity — the full-scan reference path, also used
-    /// during initialization.
-    fn update_schedules(&mut self) -> Result<(), SanError> {
-        let version = self.marking.version();
-        for i in 0..self.san.activities.len() {
-            self.reconcile_timed(i, version)?;
-        }
-        Ok(())
-    }
-
-    /// Incremental schedule reconciliation: visits the just-fired
-    /// activity (its pop cleared `scheduled`, and it may be immediately
-    /// re-enabled without dirtying any place it depends on), every global
-    /// activity, and every timed activity depending on a place dirtied
-    /// during this event — in ascending activity index, so delay draws
-    /// happen in exactly the order the full scan would make them.
+    /// Brings timed-activity schedules in line with the marking,
+    /// visiting activities in ascending index so delay draws and queue
+    /// operations happen in one fixed order whatever the visit set.
     ///
+    /// `None` (initialization and the full scan) visits every timed
+    /// activity. `Some(fired)` visits the fired activity (its pop
+    /// cleared `scheduled`, and it may be re-enabled without dirtying
+    /// any place it depends on), the global row, and every timed
+    /// activity depending on a place dirtied during this event.
     /// Activities outside that set are provably no-ops under the full
     /// scan: their enabling cannot have changed (their dependency places
     /// did not), so they sit in the `(enabled, scheduled)` states
     /// `(true, Some)` with `Keep` or `(false, None)`, neither of which
     /// draws randomness or touches the queue.
-    ///
-    /// Three passes, all in ascending activity order:
-    ///
-    /// 1. **Visit & classify** — the visit set is a bitmask (global row
-    ///    OR the dirty places' dependency rows OR the fired bit;
-    ///    ascending iteration over set bits replaces the old
-    ///    stamp/push/sort scratch machinery), and each visited activity's
-    ///    compiled enabling check decides cancel / schedule / reschedule.
-    /// 2. **Batch sampling** — all delay draws for this event run
-    ///    back-to-back through the block-buffered RNG.
-    /// 3. **Apply** — all queue operations execute back-to-back.
-    ///
-    /// Queue operations draw no randomness and sampling touches no queue
-    /// state, so hoisting all draws ahead of all queue operations leaves
-    /// both the RNG stream and the queue-op sequence (hence event-id
-    /// assignment and same-time tie-breaking) bit-identical to the
-    /// interleaved reference path.
-    fn update_schedules_incremental(&mut self, fired: ActivityId) -> Result<(), SanError> {
-        let compiled = &self.san.compiled;
-        let lazy = self.reactivation == ReactivationMode::Lazy;
-        {
-            let acc = &mut self.timed_acc;
-            // Lazy mode's global row omits elidable `Resample` timers
-            // with declared reads: their place rows (which the
-            // dependency index also populates for them) cover every
-            // marking change that can affect their enabling, and their
-            // redraws are skipped anyway.
-            acc.copy_from_slice(if lazy {
-                &compiled.global_timed_mask_lazy
-            } else {
-                &compiled.global_timed_mask
-            });
-            debug_assert!(
-                compiled.is_timed(fired.0),
-                "queue completed a non-timed activity"
-            );
-            acc[fired.0 >> 6] |= 1u64 << (fired.0 & 63);
-            for &p in self.marking.dirty_places() {
-                for (a, &row) in acc.iter_mut().zip(compiled.place_timed_row(p as usize)) {
-                    *a |= row;
+    fn update_schedules(&mut self, fired: Option<ActivityId>) -> Result<(), SanError> {
+        let san = self.san;
+        let compiled = &san.compiled;
+        let acc = &mut self.timed_acc;
+        match fired {
+            None => acc.copy_from_slice(&compiled.timed_words),
+            Some(fired) => {
+                // Lazy mode's global row omits the elidable `Resample`
+                // timers: their place rows cover every marking change
+                // that can affect their enabling, and their redraws are
+                // skipped anyway.
+                acc.copy_from_slice(match self.reactivation {
+                    ReactivationMode::Resample => &compiled.global_timed_mask,
+                    ReactivationMode::Lazy => &compiled.global_timed_mask_lazy,
+                });
+                debug_assert!(
+                    compiled.is_timed(fired.0),
+                    "queue completed a non-timed activity"
+                );
+                acc[fired.0 >> 6] |= 1u64 << (fired.0 & 63);
+                for &p in self.marking.dirty_places() {
+                    for (a, &row) in acc.iter_mut().zip(compiled.place_timed_row(p as usize)) {
+                        *a |= row;
+                    }
                 }
             }
         }
         let version = self.marking.version();
-        let mut pending = std::mem::take(&mut self.pending);
-        debug_assert!(pending.is_empty());
-        let mut draws = 0usize;
-        let mut elided = 0u64;
         for w in 0..self.timed_acc.len() {
             let mut bits = self.timed_acc[w];
             while bits != 0 {
                 let a = (w << 6) | bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let enabled = compiled.enabled(a, &self.marking);
-                match (enabled, self.scheduled[a]) {
-                    (false, Some(ev)) => {
-                        // Disabling aborts the activity; draws nothing.
-                        self.scheduled[a] = None;
-                        pending.push(PendingOp {
-                            act: a as u32,
-                            at: SimTime::ZERO,
-                            kind: PendingKind::Cancel(ev),
-                        });
-                    }
-                    (false, None) => {}
-                    (true, Some(ev)) => {
-                        if compiled.is_resample(a) && self.sampled_version[a] != version {
-                            if lazy && compiled.is_lazy_elidable(a) {
-                                // Memoryless: the scheduled completion
-                                // already has the distribution a fresh
-                                // draw would produce.
-                                elided += 1;
-                            } else {
-                                draws += 1;
-                                pending.push(PendingOp {
-                                    act: a as u32,
-                                    at: SimTime::ZERO,
-                                    kind: PendingKind::Reschedule(ev),
-                                });
-                            }
-                        }
-                    }
-                    (true, None) => {
-                        draws += 1;
-                        pending.push(PendingOp {
-                            act: a as u32,
-                            at: SimTime::ZERO,
-                            kind: PendingKind::Schedule,
-                        });
-                    }
-                }
-            }
-        }
-        self.redraws_elided += elided;
-        let result = self.apply_pending(&mut pending, draws, version);
-        pending.clear();
-        self.pending = pending;
-        result
-    }
-
-    /// Passes 2 and 3 of incremental reconciliation: batch-sample every
-    /// delay, then execute every queue operation, both in the pending
-    /// list's (ascending activity) order.
-    fn apply_pending(
-        &mut self,
-        pending: &mut [PendingOp],
-        draws: usize,
-        version: u64,
-    ) -> Result<(), SanError> {
-        let san = self.san;
-        if draws > 0 {
-            for op in pending.iter_mut() {
-                if matches!(op.kind, PendingKind::Cancel(_)) {
-                    continue;
-                }
-                let act = op.act as usize;
-                let Timing::Timed(delay) = &san.activities[act].timing else {
-                    unreachable!("pending draw for a non-timed activity");
-                };
-                let d = delay.sample(&self.marking, &mut self.rng);
-                if !d.is_finite() || d < 0.0 {
-                    return Err(SanError::BadDelay {
-                        activity: san.activities[act].name.clone(),
-                        value: d,
-                    });
-                }
-                op.at = self.now + SimTime::from_secs(d);
-            }
-        }
-        if !pending.is_empty() {
-            for op in pending.iter() {
-                let act = op.act as usize;
-                match op.kind {
-                    PendingKind::Cancel(ev) => {
-                        self.queue.cancel(ev);
-                    }
-                    PendingKind::Schedule => {
-                        let ev = self.queue.schedule(op.at, ActivityId(act));
-                        self.scheduled[act] = Some(ev);
-                        self.sampled_version[act] = version;
-                    }
-                    PendingKind::Reschedule(ev) => {
-                        let moved = self.queue.reschedule(ev, op.at);
-                        debug_assert!(moved, "rescheduled a stale handle");
-                        self.sampled_version[act] = version;
-                    }
-                }
+                let enabled = self.enabled(a);
+                self.reconcile(a, enabled, version)?;
             }
         }
         Ok(())
     }
 
-    /// Brings one timed activity's schedule in line with the marking.
-    /// Shared by both scheduling strategies; instantaneous activities are
-    /// ignored.
-    fn reconcile_timed(&mut self, i: usize, version: u64) -> Result<(), SanError> {
-        let def = &self.san.activities[i];
-        let Timing::Timed(delay) = &def.timing else {
-            return Ok(());
-        };
-        let enabled = def.enabled(&self.marking);
-        match (enabled, self.scheduled[i]) {
+    /// Brings timed activity `a`'s schedule in line with its enabling
+    /// at marking `version`: cancel it, redraw and move it, elide the
+    /// redraw (lazy mode), or draw and schedule it. The only place the
+    /// executor touches the event queue.
+    fn reconcile(&mut self, a: usize, enabled: bool, version: u64) -> Result<(), SanError> {
+        let compiled = &self.san.compiled;
+        match (enabled, self.scheduled[a]) {
             (false, Some(ev)) => {
-                // Disabling aborts the activity.
+                // Disabling aborts the activity; draws nothing.
                 self.queue.cancel(ev);
-                self.scheduled[i] = None;
+                self.scheduled[a] = None;
             }
             (false, None) => {}
             (true, Some(ev)) => {
-                if def.reactivation == Reactivation::Resample && self.sampled_version[i] != version
-                {
-                    if self.reactivation == ReactivationMode::Lazy
-                        && self.san.compiled.is_lazy_elidable(i)
-                    {
-                        // Memoryless: keep the scheduled completion.
-                        self.redraws_elided += 1;
-                        return Ok(());
-                    }
-                    // Redraw in place: cancelling draws no randomness, so
-                    // sampling before the queue move keeps the RNG stream
-                    // identical to the cancel-then-schedule sequence while
-                    // halving the heap traffic. The handle stays valid, so
-                    // `scheduled[i]` needs no update.
-                    let at = self.sample_delay(i, delay)?;
-                    let moved = self.queue.reschedule(ev, at);
-                    debug_assert!(moved, "rescheduled a stale handle");
-                    self.sampled_version[i] = self.marking.version();
+                if !compiled.is_resample(a) || self.sampled_version[a] == version {
+                    return Ok(());
                 }
+                if self.reactivation == ReactivationMode::Lazy && compiled.is_lazy_elidable(a) {
+                    // Memoryless: the scheduled completion already has
+                    // the distribution a fresh draw would produce.
+                    self.redraws_elided += 1;
+                    return Ok(());
+                }
+                // Redraw in place: the handle stays valid, so
+                // `scheduled[a]` needs no update.
+                let at = self.sample_delay(a)?;
+                let moved = self.queue.reschedule(ev, at);
+                debug_assert!(moved, "rescheduled a stale handle");
+                self.sampled_version[a] = version;
             }
             (true, None) => {
-                self.schedule_timed(i, delay)?;
+                let at = self.sample_delay(a)?;
+                self.scheduled[a] = Some(self.queue.schedule(at, ActivityId(a)));
+                self.sampled_version[a] = version;
             }
         }
         Ok(())
     }
 
-    /// Verifies the incremental scheduler's core invariants against a
-    /// ground-truth scan (debug builds only): every timed activity is
-    /// scheduled iff enabled, no instantaneous activity is enabled
-    /// between events, the compiled enabling check agrees with the
-    /// trait-dispatch reference for every activity, and the marking's
-    /// dirty bitmask mirrors its dirty list. A schedule violation means
-    /// some gate's declared [`reads`](crate::InputGate::reads) set is
-    /// stale — its predicate changed without any declared place
-    /// changing; a compiled/reference disagreement means a gate-program
-    /// compilation bug.
+    /// Verifies the scheduler's core invariants against a ground-truth
+    /// scan (debug builds only): every timed activity is scheduled iff
+    /// enabled, no instantaneous activity is enabled between events, the
+    /// compiled enabling check agrees with the definition walk for every
+    /// activity, and the marking's dirty bitmask mirrors its dirty list.
+    /// A schedule violation means a dependency row misses a place some
+    /// enabling rule reads; a compiled/reference disagreement means a
+    /// gate-program compilation bug.
     #[cfg(debug_assertions)]
     fn assert_schedule_consistency(&self) {
         self.marking.assert_dirty_consistency();
@@ -1028,7 +836,7 @@ impl<'m> Simulator<'m> {
                 self.san.compiled.enabled(i, &self.marking),
                 reference,
                 "compiled enabling check for activity '{}' disagrees with \
-                 the trait-dispatch reference — gate-program compilation bug",
+                 the definition walk — gate-program compilation bug",
                 def.name
             );
             match def.timing {
@@ -1037,8 +845,8 @@ impl<'m> Simulator<'m> {
                         reference,
                         self.scheduled[i].is_some(),
                         "timed activity '{}' out of sync with its schedule — \
-                         a gate predicate changed without any of its declared \
-                         reads() places changing",
+                         its enabling changed without any place of its \
+                         dependency row changing",
                         def.name
                     );
                 }
@@ -1046,8 +854,8 @@ impl<'m> Simulator<'m> {
                     debug_assert!(
                         !reference,
                         "instantaneous activity '{}' enabled after settling — \
-                         a gate predicate changed without any of its declared \
-                         reads() places changing",
+                         its enabling changed without any place of its \
+                         dependency row changing",
                         def.name
                     );
                 }
@@ -1055,33 +863,21 @@ impl<'m> Simulator<'m> {
         }
     }
 
-    /// Draws activity `idx`'s firing delay and converts it to an
+    /// Draws timed activity `a`'s firing delay and converts it to an
     /// absolute completion time, validating the sample.
-    fn sample_delay(
-        &mut self,
-        idx: usize,
-        delay: &crate::activity::Delay,
-    ) -> Result<SimTime, SanError> {
+    fn sample_delay(&mut self, a: usize) -> Result<SimTime, SanError> {
+        let def = &self.san.activities[a];
+        let Timing::Timed(delay) = &def.timing else {
+            unreachable!("drew a delay for instantaneous activity '{}'", def.name);
+        };
         let d = delay.sample(&self.marking, &mut self.rng);
         if !d.is_finite() || d < 0.0 {
             return Err(SanError::BadDelay {
-                activity: self.san.activities[idx].name.clone(),
+                activity: def.name.clone(),
                 value: d,
             });
         }
         Ok(self.now + SimTime::from_secs(d))
-    }
-
-    fn schedule_timed(
-        &mut self,
-        idx: usize,
-        delay: &crate::activity::Delay,
-    ) -> Result<(), SanError> {
-        let at = self.sample_delay(idx, delay)?;
-        let ev = self.queue.schedule(at, ActivityId(idx));
-        self.scheduled[idx] = Some(ev);
-        self.sampled_version[idx] = self.marking.version();
-        Ok(())
     }
 }
 
@@ -1098,9 +894,10 @@ impl fmt::Debug for Simulator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activity::Delay;
+    use crate::activity::{Delay, Reactivation};
     use crate::gate::{InputGate, OutputGate};
     use crate::model::SanBuilder;
+    use crate::pred::Pred;
     use ckpt_stats::Dist;
 
     /// up --fail(exp 0.1)--> down --repair(exp 0.9)--> up
@@ -1329,11 +1126,9 @@ mod tests {
         let done = b.place("done", 0);
         b.timed_activity("go", Delay::from(Dist::deterministic(1.0)))
             .input_arc(src, 1)
-            .input_gate(InputGate::new(
-                "stage",
-                |_| true,
-                move |m| m.add_tokens(staged, 2),
-            ))
+            .input_gate(InputGate::when_with("stage", Pred::All(vec![]), move |m| {
+                m.add_tokens(staged, 2)
+            }))
             .output_gate(OutputGate::new("finish", move |m| {
                 let n = m.tokens(staged);
                 m.remove_tokens(staged, n);

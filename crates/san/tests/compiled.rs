@@ -1,14 +1,14 @@
 //! Equality of compiled gate programs and trait-dispatch enabling.
 //!
-//! `San::build` compiles every declarative [`Pred`] gate into a flat
-//! postfix program evaluated by `San::enabled_fast`; gates that cannot
-//! be compiled (closure predicates, over-deep expressions) fall back to
-//! the original boxed closure. The contract is exact equality with the
-//! trait-dispatch reference (`San::enabled_reference`) on **every**
-//! marking, not just reachable ones — these tests sweep hand-built nets
-//! and proptest-randomized markings to hold the compiler to it.
+//! `San::build` compiles every [`Pred`] gate into a flat postfix
+//! program evaluated by `San::enabled_fast`; an expression too deep for
+//! the program's stack is evaluated as a tree instead. The contract is
+//! exact equality with the definition walk (`San::enabled_reference`) on
+//! **every** marking, not just reachable ones — these tests sweep
+//! hand-built nets and proptest-randomized markings to hold the compiler
+//! to it.
 
-use ckpt_san::{Delay, InputGate, Pred, San, SanBuilder};
+use ckpt_san::{Delay, Pred, San, SanBuilder};
 use ckpt_stats::Dist;
 use proptest::prelude::*;
 
@@ -25,9 +25,9 @@ fn assert_enabling_agrees(san: &San, marking: &ckpt_san::Marking, label: &str) {
     }
 }
 
-/// A net exercising every compilable predicate shape plus the closure
-/// fallback: leaf tests, boolean combinators, negation folding, arc
-/// multiplicities, and an undeclared closure gate.
+/// A net exercising every compilable predicate shape: leaf tests,
+/// boolean combinators, negation folding, negated thresholds and arc
+/// multiplicities.
 fn gate_zoo() -> (San, Vec<ckpt_san::PlaceId>) {
     let mut b = SanBuilder::new("zoo");
     let p: Vec<_> = (0..6).map(|i| b.place(format!("p{i}"), 0)).collect();
@@ -66,13 +66,14 @@ fn gate_zoo() -> (San, Vec<ckpt_san::PlaceId>) {
         .enabled_if("arc_guard", Pred::empty(p[5]))
         .output_arc(p[0], 1)
         .build();
-    // Closure gate: stays on the trait-dispatch fallback inside the
-    // compiled program, so both paths must still agree.
-    let watch = p[5];
-    b.timed_activity("closure_gate", d)
-        .input_gate(InputGate::predicate_only("undeclared", move |m| {
-            m.tokens(watch).is_multiple_of(2)
-        }))
+    // A negated threshold inside a disjunction stays a gate program;
+    // at top level it lowers to an interval requirement.
+    b.timed_activity("negated_threshold", d)
+        .enabled_if(
+            "below_two_or_four",
+            Pred::at_least(p[5], 2).negate().or(Pred::at_least(p[5], 4)),
+        )
+        .enabled_if("below_five", Pred::at_least(p[5], 5).negate())
         .build();
 
     let san = b.build().expect("zoo net is well-formed");
@@ -96,8 +97,8 @@ fn gate_zoo_agrees_on_token_sweep() {
 
 #[test]
 fn over_deep_predicates_fall_back_and_still_agree() {
-    // A right-leaning Any chain past the compiler's stack bound takes
-    // the closure fallback; behaviour must be unchanged.
+    // A right-leaning Any chain past the compiler's stack bound is
+    // evaluated as a tree; behaviour must be unchanged.
     let mut b = SanBuilder::new("deep");
     let places: Vec<_> = (0..24).map(|i| b.place(format!("p{i}"), 0)).collect();
     let mut pred = Pred::has(places[23]);

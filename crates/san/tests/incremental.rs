@@ -5,13 +5,13 @@
 //! order, reward values, and final marking of the full-scan reference
 //! executor — not statistically similar, *identical*. These tests pit
 //! the two against each other on hand-crafted nets covering every
-//! feature that interacts with scheduling (declared and undeclared
-//! gates, `Resample` timers, instantaneous priorities, probabilistic
-//! cases, fluid places, rewards) and on proptest-generated nets.
+//! feature that interacts with scheduling (gate predicates, `Resample`
+//! timers, instantaneous priorities, probabilistic cases, fluid places,
+//! rewards) and on proptest-generated nets.
 
 use ckpt_des::SimTime;
 use ckpt_san::{
-    Delay, InputGate, Reactivation, RewardSpec, San, SanBuilder, SanError, SanObserver, Scheduling,
+    Delay, Pred, Reactivation, RewardSpec, San, SanBuilder, SanError, SanObserver, Scheduling,
     Simulator,
 };
 use ckpt_stats::Dist;
@@ -84,11 +84,11 @@ fn assert_equivalent(san: &San, seed: u64, horizon: f64) {
     assert_eq!(rw_inc, rw_full, "reward totals diverged (seed {seed})");
 }
 
-/// A deliberately gnarly net: a token ring whose activities carry
-/// declared gates, undeclared gates, `Resample` timers with
+/// A deliberately gnarly net: a token ring whose activities carry gates
+/// reading a place two steps ahead, `Resample` timers with
 /// marking-modulated rates, priority-ordered instantaneous drains, and a
 /// marking-weighted probabilistic case, plus a fluid accumulator.
-fn mixed_net(n: usize, declare: &[bool], resample: &[bool]) -> San {
+fn mixed_net(n: usize, resample: &[bool]) -> San {
     let mut b = SanBuilder::new("mixed");
     let places: Vec<_> = (0..n)
         .map(|i| b.place(format!("p{i}"), if i == 0 { 3 } else { 0 }))
@@ -110,16 +110,10 @@ fn mixed_net(n: usize, declare: &[bool], resample: &[bool]) -> San {
         } else {
             Delay::from(Dist::exponential_mean(0.5 + 0.3 * i as f64))
         };
-        let gate = InputGate::predicate_only(format!("g{i}"), move |m| m.tokens(watch) < 4);
-        let gate = if declare[i % declare.len()] {
-            gate.reads(&[watch])
-        } else {
-            gate
-        };
         let mut ab = b
             .timed_activity(format!("a{i}"), delay)
             .input_arc(places[i], 1)
-            .input_gate(gate);
+            .enabled_if(&format!("g{i}"), Pred::at_least(watch, 4).negate());
         if resample[i % resample.len()] {
             ab = ab.reactivation(Reactivation::Resample);
         }
@@ -155,27 +149,17 @@ fn mixed_net(n: usize, declare: &[bool], resample: &[bool]) -> San {
 
 #[test]
 fn mixed_net_is_bit_identical_across_schedulers() {
-    let san = mixed_net(5, &[true, false, true], &[false, true]);
+    let san = mixed_net(5, &[false, true]);
     for seed in [0, 1, 7, 42, 1234] {
         assert_equivalent(&san, seed, 300.0);
     }
 }
 
 #[test]
-fn all_declared_net_is_bit_identical() {
-    let san = mixed_net(6, &[true], &[false]);
+fn keep_only_net_is_bit_identical() {
+    let san = mixed_net(6, &[false]);
     for seed in [3, 99] {
         assert_equivalent(&san, seed, 500.0);
-    }
-}
-
-#[test]
-fn all_undeclared_net_is_bit_identical() {
-    // Everything conservative/global: the incremental scheduler must
-    // degrade to full-scan behaviour, not break.
-    let san = mixed_net(4, &[false], &[true]);
-    for seed in [5, 17] {
-        assert_equivalent(&san, seed, 200.0);
     }
 }
 
@@ -238,19 +222,17 @@ fn refiring_with_no_dependent_dirty_places_is_rescheduled() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Randomized nets: whatever the mix of declared gates and Resample
-    /// timers, both schedulers produce identical runs.
+    /// Randomized nets: whatever the mix of Resample timers, both
+    /// schedulers produce identical runs.
     #[test]
     fn random_nets_are_bit_identical(
         n in 3usize..7,
-        declare_mask in 0u32..8,
         resample_mask in 0u32..4,
         seed in 0u64..10_000,
         horizon in 20.0f64..200.0,
     ) {
-        let declare: Vec<bool> = (0..3).map(|i| declare_mask & (1 << i) != 0).collect();
         let resample: Vec<bool> = (0..2).map(|i| resample_mask & (1 << i) != 0).collect();
-        let san = mixed_net(n, &declare, &resample);
+        let san = mixed_net(n, &resample);
         let (rec_inc, m_inc, ev_inc, rw_inc) = run(&san, seed, horizon, Scheduling::Incremental);
         let (rec_full, m_full, ev_full, rw_full) = run(&san, seed, horizon, Scheduling::FullScan);
         prop_assert_eq!(rec_inc.firings, rec_full.firings);

@@ -2,7 +2,7 @@
 //! for arbitrary (well-formed) nets, not just the checkpoint model.
 
 use ckpt_des::SimTime;
-use ckpt_san::{Delay, RewardSpec, SanBuilder, Simulator};
+use ckpt_san::{Delay, Pred, RewardSpec, SanBuilder, Simulator};
 use ckpt_stats::Dist;
 use proptest::prelude::*;
 
@@ -188,9 +188,8 @@ fn marking_dependent_case_weights_bias_the_split() {
         )
         .case(0.5, |c| c.output_arc(bb, 1))
         .build();
-    let src_id = src;
     b.instantaneous_activity("refill", 0)
-        .enabled_when("src_empty", move |m| !m.has_token(src_id))
+        .enabled_if("src_empty", Pred::empty(src))
         .output_arc(src, 1)
         .build();
     let san = b.build().unwrap();

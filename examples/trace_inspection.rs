@@ -1,9 +1,9 @@
 //! Trace inspection: watch the model's event sequence directly.
 //!
-//! Part 1 attaches an execution trace to the direct simulator under an
-//! aggressive failure regime and prints the last stretch of model
-//! events: checkpoint lifecycles, rollbacks, interrupted recoveries,
-//! correlated windows, and reboots.
+//! Part 1 attaches a bounded [`TraceBuffer`] to the direct simulator as
+//! its observer under an aggressive failure regime and prints the last
+//! stretch of model events: checkpoint lifecycles, rollbacks,
+//! interrupted recoveries, correlated windows, and reboots.
 //!
 //! Part 2 attaches the *same* [`TraceBuffer`] type to both engines on
 //! one seed (failure-free, so both sample paths are deterministic) and
@@ -34,15 +34,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }))
         .build()?;
 
+    let mut trace = TraceBuffer::new(60);
     let mut sim = DirectSimulator::new(&cfg, 2024);
-    sim.enable_trace(60);
+    sim.set_observer(&mut trace);
     sim.run(SimTime::from_hours(500.0));
+    let m = sim.metrics();
 
-    let trace = sim.trace().expect("trace enabled");
     println!("Last {} model events (of a 500-hour run):\n", trace.len());
     print!("{trace}");
 
-    let m = sim.metrics();
     println!("\nSummary: {m}");
     println!(
         "Checkpoint aborts: {} timeout, {} master, {} I/O; correlated windows: {}",
