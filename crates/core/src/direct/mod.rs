@@ -169,8 +169,8 @@ impl<'c> DirectSimulator<'c> {
     }
 
     /// Same as [`DirectSimulator::new`]: `queue` is ignored (see
-    /// [`QueueKind`]). The direct engine keeps its own per-kind timer
-    /// table rather than a general event queue.
+    /// [`QueueKind`]). The direct engine runs on a per-kind
+    /// [`TimerTable`](ckpt_des::TimerTable), not a general event queue.
     #[must_use]
     pub fn with_queue(cfg: &'c SystemConfig, seed: u64, queue: QueueKind) -> DirectSimulator<'c> {
         let _ = queue;
@@ -197,7 +197,7 @@ impl<'c> DirectSimulator<'c> {
     pub fn run_until_useful_work(&mut self, target: f64, deadline: SimTime) -> Option<SimTime> {
         assert!(target >= 0.0 && target.is_finite(), "bad work target");
         while self.w < target {
-            let (t, event) = self.timers.next()?;
+            let (t, _) = self.timers.next()?;
             if t > deadline {
                 return None;
             }
@@ -211,6 +211,7 @@ impl<'c> DirectSimulator<'c> {
                     return Some(self.now);
                 }
             }
+            let (t, event) = self.timers.pop_before(t).expect("the peeked event is due");
             self.fire(t, event);
         }
         Some(self.now)
@@ -218,10 +219,7 @@ impl<'c> DirectSimulator<'c> {
 
     /// Runs until the absolute simulated time `horizon`.
     pub fn run_until(&mut self, horizon: SimTime) {
-        while let Some((t, event)) = self.timers.next() {
-            if t > horizon {
-                break;
-            }
+        while let Some((t, event)) = self.timers.pop_before(horizon) {
             self.fire(t, event);
             debug_assert!(
                 !self.cfg.failures_enabled()
@@ -363,10 +361,9 @@ impl<'c> DirectSimulator<'c> {
         self.now = to;
     }
 
-    /// Disarms the earliest pending event, `event` due at `t`, advances
-    /// the clock to it and handles it.
+    /// Advances the clock to `t` and handles `event`, just popped from
+    /// the timer table.
     fn fire(&mut self, t: SimTime, event: Event) {
-        self.timers.cancel(event);
         self.advance_clock(t);
         self.events_processed += 1;
         if let Some(telem) = &mut self.telem {

@@ -2,87 +2,54 @@
 //!
 //! Every [`Event`] kind has at most one outstanding instance (the
 //! simulator replaces a kind's pending instance whenever it schedules
-//! that kind again), so the future-event list is a fixed table of
-//! [`Event::COUNT`] entries rather than a general priority queue. Each
-//! entry holds a due time and a sequence number stamped from a monotone
-//! counter on every schedule; a bit mask records which entries are
-//! armed. The next event is the armed entry with the least
-//! `(due, seq)`.
-//!
-//! That is exactly the pop order of the general event queue in
-//! `ckpt_des`, which orders by time and then by a FIFO sequence taken
-//! at scheduling: a re-armed kind takes a fresh sequence here just as a
-//! cancel followed by a schedule does there. The table therefore replays the identical
-//! event sequence, RNG stream and metrics, at a fraction of the cost.
+//! that kind again), so the future-event list is a
+//! [`TimerTable`] with one slot per kind, the same table the SAN
+//! executor runs on. This module only maps kinds to slots and back.
 
 use super::events::Event;
-use ckpt_des::SimTime;
+use ckpt_des::{SimTime, TimerTable};
 
-// The armed set is a `u32` bit mask.
-const _: () = assert!(Event::COUNT <= 32);
+/// [`TimerTable`] addressed by [`Event`] kind (see module docs).
+#[derive(Debug)]
+pub(crate) struct Timers(TimerTable);
 
-/// One entry of the table (meaningful only while its kind is armed).
-#[derive(Debug, Clone, Copy, Default)]
-struct Timer {
-    due: SimTime,
-    seq: u64,
-}
-
-/// Fixed timer table, one entry per [`Event`] kind (see module docs).
-#[derive(Debug, Default)]
-pub(crate) struct Timers {
-    timers: [Timer; Event::COUNT],
-    /// Bit `k` set ⇔ the kind with discriminant `k` is pending.
-    armed: u32,
-    /// Sequence for the next schedule; FIFO tie-break among equal times.
-    next_seq: u64,
+impl Default for Timers {
+    fn default() -> Self {
+        Timers(TimerTable::new(Event::COUNT))
+    }
 }
 
 impl Timers {
     /// Arms `event` to fire at `due`, replacing any pending instance.
     pub(crate) fn schedule(&mut self, event: Event, due: SimTime) {
-        let k = event as usize;
-        self.timers[k] = Timer {
-            due,
-            seq: self.next_seq,
-        };
-        self.next_seq += 1;
-        self.armed |= 1 << k;
+        self.0.schedule(event as usize, due);
     }
 
     /// Disarms `event` (a no-op if it is not pending).
     pub(crate) fn cancel(&mut self, event: Event) {
-        self.armed &= !(1 << event as usize);
+        self.0.cancel(event as usize);
     }
 
     /// Whether `event` is pending.
     pub(crate) fn is_armed(&self, event: Event) -> bool {
-        self.armed & (1 << event as usize) != 0
+        self.0.is_armed(event as usize)
     }
 
     /// Number of pending events.
     pub(crate) fn len(&self) -> usize {
-        self.armed.count_ones() as usize
+        self.0.len()
     }
 
     /// The pending event with the least `(due, seq)`, without disarming
     /// it.
     pub(crate) fn next(&self) -> Option<(SimTime, Event)> {
-        let mut bits = self.armed;
-        if bits == 0 {
-            return None;
-        }
-        let mut best = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        while bits != 0 {
-            let k = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let (t, b) = (self.timers[k], self.timers[best]);
-            if (t.due, t.seq) < (b.due, b.seq) {
-                best = k;
-            }
-        }
-        Some((self.timers[best].due, Event::ALL[best]))
+        self.0.next().map(|(t, k)| (t, Event::ALL[k]))
+    }
+
+    /// Disarms and returns the next pending event iff it is due at or
+    /// before `limit`.
+    pub(crate) fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, Event)> {
+        self.0.pop_before(limit).map(|(t, k)| (t, Event::ALL[k]))
     }
 }
 

@@ -2,7 +2,7 @@
 //! replication.
 //!
 //! These probes answer *what the simulation state looked like* while a
-//! replication ran: the event-queue depth and dirty-set size
+//! replication ran: the queue depth (pending timers) and dirty-set size
 //! distributions seen by the hot loop. Samples land in fixed-layout
 //! [`LogHistogram`]s (see [`crate::hist`]) so per-replication results
 //! merge deterministically at any worker count. A
@@ -41,7 +41,9 @@ impl HotTelemetry {
         HotTelemetry::default()
     }
 
-    /// Records the event-queue depth observed after popping an event.
+    /// Records the queue depth — the armed slots of the engine's
+    /// [`TimerTable`](crate::TimerTable) — observed after popping an
+    /// event.
     #[inline]
     pub fn record_queue_depth(&mut self, depth: usize) {
         self.queue_depth.record(depth as u64);
@@ -69,7 +71,7 @@ impl HotTelemetry {
 /// Engine-side telemetry copied out of a finished run.
 #[derive(Debug, Clone, Default)]
 pub struct TelemetrySnapshot {
-    /// Event-queue depth at each hot-loop pop.
+    /// Queue depth (pending timers) after each hot-loop pop.
     pub queue_depth: LogHistogram,
     /// Dirty-place set size at each settled event (SAN engine only).
     pub dirty_set: LogHistogram,

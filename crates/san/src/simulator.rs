@@ -6,7 +6,7 @@ use crate::marking::Marking;
 use crate::model::San;
 use crate::reward::{RewardReport, RewardSpec, RewardValue};
 use ckpt_des::telem::{HotTelemetry, TelemetrySnapshot};
-use ckpt_des::{EventId, EventQueue, SimRng, SimTime};
+use ckpt_des::{SimRng, SimTime, TimerTable};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -47,12 +47,12 @@ pub enum Scheduling {
 /// timers whose delay is a marking-independent exponential.
 ///
 /// [`ReactivationMode::Resample`] (the default) redraws the delay and
-/// moves the queue entry on every marking change — the reference
+/// re-arms the timer on every marking change — the reference
 /// behaviour, bit-identical to the original executor. For an
 /// exponential that is pure overhead: by memorylessness the remaining
 /// delay conditioned on "not yet fired" has exactly the original
 /// distribution, so [`ReactivationMode::Lazy`] keeps the scheduled
-/// completion instead, skipping the redraw *and* the queue move.
+/// completion instead, skipping the redraw *and* the re-arm.
 ///
 /// Lazy mode is **distribution-equivalent, not bit-identical**: skipped
 /// draws shift the RNG stream, so a lazy run is statistically a new
@@ -168,8 +168,9 @@ pub struct Simulator<'m> {
     san: &'m San,
     marking: Marking,
     now: SimTime,
-    queue: EventQueue<ActivityId>,
-    scheduled: Vec<Option<EventId>>,
+    /// Pending completions, one slot per activity (only timed ones are
+    /// ever armed).
+    timers: TimerTable,
     sampled_version: Vec<u64>,
     rng: SimRng,
     rewards: Vec<RewardState>,
@@ -269,8 +270,7 @@ impl<'m> Simulator<'m> {
             san,
             marking: san.initial_marking(),
             now: SimTime::ZERO,
-            queue: EventQueue::new(),
-            scheduled: vec![None; n],
+            timers: TimerTable::new(n),
             sampled_version: vec![0; n],
             rng: SimRng::seed_from_u64(seed),
             rewards: Vec::new(),
@@ -472,9 +472,8 @@ impl<'m> Simulator<'m> {
         if condition(&self.marking) {
             return Ok(Some(self.now));
         }
-        while let Some(ev) = self.queue.pop_before(horizon) {
-            let t = ev.time();
-            self.step_event(t, ev.into_payload())?;
+        while let Some((t, a)) = self.timers.pop_before(horizon) {
+            self.step_event(t, ActivityId(a))?;
             if condition(&self.marking) {
                 return Ok(Some(self.now));
             }
@@ -494,9 +493,8 @@ impl<'m> Simulator<'m> {
     /// Returns [`SanError`] on instantaneous livelock or invalid sampled
     /// delays.
     pub fn run_until(&mut self, horizon: SimTime) -> Result<(), SanError> {
-        while let Some(ev) = self.queue.pop_before(horizon) {
-            let t = ev.time();
-            self.step_event(t, ev.into_payload())?;
+        while let Some((t, a)) = self.timers.pop_before(horizon) {
+            self.step_event(t, ActivityId(a))?;
         }
         if horizon > self.now {
             self.integrate_to(horizon);
@@ -505,15 +503,15 @@ impl<'m> Simulator<'m> {
         Ok(())
     }
 
-    /// Processes one timed completion at `t`: advance the clock, fire,
-    /// settle instantaneous activities, reconcile timed schedules.
+    /// Processes one timed completion at `t`, just popped (and so
+    /// disarmed): advance the clock, fire, settle instantaneous
+    /// activities, reconcile timed schedules.
     fn step_event(&mut self, t: SimTime, activity: ActivityId) -> Result<(), SanError> {
         if let Some(telem) = &mut self.telem {
-            telem.record_queue_depth(self.queue.len());
+            telem.record_queue_depth(self.timers.len());
         }
         self.integrate_to(t);
         self.now = t;
-        self.scheduled[activity.0] = None;
         self.marking.begin_dirty_window();
         self.fire(activity)?;
         let scan = self.scheduling == Scheduling::FullScan;
@@ -732,14 +730,14 @@ impl<'m> Simulator<'m> {
     ///
     /// `None` (initialization and the full scan) visits every timed
     /// activity. `Some(fired)` visits the fired activity (its pop
-    /// cleared `scheduled`, and it may be re-enabled without dirtying
+    /// disarmed its timer, and it may be re-enabled without dirtying
     /// any place it depends on), the global row, and every timed
     /// activity depending on a place dirtied during this event.
     /// Activities outside that set are provably no-ops under the full
     /// scan: their enabling cannot have changed (their dependency places
-    /// did not), so they sit in the `(enabled, scheduled)` states
-    /// `(true, Some)` with `Keep` or `(false, None)`, neither of which
-    /// draws randomness or touches the queue.
+    /// did not), so they sit in the `(enabled, armed)` states
+    /// `(true, true)` with `Keep` or `(false, false)`, neither of which
+    /// draws randomness or touches the timer table.
     fn update_schedules(&mut self, fired: Option<ActivityId>) -> Result<(), SanError> {
         let san = self.san;
         let compiled = &san.compiled;
@@ -757,7 +755,7 @@ impl<'m> Simulator<'m> {
                 });
                 debug_assert!(
                     compiled.is_timed(fired.0),
-                    "queue completed a non-timed activity"
+                    "timer table completed a non-timed activity"
                 );
                 acc[fired.0 >> 6] |= 1u64 << (fired.0 & 63);
                 for &p in self.marking.dirty_places() {
@@ -781,38 +779,30 @@ impl<'m> Simulator<'m> {
     }
 
     /// Brings timed activity `a`'s schedule in line with its enabling
-    /// at marking `version`: cancel it, redraw and move it, elide the
-    /// redraw (lazy mode), or draw and schedule it. The only place the
-    /// executor touches the event queue.
+    /// at marking `version`: cancel it, redraw and re-arm it, elide the
+    /// redraw (lazy mode), or draw and arm it. The only place the
+    /// executor arms or cancels a timer (a pop disarms one).
     fn reconcile(&mut self, a: usize, enabled: bool, version: u64) -> Result<(), SanError> {
         let compiled = &self.san.compiled;
-        match (enabled, self.scheduled[a]) {
-            (false, Some(ev)) => {
+        match (enabled, self.timers.is_armed(a)) {
+            (false, true) => {
                 // Disabling aborts the activity; draws nothing.
-                self.queue.cancel(ev);
-                self.scheduled[a] = None;
+                self.timers.cancel(a);
             }
-            (false, None) => {}
-            (true, Some(ev)) => {
-                if !compiled.is_resample(a) || self.sampled_version[a] == version {
-                    return Ok(());
-                }
-                if self.reactivation == ReactivationMode::Lazy && compiled.is_lazy_elidable(a) {
-                    // Memoryless: the scheduled completion already has
-                    // the distribution a fresh draw would produce.
-                    self.redraws_elided += 1;
-                    return Ok(());
-                }
-                // Redraw in place: the handle stays valid, so
-                // `scheduled[a]` needs no update.
-                let at = self.sample_delay(a)?;
-                let moved = self.queue.reschedule(ev, at);
-                debug_assert!(moved, "rescheduled a stale handle");
-                self.sampled_version[a] = version;
+            (false, false) => {}
+            (true, true) if !compiled.is_resample(a) || self.sampled_version[a] == version => {}
+            (true, true)
+                if self.reactivation == ReactivationMode::Lazy && compiled.is_lazy_elidable(a) =>
+            {
+                // Memoryless: the scheduled completion already has the
+                // distribution a fresh draw would produce.
+                self.redraws_elided += 1;
             }
-            (true, None) => {
+            (true, _) => {
+                // Arm, or redraw: re-arming takes a fresh sequence, as
+                // a cancel followed by a schedule would.
                 let at = self.sample_delay(a)?;
-                self.scheduled[a] = Some(self.queue.schedule(at, ActivityId(a)));
+                self.timers.schedule(a, at);
                 self.sampled_version[a] = version;
             }
         }
@@ -843,7 +833,7 @@ impl<'m> Simulator<'m> {
                 Timing::Timed(_) => {
                     debug_assert_eq!(
                         reference,
-                        self.scheduled[i].is_some(),
+                        self.timers.is_armed(i),
                         "timed activity '{}' out of sync with its schedule — \
                          its enabling changed without any place of its \
                          dependency row changing",
@@ -886,7 +876,7 @@ impl fmt::Debug for Simulator<'_> {
         f.debug_struct("Simulator")
             .field("model", &self.san.name())
             .field("now", &self.now)
-            .field("pending_events", &self.queue.len())
+            .field("pending_events", &self.timers.len())
             .finish()
     }
 }
@@ -949,6 +939,99 @@ mod tests {
         // Fires at t = 2, 4, 6, 8, 10.
         assert_eq!(sim.firing_count(tick), 5);
         assert_eq!(sim.now(), SimTime::from_secs(10.0));
+    }
+
+    /// Records every firing as `(time, activity name)`.
+    #[derive(Default)]
+    struct FiringLog(Vec<(f64, String)>);
+
+    impl SanObserver for FiringLog {
+        fn activity_fired(&mut self, at: SimTime, name: &str, _: &Marking) {
+            self.0.push((at.as_secs(), name.to_string()));
+        }
+    }
+
+    /// Runs `san` to `horizon` under every scheduling strategy and
+    /// reactivation mode, asserting they all log the same firings, and
+    /// returns that log.
+    fn firing_log(san: &San, horizon: f64) -> Vec<(f64, String)> {
+        let mut logs = Vec::new();
+        for scheduling in [Scheduling::Incremental, Scheduling::FullScan] {
+            for mode in [ReactivationMode::Resample, ReactivationMode::Lazy] {
+                let mut log = FiringLog::default();
+                let mut sim = Simulator::with_exec_options(san, 0, scheduling, mode).unwrap();
+                sim.set_observer(&mut log);
+                sim.run_until(SimTime::from_secs(horizon)).unwrap();
+                drop(sim);
+                logs.push(log.0);
+            }
+        }
+        assert!(logs.windows(2).all(|w| w[0] == w[1]), "{logs:?}");
+        logs.swap_remove(0)
+    }
+
+    fn fired(log: &[(f64, &str)]) -> Vec<(f64, String)> {
+        log.iter().map(|&(t, n)| (t, n.to_string())).collect()
+    }
+
+    #[test]
+    fn equal_completion_times_fire_in_sampling_order() {
+        // "b" is sampled at t=0 and "a" at t=1 (once "start" enables
+        // it); both complete at t=2. Sampling order, not activity index,
+        // breaks the tie.
+        let mut b = SanBuilder::new("ties");
+        let pa = b.place("pa", 0);
+        let pb = b.place("pb", 1);
+        let ps = b.place("ps", 1);
+        let done = b.place("done", 0);
+        b.timed_activity("a", Delay::from(Dist::deterministic(1.0)))
+            .input_arc(pa, 1)
+            .output_arc(done, 1)
+            .build();
+        b.timed_activity("b", Delay::from(Dist::deterministic(2.0)))
+            .input_arc(pb, 1)
+            .output_arc(done, 1)
+            .build();
+        b.timed_activity("start", Delay::from(Dist::deterministic(1.0)))
+            .input_arc(ps, 1)
+            .output_arc(pa, 1)
+            .build();
+        let san = b.build().unwrap();
+        assert_eq!(
+            firing_log(&san, 10.0),
+            fired(&[(1.0, "start"), (2.0, "b"), (2.0, "a")])
+        );
+    }
+
+    #[test]
+    fn a_resample_redraw_to_a_shared_instant_fires_behind_its_peers() {
+        // "r" is sampled at t=0 (due 1), then redrawn when "nudge" fires
+        // at t=0.5: due 1.5, the instant "peer" (sampled at t=0) is due.
+        // The redraw takes a fresh sequence, so "r" fires second even
+        // though both its index and its first sample precede "peer".
+        // "peer" has no arcs and a no-op gate, so its firing leaves the
+        // marking (and so "r") alone.
+        let mut b = SanBuilder::new("redraw_ties");
+        let rr = b.place("rr", 1);
+        let nn = b.place("nn", 1);
+        let done = b.place("done", 0);
+        b.timed_activity("r", Delay::from(Dist::deterministic(1.0)))
+            .reactivation(Reactivation::Resample)
+            .input_arc(rr, 1)
+            .output_arc(done, 1)
+            .build();
+        b.timed_activity("peer", Delay::from(Dist::deterministic(1.5)))
+            .output_gate(OutputGate::new("noop", |_| {}))
+            .build();
+        b.timed_activity("nudge", Delay::from(Dist::deterministic(0.5)))
+            .input_arc(nn, 1)
+            .output_arc(done, 1)
+            .build();
+        let san = b.build().unwrap();
+        assert_eq!(
+            firing_log(&san, 2.0),
+            fired(&[(0.5, "nudge"), (1.5, "peer"), (1.5, "r")])
+        );
     }
 
     #[test]

@@ -113,10 +113,11 @@ struct Request {
 /// yields `None`, and so does a request the server refuses to read:
 /// a line longer than [`MAX_LINE`] or more than [`MAX_HEADERS`] header
 /// lines is answered with 431, an `X-Tenant` longer than
-/// [`MAX_TENANT`] or an unparseable `Content-Length` with 400, and a
-/// `Content-Length` above [`MAX_BODY`] with 413, so a handler never
-/// sees a cut-off request. A request not read in full within
-/// [`IO_TIMEOUT`] is a `TimedOut` error.
+/// [`MAX_TENANT`], an unparseable `Content-Length` or a body that ends
+/// before its `Content-Length` with 400, and a `Content-Length` above
+/// [`MAX_BODY`] with 413, so a handler never sees a cut-off request. A
+/// request not read in full within [`IO_TIMEOUT`] is a `TimedOut`
+/// error.
 fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
     const TOO_LARGE: (u16, &str) = (431, "Request Header Fields Too Large");
     const BAD: (u16, &str) = (400, "Bad Request");
@@ -172,8 +173,18 @@ fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<Request>> {
         }
         None => return refuse(stream, &mut reader, BAD, "unparseable Content-Length"),
     };
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
+    let mut body = Vec::with_capacity(content_length);
+    reader
+        .by_ref()
+        .take(content_length as u64)
+        .read_to_end(&mut body)?;
+    if body.len() < content_length {
+        let message = format!(
+            "request body ended after {} of {content_length} bytes",
+            body.len()
+        );
+        return refuse(stream, &mut reader, BAD, &message);
+    }
     Ok(Some(Request {
         method,
         path,

@@ -143,15 +143,21 @@ fn unknown_jobs_and_malformed_specs_are_rejected() {
 /// Sends `head` (request line and headers, no body) over a raw socket,
 /// closes the write half, and returns the whole response.
 fn raw_exchange(addr: SocketAddr, head: &str) -> String {
+    raw_exchange_bytes(addr, head.as_bytes())
+}
+
+/// [`raw_exchange`] for any bytes (invalid UTF-8 in the response is
+/// replaced).
+fn raw_exchange_bytes(addr: SocketAddr, request: &[u8]) -> String {
     let mut stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
-    stream.write_all(head.as_bytes()).unwrap();
+    stream.write_all(request).unwrap();
     stream.shutdown(Shutdown::Write).unwrap();
-    let mut response = String::new();
-    let _ = stream.read_to_string(&mut response);
-    response
+    let mut response = Vec::new();
+    let _ = stream.read_to_end(&mut response);
+    String::from_utf8_lossy(&response).into_owned()
 }
 
 #[test]
@@ -171,6 +177,20 @@ fn bad_content_lengths_are_refused_before_the_body_is_read() {
     );
     assert!(unparseable.starts_with("HTTP/1.1 400 "), "{unparseable}");
     assert!(unparseable.contains("Content-Length"), "{unparseable}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_body_that_ends_early_is_refused_with_400() {
+    let dir = store_dir("short_body");
+    let (addr, sched) = start_server(&dir, Tuning::default());
+    let short = raw_exchange(
+        addr,
+        "POST /v1/jobs HTTP/1.1\r\nContent-Length: 10\r\n\r\n{\"a",
+    );
+    assert!(short.starts_with("HTTP/1.1 400 "), "{short}");
+    assert!(short.contains("ended after 3 of 10 bytes"), "{short}");
+    assert_eq!(sched.executed_units(), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -327,6 +347,78 @@ fn deeply_nested_bodies_are_refused_and_the_server_keeps_serving() {
     );
     assert!(nested.starts_with("HTTP/1.1 400 "), "{nested}");
     assert!(nested.contains("nesting"), "{nested}");
+    let next = raw_exchange(addr, "GET /v1/healthz HTTP/1.1\r\n\r\n");
+    assert!(next.starts_with("HTTP/1.1 200 "), "{next}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// SplitMix64: a dependency-free byte source for the parsing property.
+struct Bytes(u64);
+
+impl Bytes {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+}
+
+#[test]
+fn any_request_bytes_get_a_status_line_and_the_server_keeps_serving() {
+    // The server's whole-request deadline.
+    const IO_TIMEOUT: Duration = Duration::from_secs(5);
+    let dir = store_dir("fuzz");
+    let (addr, sched) = start_server(&dir, Tuning::default());
+    // Valid requests to mutate; none of them, mutated or not, is a
+    // runnable spec, so no case starts a job.
+    let templates: [&[u8]; 4] = [
+        b"GET /v1/healthz HTTP/1.1\r\n\r\n",
+        b"GET /v1/jobs/00000000000000ff HTTP/1.1\r\nX-Tenant: t\r\n\r\n",
+        b"GET /v1/jobs/00000000000000ff/result HTTP/1.1\r\n\r\n",
+        b"POST /v1/jobs HTTP/1.1\r\nX-Tenant: t\r\nContent-Length: 12\r\n\r\n{\"kind\":\"x\"}",
+    ];
+    let mut rng = Bytes(0x5EED);
+    for case in 0..1000 {
+        let input: Vec<u8> = if case % 2 == 0 {
+            (0..1 + rng.below(160)).map(|_| rng.next() as u8).collect()
+        } else {
+            let mut bytes = templates[rng.below(templates.len())].to_vec();
+            for _ in 0..1 + rng.below(4) {
+                let i = rng.below(bytes.len());
+                match rng.below(3) {
+                    0 => bytes[i] = rng.next() as u8,
+                    1 => {
+                        bytes.remove(i);
+                    }
+                    _ => bytes.insert(i, rng.next() as u8),
+                }
+            }
+            bytes
+        };
+        if input.is_empty() {
+            continue;
+        }
+        let start = std::time::Instant::now();
+        let response = raw_exchange_bytes(addr, &input);
+        let elapsed = start.elapsed();
+        let status = response.lines().next().unwrap_or("");
+        let code = status
+            .strip_prefix("HTTP/1.1 ")
+            .map(|rest| &rest.as_bytes()[..3.min(rest.len())]);
+        assert!(
+            code.is_some_and(|c| c.len() == 3 && c.iter().all(u8::is_ascii_digit)),
+            "case {case}: {:?} got {response:?}",
+            String::from_utf8_lossy(&input)
+        );
+        assert!(elapsed < IO_TIMEOUT, "case {case} took {elapsed:?}");
+    }
+    assert_eq!(sched.executed_units(), 0, "a parsing case started a job");
     let next = raw_exchange(addr, "GET /v1/healthz HTTP/1.1\r\n\r\n");
     assert!(next.starts_with("HTTP/1.1 200 "), "{next}");
     let _ = std::fs::remove_dir_all(&dir);

@@ -12,7 +12,7 @@
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
-//! | [`des`] | `ckpt-des` | discrete-event kernel: clock, cancellable event queue, RNG streams |
+//! | [`des`] | `ckpt-des` | discrete-event kernel: clock, timer table, cancellable event queue, RNG streams |
 //! | [`stats`] | `ckpt-stats` | distributions (incl. the max-of-n-exponentials coordination time), estimators, CTMC utilities |
 //! | [`san`] | `ckpt-san` | Stochastic Activity Networks: places, activities, gates, rewards, simulator |
 //! | [`model`] | `ckpt-core` | the paper's 12-submodel checkpoint system, a direct event simulator, configuration and metrics |
