@@ -101,7 +101,7 @@ RUN FLAGS:
     --metrics FILE           write metrics report (manifest + registries) as JSON
     --manifest FILE          write just the run manifest as JSON
     --snapshot FILE          journal completed replications to FILE (crash safety)
-    --snapshot-every N       persist the journal every N replications   [1]
+    --snapshot-every N       append and sync the journal every N reps   [1]
     --resume FILE            resume from a snapshot; re-runs only missing work
     --quiet                  suppress per-rep profiles and progress heartbeats
                              (an explicit --progress FILE stream stays active)

@@ -3,7 +3,8 @@
 //! Loads any mix of the JSON documents the toolchain writes — run
 //! manifests (`--manifest`, schema v1 or v2), metrics reports
 //! (`--metrics`), figure sweep manifests, `SweepJournal` snapshots
-//! (`--snapshot`), optimize reports, and telemetry documents
+//! (`--snapshot`: the append-only journal, or a schema 1 whole-document
+//! snapshot), optimize reports, and telemetry documents
 //! (`--histograms`) — sniffs each document's kind, and renders either
 //! aligned human tables or, with `--json`, one versioned machine
 //! document. Multiple run manifests (or telemetry documents) get a
@@ -14,9 +15,11 @@
 //! (fixed key order, canonical number tokens), so reports over
 //! committed fixtures can be pinned byte-for-byte in tests.
 
+use ckpt_harness::journal::{is_journal, read_log};
 use ckpt_harness::json::{parse, JsonValue};
 use ckpt_harness::CkptError;
 use std::fmt::Write as _;
+use std::path::Path;
 
 /// Report format version; bump when the `--json` layout changes.
 pub const REPORT_SCHEMA_VERSION: u64 = 1;
@@ -262,6 +265,43 @@ fn summarize_sweep_manifest(doc: &JsonValue) -> Vec<(String, JsonValue)> {
     ]
 }
 
+/// Reads one file's text as a document. A file whose first line is a
+/// journal header becomes a `run_snapshot` document listing its
+/// complete records (a torn final line is dropped, as resume drops it);
+/// anything else must be one JSON document.
+///
+/// # Errors
+///
+/// [`CkptError::Snapshot`] for a damaged journal, [`CkptError::Io`]
+/// when the text is not JSON.
+fn document(path: &str, text: &str) -> Result<JsonValue, CkptError> {
+    if !is_journal(text.as_bytes()) {
+        return parse(text).map_err(|e| CkptError::Io {
+            path: path.to_string(),
+            message: e.to_string(),
+        });
+    }
+    let log = read_log(Path::new(path), text.as_bytes(), None)?;
+    let completed = log
+        .records
+        .keys()
+        .map(|&(cell, rep)| {
+            JsonValue::Object(vec![
+                ("cell".into(), JsonValue::from_u64(u64::from(cell))),
+                ("rep".into(), JsonValue::from_u64(u64::from(rep))),
+            ])
+        })
+        .collect();
+    Ok(JsonValue::Object(vec![
+        ("kind".into(), JsonValue::from_text("run_snapshot")),
+        (
+            "fingerprint".into(),
+            JsonValue::from_u64(log.fingerprint.unwrap_or(0)),
+        ),
+        ("completed".into(), JsonValue::Array(completed)),
+    ]))
+}
+
 /// Sniffs a document's kind and produces its summary object
 /// (`path` + `kind` + kind-specific fields, fixed order).
 ///
@@ -466,10 +506,7 @@ pub fn report(args: Vec<String>) -> Result<(), CkptError> {
             path: path.clone(),
             message: e.to_string(),
         })?;
-        let doc = parse(&text).map_err(|e| CkptError::Io {
-            path: path.clone(),
-            message: e.to_string(),
-        })?;
+        let doc = document(&path, &text)?;
         entries.push((path, doc));
     }
     let rendered = if json_out {
@@ -600,6 +637,42 @@ mod tests {
         assert_eq!(get_str(&s, "kind"), Some("run_snapshot"));
         assert_eq!(get_u64(&s, "completed_replications"), Some(2));
         assert_eq!(get_u64(&s, "cells"), Some(2));
+    }
+
+    #[test]
+    fn journal_files_summarize_like_snapshots() {
+        let path = std::env::temp_dir().join(format!(
+            "ckptsim_report_journal_{}.json",
+            std::process::id()
+        ));
+        let journal = ckpt_harness::SweepJournal::create(&path, 99, 0);
+        let m = ckpt_core::Metrics::default();
+        journal.record(0, 0, &m, 1);
+        journal.record(1, 0, &m, 1);
+        journal.record(1, 1, &m, 1);
+        journal.persist().unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+
+        let s = summarize("j.json", &document("j.json", &text).unwrap()).unwrap();
+        assert_eq!(get_str(&s, "kind"), Some("run_snapshot"));
+        assert_eq!(get_u64(&s, "fingerprint"), Some(99));
+        assert_eq!(get_u64(&s, "completed_replications"), Some(3));
+        assert_eq!(get_u64(&s, "cells"), Some(2));
+
+        // A crash mid-append tears the last line; the summary counts
+        // the complete records only.
+        let torn = &text[..text.len() - 20];
+        let s = summarize("t.json", &document("t.json", torn).unwrap()).unwrap();
+        assert_eq!(get_u64(&s, "completed_replications"), Some(2));
+        assert_eq!(get_u64(&s, "cells"), Some(2));
+
+        // A damaged complete line is an error, not a smaller count.
+        let damaged = text.replacen("\"rep\":0", "\"rep\":7", 1);
+        assert!(matches!(
+            document("d.json", &damaged),
+            Err(CkptError::Snapshot(_))
+        ));
     }
 
     #[test]

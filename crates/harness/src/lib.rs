@@ -11,13 +11,14 @@
 //!   degenerate confidence levels) are rejected at build time, and the
 //!   spec's canonical JSON yields the **fingerprint** that guards
 //!   resume.
-//! * [`journal::SweepJournal`] — an atomically persisted, versioned
-//!   journal of completed replications. Plugged into the experiment
-//!   layer as a [`ckpt_core::ReplicationStore`], it makes an
-//!   interrupted-then-resumed run bit-identical to an uninterrupted one
-//!   at any worker count.
-//! * [`snapshot`] — the write-temp + fsync + rename discipline and the
-//!   bit-exact metrics ⇄ JSON mapping snapshots rely on.
+//! * [`journal::SweepJournal`] — an append-only, versioned journal of
+//!   completed replications, one checksummed line each. Plugged into
+//!   the experiment layer as a [`ckpt_core::ReplicationStore`], it
+//!   makes an interrupted-then-resumed run bit-identical to an
+//!   uninterrupted one at any worker count.
+//! * [`snapshot`] — the write-temp + fsync + rename discipline for
+//!   whole documents, and the bit-exact metrics ⇄ JSON mapping the
+//!   journal relies on.
 //! * [`signal`] — cooperative SIGINT/SIGTERM handling: first signal
 //!   requests a graceful stop (persist, then exit `128 + signal`),
 //!   second signal kills.

@@ -1,10 +1,14 @@
-//! Atomic snapshot files and the metrics ⇄ JSON mapping.
+//! Atomic whole-file writes, the snapshot error type and the metrics ⇄
+//! JSON mapping.
 //!
-//! Snapshots are written with the classic crash-safe sequence: write the
-//! full document to a sibling `*.tmp` file, `fsync` it, then `rename`
-//! over the destination (atomic on POSIX filesystems) and `fsync` the
-//! directory. A reader therefore always sees either the previous
-//! complete snapshot or the new complete snapshot — never a torn write.
+//! [`atomic_write`] replaces a whole document with the classic
+//! crash-safe sequence: write it to a sibling `*.tmp` file, `fsync` it,
+//! then `rename` over the destination (atomic on POSIX filesystems) and
+//! `fsync` the directory. A reader therefore always sees either the
+//! previous complete document or the new one — never a torn write. The
+//! service publishes its results this way. The replication journal
+//! does not: it appends one line per replication and guards each line
+//! with a checksum instead (see [`crate::journal`]).
 //!
 //! All floating-point fields round-trip **bit-identically** through
 //! JSON (see [`crate::json`]); this is what lets a resumed run reproduce
@@ -50,12 +54,24 @@ pub enum SnapshotError {
         /// Fingerprint recorded in the snapshot.
         found: u64,
     },
-    /// The snapshot's recorded aggregate statistics do not match a
-    /// replay of its own per-replication results (corruption or a
-    /// hand-edited file).
-    StatsMismatch {
-        /// Sweep cell whose statistics disagree.
+    /// A journal record line does not match its own checksum
+    /// (corruption or a hand-edited file).
+    ChecksumMismatch {
+        /// Path involved.
+        path: String,
+        /// 1-based line number of the damaged record.
+        line: usize,
+    },
+    /// A journal holds two records for one replication.
+    DuplicateRecord {
+        /// Path involved.
+        path: String,
+        /// 1-based line number of the repeat.
+        line: usize,
+        /// Sweep cell of the repeated record.
         cell: u32,
+        /// Replication of the repeated record.
+        rep: u32,
     },
 }
 
@@ -77,9 +93,18 @@ impl fmt::Display for SnapshotError {
                 f,
                 "snapshot {path} was taken for a different experiment (fingerprint {found:#018x}, this spec is {expected:#018x}); refusing to resume"
             ),
-            SnapshotError::StatsMismatch { cell } => write!(
+            SnapshotError::ChecksumMismatch { path, line } => write!(
                 f,
-                "snapshot statistics for cell {cell} do not match its recorded replications; the file is corrupt"
+                "snapshot {path} line {line} does not match its checksum; the file is corrupt"
+            ),
+            SnapshotError::DuplicateRecord {
+                path,
+                line,
+                cell,
+                rep,
+            } => write!(
+                f,
+                "snapshot {path} line {line} records cell {cell} replication {rep} a second time; the file is corrupt"
             ),
         }
     }

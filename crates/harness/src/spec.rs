@@ -256,14 +256,7 @@ impl ExperimentSpec {
     /// resumes at any other.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = FNV_OFFSET;
-        for byte in self.render(false).to_json().bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-        hash
+        fnv1a(self.render(false).to_json().as_bytes())
     }
 
     fn render(&self, with_jobs: bool) -> JsonValue {
@@ -844,6 +837,14 @@ pub fn config_from_json(doc: &JsonValue) -> Result<SystemConfig, SpecError> {
         b = b.spatial_correlation(Some(p));
     }
     b.build().map_err(SpecError::Config)
+}
+
+/// FNV-1a 64: the spec fingerprint, and the journal's per-line
+/// checksum.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &b| {
+        (hash ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 #[cfg(test)]

@@ -5,14 +5,19 @@
 //! soup, truncations and byte flips of a valid spec or journal, deep
 //! nesting — must come back `Ok` or a typed error, never a panic or a
 //! stack overflow; and whatever is accepted must survive a render round
-//! trip.
+//! trip. A journal cut at any byte, as a crash mid-append leaves it,
+//! resumes exactly the records whose lines are complete.
 
-use ckpt_core::{CoordinationMode, EngineKind, Metrics, PhaseKind, SystemConfig};
+use ckpt_core::{
+    CachedReplication, CoordinationMode, EngineKind, Metrics, PhaseKind, ReplicationStore,
+    SystemConfig,
+};
 use ckpt_des::SimTime;
 use ckpt_harness::json::{parse, MAX_DEPTH};
-use ckpt_harness::{ExperimentSpec, SweepJournal};
+use ckpt_harness::{ExperimentSpec, SnapshotError, SweepJournal};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// A valid spec exercising most keys (optional ones included).
 fn valid_spec_json() -> String {
@@ -81,31 +86,58 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The bytes of a real journal: opened in a store directory, a few
-/// replications of two cells recorded, then persisted.
-fn journal_bytes() -> Vec<u8> {
-    let dir = scratch_dir("journal_src");
-    let journal = SweepJournal::open_in_dir(&dir, JOURNAL_FP, 0).unwrap();
-    for (i, (cell, rep)) in [(0, 0), (0, 1), (1, 0), (0, 2), (1, 3)]
-        .into_iter()
-        .enumerate()
-    {
-        let x = i as f64;
-        let mut m = Metrics {
-            window_secs: 3.6e6,
-            useful_work_secs: 2.9e6 + 1234.5678 * x,
-            work_lost_secs: 1.0e4 / (x + 1.0),
-            ..Metrics::default()
-        };
-        m.counters.compute_failures = 3 + i as u64;
-        m.phase_times.add(PhaseKind::Executing, 3.1e6 - x);
-        m.phase_times.add(PhaseKind::Dumping, 1.0 / 3.0 + x);
-        journal.record(cell, rep, &m, 10_000 + 17 * i as u64);
+/// The keys [`journal_bytes`] records, in recording order (not key
+/// order: the file keeps completion order).
+const JOURNAL_KEYS: [(u32, u32); 5] = [(0, 0), (0, 1), (1, 0), (0, 2), (1, 3)];
+
+/// The `i`-th replication [`journal_bytes`] records.
+fn journal_record(i: usize) -> CachedReplication {
+    let x = i as f64;
+    let mut m = Metrics {
+        window_secs: 3.6e6,
+        useful_work_secs: 2.9e6 + 1234.5678 * x,
+        work_lost_secs: 1.0e4 / (x + 1.0),
+        ..Metrics::default()
+    };
+    m.counters.compute_failures = 3 + i as u64;
+    m.phase_times.add(PhaseKind::Executing, 3.1e6 - x);
+    m.phase_times.add(PhaseKind::Dumping, 1.0 / 3.0 + x);
+    CachedReplication {
+        metrics: m,
+        events: 10_000 + 17 * i as u64,
     }
-    journal.persist().unwrap();
-    let bytes = std::fs::read(journal.path()).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
-    bytes
+}
+
+/// The bytes of a real journal: opened in a store directory, a few
+/// replications of two cells recorded, then persisted. Written once:
+/// the tests that use it run in parallel and would otherwise share the
+/// source directory.
+fn journal_bytes() -> Vec<u8> {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES
+        .get_or_init(|| {
+            let dir = scratch_dir("journal_src");
+            let journal = SweepJournal::open_in_dir(&dir, JOURNAL_FP, 0).unwrap();
+            for (i, (cell, rep)) in JOURNAL_KEYS.into_iter().enumerate() {
+                let r = journal_record(i);
+                journal.record(cell, rep, &r.metrics, r.events);
+            }
+            journal.persist().unwrap();
+            let bytes = std::fs::read(journal.path()).unwrap();
+            let _ = std::fs::remove_dir_all(&dir);
+            bytes
+        })
+        .clone()
+}
+
+/// Whether `journal` holds exactly the first `k` records of
+/// [`JOURNAL_KEYS`], bit for bit.
+fn holds_first(journal: &SweepJournal, k: usize) -> bool {
+    journal.completed() == k
+        && JOURNAL_KEYS.iter().enumerate().all(|(i, &(cell, rep))| {
+            let want = (i < k).then(|| journal_record(i));
+            journal.cell_store(cell).lookup(rep) == want
+        })
 }
 
 /// Writes `bytes` to `path` and resumes from it. A journal that loads
@@ -115,9 +147,9 @@ fn check_journal(path: &Path, bytes: &[u8]) -> Result<Option<String>, TestCaseEr
     let Ok(journal) = SweepJournal::resume(path, JOURNAL_FP, 0) else {
         return Ok(None);
     };
-    let rendered = journal.to_json();
+    let rendered = journal.render();
     std::fs::write(path, &rendered).unwrap();
-    let again = SweepJournal::resume(path, JOURNAL_FP, 0).map(|j| j.to_json());
+    let again = SweepJournal::resume(path, JOURNAL_FP, 0).map(|j| j.render());
     prop_assert_eq!(again.ok(), Some(rendered.clone()));
     Ok(Some(rendered))
 }
@@ -127,10 +159,15 @@ fn truncated_and_byte_flipped_journals_are_rejected_or_round_trip() {
     let bytes = journal_bytes();
     let dir = scratch_dir("journal_damage");
     let path = dir.join("damaged.journal.json");
-    // The file is the rendering plus a trailing newline.
-    let intact = check_journal(&path, &bytes).unwrap();
+    // The rendering holds the file's lines, in key order.
+    let intact = check_journal(&path, &bytes).unwrap().unwrap();
     let text = String::from_utf8(bytes.clone()).unwrap();
-    assert_eq!(intact.as_deref(), Some(text.trim_end()));
+    let sorted = |s: &str| {
+        let mut lines: Vec<String> = s.lines().map(str::to_string).collect();
+        lines.sort();
+        lines
+    };
+    assert_eq!(sorted(&intact), sorted(&text));
     for at in 0..bytes.len() {
         check_journal(&path, &bytes[..at]).unwrap();
     }
@@ -141,6 +178,87 @@ fn truncated_and_byte_flipped_journals_are_rejected_or_round_trip() {
             let mut flipped = bytes.clone();
             flipped[at] = byte;
             check_journal(&path, &flipped).unwrap();
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The crash window of an append: a journal cut at any byte resumes,
+/// without error, exactly the records whose lines are complete; the
+/// torn tail is cut off before the next append, so a record added
+/// after resuming is read back with all the others.
+#[test]
+fn every_crash_window_resumes_the_complete_records() {
+    let bytes = journal_bytes();
+    let dir = scratch_dir("journal_crash");
+    let path = dir.join("torn.journal.json");
+    let ends: Vec<usize> = (0..bytes.len())
+        .filter(|&i| bytes[i] == b'\n')
+        .map(|i| i + 1)
+        .collect();
+    assert_eq!(
+        ends.len(),
+        1 + JOURNAL_KEYS.len(),
+        "a header and one line per record"
+    );
+    let extra = CachedReplication {
+        metrics: Metrics::default(),
+        events: 7,
+    };
+    for at in 0..=bytes.len() {
+        let complete = ends
+            .iter()
+            .filter(|&&end| end <= at)
+            .count()
+            .saturating_sub(1);
+        std::fs::write(&path, &bytes[..at]).unwrap();
+        let journal = SweepJournal::resume(&path, JOURNAL_FP, 0)
+            .unwrap_or_else(|e| panic!("cut at {at}: {e}"));
+        assert!(holds_first(&journal, complete), "cut at {at}");
+
+        journal.record(9, 9, &extra.metrics, extra.events);
+        journal.persist().unwrap();
+        drop(journal);
+        let again = SweepJournal::resume(&path, JOURNAL_FP, 0)
+            .unwrap_or_else(|e| panic!("cut at {at}, then appended: {e}"));
+        assert_eq!(
+            again.completed(),
+            complete + 1,
+            "cut at {at}, then appended"
+        );
+        assert_eq!(again.cell_store(9).lookup(9), Some(extra));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A byte changed anywhere inside a complete record line, its newline
+/// aside, is a typed error: the line's checksum, or its framing, no
+/// longer holds.
+#[test]
+fn a_flipped_byte_in_any_complete_record_line_is_an_error() {
+    let bytes = journal_bytes();
+    let dir = scratch_dir("journal_flip");
+    let path = dir.join("flipped.journal.json");
+    let header_end = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+    for at in header_end..bytes.len() {
+        if bytes[at] == b'\n' {
+            continue;
+        }
+        for byte in [bytes[at] ^ 0x01, b'\n', b'}', b'"', 0xff] {
+            if byte == bytes[at] {
+                continue;
+            }
+            let mut flipped = bytes.clone();
+            flipped[at] = byte;
+            std::fs::write(&path, &flipped).unwrap();
+            let err = SweepJournal::resume(&path, JOURNAL_FP, 0).err();
+            assert!(
+                matches!(
+                    err,
+                    Some(SnapshotError::ChecksumMismatch { .. } | SnapshotError::Parse { .. })
+                ),
+                "byte {at} set to {byte:#04x}: {err:?}"
+            );
         }
     }
     let _ = std::fs::remove_dir_all(&dir);

@@ -10,7 +10,13 @@
 //! [`run_job`] adds the content-addressed cache contract on top: a
 //! cache hit returns the stored bytes verbatim without executing
 //! anything; a miss opens (or resumes) the job's journal, runs the
-//! missing replications, and atomically publishes the result.
+//! missing replications, and atomically publishes the result, which
+//! deletes the journal ([`JobStore::store`]).
+//!
+//! The journal appends one synced line per completed replication at
+//! the service's default `snapshot_every 1`, so a unit's closing
+//! [`SweepJournal::persist`] finds nothing queued and does no I/O; at a
+//! larger cadence it appends the remainder.
 //!
 //! For sharded service execution, [`unit_ranges`] splits a job's
 //! replication range into journal-backed work units and [`run_unit`]

@@ -698,6 +698,41 @@ mod tests {
         }
     }
 
+    /// Both publish paths, the single unit's and the sharded finalize,
+    /// delete the journal file; a restarted scheduler still answers the
+    /// resubmission from the result, byte for byte.
+    #[test]
+    fn finished_jobs_leave_no_journal_file_and_still_hit() {
+        let spec = small_spec(6);
+        for (tag, shards) in [("no_journal_one", 1), ("no_journal_sharded", 3)] {
+            let store = store_in(tag);
+            let tuning = Tuning {
+                shards,
+                ..Tuning::default()
+            };
+            let sched = Scheduler::new(store.clone(), tuning);
+            let out = sched.submit("t", &spec).unwrap();
+            assert_eq!(
+                sched.wait(&out.id, Duration::from_secs(120)).unwrap(),
+                JobStatus::Done { cached: false }
+            );
+            let body = sched.result(&out.id).unwrap().unwrap();
+            drop(sched);
+            let fingerprint = Scheduler::parse_id(&out.id).unwrap();
+            assert!(
+                !store.journal_path(fingerprint).exists(),
+                "{tag}: a published job left its journal file"
+            );
+
+            let restarted = Scheduler::new(store.clone(), tuning);
+            let again = restarted.submit("t", &spec).unwrap();
+            assert!(again.cached, "{tag}: resubmission must hit the cache");
+            assert_eq!(restarted.result(&again.id).unwrap().unwrap(), body);
+            assert_eq!(restarted.executed_units(), 0);
+            let _ = std::fs::remove_dir_all(store.root());
+        }
+    }
+
     #[test]
     fn round_robin_stays_fair_as_drained_tenants_leave() {
         let mut st = State {

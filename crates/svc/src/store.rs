@@ -1,4 +1,5 @@
-//! The content-addressed job store: one directory, two files per job.
+//! The content-addressed job store: one directory, at most one file per
+//! job at rest.
 //!
 //! A job is identified by its spec's resume fingerprint
 //! ([`ckpt_harness::ExperimentSpec::fingerprint`]); everything the
@@ -8,11 +9,15 @@
 //!   atomically ([`ckpt_harness::atomic_write`]). Its *presence* is the
 //!   completeness marker: lookups serve these bytes verbatim, so a
 //!   cache hit is byte-identical to the run that produced it.
-//! * `job-<fp>.journal.json` — the replication journal
+//! * `job-<fp>.journal.json` — the append-only replication journal
 //!   ([`ckpt_harness::SweepJournal`], fingerprint-namespaced via
-//!   [`SweepJournal::store_path`]). A journal without a result file is
-//!   an *incomplete* job: it is resumed (cached replications replayed,
-//!   missing ones re-run), never trusted as a finished result.
+//!   [`SweepJournal::store_path`]), present only while the job is
+//!   unfinished. A journal without a result file is an *incomplete*
+//!   job: it is resumed (cached replications replayed, missing ones
+//!   re-run), never trusted as a finished result. [`JobStore::store`]
+//!   deletes the journal once the result is published, since every
+//!   later request is answered from the result. A crash between the
+//!   publish and the delete leaves a journal nothing reads.
 
 use ckpt_harness::snapshot::SnapshotError;
 use ckpt_harness::{atomic_write, CkptError, SweepJournal};
@@ -86,13 +91,19 @@ impl JobStore {
 
     /// Atomically persists `body` as the result for `fingerprint`
     /// (write-temp + fsync + rename, so a crash never leaves a torn
-    /// result that a later [`JobStore::lookup`] could trust).
+    /// result that a later [`JobStore::lookup`] could trust), then
+    /// deletes the job's journal, which nothing reads once the result
+    /// exists.
     ///
     /// # Errors
     ///
     /// [`CkptError::Snapshot`] wrapping the underlying write failure.
     pub fn store(&self, fingerprint: u64, body: &str) -> Result<(), CkptError> {
-        atomic_write(&self.result_path(fingerprint), body).map_err(CkptError::from)
+        atomic_write(&self.result_path(fingerprint), body)?;
+        // Best effort: the result is published either way, and a
+        // journal left behind is never consulted again.
+        let _ = std::fs::remove_file(self.journal_path(fingerprint));
+        Ok(())
     }
 
     /// Opens the journal for `fingerprint` — resuming the existing
@@ -141,6 +152,18 @@ mod tests {
         journal.persist().unwrap();
         assert!(store.journal_path(0x77).exists());
         assert_eq!(store.lookup(0x77).unwrap(), None);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn publishing_a_result_deletes_the_journal() {
+        let store = store_in("publish_drops_journal");
+        let journal = store.open_journal(0x78, 1).unwrap();
+        journal.persist().unwrap();
+        assert!(store.journal_path(0x78).exists());
+        store.store(0x78, "{}\n").unwrap();
+        assert!(!store.journal_path(0x78).exists());
+        assert_eq!(store.lookup(0x78).unwrap().as_deref(), Some("{}\n"));
         let _ = std::fs::remove_dir_all(store.root());
     }
 
