@@ -2,7 +2,7 @@
 //! one rule for the flags a command cannot honour
 //! ([`RunOptions::refuse_unhonoured`]).
 
-use ckpt_core::EngineKind;
+use ckpt_core::{default_jobs, EngineKind};
 use ckpt_des::SimTime;
 use ckpt_harness::{CkptError, ExecFlags};
 
@@ -75,12 +75,6 @@ where
     value
         .parse()
         .map_err(|e| CkptError::Usage(format!("{flag}: {e}")))
-}
-
-/// Default worker count: available parallelism, 1 if unknown.
-#[must_use]
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
 impl RunOptions {

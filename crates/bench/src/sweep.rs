@@ -15,11 +15,13 @@
 //! produces bit-identical series at any worker count.
 
 use crate::args::RunOptions;
-use ckpt_core::{Estimate, ExperimentError, ReplicationStore, RunControl, SystemConfig};
+use ckpt_core::{
+    run_indexed, Estimate, ExperimentError, ReplicationStore, RunControl, SystemConfig,
+};
 use ckpt_harness::spec::ExperimentSpec;
 use ckpt_harness::{CkptError, SweepJournal};
 use ckpt_obs::{ProgressSink, ProgressSnapshot};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -215,80 +217,60 @@ pub fn run_sweep_controlled(
         .map(|c| experiment_spec(c.config.clone(), opts.engine, opts))
         .collect::<Result<Vec<_>, _>>()?;
 
-    let next = AtomicUsize::new(0);
-    type Slot = Option<Result<(usize, Point), ExperimentError>>;
-    let results: Mutex<Vec<Slot>> = Mutex::new((0..cells.len()).map(|_| None).collect());
     // The counter lives under the sink's lock so `completed` arrives
     // strictly increasing at every sink, whatever the scheduling.
     let progress = control.progress.map(|sink| (sink, Mutex::new(0usize)));
     let started = Instant::now();
-    let stop = |flag: Option<&AtomicBool>| flag.is_some_and(|f| f.load(Ordering::SeqCst));
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                if stop(control.interrupt) {
-                    return;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= cells.len() {
-                    return;
-                }
-                let cell = &cells[i];
-                let store = control
-                    .journal
-                    .map(|j| j.cell_store(u32::try_from(i).unwrap_or(u32::MAX)));
-                // Worker count and warm-up never change sampling, so
-                // they ride on the experiment: each cell gets its share
-                // of the leftover workers, and the resume fingerprint
-                // stays blind to both.
-                let outcome = specs[i]
-                    .to_experiment()
-                    .jobs(inner_jobs)
-                    .warmup(opts.warmup)
-                    .run_controlled(RunControl {
-                        store: store.as_ref().map(|s| s as &dyn ReplicationStore),
-                        interrupt: control.interrupt,
-                        // Sweeps report at cell granularity; forwarding
-                        // the sink here would interleave replication
-                        // counts from unrelated cells.
-                        progress: None,
-                    })
-                    .map(|est| {
-                        let (y, half_width) = metric.extract(&est);
-                        (
-                            cell.series,
-                            Point {
-                                x: cell.x,
-                                y,
-                                half_width,
-                            },
-                        )
-                    });
-                let ok = outcome.is_ok();
-                results.lock().expect("sweep mutex poisoned")[i] = Some(outcome);
-                if !ok {
-                    return;
-                }
-                if let Some((sink, counter)) = &progress {
-                    let mut finished = counter.lock().expect("progress counter poisoned");
-                    *finished += 1;
-                    let detail = format!(
-                        "{} x={} done",
-                        labels.get(cell.series).map_or("", |l| l.as_str()),
-                        cell.x
-                    );
-                    let mut snap = ProgressSnapshot::new("sweep", *finished, cells.len());
-                    snap.detail = Some(&detail);
-                    snap.workers = Some(workers);
-                    if *finished < cells.len() {
-                        let per_cell = started.elapsed().as_secs_f64() / *finished as f64;
-                        snap.eta_secs = Some(per_cell * (cells.len() - *finished) as f64);
-                    }
-                    sink.progress(&snap);
-                }
+    let results = run_indexed(cells.len(), workers, control.interrupt, |i| {
+        let cell = &cells[i];
+        let store = control
+            .journal
+            .map(|j| j.cell_store(u32::try_from(i).unwrap_or(u32::MAX)));
+        // Worker count and warm-up never change sampling, so they ride
+        // on the experiment: each cell gets its share of the leftover
+        // workers, and the resume fingerprint stays blind to both.
+        let outcome = specs[i]
+            .to_experiment()
+            .jobs(inner_jobs)
+            .warmup(opts.warmup)
+            .run_controlled(RunControl {
+                store: store.as_ref().map(|s| s as &dyn ReplicationStore),
+                interrupt: control.interrupt,
+                // Sweeps report at cell granularity; forwarding the sink
+                // here would interleave replication counts from
+                // unrelated cells.
+                progress: None,
+            })
+            .map(|est| {
+                let (y, half_width) = metric.extract(&est);
+                (
+                    cell.series,
+                    Point {
+                        x: cell.x,
+                        y,
+                        half_width,
+                    },
+                )
             });
+        if let (Some((sink, counter)), true) = (&progress, outcome.is_ok()) {
+            let mut finished = counter.lock().expect("progress counter poisoned");
+            *finished += 1;
+            let detail = format!(
+                "{} x={} done",
+                labels.get(cell.series).map_or("", |l| l.as_str()),
+                cell.x
+            );
+            let mut snap = ProgressSnapshot::new("sweep", *finished, cells.len());
+            snap.detail = Some(&detail);
+            snap.workers = Some(workers);
+            if *finished < cells.len() {
+                let per_cell = started.elapsed().as_secs_f64() / *finished as f64;
+                snap.eta_secs = Some(per_cell * (cells.len() - *finished) as f64);
+            }
+            sink.progress(&snap);
         }
+        outcome
     });
 
     let mut series: Vec<Series> = labels
@@ -300,23 +282,17 @@ pub fn run_sweep_controlled(
         .collect();
     let mut interrupted = false;
     let mut completed = 0usize;
-    let mut first_error: Option<ExperimentError> = None;
-    for slot in results.into_inner().expect("sweep mutex poisoned") {
+    // Slots are in index order, so the first error returned is the
+    // first failing cell's, and it outranks an interrupt.
+    for slot in results {
         match slot {
             Some(Ok((s, p))) => {
                 completed += 1;
                 series[s].points.push(p);
             }
             Some(Err(ExperimentError::Interrupted { .. })) | None => interrupted = true,
-            Some(Err(e)) => {
-                if first_error.is_none() {
-                    first_error = Some(e);
-                }
-            }
+            Some(Err(e)) => return Err(e.into()),
         }
-    }
-    if let Some(e) = first_error {
-        return Err(e.into());
     }
     if interrupted {
         return Err(ExperimentError::Interrupted { completed }.into());

@@ -11,7 +11,7 @@ use ckpt_core::{
 };
 use ckpt_harness::{signal, CkptError, SpecError};
 use ckpt_obs::{spans_json, telemetry_json, ProgressSink, Recorder};
-use ckpt_svc::{LocalRun, Scheduler};
+use ckpt_svc::{run_local, LocalRun};
 use std::fmt::Write as _;
 
 /// Ring-buffer capacity behind `--trace`: large enough to keep every
@@ -115,7 +115,7 @@ pub fn run_single(args: Vec<String>) -> Result<(), CkptError> {
     // `run` is a thin wrapper over the service execution core: the same
     // entry point the `ckptsim serve` workers use, so a local run and a
     // served one are the same code path (and bit-identical).
-    let est = Scheduler::run_local(
+    let est = run_local(
         &spec,
         LocalRun {
             warmup: opts.warmup,
@@ -161,10 +161,11 @@ pub fn run_single(args: Vec<String>) -> Result<(), CkptError> {
 
 /// The entire stdout report of `ckptsim run`, as one string. Keeping it
 /// in a pure function makes the `--quiet` contract testable: every
-/// per-replication line comes from [`profile_section`], which is
-/// appended in exactly one place, behind exactly one `quiet` guard —
-/// regardless of which output sinks (`--csv`, `--trace`, `--metrics`)
-/// are active.
+/// wall-clock figure of the CSV and every per-replication line comes
+/// from [`timing_section`], which is appended in exactly one place,
+/// behind exactly one `quiet` guard — regardless of which output sinks
+/// (`--csv`, `--trace`, `--metrics`) are active. So `--csv --quiet`
+/// prints the same bytes for the same spec.
 fn render_report(cfg: &SystemConfig, est: &Estimate, opts: &RunOptions) -> String {
     let frac = est.useful_work_fraction();
     let tuw = est.total_useful_work();
@@ -184,8 +185,6 @@ fn render_report(cfg: &SystemConfig, est: &Estimate, opts: &RunOptions) -> Strin
                 est.mean_of(|m| m.phase_fraction(kind))
             );
         }
-        let _ = writeln!(s, "perf_wall_secs,{:.3},", est.total_wall_secs());
-        let _ = writeln!(s, "perf_events_per_sec,{:.0},", est.events_per_sec());
     } else {
         let _ = writeln!(
             s,
@@ -230,9 +229,20 @@ fn render_report(cfg: &SystemConfig, est: &Estimate, opts: &RunOptions) -> Strin
         );
     }
     if !opts.exec.quiet {
-        s.push_str(&profile_section(est, opts.csv));
+        s.push_str(&timing_section(est, opts.csv));
     }
     s
+}
+
+/// Everything `--quiet` suppresses: the CSV's run-level timing rows,
+/// then the per-replication [`profile_section`].
+fn timing_section(est: &Estimate, csv: bool) -> String {
+    let mut s = String::new();
+    if csv {
+        let _ = writeln!(s, "perf_wall_secs,{:.3},", est.total_wall_secs());
+        let _ = writeln!(s, "perf_events_per_sec,{:.0},", est.events_per_sec());
+    }
+    s + &profile_section(est, csv)
 }
 
 /// The per-replication profile block (CSV header documented in
@@ -486,8 +496,9 @@ mod tests {
                 "useful work fraction"
             }));
             // The quiet report is exactly the loud one minus the
-            // profile section — nothing else may leak per-rep data.
-            assert_eq!(format!("{quiet}{}", profile_section(&est, csv)), loud);
+            // timing section — nothing else may leak timing data.
+            assert_eq!(format!("{quiet}{}", timing_section(&est, csv)), loud);
+            assert!(!quiet.contains("perf_"), "csv={csv}:\n{quiet}");
         }
     }
 

@@ -23,9 +23,9 @@
 //! `submit`; see [`config_flags::parse_config`]. Each command refuses
 //! the run flags it cannot honour through
 //! [`ckpt_bench::RunOptions::refuse_unhonoured`]. `run` itself is a thin
-//! wrapper over the service execution core
-//! ([`ckpt_svc::Scheduler::run_local`]), so a locally-run spec and a
-//! served one go through the same code path.
+//! wrapper over the service execution core ([`ckpt_svc::run_local`]),
+//! so a locally-run spec and a served one go through the same code
+//! path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -2,6 +2,15 @@
 //! (transient discard + independent replications at 95 % confidence)
 //! over either simulation engine.
 //!
+//! # Replication ranges
+//!
+//! A range `lo..hi` of replication indices is the unit of work:
+//! [`Experiment::run_range`] returns one [`Replicate`] per replication,
+//! and [`Experiment::estimate`] aggregates replicates. A whole run is a
+//! range plus one per sequential-stopping round, so ranges run apart —
+//! in any order, or read back from a journal — concatenate into the
+//! same estimate bit for bit.
+//!
 //! # Parallel execution
 //!
 //! Replications are embarrassingly parallel: replication `k` always
@@ -27,6 +36,7 @@ use ckpt_obs::{
 use ckpt_san::ReactivationMode;
 use ckpt_stats::{ConfidenceInterval, Replications};
 use std::fmt;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -116,6 +126,36 @@ pub struct CachedReplication {
     pub events: u64,
 }
 
+/// One replication's outcome: what [`Experiment::run_range`] returns
+/// per replication and what [`Experiment::estimate`] aggregates.
+#[derive(Debug, Clone)]
+pub struct Replicate {
+    /// The replication's measurement-window metrics.
+    pub metrics: Metrics,
+    /// Its wall-clock cost and event count.
+    pub profile: ReplicationProfile,
+    /// Its recording, when [`Experiment::observe`] was set and it ran.
+    pub recording: Option<Recorder>,
+    /// The panic the supervisor's same-seed retry recovered, if any.
+    pub fault: Option<WorkerFault>,
+}
+
+impl From<CachedReplication> for Replicate {
+    /// A stored replication: its metrics and event count, no wall time
+    /// (nothing ran now), no recording and no fault.
+    fn from(cached: CachedReplication) -> Replicate {
+        Replicate {
+            metrics: cached.metrics,
+            profile: ReplicationProfile {
+                wall_secs: 0.0,
+                events: cached.events,
+            },
+            recording: None,
+            fault: None,
+        }
+    }
+}
+
 /// Durable storage for completed replications — the hook the
 /// crash-safe harness plugs into.
 ///
@@ -174,9 +214,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Default worker count: every core the OS grants us.
+/// Default worker count: every core the OS grants us, 1 if unknown.
 #[must_use]
-fn default_jobs() -> usize {
+pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
@@ -190,7 +230,7 @@ fn default_jobs() -> usize {
 /// and every claimed task runs to completion, the completed slots
 /// always form a prefix of `0..count`. With `jobs <= 1` or `count <= 1`
 /// this degenerates to a plain sequential loop on the calling thread.
-fn run_indexed<T, F>(
+pub fn run_indexed<T, F>(
     count: usize,
     jobs: usize,
     interrupt: Option<&AtomicBool>,
@@ -347,7 +387,7 @@ pub enum Estimation {
 }
 
 /// Result of an experiment: per-replication metrics plus aggregate
-/// confidence intervals.
+/// confidence intervals. Built only by [`Experiment::estimate`].
 #[derive(Debug, Clone)]
 pub struct Estimate {
     config: SystemConfig,
@@ -786,12 +826,45 @@ impl Experiment {
     /// [`ExperimentError::Interrupted`] when the interrupt flag stopped
     /// the run early.
     pub fn run_controlled(self, control: RunControl<'_>) -> Result<Estimate, ExperimentError> {
-        let (replicates, profiles, recordings, faults) = match self.estimation {
+        let replicates = match self.estimation {
             Estimation::Replications => self.run_replications(control)?,
             Estimation::BatchMeans { batches } => self.run_batch_means(batches.max(2))?,
         };
-        Ok(Estimate {
-            config: self.config,
+        Ok(self.estimate(replicates))
+    }
+
+    /// Runs replications `range` (replication `k` on seed
+    /// `base_seed + k`, after the warm-up) across [`Experiment::jobs`]
+    /// workers and returns their outcomes in index order. Each one is
+    /// looked up in and recorded into `control.store` as in a whole
+    /// run, so only indices inside `range` reach the store. A range is
+    /// always independent replications, whatever the estimation.
+    ///
+    /// # Errors
+    ///
+    /// As [`Experiment::run_controlled`]; an interrupt reports the
+    /// replications of this range that completed.
+    pub fn run_range(
+        &self,
+        range: Range<u32>,
+        control: RunControl<'_>,
+    ) -> Result<Vec<Replicate>, ExperimentError> {
+        let runner = RangeRunner::new(self, control, range.len())?;
+        let mut replicates = Vec::with_capacity(range.len());
+        runner.run(range, &mut replicates)?;
+        Ok(replicates)
+    }
+
+    /// Aggregates `replicates`, in replication order, into this
+    /// experiment's [`Estimate`] — the one way an estimate is built,
+    /// whether the replicates just ran, came from ranges run apart or
+    /// were read back from a journal. Under [`Estimation::BatchMeans`]
+    /// the replicates are the batches, and their profiles fold into the
+    /// single whole-run profile the estimate reports.
+    #[must_use]
+    pub fn estimate(&self, replicates: Vec<Replicate>) -> Estimate {
+        let mut est = Estimate {
+            config: self.config.clone(),
             engine: self.engine,
             estimation: self.estimation,
             base_seed: self.base_seed,
@@ -799,12 +872,25 @@ impl Experiment {
             horizon: self.horizon,
             jobs: self.jobs,
             warmup: self.warmup,
-            replicates,
-            profiles,
-            recordings,
-            faults,
+            replicates: Vec::with_capacity(replicates.len()),
+            profiles: Vec::with_capacity(replicates.len()),
+            recordings: Vec::new(),
+            faults: Vec::new(),
             level: self.level,
-        })
+        };
+        for r in replicates {
+            est.replicates.push(r.metrics);
+            est.profiles.push(r.profile);
+            est.recordings.extend(r.recording);
+            est.faults.extend(r.fault);
+        }
+        if matches!(self.estimation, Estimation::BatchMeans { .. }) {
+            est.profiles = vec![ReplicationProfile {
+                wall_secs: est.total_wall_secs(),
+                events: est.profiles.iter().map(|p| p.events).sum(),
+            }];
+        }
+        est
     }
 
     /// Runs replication `k` (seed `base_seed + k`) on the configured
@@ -812,11 +898,7 @@ impl Experiment {
     /// observation is enabled the recorder watches exactly the
     /// measurement window (transient excluded), so its phase times are
     /// comparable to the replication's [`Metrics`].
-    fn run_one(
-        &self,
-        san_model: Option<&CheckpointSan>,
-        k: u32,
-    ) -> Result<(Metrics, ReplicationProfile, Option<Recorder>), ModelError> {
+    fn run_one(&self, san_model: Option<&CheckpointSan>, k: u32) -> Result<Replicate, ModelError> {
         let seed = self.base_seed + u64::from(k);
         let mut recorder = self.observe.map(|spec| {
             let rec = Recorder::new(spec.trace_capacity, spec.registry);
@@ -868,11 +950,15 @@ impl Experiment {
         if let (Some(rec), Some(snapshot)) = (recorder.as_mut(), engine_telem) {
             rec.absorb_engine_telemetry(&snapshot);
         }
-        let profile = ReplicationProfile {
-            wall_secs: start.elapsed().as_secs_f64(),
-            events,
-        };
-        Ok((metrics, profile, recorder))
+        Ok(Replicate {
+            metrics,
+            profile: ReplicationProfile {
+                wall_secs: start.elapsed().as_secs_f64(),
+                events,
+            },
+            recording: recorder,
+            fault: None,
+        })
     }
 
     /// Supervised replication: consults the [`ReplicationStore`] cache
@@ -880,37 +966,21 @@ impl Experiment {
     /// catches a panicking worker, retries it once with the same seed,
     /// and records the completion back into the store. A recovered
     /// fault leaves a [`ModelEvent::WorkerFault`] in the retry's
-    /// recording and a [`WorkerFault`] report in the estimate.
-    #[allow(clippy::type_complexity)]
+    /// recording and a [`WorkerFault`] report in the replicate.
     fn run_one_supervised(
         &self,
         san_model: Option<&CheckpointSan>,
         k: u32,
         store: Option<&dyn ReplicationStore>,
-    ) -> Result<
-        (
-            Metrics,
-            ReplicationProfile,
-            Option<Recorder>,
-            Option<WorkerFault>,
-        ),
-        ExperimentError,
-    > {
+    ) -> Result<Replicate, ExperimentError> {
         if self.observe.is_none() {
             if let Some(cached) = store.and_then(|s| s.lookup(k)) {
-                let profile = ReplicationProfile {
-                    wall_secs: 0.0,
-                    events: cached.events,
-                };
-                return Ok((cached.metrics, profile, None, None));
+                return Ok(cached.into());
             }
         }
-        let attempt = |fault: Option<&WorkerFault>| -> Result<
-            (Metrics, ReplicationProfile, Option<Recorder>),
-            ModelError,
-        > {
-            let (metrics, profile, mut recorder) = self.run_one(san_model, k)?;
-            if let (Some(f), Some(rec)) = (fault, recorder.as_mut()) {
+        let attempt = |fault: Option<WorkerFault>| -> Result<Replicate, ModelError> {
+            let mut replicate = self.run_one(san_model, k)?;
+            if let (Some(f), Some(rec)) = (&fault, replicate.recording.as_mut()) {
                 // Stamp the audit event at the end of the replication's
                 // window so the trace stays monotone in time.
                 rec.on_event(
@@ -919,144 +989,41 @@ impl Experiment {
                 );
             }
             if let Some(s) = store {
-                s.record(k, &metrics, profile.events);
+                s.record(k, &replicate.metrics, replicate.profile.events);
             }
-            Ok((metrics, profile, recorder))
+            replicate.fault = fault;
+            Ok(replicate)
         };
         match catch_unwind(AssertUnwindSafe(|| attempt(None))) {
-            Ok(result) => {
-                let (metrics, profile, recorder) = result?;
-                Ok((metrics, profile, recorder, None))
-            }
+            Ok(result) => Ok(result?),
             Err(payload) => {
                 let fault = WorkerFault {
                     rep: k,
                     message: panic_message(payload.as_ref()),
                     retried: true,
                 };
-                match catch_unwind(AssertUnwindSafe(|| attempt(Some(&fault)))) {
-                    Ok(result) => {
-                        let (metrics, profile, recorder) = result?;
-                        Ok((metrics, profile, recorder, Some(fault)))
-                    }
-                    Err(second) => Err(ExperimentError::ReplicationPanicked {
+                catch_unwind(AssertUnwindSafe(|| attempt(Some(fault))))
+                    .map_err(|second| ExperimentError::ReplicationPanicked {
                         rep: k,
                         message: panic_message(second.as_ref()),
-                    }),
-                }
+                    })?
+                    .map_err(ExperimentError::from)
             }
         }
     }
 
-    #[allow(clippy::type_complexity)]
-    fn run_replications(
-        &self,
-        control: RunControl<'_>,
-    ) -> Result<
-        (
-            Vec<Metrics>,
-            Vec<ReplicationProfile>,
-            Vec<Recorder>,
-            Vec<WorkerFault>,
-        ),
-        ExperimentError,
-    > {
-        let san_model = match self.engine {
-            EngineKind::San => Some(CheckpointSan::build(&self.config)?),
-            EngineKind::Direct => None,
-        };
-        // Warm-up: run and discard replications sequentially before
-        // anything is timed. Seeds cycle over the leading replication
-        // indices; results are dropped, so the measured run's sampling
-        // and metrics are unaffected.
-        for w in 0..self.warmup {
-            self.run_one(san_model.as_ref(), w % self.replications.max(1))?;
-        }
+    /// The configured replications, then the sequential-stopping
+    /// rounds: every one a range of one [`RangeRunner`].
+    fn run_replications(&self, control: RunControl<'_>) -> Result<Vec<Replicate>, ExperimentError> {
+        let runner = RangeRunner::new(self, control, self.replications as usize)?;
         let mut replicates = Vec::with_capacity(self.replications as usize);
-        let mut profiles = Vec::with_capacity(self.replications as usize);
-        let mut recordings = Vec::new();
-        let mut faults = Vec::new();
-        // Incremental accumulator for the stopping rule: pushing each
-        // new replication is O(1), where rebuilding from the replicate
-        // list every round made the stopping loop quadratic.
-        let mut accum = Replications::new();
-        // Live progress: completions are counted and emitted under one
-        // lock so snapshots leave in strictly increasing `completed`
-        // order at any worker count. The planned total grows when
-        // sequential stopping schedules another round.
-        let progress = control.progress.map(|sink| (sink, Mutex::new(0usize)));
-        let planned = AtomicUsize::new(self.replications as usize);
-        let run_started = Instant::now();
-        let launch = |from: u32,
-                      count: u32,
-                      replicates: &mut Vec<Metrics>,
-                      profiles: &mut Vec<ReplicationProfile>,
-                      recordings: &mut Vec<Recorder>,
-                      faults: &mut Vec<WorkerFault>,
-                      accum: &mut Replications|
-         -> Result<(), ExperimentError> {
-            let chunk = run_indexed(count as usize, self.jobs, control.interrupt, |i| {
-                let result =
-                    self.run_one_supervised(san_model.as_ref(), from + i as u32, control.store);
-                if let Some((sink, counter)) = &progress {
-                    let mut done = counter.lock().expect("progress lock poisoned");
-                    *done += 1;
-                    let total = planned.load(Ordering::Relaxed);
-                    let mut snapshot = ProgressSnapshot::new("replications", *done, total);
-                    // Provenance extras (HumanSink-only; the JSONL sink
-                    // ignores them, keeping the stream deterministic).
-                    let elapsed = run_started.elapsed().as_secs_f64();
-                    if *done > 0 && total >= *done {
-                        snapshot.eta_secs = Some(elapsed / *done as f64 * (total - *done) as f64);
-                    }
-                    if let Ok((_, profile, _, _)) = &result {
-                        snapshot.events_per_sec = Some(profile.events_per_sec());
-                    }
-                    snapshot.workers = Some(self.jobs.min(count as usize).max(1));
-                    sink.progress(&snapshot);
-                }
-                result
-            });
-            // Index order is preserved, so replication k lands at slot
-            // k (metrics, profile, and recording alike) and errors
-            // surface in the same order as a sequential run would
-            // report them. Empty slots mean the interrupt flag stopped
-            // the run before those replications were claimed; the
-            // claimed ones always form a prefix.
-            let mut interrupted = false;
-            for slot in chunk {
-                let Some(result) = slot else {
-                    interrupted = true;
-                    continue;
-                };
-                let (metrics, profile, recorder, fault) = result?;
-                accum.push(metrics.useful_work_fraction());
-                replicates.push(metrics);
-                profiles.push(profile);
-                if let Some(r) = recorder {
-                    recordings.push(r);
-                }
-                if let Some(f) = fault {
-                    faults.push(f);
-                }
-            }
-            if interrupted {
-                return Err(ExperimentError::Interrupted {
-                    completed: replicates.len(),
-                });
-            }
-            Ok(())
-        };
-        launch(
-            0,
-            self.replications,
-            &mut replicates,
-            &mut profiles,
-            &mut recordings,
-            &mut faults,
-            &mut accum,
-        )?;
+        runner.run(0..self.replications, &mut replicates)?;
         if let Some((target, max_reps)) = self.target_precision {
+            // Incremental accumulator for the stopping rule: pushing
+            // each new replication is O(1), where rebuilding from the
+            // replicate list every round made the loop quadratic.
+            let fraction = |r: &Replicate| r.metrics.useful_work_fraction();
+            let mut accum: Replications = replicates.iter().map(fraction).collect();
             let mut k = self.replications;
             while k < max_reps
                 && accum.confidence_interval(self.level).relative_half_width() > target
@@ -1064,57 +1031,53 @@ impl Experiment {
                 // Chunked stopping: one round per CI test, sized to
                 // keep every worker busy without overshooting the cap.
                 let round = (max_reps - k).min(self.jobs.max(1) as u32);
-                planned.store((k + round) as usize, Ordering::Relaxed);
-                launch(
-                    k,
-                    round,
-                    &mut replicates,
-                    &mut profiles,
-                    &mut recordings,
-                    &mut faults,
-                    &mut accum,
-                )?;
+                runner
+                    .planned
+                    .store((k + round) as usize, Ordering::Relaxed);
+                runner.run(k..k + round, &mut replicates)?;
+                accum.extend(replicates[k as usize..].iter().map(fraction));
                 k += round;
             }
         }
-        Ok((replicates, profiles, recordings, faults))
+        Ok(replicates)
     }
 
     /// One long run, one transient, `batches` measurement slices.
     ///
     /// Inherently sequential (each batch continues the same sample
-    /// path), so `jobs` does not apply; the profile is a single entry
-    /// covering the whole run, and [`Experiment::observe`] is ignored
-    /// (there are no per-replication windows to record).
-    #[allow(clippy::type_complexity)]
-    fn run_batch_means(
-        &self,
-        batches: u32,
-    ) -> Result<
-        (
-            Vec<Metrics>,
-            Vec<ReplicationProfile>,
-            Vec<Recorder>,
-            Vec<WorkerFault>,
-        ),
-        ExperimentError,
-    > {
+    /// path), so `jobs` does not apply, and [`Experiment::observe`] is
+    /// ignored (there are no per-replication windows to record). Each
+    /// batch's profile is the wall time and events since the previous
+    /// batch ended, so the first also carries the model build and the
+    /// transient; [`Experiment::estimate`] folds them into one.
+    fn run_batch_means(&self, batches: u32) -> Result<Vec<Replicate>, ExperimentError> {
         let slice = self.horizon / f64::from(batches);
         let mut replicates = Vec::with_capacity(batches as usize);
-        let start = Instant::now();
-        let events = match self.engine {
+        let (mut since, mut events_before) = (Instant::now(), 0u64);
+        let mut on_batch = |metrics: Metrics, events: u64| {
+            let now = Instant::now();
+            replicates.push(Replicate {
+                metrics,
+                profile: ReplicationProfile {
+                    wall_secs: (now - since).as_secs_f64(),
+                    events: events - events_before,
+                },
+                recording: None,
+                fault: None,
+            });
+            (since, events_before) = (now, events);
+        };
+        match self.engine {
             EngineKind::Direct => {
                 let mut sim = DirectSimulator::new(&self.config, self.base_seed);
                 sim.run(self.transient);
                 for _ in 0..batches {
                     sim.reset_metrics();
                     sim.run(slice);
-                    replicates.push(sim.metrics());
+                    on_batch(sim.metrics(), sim.events_processed());
                 }
-                sim.events_processed()
             }
             EngineKind::San => {
-                let model = CheckpointSan::build(&self.config)?;
                 let opts = SanRunOptions {
                     seed: self.base_seed,
                     transient: self.transient,
@@ -1122,16 +1085,99 @@ impl Experiment {
                     reactivation: self.reactivation,
                     ..SanRunOptions::default()
                 };
-                let (batch_metrics, batch_events) = model.run_batched_profiled(&opts, batches)?;
-                replicates.extend(batch_metrics);
-                batch_events
+                CheckpointSan::build(&self.config)?
+                    .run_batched_profiled(&opts, batches, on_batch)?;
             }
+        }
+        Ok(replicates)
+    }
+}
+
+/// The one place replications run: the experiment, its model, its
+/// control handles and one progress count across every range it runs.
+struct RangeRunner<'a> {
+    exp: &'a Experiment,
+    san_model: Option<CheckpointSan>,
+    control: RunControl<'a>,
+    /// Completions so far. Counted and emitted under this one lock, so
+    /// snapshots leave in strictly increasing `completed` order at any
+    /// worker count.
+    done: Mutex<usize>,
+    /// The planned total; it grows when sequential stopping schedules
+    /// another round.
+    planned: AtomicUsize,
+    started: Instant,
+}
+
+impl<'a> RangeRunner<'a> {
+    /// Builds the model once and runs the warm-up: replications run and
+    /// discarded before anything is timed, on the leading seeds, so the
+    /// measured sampling is unaffected.
+    fn new(
+        exp: &'a Experiment,
+        control: RunControl<'a>,
+        planned: usize,
+    ) -> Result<RangeRunner<'a>, ExperimentError> {
+        let san_model = match exp.engine {
+            EngineKind::San => Some(CheckpointSan::build(&exp.config)?),
+            EngineKind::Direct => None,
         };
-        let profiles = vec![ReplicationProfile {
-            wall_secs: start.elapsed().as_secs_f64(),
-            events,
-        }];
-        Ok((replicates, profiles, Vec::new(), Vec::new()))
+        for w in 0..exp.warmup {
+            exp.run_one(san_model.as_ref(), w % exp.replications.max(1))?;
+        }
+        Ok(RangeRunner {
+            exp,
+            san_model,
+            control,
+            done: Mutex::new(0),
+            planned: AtomicUsize::new(planned),
+            started: Instant::now(),
+        })
+    }
+
+    /// Runs `range` and appends its replicates to `out` in index order.
+    /// Errors surface in the order a sequential run would report them;
+    /// an interrupt that stopped the range before every replication was
+    /// claimed is [`ExperimentError::Interrupted`] counting everything
+    /// in `out`, and the claimed replications always form a prefix.
+    fn run(&self, range: Range<u32>, out: &mut Vec<Replicate>) -> Result<(), ExperimentError> {
+        let exp = self.exp;
+        let count = range.len();
+        let slots = run_indexed(count, exp.jobs, self.control.interrupt, |i| {
+            let k = range.start + i as u32;
+            let result = exp.run_one_supervised(self.san_model.as_ref(), k, self.control.store);
+            if let Some(sink) = self.control.progress {
+                let mut done = self.done.lock().expect("progress lock poisoned");
+                *done += 1;
+                let total = self.planned.load(Ordering::Relaxed);
+                let mut snapshot = ProgressSnapshot::new("replications", *done, total);
+                // Provenance extras (HumanSink-only; the JSONL sink
+                // ignores them, keeping the stream deterministic).
+                let elapsed = self.started.elapsed().as_secs_f64();
+                if total >= *done {
+                    snapshot.eta_secs = Some(elapsed / *done as f64 * (total - *done) as f64);
+                }
+                if let Ok(r) = &result {
+                    snapshot.events_per_sec = Some(r.profile.events_per_sec());
+                }
+                snapshot.workers = Some(exp.jobs.min(count).max(1));
+                sink.progress(&snapshot);
+            }
+            result
+        });
+        let mut interrupted = false;
+        for slot in slots {
+            match slot {
+                Some(result) => out.push(result?),
+                None => interrupted = true,
+            }
+        }
+        if interrupted {
+            return Err(ExperimentError::Interrupted {
+                completed: out.len(),
+            });
+        }
+        Ok(())
     }
 }
 
@@ -1699,6 +1745,145 @@ mod tests {
         // has a recording.
         assert_eq!(observed.recordings().len(), 3);
         assert!(observed.profiles().iter().all(|p| p.events > 0));
+    }
+
+    /// Records every store call a range makes, forwarding to one store
+    /// shared by all the ranges of a run.
+    struct Probe<'a> {
+        shared: &'a TestStore,
+        calls: Mutex<Vec<u32>>,
+    }
+
+    impl ReplicationStore for Probe<'_> {
+        fn lookup(&self, rep: u32) -> Option<CachedReplication> {
+            self.calls.lock().unwrap().push(rep);
+            self.shared.lookup(rep)
+        }
+
+        fn record(&self, rep: u32, metrics: &Metrics, events: u64) {
+            self.calls.lock().unwrap().push(rep);
+            self.shared.record(rep, metrics, events);
+        }
+    }
+
+    /// Every bit of a replicate that reaches a result: all `Metrics`
+    /// fields and the event count.
+    fn replicate_bits(m: &Metrics, events: u64) -> Vec<u64> {
+        let mut v = vec![
+            m.window_secs.to_bits(),
+            m.useful_work_secs.to_bits(),
+            m.work_lost_secs.to_bits(),
+            events,
+        ];
+        v.extend(
+            ckpt_obs::PhaseKind::ALL
+                .iter()
+                .map(|&p| m.phase_times.get(p).to_bits()),
+        );
+        v.push(m.counters.compute_failures);
+        v.push(m.counters.io_failures);
+        v.push(m.counters.master_failures);
+        v.push(m.counters.generic_failures);
+        v.push(m.counters.checkpoints_completed);
+        v.push(m.counters.checkpoints_aborted_timeout);
+        v.push(m.counters.checkpoints_aborted_io);
+        v.push(m.counters.checkpoints_aborted_master);
+        v.push(m.counters.recoveries);
+        v.push(m.counters.failed_recoveries);
+        v.push(m.counters.reboots);
+        v.push(m.counters.correlated_windows);
+        v.push(m.counters.spatial_co_failures);
+        v
+    }
+
+    fn estimate_bits(est: &Estimate) -> Vec<Vec<u64>> {
+        est.replicates()
+            .iter()
+            .zip(est.profiles())
+            .map(|(m, p)| replicate_bits(m, p.events))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 12, ..proptest::ProptestConfig::default() })]
+
+        /// Ranges are the unit of work: `0..n` cut anywhere, run in any
+        /// order at any worker count against one store, concatenates
+        /// into exactly the estimate of one whole run, and each range
+        /// touches the store only inside itself.
+        #[test]
+        fn ranges_run_apart_concatenate_into_the_whole_run(
+            n in 1u32..8,
+            cuts in proptest::collection::vec(0u8..2, 7..8),
+            order in proptest::collection::vec(0u64..1_000, 8..9),
+            jobs in proptest::collection::vec(1usize..4, 8..9),
+            san in 0u8..2,
+        ) {
+            let engine = if san == 1 { EngineKind::San } else { EngineKind::Direct };
+            let exp = Experiment::new(SystemConfig::builder().processors(4_096).build().unwrap())
+                .engine(engine)
+                .transient(SimTime::from_hours(20.0))
+                .horizon(SimTime::from_hours(100.0))
+                .replications(n)
+                .seed(41);
+            let whole = exp.clone().jobs(1).run().unwrap();
+
+            let mut bounds = vec![0];
+            bounds.extend((1..n).filter(|&k| cuts[k as usize - 1] == 1));
+            bounds.push(n);
+            let mut ranges: Vec<Range<u32>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
+            ranges.sort_by_key(|r| order[r.start as usize]);
+
+            let shared = TestStore::default();
+            let mut pieces = Vec::new();
+            for (i, range) in ranges.into_iter().enumerate() {
+                let probe = Probe { shared: &shared, calls: Mutex::new(Vec::new()) };
+                let control = RunControl { store: Some(&probe), interrupt: None, progress: None };
+                let piece = exp.clone().jobs(jobs[i]).run_range(range.clone(), control).unwrap();
+                proptest::prop_assert_eq!(piece.len(), range.len());
+                let calls = probe.calls.into_inner().unwrap();
+                proptest::prop_assert!(
+                    calls.iter().all(|rep| range.contains(rep)),
+                    "range {:?} touched {:?}", range, calls
+                );
+                for rep in range.clone() {
+                    // One lookup (a miss) and one record per replication.
+                    proptest::prop_assert_eq!(calls.iter().filter(|&&c| c == rep).count(), 2);
+                }
+                pieces.push((range.start, piece));
+            }
+            pieces.sort_by_key(|(start, _)| *start);
+            let joined = exp.estimate(pieces.into_iter().flat_map(|(_, p)| p).collect());
+            proptest::prop_assert_eq!(estimate_bits(&joined), estimate_bits(&whole));
+            proptest::prop_assert_eq!(
+                joined.useful_work_fraction().mean.to_bits(),
+                whole.useful_work_fraction().mean.to_bits()
+            );
+            proptest::prop_assert_eq!(shared.cached.lock().unwrap().len(), n as usize);
+        }
+    }
+
+    #[test]
+    fn batch_means_estimate_folds_the_batch_profiles_into_one() {
+        // The one profile counts every event of the run, transient
+        // included, as one continuous path of the same seed does.
+        let cfg = SystemConfig::builder().build().unwrap();
+        let (transient, horizon) = (SimTime::from_hours(50.0), SimTime::from_hours(400.0));
+        let est = Experiment::new(cfg.clone())
+            .estimation(Estimation::BatchMeans { batches: 4 })
+            .transient(transient)
+            .horizon(horizon)
+            .run()
+            .unwrap();
+        let mut sim = DirectSimulator::new(&cfg, 0x5eed);
+        sim.run(transient);
+        for _ in 0..4 {
+            sim.reset_metrics();
+            sim.run(horizon / 4.0);
+        }
+        assert_eq!(est.replicates().len(), 4);
+        assert_eq!(est.profiles().len(), 1);
+        assert_eq!(est.profiles()[0].events, sim.events_processed());
     }
 
     #[test]

@@ -455,9 +455,10 @@ impl CheckpointSan {
     /// slices of `opts.horizon` after a single `opts.transient` (the
     /// batch-means procedure of
     /// [`crate::experiment::Estimation::BatchMeans`]), under `opts`'
-    /// seed, scheduling and reactivation mode. Also reports the total
-    /// number of activity firings across the whole run (transient
-    /// included) for throughput accounting.
+    /// seed, scheduling and reactivation mode. Hands each batch's
+    /// metrics to `on_batch` as soon as its slice ends, together with
+    /// the activity firings so far (transient included) for throughput
+    /// accounting.
     ///
     /// # Errors
     ///
@@ -466,32 +467,32 @@ impl CheckpointSan {
         &self,
         opts: &RunOptions,
         batches: u32,
-    ) -> Result<(Vec<Metrics>, u64), ModelError> {
+        mut on_batch: impl FnMut(Metrics, u64),
+    ) -> Result<(), ModelError> {
         let ids = self.ids;
         let slice = opts.horizon / f64::from(batches);
         let mut sim =
             Simulator::with_exec_options(&self.san, opts.seed, opts.scheduling, opts.reactivation)?;
         sim.run_for(opts.transient)?;
-        let mut out = Vec::with_capacity(batches as usize);
         let mut w0 = sim.marking().fluid(ids.work);
         let mut lost0 = sim.marking().fluid(ids.lost);
         let mut counters0 = self.read_counters(&sim);
         for _ in 0..batches {
             sim.run_for(slice)?;
             let counters1 = self.read_counters(&sim);
-            out.push(Metrics {
+            let metrics = Metrics {
                 window_secs: slice.as_secs(),
                 useful_work_secs: sim.marking().fluid(ids.work) - w0,
                 work_lost_secs: sim.marking().fluid(ids.lost) - lost0,
                 counters: diff_counters(counters0, counters1),
                 phase_times: PhaseTimes::default(),
-            });
+            };
+            on_batch(metrics, sim.events_processed());
             w0 = sim.marking().fluid(ids.work);
             lost0 = sim.marking().fluid(ids.lost);
             counters0 = counters1;
         }
-        let events = sim.events_processed();
-        Ok((out, events))
+        Ok(())
     }
 
     fn read_counters(&self, sim: &Simulator<'_>) -> Counters {

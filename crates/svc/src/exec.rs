@@ -2,38 +2,29 @@
 //! path.
 //!
 //! [`run_local`] is the one place an [`ExperimentSpec`] becomes a
-//! running experiment — `ckptsim run` wraps it directly, and the
-//! scheduler's work units go through it too, so a run routed through
-//! the service is the *same code path* as a direct one and therefore
-//! bit-identical at any worker count.
+//! running experiment — `ckptsim run` wraps it, and so does a job run
+//! as one unit ([`run_whole`]), so a run routed through the service is
+//! the *same code path* as a direct one and bit-identical at any worker
+//! count. [`run_job`] adds the cache contract on top: a hit returns the
+//! stored bytes verbatim; a miss opens (or resumes) the job's journal,
+//! runs what is missing, and publishes, which deletes the journal
+//! ([`JobStore::store`]). At the service's default `snapshot_every 1`
+//! the journal syncs each replication as it lands, so a unit's closing
+//! [`SweepJournal::persist`] does no I/O.
 //!
-//! [`run_job`] adds the content-addressed cache contract on top: a
-//! cache hit returns the stored bytes verbatim without executing
-//! anything; a miss opens (or resumes) the job's journal, runs the
-//! missing replications, and atomically publishes the result, which
-//! deletes the journal ([`JobStore::store`]).
-//!
-//! The journal appends one synced line per completed replication at
-//! the service's default `snapshot_every 1`, so a unit's closing
-//! [`SweepJournal::persist`] finds nothing queued and does no I/O; at a
-//! larger cadence it appends the remainder.
-//!
-//! For sharded service execution, [`unit_ranges`] splits a job's
-//! replication range into journal-backed work units and [`run_unit`]
-//! executes one of them: a [`RangeStore`] serves dummy cached results
-//! for replications outside the unit so the experiment skips them
-//! (their Estimates are discarded — only the journal contents matter),
-//! and [`finalize`] replays the fully-populated journal through
-//! [`run_local`] to obtain the deterministic estimate the result
-//! document is rendered from.
+//! A sharded job is split by [`unit_ranges`]; [`run_unit`] runs one
+//! unit's own range through [`ckpt_core::Experiment::run_range`] against
+//! the journal, and [`finalize`] reads replications `0..reps` back and
+//! builds the estimate with [`ckpt_core::Experiment::estimate`] —
+//! publishing builds no model and runs nothing, and a replication
+//! missing from the journal is an error.
 
 use crate::result;
 use crate::store::JobStore;
 use ckpt_core::{
-    CachedReplication, Estimate, Estimation, ExperimentError, Metrics, ObserveSpec,
-    ReplicationStore, RunControl,
+    Estimate, Estimation, ExperimentError, ObserveSpec, Replicate, ReplicationStore, RunControl,
 };
-use ckpt_harness::{CkptError, ExperimentSpec, SweepJournal};
+use ckpt_harness::{CkptError, ExperimentSpec, SnapshotError, SweepJournal};
 use ckpt_obs::ProgressSink;
 use std::sync::atomic::AtomicBool;
 
@@ -53,7 +44,7 @@ pub struct LocalRun<'a> {
 }
 
 /// Runs `spec` under `req` — the single execution path behind
-/// `ckptsim run`, the service workers, and the finalize replay.
+/// `ckptsim run` and every job that runs as one unit.
 ///
 /// # Errors
 ///
@@ -101,122 +92,102 @@ pub fn unit_ranges(
     units
 }
 
-/// A [`ReplicationStore`] view restricted to `[lo, hi)`: out-of-range
-/// lookups return a dummy cached result so the experiment never runs
-/// them (and never records them — recording is gated on having *run*),
-/// in-range traffic passes through to the journal.
-pub struct RangeStore<'a> {
-    inner: &'a dyn ReplicationStore,
-    lo: u32,
-    hi: u32,
+/// Persists what completed, on success and on failure alike: the
+/// journal is the unit of migration, and a resumed job replays it. A
+/// failed run reports its own error over a failed persist.
+fn sealed<T>(journal: &SweepJournal, outcome: Result<T, ExperimentError>) -> Result<T, CkptError> {
+    let persisted = journal.persist();
+    let value = outcome?;
+    persisted?;
+    Ok(value)
 }
 
-impl<'a> RangeStore<'a> {
-    /// Restricts `inner` to replications in `[lo, hi)`.
-    #[must_use]
-    pub fn new(inner: &'a dyn ReplicationStore, lo: u32, hi: u32) -> RangeStore<'a> {
-        RangeStore { inner, lo, hi }
-    }
+/// Renders `est` and publishes it atomically into `store` — the one
+/// publish step of every job, whether it ran as one unit or sharded.
+fn publish(store: &JobStore, spec: &ExperimentSpec, est: &Estimate) -> Result<String, CkptError> {
+    let body = result::render(spec, est);
+    store.store(spec.fingerprint(), &body)?;
+    Ok(body)
 }
 
-impl ReplicationStore for RangeStore<'_> {
-    fn lookup(&self, rep: u32) -> Option<CachedReplication> {
-        if rep < self.lo || rep >= self.hi {
-            return Some(CachedReplication {
-                metrics: Metrics::default(),
-                events: 0,
-            });
-        }
-        self.inner.lookup(rep)
-    }
-
-    fn record(&self, rep: u32, metrics: &Metrics, events: u64) {
-        if rep >= self.lo && rep < self.hi {
-            self.inner.record(rep, metrics, events);
-        }
-    }
-}
-
-/// Executes one work unit of `spec` against `journal`: replications in
-/// `[lo, hi)` run (or replay from the journal), everything else is
-/// skipped via [`RangeStore`] dummies. `exclusive` marks the unit as
-/// the job's only one — it keeps the spec's own worker count and its
-/// estimate is directly usable; a sharded unit runs with one inner
-/// worker (the scheduler's pool provides the parallelism) and its
-/// estimate is polluted by dummies, so callers must discard it and
-/// [`finalize`] instead.
+/// Runs all of `spec` as one unit through [`run_local`] against
+/// `journal` (replaying what it holds), and publishes the result.
 ///
 /// # Errors
 ///
-/// Everything [`run_local`] can return, as [`CkptError`].
+/// [`run_local`]'s errors and journal/store I/O, as [`CkptError`].
+pub fn run_whole(
+    store: &JobStore,
+    spec: &ExperimentSpec,
+    journal: &SweepJournal,
+    interrupt: Option<&AtomicBool>,
+    progress: Option<&dyn ProgressSink>,
+) -> Result<String, CkptError> {
+    let cell = journal.cell_store(0);
+    let outcome = run_local(
+        spec,
+        LocalRun {
+            control: RunControl {
+                store: Some(&cell),
+                interrupt,
+                progress,
+            },
+            ..LocalRun::default()
+        },
+    );
+    publish(store, spec, &sealed(journal, outcome)?)
+}
+
+/// Runs one sharded work unit, replications `[lo, hi)` of `spec`, into
+/// `journal` on one inner worker (the scheduler's pool provides the
+/// parallelism). Nothing outside the range runs or is stored.
+///
+/// # Errors
+///
+/// [`ckpt_core::Experiment::run_range`]'s errors and journal I/O.
 pub fn run_unit(
     spec: &ExperimentSpec,
     journal: &SweepJournal,
     (lo, hi): (u32, u32),
-    exclusive: bool,
     interrupt: Option<&AtomicBool>,
-    progress: Option<&dyn ProgressSink>,
-) -> Result<Estimate, CkptError> {
+) -> Result<(), CkptError> {
     let cell = journal.cell_store(0);
-    let ranged;
-    let store: &dyn ReplicationStore = if exclusive {
-        &cell
-    } else {
-        ranged = RangeStore::new(&cell, lo, hi);
-        &ranged
-    };
-    let mut exp = spec.to_experiment();
-    if !exclusive {
-        exp = exp.jobs(1);
-    }
-    let outcome = exp.run_controlled(RunControl {
-        store: Some(store),
-        interrupt,
-        progress,
-    });
-    match outcome {
-        Ok(est) => {
-            journal.persist()?;
-            Ok(est)
-        }
-        Err(e) => {
-            // Keep whatever completed: the journal is the unit of
-            // migration, and a resumed job replays it.
-            let _ = journal.persist();
-            Err(CkptError::from(e))
-        }
-    }
+    let outcome = spec.to_experiment().jobs(1).run_range(
+        lo..hi,
+        RunControl {
+            store: Some(&cell),
+            interrupt,
+            progress: None,
+        },
+    );
+    sealed(journal, outcome).map(drop)
 }
 
-/// Replays the fully-populated `journal` through [`run_local`] (every
-/// replication is cached, so nothing simulates) to obtain the
-/// deterministic estimate, renders the result document, and publishes
-/// it atomically into `store`.
+/// Reads replications `0..reps` of `spec` back from `journal` and
+/// publishes their [`ckpt_core::Experiment::estimate`]; nothing runs.
 ///
 /// # Errors
 ///
-/// Journal/store I/O, plus [`run_local`] errors (which, with a
-/// complete journal, indicate a corrupt journal rather than a
-/// simulation failure).
+/// [`SnapshotError::MissingRecord`] for the first replication the
+/// journal lacks (nothing is published, the journal stays); store I/O.
 pub fn finalize(
     store: &JobStore,
     spec: &ExperimentSpec,
     journal: &SweepJournal,
 ) -> Result<String, CkptError> {
     let cell = journal.cell_store(0);
-    let est = run_local(
-        spec,
-        LocalRun {
-            control: RunControl {
-                store: Some(&cell),
-                ..RunControl::default()
-            },
-            ..LocalRun::default()
-        },
-    )?;
-    let body = result::render(spec, &est);
-    store.store(spec.fingerprint(), &body)?;
-    Ok(body)
+    let replicates = (0..spec.replications())
+        .map(|rep| {
+            cell.lookup(rep).map(Replicate::from).ok_or_else(|| {
+                CkptError::Snapshot(SnapshotError::MissingRecord {
+                    path: journal.path().display().to_string(),
+                    cell: 0,
+                    rep,
+                })
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    publish(store, spec, &spec.to_experiment().estimate(replicates))
 }
 
 /// Runs `spec` to completion against `store`, honouring the cache
@@ -244,11 +215,7 @@ pub fn run_job(
         return Ok(body);
     }
     let journal = store.open_journal(fingerprint, snapshot_every)?;
-    let reps = spec.replications();
-    let est = run_unit(spec, &journal, (0, reps), true, interrupt, progress)?;
-    let body = result::render(spec, &est);
-    store.store(fingerprint, &body)?;
-    Ok(body)
+    run_whole(store, spec, &journal, interrupt, progress)
 }
 
 #[cfg(test)]
@@ -289,33 +256,58 @@ mod tests {
     }
 
     #[test]
-    fn range_store_dummies_out_of_range_and_forwards_in_range() {
-        use std::sync::Mutex;
-        struct Probe {
-            recorded: Mutex<Vec<u32>>,
-        }
-        impl ReplicationStore for Probe {
-            fn lookup(&self, _rep: u32) -> Option<CachedReplication> {
-                None
+    fn finalize_refuses_a_journal_missing_a_replication() {
+        let dir =
+            std::env::temp_dir().join(format!("ckpt_svc_exec_missing_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = JobStore::open(&dir).unwrap();
+        let cfg = ckpt_core::SystemConfig::builder()
+            .processors(512)
+            .build()
+            .unwrap();
+        let spec = ExperimentSpec::builder(cfg)
+            .transient(ckpt_des::SimTime::from_hours(5.0))
+            .horizon(ckpt_des::SimTime::from_hours(60.0))
+            .replications(4)
+            .jobs(1)
+            .build()
+            .unwrap();
+        let fingerprint = spec.fingerprint();
+        let journal = store.open_journal(fingerprint, 1).unwrap();
+        let whole = spec.to_experiment().run().unwrap();
+        for (rep, (m, p)) in whole.replicates().iter().zip(whole.profiles()).enumerate() {
+            if rep != 2 {
+                journal.record(0, rep as u32, m, p.events);
             }
-            fn record(&self, rep: u32, _m: &Metrics, _e: u64) {
-                self.recorded.lock().unwrap().push(rep);
-            }
         }
-        let probe = Probe {
-            recorded: Mutex::new(Vec::new()),
-        };
-        let ranged = RangeStore::new(&probe, 2, 4);
-        assert!(ranged.lookup(0).is_some(), "below range is dummy-cached");
-        assert!(ranged.lookup(4).is_some(), "above range is dummy-cached");
+
+        let err = finalize(&store, &spec, &journal).unwrap_err();
         assert!(
-            ranged.lookup(2).is_none(),
-            "in range consults the inner store"
+            matches!(
+                err,
+                CkptError::Snapshot(SnapshotError::MissingRecord {
+                    cell: 0,
+                    rep: 2,
+                    ..
+                })
+            ),
+            "{err}"
         );
-        let m = Metrics::default();
-        for rep in 0..6 {
-            ranged.record(rep, &m, 1);
-        }
-        assert_eq!(*probe.recorded.lock().unwrap(), vec![2, 3]);
+        assert_eq!(
+            store.lookup(fingerprint).unwrap(),
+            None,
+            "nothing published"
+        );
+        assert!(
+            store.journal_path(fingerprint).exists(),
+            "the journal stays"
+        );
+
+        // Once the missing range has run, finalize publishes what a
+        // whole run publishes.
+        run_unit(&spec, &journal, (2, 3), None).unwrap();
+        let body = finalize(&store, &spec, &journal).unwrap();
+        assert_eq!(body, result::render(&spec, &whole));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -15,19 +15,22 @@
 //! * [`sched::Scheduler`] — a std-thread worker pool draining a
 //!   FIFO-per-tenant queue with round-robin fairness across tenants.
 //!   A job's replications are sharded into journal-backed **work
-//!   units** (the [`ckpt_harness::SweepJournal`] is the unit of
-//!   migration between workers); shard count, batch size, and snapshot
-//!   interval are the three tuning switches ([`sched::Tuning`]).
+//!   units**, each a replication range run by
+//!   [`ckpt_core::Experiment::run_range`] (the
+//!   [`ckpt_harness::SweepJournal`] is the unit of migration between
+//!   workers); the result is built from the journal once every unit is
+//!   in. Shard count, batch size, and snapshot interval are the three
+//!   tuning switches ([`sched::Tuning`]).
 //! * [`http`] / [`client`] — a minimal HTTP/1.1 + JSON transport over
 //!   [`std::net::TcpListener`]: submit a spec for a job id, poll
 //!   status, fetch the stored result bytes verbatim, or stream the
 //!   job's progress as chunked JSONL (the
 //!   [`ckpt_obs::JsonlSink`] wire format).
 //!
-//! The CLI's local `run` path is a thin wrapper over
-//! [`sched::Scheduler::run_local`] — the same execution core the
-//! service workers use — so a run routed through the service is
-//! bit-identical to a direct one at any worker count.
+//! The CLI's local `run` path is a thin wrapper over [`run_local`] —
+//! the same execution core the service workers use — so a run routed
+//! through the service is bit-identical to a direct one at any worker
+//! count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

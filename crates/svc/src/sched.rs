@@ -11,15 +11,17 @@
 //! The [`ckpt_harness::SweepJournal`] is the unit of migration: a unit
 //! can run on any worker (or a future server process) because all of
 //! its completed replications live in the job's fingerprint-namespaced
-//! journal, not in the worker. When a job's last unit completes, the
-//! finalize pass replays the journal deterministically and publishes
-//! the result into the [`JobStore`]; identical resubmissions then hit
-//! the cache without executing anything.
+//! journal, not in the worker. A job of one unit runs whole and
+//! publishes at once ([`exec::run_whole`]); a sharded unit runs only
+//! its own replication range ([`exec::run_unit`]), and when the last
+//! one completes, [`exec::finalize`] reads every replication back from
+//! the journal and publishes the result into the [`JobStore`].
+//! Identical resubmissions then hit the cache without executing
+//! anything. A failed job stays failed: no later unit of it changes
+//! its status or publishes it.
 
-use crate::exec::{self, LocalRun};
-use crate::result;
+use crate::exec;
 use crate::store::JobStore;
-use ckpt_core::{Estimate, ExperimentError};
 use ckpt_harness::{CkptError, ExperimentSpec, SweepJournal};
 use ckpt_obs::{JsonlSink, ProgressSink, ProgressSnapshot};
 use std::collections::{HashMap, VecDeque};
@@ -366,20 +368,6 @@ impl Scheduler {
         self.inner.executed_units.load(Ordering::SeqCst)
     }
 
-    /// Runs a spec in-process through the exact execution core the
-    /// service workers use — the thin wrapper `ckptsim run` is built
-    /// on. See [`crate::exec::run_local`].
-    ///
-    /// # Errors
-    ///
-    /// Everything the experiment itself can return.
-    pub fn run_local(
-        spec: &ExperimentSpec,
-        req: LocalRun<'_>,
-    ) -> Result<Estimate, ExperimentError> {
-        exec::run_local(spec, req)
-    }
-
     fn lock(&self) -> MutexGuard<'_, State> {
         self.inner.state.lock().expect("scheduler state poisoned")
     }
@@ -488,83 +476,89 @@ fn execute_unit(inner: &Inner, unit: &Unit) {
         };
         (job.spec.clone(), journal)
     };
-    let sink = RecordingSink { inner, fingerprint };
-    let outcome = exec::run_unit(
-        &spec,
-        &journal,
-        unit.range,
-        unit.exclusive,
-        Some(&inner.interrupt),
-        unit.exclusive.then_some(&sink as &dyn ProgressSink),
-    );
-    inner.executed_units.fetch_add(1, Ordering::SeqCst);
-
-    let mut st = inner.state.lock().expect("scheduler state poisoned");
-    let Some(job) = st.jobs.get_mut(&fingerprint) else {
+    let interrupt = Some(&inner.interrupt);
+    if unit.exclusive {
+        let sink = RecordingSink { inner, fingerprint };
+        let published = exec::run_whole(&inner.store, &spec, &journal, interrupt, Some(&sink));
+        inner.executed_units.fetch_add(1, Ordering::SeqCst);
+        settle(inner, fingerprint, published);
         return;
+    }
+    let ran = exec::run_unit(&spec, &journal, unit.range, interrupt);
+    inner.executed_units.fetch_add(1, Ordering::SeqCst);
+    let mut st = inner.state.lock().expect("scheduler state poisoned");
+    let finished = complete_unit(&mut st, fingerprint, ran);
+    drop(st);
+    inner.done_cv.notify_all();
+    if finished {
+        // Publish outside the lock: reading the journal back and
+        // rendering the result take a while.
+        settle(
+            inner,
+            fingerprint,
+            exec::finalize(&inner.store, &spec, &journal),
+        );
+    }
+}
+
+/// Records a sharded unit's outcome in its job and says whether the job
+/// is now complete and due to be finalized. `Failed` is terminal: once
+/// a unit failed, no sibling's outcome changes the status, and the job
+/// is never finalized.
+fn complete_unit(st: &mut State, fingerprint: u64, outcome: Result<(), CkptError>) -> bool {
+    let Some(job) = st.jobs.get_mut(&fingerprint) else {
+        return false;
     };
     job.units_done += 1;
+    if matches!(job.status, JobStatus::Failed { .. }) {
+        return false;
+    }
     match outcome {
         Err(e) => {
             job.status = JobStatus::Failed {
                 message: e.to_string(),
             };
-            drop(st);
-            inner.done_cv.notify_all();
+            false
         }
-        Ok(est) => {
-            if !unit.exclusive {
-                job.progress.push(JsonlSink::render(&ProgressSnapshot::new(
-                    "units",
-                    job.units_done,
-                    job.units_total,
-                )));
-                job.status = JobStatus::Running {
-                    completed: job.units_done,
-                    total: job.units_total,
-                };
-            }
-            let finished = job.units_done == job.units_total;
-            if !finished {
-                drop(st);
-                inner.done_cv.notify_all();
-                return;
-            }
-            let spec = job.spec.clone();
-            drop(st);
-            // Publish outside the lock: rendering/replay can be slow.
-            let published = if unit.exclusive {
-                let body = result::render(&spec, &est);
-                inner.store.store(fingerprint, &body).map(|()| body)
-            } else {
-                exec::finalize(&inner.store, &spec, &journal)
+        Ok(()) => {
+            job.progress.push(JsonlSink::render(&ProgressSnapshot::new(
+                "units",
+                job.units_done,
+                job.units_total,
+            )));
+            job.status = JobStatus::Running {
+                completed: job.units_done,
+                total: job.units_total,
             };
-            let mut st = inner.state.lock().expect("scheduler state poisoned");
-            if let Some(job) = st.jobs.get_mut(&fingerprint) {
-                job.status = match published {
-                    Ok(_) => {
-                        // The store now answers every resubmission before
-                        // the job table is consulted, so the journal (all
-                        // of the job's per-replication records) is never
-                        // read again: release it.
-                        job.journal = None;
-                        JobStatus::Done { cached: false }
-                    }
-                    Err(e) => JobStatus::Failed {
-                        message: e.to_string(),
-                    },
-                };
-            }
-            drop(st);
-            inner.done_cv.notify_all();
+            job.units_done == job.units_total
         }
     }
+}
+
+/// Ends a job with its publish outcome: `Done`, releasing the journal
+/// (the store now answers every resubmission before the job table is
+/// consulted, so the journal is never read again), or `Failed`.
+fn settle(inner: &Inner, fingerprint: u64, published: Result<String, CkptError>) {
+    let mut st = inner.state.lock().expect("scheduler state poisoned");
+    if let Some(job) = st.jobs.get_mut(&fingerprint) {
+        job.status = match published {
+            Ok(_) => {
+                job.journal = None;
+                JobStatus::Done { cached: false }
+            }
+            Err(e) => JobStatus::Failed {
+                message: e.to_string(),
+            },
+        };
+    }
+    drop(st);
+    inner.done_cv.notify_all();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ckpt_core::SystemConfig;
+    use ckpt_core::{EngineKind, ReactivationMode, SystemConfig};
     use ckpt_des::SimTime;
 
     fn store_in(tag: &str) -> JobStore {
@@ -623,37 +617,103 @@ mod tests {
 
     #[test]
     fn sharded_execution_publishes_the_same_bytes_as_unsharded() {
-        let spec = small_spec(3);
-        let store_a = store_in("shard_a");
-        let store_b = store_in("shard_b");
-        let plain = Scheduler::new(store_a.clone(), Tuning::default());
-        let sharded = Scheduler::new(
-            store_b.clone(),
-            Tuning {
-                workers: 3,
-                shards: 3,
-                batch: 1,
-                snapshot_every: 1,
-            },
+        // Five replications split unevenly: 3 + 2 over two shards,
+        // 2 + 2 + 1 over three.
+        let engines = [
+            (EngineKind::Direct, ReactivationMode::Resample),
+            (EngineKind::San, ReactivationMode::Resample),
+            (EngineKind::San, ReactivationMode::Lazy),
+        ];
+        for (engine, mode) in engines {
+            let cfg = SystemConfig::builder().processors(512).build().unwrap();
+            let spec = ExperimentSpec::builder(cfg)
+                .engine(engine)
+                .reactivation(mode)
+                .transient(SimTime::from_hours(5.0))
+                .horizon(SimTime::from_hours(60.0))
+                .replications(5)
+                .seed(3)
+                .jobs(1)
+                .build()
+                .unwrap();
+            let tag = format!("shard_{}_{mode:?}", engine.name());
+            let store_a = store_in(&format!("{tag}_1"));
+            let plain = Scheduler::new(store_a.clone(), Tuning::default());
+            let a = plain.submit("t", &spec).unwrap();
+            assert_eq!(
+                plain.wait(&a.id, Duration::from_secs(120)).unwrap(),
+                JobStatus::Done { cached: false }
+            );
+            let body = plain.result(&a.id).unwrap().unwrap();
+            for shards in [2, 3] {
+                let store_b = store_in(&format!("{tag}_{shards}"));
+                let sharded = Scheduler::new(
+                    store_b.clone(),
+                    Tuning {
+                        workers: 3,
+                        shards,
+                        batch: 1,
+                        snapshot_every: 1,
+                    },
+                );
+                let b = sharded.submit("t", &spec).unwrap();
+                assert_eq!(
+                    sharded.wait(&b.id, Duration::from_secs(120)).unwrap(),
+                    JobStatus::Done { cached: false },
+                    "{tag}, {shards} shards"
+                );
+                assert_eq!(
+                    sharded.result(&b.id).unwrap().unwrap(),
+                    body,
+                    "{tag}, {shards} shards: sharding is a scheduling decision; \
+                     the result bytes must not move"
+                );
+                assert_eq!(sharded.executed_units(), shards, "{tag}: really sharded");
+                let _ = std::fs::remove_dir_all(store_b.root());
+            }
+            let _ = std::fs::remove_dir_all(store_a.root());
+        }
+    }
+
+    #[test]
+    fn a_failed_job_stays_failed_when_a_sibling_unit_succeeds() {
+        let mut st = State {
+            queues: Vec::new(),
+            rr: 0,
+            jobs: HashMap::new(),
+            shutdown: false,
+        };
+        let job = |status| Job {
+            spec: small_spec(7),
+            status,
+            progress: Vec::new(),
+            journal: None,
+            units_total: 2,
+            units_done: 0,
+        };
+        let failed = JobStatus::Failed {
+            message: "unit 0 failed".to_string(),
+        };
+        st.jobs.insert(1, job(failed.clone()));
+        st.jobs.get_mut(&1).unwrap().units_done = 1;
+        assert!(
+            !complete_unit(&mut st, 1, Ok(())),
+            "a failed job must never be finalized"
         );
-        let a = plain.submit("t", &spec).unwrap();
-        let b = sharded.submit("t", &spec).unwrap();
+        assert_eq!(st.jobs[&1].status, failed, "Failed is terminal");
+        assert_eq!(st.jobs[&1].units_done, 2);
+
+        // A healthy job finalizes exactly when its last unit lands.
+        st.jobs.insert(2, job(JobStatus::Queued));
+        assert!(!complete_unit(&mut st, 2, Ok(())));
         assert_eq!(
-            plain.wait(&a.id, Duration::from_secs(120)).unwrap(),
-            JobStatus::Done { cached: false }
+            st.jobs[&2].status,
+            JobStatus::Running {
+                completed: 1,
+                total: 2
+            }
         );
-        assert_eq!(
-            sharded.wait(&b.id, Duration::from_secs(120)).unwrap(),
-            JobStatus::Done { cached: false }
-        );
-        assert_eq!(
-            plain.result(&a.id).unwrap().unwrap(),
-            sharded.result(&b.id).unwrap().unwrap(),
-            "sharding is a scheduling decision; the result bytes must not move"
-        );
-        assert!(sharded.executed_units() >= 3, "the job really was sharded");
-        let _ = std::fs::remove_dir_all(store_a.root());
-        let _ = std::fs::remove_dir_all(store_b.root());
+        assert!(complete_unit(&mut st, 2, Ok(())));
     }
 
     #[test]
