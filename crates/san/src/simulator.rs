@@ -890,6 +890,31 @@ mod tests {
     use crate::pred::Pred;
     use ckpt_stats::Dist;
 
+    /// Tests run the executor's debug-only contract checks
+    /// (`assert_schedule_consistency` after every event) and overflow
+    /// checks: a test profile that drops either for speed fails here
+    /// instead of silently testing less. Only `cargo test --release`,
+    /// whose binaries live in the `release` output directory, tests the
+    /// release code without them.
+    #[test]
+    fn test_builds_keep_debug_assertions_and_overflow_checks() {
+        let exe = std::env::current_exe().unwrap();
+        let profile_dir = exe.parent().and_then(std::path::Path::parent);
+        if profile_dir.and_then(std::path::Path::file_name) == Some("release".as_ref()) {
+            return;
+        }
+        let debug_assertions = cfg!(debug_assertions);
+        assert!(
+            debug_assertions,
+            "the test profile must keep debug-assertions"
+        );
+        let max = std::hint::black_box(u8::MAX);
+        assert!(
+            std::panic::catch_unwind(|| max + 1).is_err(),
+            "the test profile must keep overflow-checks"
+        );
+    }
+
     /// up --fail(exp 0.1)--> down --repair(exp 0.9)--> up
     fn repair_model() -> San {
         let mut b = SanBuilder::new("repair");

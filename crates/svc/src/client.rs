@@ -1,14 +1,16 @@
 //! The blocking client behind `ckptsim submit/status/result`.
 //!
 //! Speaks the same four-route protocol as [`crate::http::Server`] over
-//! a plain [`TcpStream`], one request per connection. Result bodies
-//! are returned verbatim — the client never re-encodes them, so what
-//! a caller writes to disk is byte-for-byte what the store holds.
+//! a plain [`TcpStream`], and keeps one idle HTTP/1.1 connection for
+//! the next request. Result bodies are returned verbatim — the client
+//! never re-encodes them, so what a caller writes to disk is
+//! byte-for-byte what the store holds.
 
 use ckpt_harness::json::{parse, JsonValue};
 use ckpt_harness::CkptError;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// What the server said about a submission.
@@ -23,10 +25,39 @@ pub struct SubmitReply {
 }
 
 /// A client bound to one server address and tenant.
-#[derive(Debug, Clone)]
+///
+/// The client keeps the connection of its last finished request open
+/// and sends the next request on it. A request that finds the idle
+/// connection taken, because another thread is using it, opens its
+/// own, so one client can stream [`Client::progress`] on one thread
+/// while another polls [`Client::status`]. The server closes a
+/// connection that stays idle for 5 s; a request whose reused
+/// connection turns out closed (the write fails, or the connection
+/// ends before any status-line byte) is sent once more on a new one.
+/// That is safe because every route is idempotent: a resubmitted spec
+/// is content-addressed and deduplicates.
+#[derive(Debug)]
 pub struct Client {
     server: String,
     tenant: String,
+    idle: Mutex<Option<BufReader<TcpStream>>>,
+}
+
+/// Why a request got no response.
+enum Failure {
+    /// The connection was closed before the request reached the server:
+    /// the write failed, or the connection ended before any byte of the
+    /// status line.
+    Closed(CkptError),
+    /// Anything else.
+    Failed(CkptError),
+}
+
+impl Clone for Client {
+    /// A client for the same server and tenant, with no connection.
+    fn clone(&self) -> Client {
+        Client::new(&self.server, &self.tenant)
+    }
 }
 
 impl Client {
@@ -37,6 +68,7 @@ impl Client {
         Client {
             server: server.to_string(),
             tenant: tenant.to_string(),
+            idle: Mutex::new(None),
         }
     }
 
@@ -53,44 +85,83 @@ impl Client {
         }
     }
 
+    /// Sends one request, on the idle connection if there is one, and
+    /// reads its response. A reused connection found closed is replaced
+    /// by a new one once; a failure on a new connection is returned.
     fn request(
         &self,
         method: &str,
         path: &str,
         body: Option<&str>,
     ) -> Result<(u16, String), CkptError> {
-        let mut stream =
-            TcpStream::connect(&self.server).map_err(|e| self.io_err(format!("connect: {e}")))?;
         let body = body.unwrap_or("");
-        write!(
-            stream,
-            "{method} {path} HTTP/1.1\r\nHost: {}\r\nX-Tenant: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        let message = format!(
+            "{method} {path} HTTP/1.1\r\nHost: {}\r\nX-Tenant: {}\r\nContent-Length: {}\r\n\r\n{body}",
             self.server,
             self.tenant,
             body.len()
-        )
-        .map_err(|e| self.io_err(format!("send: {e}")))?;
-        stream
-            .flush()
-            .map_err(|e| self.io_err(format!("send: {e}")))?;
+        );
+        let idle = self
+            .idle
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        if let Some(conn) = idle {
+            match self.exchange(conn, message.as_bytes()) {
+                Err(Failure::Closed(_)) => {}
+                Err(Failure::Failed(e)) => return Err(e),
+                Ok(reply) => return Ok(reply),
+            }
+        }
+        let stream =
+            TcpStream::connect(&self.server).map_err(|e| self.io_err(format!("connect: {e}")))?;
+        match self.exchange(BufReader::new(stream), message.as_bytes()) {
+            Err(Failure::Closed(e) | Failure::Failed(e)) => Err(e),
+            Ok(reply) => Ok(reply),
+        }
+    }
 
-        let mut reader = BufReader::new(stream);
+    /// One request and its response on `conn`, which goes back to the
+    /// idle slot when the response was framed by `Content-Length` and
+    /// did not say `Connection: close`.
+    fn exchange(
+        &self,
+        mut conn: BufReader<TcpStream>,
+        message: &[u8],
+    ) -> Result<(u16, String), Failure> {
+        let failed =
+            |what: &str, e: std::io::Error| Failure::Failed(self.io_err(format!("{what}: {e}")));
+        if let Err(e) = conn.get_mut().write_all(message) {
+            return Err(Failure::Closed(self.io_err(format!("send: {e}"))));
+        }
         let mut line = String::new();
-        reader
-            .read_line(&mut line)
-            .map_err(|e| self.io_err(format!("read status line: {e}")))?;
+        match conn.read_line(&mut line) {
+            Ok(0) => {
+                return Err(Failure::Closed(
+                    self.io_err("connection closed before the status line".to_string()),
+                ))
+            }
+            Err(e) if line.is_empty() && is_closed(&e) => {
+                return Err(Failure::Closed(
+                    self.io_err(format!("read status line: {e}")),
+                ))
+            }
+            Err(e) => return Err(failed("read status line", e)),
+            Ok(_) => {}
+        }
         let status: u16 = line
             .split_whitespace()
             .nth(1)
             .and_then(|s| s.parse().ok())
-            .ok_or_else(|| self.io_err(format!("malformed response: {line:?}")))?;
+            .ok_or_else(|| Failure::Failed(self.io_err(format!("malformed response: {line:?}"))))?;
+        let mut keep = line.starts_with("HTTP/1.1 ");
         let mut content_length: Option<usize> = None;
         let mut chunked = false;
         loop {
             let mut header = String::new();
-            let n = reader
+            let n = conn
                 .read_line(&mut header)
-                .map_err(|e| self.io_err(format!("read headers: {e}")))?;
+                .map_err(|e| failed("read headers", e))?;
             let header = header.trim_end();
             if n == 0 || header.is_empty() {
                 break;
@@ -101,24 +172,31 @@ impl Client {
                     content_length = value.parse().ok();
                 } else if name.eq_ignore_ascii_case("transfer-encoding") {
                     chunked = value.eq_ignore_ascii_case("chunked");
+                } else if name.eq_ignore_ascii_case("connection") {
+                    keep &= !value
+                        .split(',')
+                        .any(|option| option.trim().eq_ignore_ascii_case("close"));
                 }
             }
         }
         let body = if chunked {
-            self.read_chunked(&mut reader)?
+            keep = false;
+            self.read_chunked(&mut conn).map_err(Failure::Failed)?
         } else if let Some(len) = content_length {
             let mut buf = vec![0u8; len];
-            reader
-                .read_exact(&mut buf)
-                .map_err(|e| self.io_err(format!("read body: {e}")))?;
+            conn.read_exact(&mut buf)
+                .map_err(|e| failed("read body", e))?;
             String::from_utf8_lossy(&buf).into_owned()
         } else {
+            keep = false;
             let mut buf = String::new();
-            reader
-                .read_to_string(&mut buf)
-                .map_err(|e| self.io_err(format!("read body: {e}")))?;
+            conn.read_to_string(&mut buf)
+                .map_err(|e| failed("read body", e))?;
             buf
         };
+        if keep {
+            *self.idle.lock().unwrap_or_else(PoisonError::into_inner) = Some(conn);
+        }
         Ok((status, body))
     }
 
@@ -256,4 +334,12 @@ impl Client {
         }
         Ok(body.lines().map(str::to_string).collect())
     }
+}
+
+/// Whether a read error means the peer had closed the connection.
+fn is_closed(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted | ErrorKind::BrokenPipe
+    )
 }

@@ -17,11 +17,18 @@
 //! one completes, [`exec::finalize`] reads every replication back from
 //! the journal and publishes the result into the [`JobStore`].
 //! Identical resubmissions then hit the cache without executing
-//! anything. A failed job stays failed: no later unit of it changes
-//! its status or publishes it.
+//! anything.
+//!
+//! Each run of a job is an *attempt*. A failed attempt stays failed: no
+//! later unit of it changes the job's status or publishes it.
+//! Resubmitting a failed job starts a new attempt over the same
+//! journal, which queues only the units with a replication the journal
+//! lacks; the units of the old attempt still queued or running touch
+//! nothing of the new one.
 
 use crate::exec;
 use crate::store::JobStore;
+use ckpt_core::ReplicationStore;
 use ckpt_harness::{CkptError, ExperimentSpec, SweepJournal};
 use ckpt_obs::{JsonlSink, ProgressSink, ProgressSnapshot};
 use std::collections::{HashMap, VecDeque};
@@ -80,7 +87,8 @@ pub enum JobStatus {
         cached: bool,
     },
     /// Execution failed (or was interrupted); the journal keeps what
-    /// completed, so a resubmission resumes instead of restarting.
+    /// completed, so a resubmission, to this process or a restarted
+    /// one, resumes instead of restarting.
     Failed {
         /// Human-readable failure.
         message: String,
@@ -102,13 +110,16 @@ pub struct SubmitOutcome {
     pub id: String,
     /// The result was already in the cache — nothing will execute.
     pub cached: bool,
-    /// An identical job was already queued or running; this submission
-    /// attached to it instead of enqueueing a duplicate.
+    /// An identical job was already queued, running or done; this
+    /// submission attached to it instead of enqueueing a duplicate.
     pub deduplicated: bool,
 }
 
 struct Job {
     spec: ExperimentSpec,
+    /// Counts the job's submissions that started a run; a unit belongs
+    /// to the attempt it was queued for.
+    attempt: u64,
     status: JobStatus,
     progress: Vec<String>,
     journal: Option<Arc<SweepJournal>>,
@@ -118,6 +129,7 @@ struct Job {
 
 struct Unit {
     fingerprint: u64,
+    attempt: u64,
     range: (u32, u32),
     exclusive: bool,
 }
@@ -191,9 +203,10 @@ impl Scheduler {
     }
 
     /// Submits `spec` for `tenant`. Content-addressed: a cached result
-    /// short-circuits (nothing executes), an identical in-flight job
-    /// deduplicates, otherwise the job is sharded into work units and
-    /// queued FIFO within the tenant.
+    /// short-circuits (nothing executes), an identical queued, running
+    /// or done job deduplicates, otherwise the job (or a failed job's
+    /// next attempt) is sharded into work units and queued FIFO within
+    /// the tenant.
     ///
     /// # Errors
     ///
@@ -206,6 +219,7 @@ impl Scheduler {
             let duplicate = st.jobs.contains_key(&fingerprint);
             st.jobs.entry(fingerprint).or_insert_with(|| Job {
                 spec: spec.clone(),
+                attempt: 0,
                 status: JobStatus::Done { cached: true },
                 progress: Vec::new(),
                 journal: None,
@@ -218,53 +232,85 @@ impl Scheduler {
                 deduplicated: duplicate,
             });
         }
-        let units = exec::unit_ranges(
+        let plan = exec::unit_ranges(
             spec.replications(),
             spec.estimation(),
             self.inner.tuning.shards,
             self.inner.tuning.batch,
         );
-        {
+        // Claim the job first: a concurrent identical submission must
+        // dedup against the claim rather than race the journal open
+        // below. A failed job is claimed by starting its next attempt
+        // over the journal it already holds.
+        let (attempt, journal) = {
             let mut st = self.lock();
-            if let Some(job) = st.jobs.get(&fingerprint) {
-                let cached = matches!(job.status, JobStatus::Done { .. });
-                return Ok(SubmitOutcome {
-                    id,
-                    cached,
-                    deduplicated: true,
-                });
-            }
-            // Placeholder first: a concurrent identical submission must
-            // dedup against it rather than race the journal open below.
-            st.jobs.insert(
-                fingerprint,
-                Job {
-                    spec: spec.clone(),
-                    status: JobStatus::Queued,
-                    progress: Vec::new(),
-                    journal: None,
-                    units_total: units.len(),
-                    units_done: 0,
-                },
-            );
-        }
-        let journal = match self
-            .inner
-            .store
-            .open_journal(fingerprint, self.inner.tuning.snapshot_every)
-        {
-            Ok(j) => Arc::new(j),
-            Err(e) => {
-                self.lock().jobs.remove(&fingerprint);
-                return Err(CkptError::from(e));
+            match st.jobs.get_mut(&fingerprint) {
+                Some(job) if !matches!(job.status, JobStatus::Failed { .. }) => {
+                    let cached = matches!(job.status, JobStatus::Done { .. });
+                    return Ok(SubmitOutcome {
+                        id,
+                        cached,
+                        deduplicated: true,
+                    });
+                }
+                Some(job) => {
+                    job.attempt += 1;
+                    job.status = JobStatus::Queued;
+                    job.progress.clear();
+                    job.units_done = 0;
+                    (job.attempt, job.journal.clone())
+                }
+                None => {
+                    st.jobs.insert(
+                        fingerprint,
+                        Job {
+                            spec: spec.clone(),
+                            attempt: 0,
+                            status: JobStatus::Queued,
+                            progress: Vec::new(),
+                            journal: None,
+                            units_total: 0,
+                            units_done: 0,
+                        },
+                    );
+                    (0, None)
+                }
             }
         };
+        let journal = match journal {
+            Some(j) => j,
+            None => match self
+                .inner
+                .store
+                .open_journal(fingerprint, self.inner.tuning.snapshot_every)
+            {
+                Ok(j) => Arc::new(j),
+                Err(e) => {
+                    self.lock().jobs.remove(&fingerprint);
+                    return Err(CkptError::from(e));
+                }
+            },
+        };
+        // A sharded job queues only the units with a replication the
+        // journal lacks. When it lacks none (the last attempt failed
+        // after its last record), the last unit still runs, because
+        // its completion finalizes the job.
+        let exclusive = plan.len() == 1;
+        let cell = journal.cell_store(0);
+        let mut units: Vec<(u32, u32)> = plan
+            .iter()
+            .copied()
+            .filter(|&(lo, hi)| exclusive || (lo..hi).any(|rep| cell.lookup(rep).is_none()))
+            .collect();
+        if units.is_empty() {
+            units.extend(plan.last());
+        }
         {
             let mut st = self.lock();
             if let Some(job) = st.jobs.get_mut(&fingerprint) {
-                job.journal = Some(journal);
+                job.journal = Some(Arc::clone(&journal));
+                job.units_total = units.len();
             }
-            let exclusive = units.len() == 1;
             let queue = match st.queues.iter().position(|(t, _)| t == tenant) {
                 Some(i) => &mut st.queues[i].1,
                 None => {
@@ -276,6 +322,7 @@ impl Scheduler {
             for range in units {
                 queue.push_back(Unit {
                     fingerprint,
+                    attempt,
                     range,
                     exclusive,
                 });
@@ -389,6 +436,7 @@ impl Drop for Scheduler {
 struct RecordingSink<'a> {
     inner: &'a Inner,
     fingerprint: u64,
+    attempt: u64,
 }
 
 impl ProgressSink for RecordingSink<'_> {
@@ -396,7 +444,7 @@ impl ProgressSink for RecordingSink<'_> {
         let line = JsonlSink::render(snapshot);
         {
             let mut st = self.inner.state.lock().expect("scheduler state poisoned");
-            if let Some(job) = st.jobs.get_mut(&self.fingerprint) {
+            if let Some(job) = current(&mut st, self.fingerprint, self.attempt) {
                 job.progress.push(line);
                 job.status = JobStatus::Running {
                     completed: snapshot.completed,
@@ -449,10 +497,10 @@ fn next_unit(st: &mut State) -> Option<Unit> {
 }
 
 fn execute_unit(inner: &Inner, unit: &Unit) {
-    let fingerprint = unit.fingerprint;
+    let (fingerprint, attempt) = (unit.fingerprint, unit.attempt);
     let (spec, journal) = {
         let mut st = inner.state.lock().expect("scheduler state poisoned");
-        let Some(job) = st.jobs.get_mut(&fingerprint) else {
+        let Some(job) = current(&mut st, fingerprint, attempt) else {
             return;
         };
         if matches!(job.status, JobStatus::Failed { .. }) {
@@ -478,16 +526,20 @@ fn execute_unit(inner: &Inner, unit: &Unit) {
     };
     let interrupt = Some(&inner.interrupt);
     if unit.exclusive {
-        let sink = RecordingSink { inner, fingerprint };
+        let sink = RecordingSink {
+            inner,
+            fingerprint,
+            attempt,
+        };
         let published = exec::run_whole(&inner.store, &spec, &journal, interrupt, Some(&sink));
         inner.executed_units.fetch_add(1, Ordering::SeqCst);
-        settle(inner, fingerprint, published);
+        settle(inner, fingerprint, attempt, published);
         return;
     }
     let ran = exec::run_unit(&spec, &journal, unit.range, interrupt);
     inner.executed_units.fetch_add(1, Ordering::SeqCst);
     let mut st = inner.state.lock().expect("scheduler state poisoned");
-    let finished = complete_unit(&mut st, fingerprint, ran);
+    let finished = complete_unit(&mut st, fingerprint, attempt, ran);
     drop(st);
     inner.done_cv.notify_all();
     if finished {
@@ -496,17 +548,32 @@ fn execute_unit(inner: &Inner, unit: &Unit) {
         settle(
             inner,
             fingerprint,
+            attempt,
             exec::finalize(&inner.store, &spec, &journal),
         );
     }
 }
 
+/// The job `fingerprint` if `attempt` is its current attempt: a unit of
+/// an older attempt finds nothing to touch.
+fn current(st: &mut State, fingerprint: u64, attempt: u64) -> Option<&mut Job> {
+    st.jobs
+        .get_mut(&fingerprint)
+        .filter(|job| job.attempt == attempt)
+}
+
 /// Records a sharded unit's outcome in its job and says whether the job
-/// is now complete and due to be finalized. `Failed` is terminal: once
-/// a unit failed, no sibling's outcome changes the status, and the job
-/// is never finalized.
-fn complete_unit(st: &mut State, fingerprint: u64, outcome: Result<(), CkptError>) -> bool {
-    let Some(job) = st.jobs.get_mut(&fingerprint) else {
+/// is now complete and due to be finalized. `Failed` ends the attempt:
+/// once a unit failed, no sibling's outcome changes the status, and the
+/// attempt is never finalized. A unit of an older attempt changes
+/// nothing.
+fn complete_unit(
+    st: &mut State,
+    fingerprint: u64,
+    attempt: u64,
+    outcome: Result<(), CkptError>,
+) -> bool {
+    let Some(job) = current(st, fingerprint, attempt) else {
         return false;
     };
     job.units_done += 1;
@@ -535,12 +602,13 @@ fn complete_unit(st: &mut State, fingerprint: u64, outcome: Result<(), CkptError
     }
 }
 
-/// Ends a job with its publish outcome: `Done`, releasing the journal
-/// (the store now answers every resubmission before the job table is
-/// consulted, so the journal is never read again), or `Failed`.
-fn settle(inner: &Inner, fingerprint: u64, published: Result<String, CkptError>) {
+/// Ends a job's `attempt` with its publish outcome: `Done`, releasing
+/// the journal (the store now answers every resubmission before the job
+/// table is consulted, so the journal is never read again), or
+/// `Failed`, keeping it for the next attempt.
+fn settle(inner: &Inner, fingerprint: u64, attempt: u64, published: Result<String, CkptError>) {
     let mut st = inner.state.lock().expect("scheduler state poisoned");
-    if let Some(job) = st.jobs.get_mut(&fingerprint) {
+    if let Some(job) = current(&mut st, fingerprint, attempt) {
         job.status = match published {
             Ok(_) => {
                 job.journal = None;
@@ -685,6 +753,7 @@ mod tests {
         };
         let job = |status| Job {
             spec: small_spec(7),
+            attempt: 0,
             status,
             progress: Vec::new(),
             journal: None,
@@ -697,7 +766,7 @@ mod tests {
         st.jobs.insert(1, job(failed.clone()));
         st.jobs.get_mut(&1).unwrap().units_done = 1;
         assert!(
-            !complete_unit(&mut st, 1, Ok(())),
+            !complete_unit(&mut st, 1, 0, Ok(())),
             "a failed job must never be finalized"
         );
         assert_eq!(st.jobs[&1].status, failed, "Failed is terminal");
@@ -705,7 +774,7 @@ mod tests {
 
         // A healthy job finalizes exactly when its last unit lands.
         st.jobs.insert(2, job(JobStatus::Queued));
-        assert!(!complete_unit(&mut st, 2, Ok(())));
+        assert!(!complete_unit(&mut st, 2, 0, Ok(())));
         assert_eq!(
             st.jobs[&2].status,
             JobStatus::Running {
@@ -713,7 +782,97 @@ mod tests {
                 total: 2
             }
         );
-        assert!(complete_unit(&mut st, 2, Ok(())));
+        assert!(complete_unit(&mut st, 2, 0, Ok(())));
+
+        // A unit of an older attempt touches nothing of the current one.
+        st.jobs.insert(3, job(JobStatus::Queued));
+        st.jobs.get_mut(&3).unwrap().attempt = 1;
+        assert!(!complete_unit(&mut st, 3, 0, Ok(())));
+        assert!(!complete_unit(
+            &mut st,
+            3,
+            0,
+            Err(CkptError::Usage("late".to_string()))
+        ));
+        assert_eq!(st.jobs[&3].status, JobStatus::Queued);
+        assert_eq!(st.jobs[&3].units_done, 0);
+        assert!(st.jobs[&3].progress.is_empty());
+    }
+
+    /// A failed sharded job resumes when it is resubmitted to the same
+    /// scheduler: the new attempt runs only the units with a replication
+    /// the journal lacks, and publishes what an uninterrupted run
+    /// renders.
+    #[test]
+    fn resubmitting_a_failed_job_resumes_it_from_the_journal() {
+        let store = store_in("resubmit");
+        // One worker runs the units in queue order.
+        let sched = Scheduler::new(
+            store.clone(),
+            Tuning {
+                workers: 1,
+                shards: 3,
+                batch: 1,
+                snapshot_every: 1,
+            },
+        );
+        let cfg = SystemConfig::builder().processors(512).build().unwrap();
+        let spec = ExperimentSpec::builder(cfg)
+            .transient(SimTime::from_hours(5.0))
+            .horizon(SimTime::from_hours(60.0))
+            .replications(6)
+            .seed(8)
+            .jobs(1)
+            .build()
+            .unwrap();
+        let whole = spec.to_experiment().run().unwrap();
+        // Units (0,2), (2,4) and (4,6); the journal holds replications 0,
+        // 1 and 3, so the first unit has nothing left to run.
+        let journal = store.open_journal(spec.fingerprint(), 1).unwrap();
+        for rep in [0u32, 1, 3] {
+            let i = rep as usize;
+            journal.record(0, rep, &whole.replicates()[i], whole.profiles()[i].events);
+        }
+        journal.persist().unwrap();
+        drop(journal);
+
+        // The first attempt fails: every unit it runs is interrupted.
+        sched.inner.interrupt.store(true, Ordering::SeqCst);
+        let first = sched.submit("t", &spec).unwrap();
+        assert!(
+            matches!(
+                sched.wait(&first.id, Duration::from_secs(120)),
+                Some(JobStatus::Failed { .. })
+            ),
+            "the interrupted attempt fails"
+        );
+        assert_eq!(
+            sched.executed_units(),
+            1,
+            "the failed unit ends the attempt"
+        );
+        sched.inner.interrupt.store(false, Ordering::SeqCst);
+
+        let again = sched.submit("t", &spec).unwrap();
+        assert_eq!(again.id, first.id);
+        assert!(
+            !again.deduplicated && !again.cached,
+            "a failed job starts a new attempt: {again:?}"
+        );
+        assert_eq!(
+            sched.wait(&again.id, Duration::from_secs(120)).unwrap(),
+            JobStatus::Done { cached: false }
+        );
+        assert_eq!(
+            sched.executed_units(),
+            3,
+            "the new attempt runs units (2,4) and (4,6), not the journaled (0,2)"
+        );
+        assert_eq!(
+            sched.result(&again.id).unwrap().unwrap(),
+            crate::result::render(&spec, &whole)
+        );
+        let _ = std::fs::remove_dir_all(store.root());
     }
 
     #[test]
@@ -805,6 +964,7 @@ mod tests {
             let queue = (0..units)
                 .map(|k| Unit {
                     fingerprint: u64::from(tenant.as_bytes()[0]),
+                    attempt: 0,
                     range: (k, k + 1),
                     exclusive: false,
                 })

@@ -7,10 +7,10 @@ use ckpt_core::SystemConfig;
 use ckpt_des::SimTime;
 use ckpt_harness::ExperimentSpec;
 use ckpt_svc::{Client, JobStore, Scheduler, Server, Tuning};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 fn spec(seed: u64, jobs: usize) -> ExperimentSpec {
@@ -417,9 +417,171 @@ fn any_request_bytes_get_a_status_line_and_the_server_keeps_serving() {
             String::from_utf8_lossy(&input)
         );
         assert!(elapsed < IO_TIMEOUT, "case {case} took {elapsed:?}");
+        // The same bytes after a valid request on one connection: the
+        // valid request is answered first, whatever follows it.
+        let mut after_healthz = templates[0].to_vec();
+        after_healthz.extend_from_slice(&input);
+        let start = std::time::Instant::now();
+        let response = raw_exchange_bytes(addr, &after_healthz);
+        let elapsed = start.elapsed();
+        assert!(
+            response.starts_with("HTTP/1.1 200 "),
+            "case {case}: healthz then {:?} got {response:?}",
+            String::from_utf8_lossy(&input)
+        );
+        assert!(elapsed < IO_TIMEOUT, "case {case} took {elapsed:?}");
     }
     assert_eq!(sched.executed_units(), 0, "a parsing case started a job");
     let next = raw_exchange(addr, "GET /v1/healthz HTTP/1.1\r\n\r\n");
     assert!(next.starts_with("HTTP/1.1 200 "), "{next}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Sends `request` without closing the write half and reads until the
+/// server closes the connection; the read fails if it does not within
+/// 10 s (twice the server's request deadline).
+fn exchange_until_close(addr: SocketAddr, request: &str) -> std::io::Result<String> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(request.as_bytes()).unwrap();
+    let mut response = Vec::new();
+    stream.read_to_end(&mut response)?;
+    Ok(String::from_utf8_lossy(&response).into_owned())
+}
+
+#[test]
+fn pipelined_requests_on_one_connection_are_answered_in_order() {
+    let dir = store_dir("pipeline");
+    let (addr, _) = start_server(&dir, Tuning::default());
+    let response = raw_exchange(
+        addr,
+        "GET /v1/healthz HTTP/1.1\r\n\r\nGET /v1/jobs/00000000deadbeef HTTP/1.1\r\n\r\n",
+    );
+    let statuses: Vec<&str> = response
+        .lines()
+        .filter(|line| line.starts_with("HTTP/1.1 "))
+        .collect();
+    assert_eq!(
+        statuses,
+        ["HTTP/1.1 200 OK", "HTTP/1.1 404 Not Found"],
+        "{response}"
+    );
+    assert!(!response.contains("Connection: close"), "{response}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn close_and_http_1_0_requests_get_their_response_then_eof() {
+    let dir = store_dir("close");
+    let (addr, _) = start_server(&dir, Tuning::default());
+    for request in [
+        "GET /v1/healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        "GET /v1/healthz HTTP/1.0\r\n\r\n",
+    ] {
+        let response = exchange_until_close(addr, request)
+            .unwrap_or_else(|e| panic!("{request:?}: no EOF after the response: {e}"));
+        assert!(response.starts_with("HTTP/1.1 200 "), "{response}");
+        assert!(response.contains("\r\nConnection: close\r\n"), "{response}");
+        assert!(response.ends_with("\"status\":\"ok\"}\n"), "{response}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn ambiguous_request_framing_is_refused_with_400_then_eof() {
+    let dir = store_dir("framing");
+    let (addr, _) = start_server(&dir, Tuning::default());
+    for (request, names) in [
+        (
+            "GET /v1/healthz HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+            "Transfer-Encoding",
+        ),
+        (
+            "GET /v1/healthz HTTP/1.1\r\nContent-Length: 0\r\nContent-Length: 0\r\n\r\n",
+            "Content-Length",
+        ),
+    ] {
+        let response = exchange_until_close(addr, request)
+            .unwrap_or_else(|e| panic!("{request:?}: no EOF after the refusal: {e}"));
+        assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+        assert!(response.contains("\r\nConnection: close\r\n"), "{response}");
+        assert!(response.contains(names), "{response}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_client_whose_idle_connection_was_closed_sends_on_a_new_one() {
+    // A one-shot server: each connection gets one keep-alive answer and
+    // is then closed, as the real server closes an idle connection.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (closed_tx, closed_rx) = mpsc::channel();
+    let server = std::thread::spawn(move || {
+        for _ in 0..2 {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut line = String::new();
+            while reader.read_line(&mut line).unwrap() > 2 {
+                line.clear();
+            }
+            let body = "{\"kind\":\"health\",\"status\":\"ok\"}\n";
+            let response = format!(
+                "HTTP/1.1 200 OK\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            );
+            reader.get_mut().write_all(response.as_bytes()).unwrap();
+            drop(reader);
+            closed_tx.send(()).unwrap();
+        }
+    });
+    let client = Client::new(&addr.to_string(), "t");
+    client.healthz().unwrap();
+    closed_rx.recv().unwrap();
+    client
+        .healthz()
+        .expect("a closed idle connection is replaced, and the request sent again");
+    server.join().unwrap();
+}
+
+#[test]
+fn one_client_streams_progress_while_another_thread_polls_status() {
+    let dir = store_dir("shared_client");
+    let (addr, _) = start_server(&dir, Tuning::default());
+    let client = Arc::new(Client::new(&addr.to_string(), "t"));
+    let job = client.submit(&spec(11, 1).to_json()).unwrap();
+    let (done_tx, done_rx) = mpsc::channel();
+    let streamer = {
+        let (client, id, done_tx) = (Arc::clone(&client), job.id.clone(), done_tx.clone());
+        std::thread::spawn(move || done_tx.send(client.progress(&id).map(|l| l.len())))
+    };
+    let poller = {
+        let (client, id) = (Arc::clone(&client), job.id.clone());
+        std::thread::spawn(move || {
+            let polled = (|| loop {
+                let status = client.status(&id)?;
+                if status.contains("\"state\":\"done\"") {
+                    return Ok(0);
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            })();
+            done_tx.send(polled)
+        })
+    };
+    for _ in 0..2 {
+        done_rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("both threads finish")
+            .expect("both requests succeed");
+    }
+    streamer.join().unwrap().unwrap();
+    poller.join().unwrap().unwrap();
+    assert_eq!(
+        client.progress(&job.id).unwrap().len(),
+        3,
+        "one progress line per replication"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,7 +4,9 @@
 #   1. the second submission is a cache hit (no re-execution),
 #   2. the two fetched result bodies are byte-identical (`cmp`),
 #   3. status polling reports the job done,
-#   4. the progress stream is well-formed JSONL.
+#   4. the progress stream is well-formed JSONL,
+#   5. a standard HTTP/1.1 client (Python's http.client) gets the same
+#      result bytes twice on one persistent connection.
 #
 # Environment:
 #   BIN  path to the ckptsim binary [target/release/ckptsim]
@@ -103,5 +105,29 @@ assert len(doc["replicates"]) == 2, "one entry per replication"
 assert "jobs" not in doc["spec"], "worker count must not leak into the result"
 assert 0.0 < doc["useful_work_fraction"]["mean"] < 1.0
 EOF
+
+echo "== one persistent connection from Python's http.client"
+python3 - "$ADDR" "$JOB_ID" "$OUT" <<'EOF'
+import http.client, sys
+addr, job_id, out = sys.argv[1:]
+host, port = addr.rsplit(":", 1)
+conn = http.client.HTTPConnection(host, int(port), timeout=30)
+paths = ["/v1/healthz", f"/v1/jobs/{job_id}/result", f"/v1/jobs/{job_id}/result"]
+sockets = []
+for k, path in enumerate(paths):
+    conn.request("GET", path)
+    resp = conn.getresponse()
+    body = resp.read()
+    assert resp.status == 200, (path, resp.status, body)
+    assert resp.getheader("Connection") is None, (path, resp.getheader("Connection"))
+    sockets.append(conn.sock)
+    if k > 0:
+        open(f"{out}/python{k}.json", "wb").write(body)
+assert sockets[0] is not None and all(s is sockets[0] for s in sockets), \
+    "http.client opened a new connection: the server closed a persistent one"
+conn.close()
+EOF
+cmp "$OUT/result1.json" "$OUT/python1.json"
+cmp "$OUT/result1.json" "$OUT/python2.json"
 
 echo "serve smoke OK: one execution, two byte-identical results"
