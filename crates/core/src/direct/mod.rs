@@ -39,9 +39,57 @@ use events::{AppPhase, Event, IoState, RecoveryStage, SysPhase};
 use std::fmt;
 use timers::Timers;
 
+/// Config-derived durations and rates, computed once by
+/// [`DirectSimulator::new`] so that no event handler repeats a division
+/// or a [`SimTime`] validity check. Each is the exact value its
+/// [`SystemConfig`] getter returns (see `Derived::new`), so results do
+/// not change by a bit.
+#[derive(Debug, Clone, Copy)]
+struct Derived {
+    app_cycle_period: SimTime,
+    /// Compute-phase length of an unjittered cycle.
+    compute_phase: SimTime,
+    /// Whether the application alternates phases at all: false with no
+    /// jitter and a zero-length I/O phase, when `AppPhaseEnd` stays
+    /// disarmed.
+    app_phases: bool,
+    app_data_write_time: SimTime,
+    dump_time: SimTime,
+    fs_write_time: SimTime,
+    fs_read_time: SimTime,
+    quiesce_latency: SimTime,
+    compute_failure_rate: f64,
+    io_failure_rate: f64,
+    node_failure_rate: f64,
+    generic_correlated_rate: f64,
+    node_count: u64,
+}
+
+impl Derived {
+    fn new(cfg: &SystemConfig) -> Derived {
+        Derived {
+            app_cycle_period: cfg.app_cycle_period(),
+            compute_phase: cfg.compute_phase(),
+            app_phases: cfg.compute_fraction_jitter().is_some() || !cfg.io_phase().is_zero(),
+            app_data_write_time: cfg.app_data_write_time(),
+            dump_time: cfg.checkpoint_dump_time(),
+            fs_write_time: cfg.checkpoint_fs_write_time(),
+            fs_read_time: cfg.checkpoint_fs_read_time(),
+            quiesce_latency: cfg.quiesce_broadcast_latency(),
+            compute_failure_rate: cfg.compute_failure_rate(),
+            io_failure_rate: cfg.io_failure_rate(),
+            node_failure_rate: cfg.node_failure_rate(),
+            generic_correlated_rate: cfg.generic_correlated_rate(),
+            node_count: cfg.node_count(),
+        }
+    }
+}
+
 /// The direct event-driven simulator (see module docs).
 pub struct DirectSimulator<'c> {
     cfg: &'c SystemConfig,
+    /// Durations and rates derived from `cfg`, computed once.
+    derived: Derived,
     /// Future-event list: one timer per event kind (see [`timers`]).
     timers: Timers,
     now: SimTime,
@@ -113,6 +161,7 @@ impl<'c> DirectSimulator<'c> {
         let f = RngFactory::new(seed);
         let mut sim = DirectSimulator {
             cfg,
+            derived: Derived::new(cfg),
             timers: Timers::default(),
             now: SimTime::ZERO,
             phase: SysPhase::Executing,
@@ -399,7 +448,7 @@ impl<'c> DirectSimulator<'c> {
                 // Section 5 defines the coordination time over the
                 // compute *nodes* ("Let n and Xi denote the number of
                 // compute nodes and the ith node's quiesce time").
-                sample_max_exponential(self.cfg.node_count(), 1.0 / mttq, &mut self.rng_coord)
+                sample_max_exponential(self.derived.node_count, 1.0 / mttq, &mut self.rng_coord)
             }
         };
         SimTime::from_secs(secs)
@@ -438,24 +487,24 @@ impl<'c> DirectSimulator<'c> {
             return;
         }
         let factor = self.rate_factor();
-        let compute_rate = self.cfg.compute_failure_rate() * factor;
+        let compute_rate = self.derived.compute_failure_rate * factor;
         if compute_rate > 0.0 {
             let d = self.rng_compute.exponential(compute_rate);
             self.schedule(Event::ComputeFailure, SimTime::from_secs(d));
         }
         if self.cfg.model_io_failures() {
-            let io_rate = self.cfg.io_failure_rate() * factor;
+            let io_rate = self.derived.io_failure_rate * factor;
             if io_rate > 0.0 {
                 let d = self.rng_io.exponential(io_rate);
                 self.schedule(Event::IoFailure, SimTime::from_secs(d));
             }
         }
         if self.cfg.model_master_failures() {
-            let master_rate = self.cfg.node_failure_rate() * factor;
+            let master_rate = self.derived.node_failure_rate * factor;
             let d = self.rng_master.exponential(master_rate);
             self.schedule(Event::MasterFailure, SimTime::from_secs(d));
         }
-        let generic_rate = self.cfg.generic_correlated_rate();
+        let generic_rate = self.derived.generic_correlated_rate;
         if generic_rate > 0.0 {
             let d = self.rng_generic.exponential(generic_rate);
             self.schedule(Event::GenericFailure, SimTime::from_secs(d));
@@ -472,24 +521,22 @@ impl<'c> DirectSimulator<'c> {
     }
 
     fn schedule_app_phase_end(&mut self) {
-        let d = match self.app {
-            AppPhase::Compute => {
-                // Extension: jittered workloads sample this cycle's
-                // compute fraction at the start of the compute phase.
-                let fraction = match self.cfg.compute_fraction_jitter() {
-                    Some((lo, hi)) => lo + (hi - lo) * self.rng_workload.open_unit(),
-                    None => self.cfg.compute_fraction(),
-                };
-                let period = self.cfg.app_cycle_period();
-                self.cycle_io_phase = period * (1.0 - fraction);
-                period * fraction
-            }
-            AppPhase::Io => self.cycle_io_phase,
-        };
-        if self.cfg.compute_fraction_jitter().is_none() && self.cfg.io_phase().is_zero() {
+        if !self.derived.app_phases {
             self.timers.cancel(Event::AppPhaseEnd);
             return;
         }
+        let d = match (self.app, self.cfg.compute_fraction_jitter()) {
+            (AppPhase::Compute, Some((lo, hi))) => {
+                // Extension: jittered workloads sample this cycle's
+                // compute fraction at the start of the compute phase.
+                let fraction = lo + (hi - lo) * self.rng_workload.open_unit();
+                let period = self.derived.app_cycle_period;
+                self.cycle_io_phase = period * (1.0 - fraction);
+                period * fraction
+            }
+            (AppPhase::Compute, None) => self.derived.compute_phase,
+            (AppPhase::Io, _) => self.cycle_io_phase,
+        };
         self.schedule(Event::AppPhaseEnd, d);
     }
 
@@ -623,8 +670,7 @@ impl<'c> DirectSimulator<'c> {
     fn begin_stage1(&mut self) {
         self.phase = SysPhase::Recovering(RecoveryStage::ReadBack);
         self.io = IoState::ReadingCkpt;
-        let t = self.cfg.checkpoint_fs_read_time();
-        self.schedule(Event::RecoveryStage1Done, t);
+        self.schedule(Event::RecoveryStage1Done, self.derived.fs_read_time);
     }
 
     fn begin_stage2(&mut self) {
@@ -697,7 +743,7 @@ impl<'c> DirectSimulator<'c> {
     fn begin_dump(&mut self) {
         debug_assert_eq!(self.io, IoState::Idle);
         self.phase = SysPhase::Dumping;
-        self.schedule(Event::DumpDone, self.cfg.checkpoint_dump_time());
+        self.schedule(Event::DumpDone, self.derived.dump_time);
     }
 
     // ------------------------------------------------------------------
@@ -729,7 +775,7 @@ impl<'c> DirectSimulator<'c> {
     fn on_checkpoint_trigger(&mut self) {
         debug_assert_eq!(self.phase, SysPhase::Executing);
         self.record(TraceEvent::CheckpointInitiated);
-        self.schedule(Event::QuiesceArrive, self.cfg.quiesce_broadcast_latency());
+        self.schedule(Event::QuiesceArrive, self.derived.quiesce_latency);
         if let Some(t) = self.cfg.timeout() {
             self.schedule(Event::MasterTimeout, t);
         }
@@ -784,7 +830,7 @@ impl<'c> DirectSimulator<'c> {
         self.buffered = true;
         self.w_buffered = self.w_candidate;
         self.io = IoState::WritingCkpt;
-        self.schedule(Event::CkptFsWriteDone, self.cfg.checkpoint_fs_write_time());
+        self.schedule(Event::CkptFsWriteDone, self.derived.fs_write_time);
         if self.cfg.background_checkpoint_write() {
             self.resume_execution();
         } else {
@@ -832,12 +878,13 @@ impl<'c> DirectSimulator<'c> {
     /// The application's cycle data is buffered on the I/O nodes; write
     /// it to the file system in the background if they are free.
     fn start_app_data_write(&mut self) {
-        if self.cfg.app_data_write_time().is_zero() {
+        let write_time = self.derived.app_data_write_time;
+        if write_time.is_zero() {
             return;
         }
         if self.io == IoState::Idle {
             self.io = IoState::WritingAppData;
-            self.schedule(Event::AppDataWriteDone, self.cfg.app_data_write_time());
+            self.schedule(Event::AppDataWriteDone, write_time);
         }
         // If the I/O nodes are busy the data simply stays buffered; the
         // model does not queue a separate write (the next cycle's write
@@ -852,7 +899,7 @@ impl<'c> DirectSimulator<'c> {
     fn on_compute_failure(&mut self) {
         self.counters.compute_failures += 1;
         // Draw the next arrival of this Poisson stream.
-        let rate = self.cfg.compute_failure_rate() * self.rate_factor();
+        let rate = self.derived.compute_failure_rate * self.rate_factor();
         let d = self.rng_compute.exponential(rate);
         self.schedule(Event::ComputeFailure, SimTime::from_secs(d));
         self.maybe_spatial_co_failure();
@@ -888,7 +935,7 @@ impl<'c> DirectSimulator<'c> {
 
     fn on_generic_failure(&mut self) {
         self.counters.generic_failures += 1;
-        let rate = self.cfg.generic_correlated_rate();
+        let rate = self.derived.generic_correlated_rate;
         let d = self.rng_generic.exponential(rate);
         self.schedule(Event::GenericFailure, SimTime::from_secs(d));
         self.apply_compute_failure();
@@ -912,7 +959,7 @@ impl<'c> DirectSimulator<'c> {
     fn on_io_failure(&mut self) {
         self.record(TraceEvent::IoFailure);
         self.counters.io_failures += 1;
-        let rate = self.cfg.io_failure_rate() * self.rate_factor();
+        let rate = self.derived.io_failure_rate * self.rate_factor();
         let d = self.rng_io.exponential(rate);
         self.schedule(Event::IoFailure, SimTime::from_secs(d));
 
@@ -980,7 +1027,7 @@ impl<'c> DirectSimulator<'c> {
     }
 
     fn on_master_failure(&mut self) {
-        let rate = self.cfg.node_failure_rate() * self.rate_factor();
+        let rate = self.derived.node_failure_rate * self.rate_factor();
         let d = self.rng_master.exponential(rate);
         self.schedule(Event::MasterFailure, SimTime::from_secs(d));
         match self.phase {

@@ -64,6 +64,23 @@ fn full_config_materializes_every_gated_activity() {
     );
 }
 
+#[test]
+fn every_activity_lowers_to_place_masks() {
+    // The benchmark's Table 3 point and the configuration with every
+    // gate: no activity needs a token count or a gate program.
+    for cfg in [SystemConfig::builder().build().unwrap(), full_config()] {
+        let model = CheckpointSan::build(&cfg).unwrap();
+        let san = model.san();
+        for a in san.activity_ids() {
+            assert!(
+                san.enabled_by_masks_alone(a),
+                "activity '{}' needs more than the place masks",
+                san.activity_name(a)
+            );
+        }
+    }
+}
+
 /// Pushes a deterministic pseudo-random token assignment into `m`.
 fn randomize(m: &mut ckpt_san::Marking, san: &ckpt_san::San, mut state: u64) {
     for place in san.place_ids() {

@@ -163,6 +163,26 @@ impl SimTime {
     pub fn is_zero(self) -> bool {
         self.0 == 0.0
     }
+
+    /// The IEEE-754 bits of the wrapped value. They order exactly like
+    /// the times (see `Ord`), which lets the timer table pack a due time
+    /// into an integer key.
+    #[inline]
+    pub(crate) fn to_bits(self) -> u64 {
+        self.0.to_bits()
+    }
+
+    /// The time whose [`SimTime::to_bits`] is `bits`; only ever given
+    /// bits taken from a valid time.
+    #[inline]
+    pub(crate) fn from_bits(bits: u64) -> SimTime {
+        let t = SimTime(f64::from_bits(bits));
+        debug_assert!(
+            t.0.is_finite() && t.0.is_sign_positive(),
+            "bits {bits:#x} are not a canonical SimTime"
+        );
+        t
+    }
 }
 
 impl Eq for SimTime {}
@@ -173,9 +193,10 @@ impl Ord for SimTime {
     fn cmp(&self, other: &SimTime) -> std::cmp::Ordering {
         // Invariant: the wrapped value is finite, non-negative, and never
         // -0.0 (canonicalized at construction), so the IEEE-754 bit
-        // patterns order exactly like the values. The integer compare is
-        // branch-free and inlines into the event queue's heap sifts,
-        // where this is the hottest comparison in the simulator.
+        // patterns order exactly like the values and one integer compare
+        // decides. The engines' timer table relies on the same fact: it
+        // packs these bits above a sequence number into one `u128` key
+        // and never calls this method on its per-event path.
         self.0.to_bits().cmp(&other.0.to_bits())
     }
 }

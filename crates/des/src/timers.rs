@@ -3,56 +3,58 @@
 
 use crate::time::SimTime;
 
-/// One entry of the table (meaningful only while its slot is armed).
-#[derive(Debug, Clone, Copy)]
-struct Timer {
-    due: SimTime,
-    seq: u64,
+/// The pop-order key of a timer armed at `due` under sequence `seq`:
+/// the due time's bits in the high word, the sequence in the low word.
+/// A canonical [`SimTime`] is finite, non-negative and never `-0.0`, so
+/// its IEEE-754 bits order exactly like its value, and comparing keys
+/// compares `(due, seq)` lexicographically in one integer compare.
+#[inline]
+fn key(due: SimTime, seq: u64) -> u128 {
+    u128::from(due.to_bits()) << 64 | u128::from(seq)
 }
 
-impl Timer {
-    /// The pop order: earliest due time, then earliest schedule.
-    #[inline]
-    fn key(self) -> (SimTime, u64) {
-        (self.due, self.seq)
-    }
+/// The due time a key was built from.
+#[inline]
+fn due_of(key: u128) -> SimTime {
+    SimTime::from_bits((key >> 64) as u64)
 }
 
-/// Sixty-four slots: their timers and one word of armed bits.
+/// Sixty-four slots: their keys and one word of armed bits.
 #[derive(Debug, Clone)]
 struct Block {
-    /// Bit `i` set ⇔ `timers[i]` is armed.
+    /// Bit `i` set ⇔ `keys[i]` is armed.
     armed: u64,
-    timers: [Timer; 64],
+    /// Slot `i`'s [`key`]; meaningful only while bit `i` of `armed` is
+    /// set.
+    keys: [u128; 64],
 }
 
 impl Block {
     const EMPTY: Block = Block {
         armed: 0,
-        timers: [Timer {
-            due: SimTime::ZERO,
-            seq: 0,
-        }; 64],
+        keys: [0; 64],
     };
 
-    /// The armed slot with the least key and its timer.
+    /// The armed slot with the least key and that key.
     #[inline]
-    fn argmin(&self) -> Option<(usize, Timer)> {
+    fn argmin(&self) -> Option<(usize, u128)> {
         let mut bits = self.armed;
         if bits == 0 {
             return None;
         }
         // `& 63` states the index bound the set bit already implies.
         let mut best = bits.trailing_zeros() as usize & 63;
+        let mut least = self.keys[best];
         bits &= bits - 1;
         while bits != 0 {
             let i = bits.trailing_zeros() as usize & 63;
             bits &= bits - 1;
-            if self.timers[i].key() < self.timers[best].key() {
+            if self.keys[i] < least {
                 best = i;
+                least = self.keys[i];
             }
         }
-        Some((best, self.timers[best]))
+        Some((best, least))
     }
 }
 
@@ -60,9 +62,11 @@ impl Block {
 /// event source, popped in `(due, seq)` order.
 ///
 /// Each slot holds a due time and a sequence number stamped from a
-/// monotone counter on every [`TimerTable::schedule`]; a word bitset
+/// monotone counter on every [`TimerTable::schedule`], packed into one
+/// `u128` key (the due time's bits above the sequence); a word bitset
 /// records which slots are armed. The next timer is the armed slot with
-/// the least `(due, seq)`, found by scanning only the armed bits.
+/// the least key, found by scanning only the armed bits with one
+/// integer compare each.
 ///
 /// That is exactly the pop order of [`EventQueue`](crate::EventQueue),
 /// which orders by time and then by a FIFO sequence taken at scheduling:
@@ -138,7 +142,7 @@ impl TimerTable {
         let seq = self.next_seq;
         self.next_seq += 1;
         let block = self.block_mut(slot);
-        block.timers[slot & 63] = Timer { due, seq };
+        block.keys[slot & 63] = key(due, seq);
         block.armed |= 1 << (slot & 63);
     }
 
@@ -183,7 +187,7 @@ impl TimerTable {
         if !self.high.is_empty() {
             return self.next_among_blocks();
         }
-        self.low.argmin().map(|(slot, t)| (t.due, slot))
+        self.low.argmin().map(|(slot, k)| (due_of(k), slot))
     }
 
     /// [`TimerTable::next`] for a table of more than 64 slots: the least
@@ -191,15 +195,15 @@ impl TimerTable {
     /// the one-block path.
     #[inline(never)]
     fn next_among_blocks(&self) -> Option<(SimTime, usize)> {
-        let mut best: Option<(usize, Timer)> = None;
+        let mut best: Option<(usize, u128)> = None;
         for (b, block) in self.blocks().enumerate() {
-            if let Some((i, t)) = block.argmin() {
-                if best.is_none_or(|(_, least)| t.key() < least.key()) {
-                    best = Some((b << 6 | i, t));
+            if let Some((i, k)) = block.argmin() {
+                if best.is_none_or(|(_, least)| k < least) {
+                    best = Some((b << 6 | i, k));
                 }
             }
         }
-        best.map(|(slot, t)| (t.due, slot))
+        best.map(|(slot, k)| (due_of(k), slot))
     }
 
     /// Disarms and returns the next timer ([`TimerTable::next`]) **iff**

@@ -16,22 +16,139 @@ const MAX_SLOTS: usize = 70;
 /// size.
 #[derive(Debug, Clone)]
 enum Op {
-    /// Arm (or re-arm) a slot at `watermark + dt`; `dt` comes from a
-    /// small integer set so equal due times are common and the sequence
-    /// tie-break decides the order.
-    Schedule(usize, u32),
+    /// Arm (or re-arm) a slot at a time relative to the watermark.
+    Schedule(usize, Due),
     /// Disarm a slot, armed or not.
     Cancel(usize),
-    /// Pop the next timer if it is due by `watermark + dt`.
-    PopBefore(u32),
+    /// Pop the next timer if it is due by a time relative to the
+    /// watermark.
+    PopBefore(Due),
+}
+
+/// A time relative to the current watermark `w`.
+#[derive(Debug, Clone, Copy)]
+enum Due {
+    /// `w + dt` seconds for a small integer `dt`, so equal due times are
+    /// common and the sequence tie-break decides the order.
+    Step(u32),
+    /// The time `n` units in the last place above `w`: due times that
+    /// differ only in their low mantissa bits.
+    Ulps(u64),
+    /// `w + secs`, with `secs` anywhere from 1e-300 to 1e300; a tiny
+    /// `secs` rounds back to `w` itself.
+    Plus(f64),
+    /// `SimTime::from_secs(-0.0)` when `w` is zero, else `w`.
+    NegZero,
+}
+
+impl Due {
+    fn at(self, w: SimTime) -> SimTime {
+        match self {
+            Due::Step(dt) => w + SimTime::from_secs(f64::from(dt)),
+            Due::Ulps(n) => SimTime::from_secs(f64::from_bits(w.as_secs().to_bits() + n)),
+            Due::Plus(secs) => w + SimTime::from_secs(secs),
+            Due::NegZero => SimTime::from_secs(-0.0).max(w),
+        }
+    }
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        4 => ((0..MAX_SLOTS), (0u32..4)).prop_map(|(k, dt)| Op::Schedule(k, dt)),
+        4 => ((0..MAX_SLOTS), (0u32..4)).prop_map(|(k, dt)| Op::Schedule(k, Due::Step(dt))),
         2 => (0..MAX_SLOTS).prop_map(Op::Cancel),
-        3 => (0u32..4).prop_map(Op::PopBefore),
+        3 => (0u32..4).prop_map(|dt| Op::PopBefore(Due::Step(dt))),
     ]
+}
+
+/// Due times where the key's bit order has to match value order: a few
+/// ulps apart, across 600 decades, and the canonicalized `-0.0`.
+fn bit_level_due() -> impl Strategy<Value = Due> {
+    prop_oneof![
+        2 => (0u32..4).prop_map(Due::Step),
+        4 => (0u64..4).prop_map(Due::Ulps),
+        3 => ((1.0f64..10.0), (0u32..600)).prop_map(|(m, e)| Due::Plus(m * 10f64.powi(e as i32 - 300))),
+        1 => Just(Due::NegZero),
+    ]
+}
+
+fn bit_level_op_strategy() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        4 => ((0..MAX_SLOTS), bit_level_due()).prop_map(|(k, due)| Op::Schedule(k, due)),
+        2 => (0..MAX_SLOTS).prop_map(Op::Cancel),
+        3 => bit_level_due().prop_map(Op::PopBefore),
+    ]
+}
+
+/// Replays `ops` on a table of `slots` slots and on the heap, requiring
+/// the same pops, the same armed set and the same watermark after every
+/// operation, then drains both.
+fn replay_against_heap(slots: usize, ops: Vec<Op>) -> Result<(), TestCaseError> {
+    let mut table = TimerTable::new(slots);
+    let mut heap = EventQueue::new();
+    // The heap's handle per slot (stale once fired or cancelled) and
+    // its view of which slots are pending.
+    let mut ids: Vec<Option<EventId>> = vec![None; slots];
+    let mut pending = vec![false; slots];
+    let mut popped = Vec::new();
+
+    for op in ops {
+        match op {
+            Op::Schedule(k, due) => {
+                let (k, t) = (k % slots, due.at(heap.watermark()));
+                table.schedule(k, t);
+                // An armed slot moves under a fresh sequence; a
+                // disarmed one is scheduled anew.
+                let moved = ids[k].is_some_and(|id| heap.reschedule(id, t));
+                if !moved {
+                    ids[k] = Some(heap.schedule(t, k));
+                }
+                prop_assert_eq!(moved, pending[k], "re-arm of slot {}", k);
+                pending[k] = true;
+            }
+            Op::Cancel(k) => {
+                let k = k % slots;
+                let cancelled = ids[k].is_some_and(|id| heap.cancel(id));
+                prop_assert_eq!(table.cancel(k), cancelled, "cancel of slot {}", k);
+                pending[k] = false;
+            }
+            Op::PopBefore(due) => {
+                let limit = due.at(heap.watermark());
+                let from_heap = heap.pop_before(limit).map(|ev| (ev.time(), *ev.payload()));
+                let from_table = table.pop_before(limit);
+                prop_assert_eq!(from_table, from_heap);
+                // Equal times must also be equal bits: the table
+                // rebuilds each due time from its key.
+                prop_assert_eq!(
+                    from_table.map(|(t, _)| t.as_secs().to_bits()),
+                    from_heap.map(|(t, _)| t.as_secs().to_bits())
+                );
+                if let Some((t, k)) = from_heap {
+                    pending[k] = false;
+                    popped.push((t, k));
+                }
+                prop_assert_eq!(table.watermark(), heap.watermark());
+            }
+        }
+        prop_assert_eq!(table.len(), heap.len());
+        prop_assert_eq!(table.is_empty(), heap.is_empty());
+        for (k, &p) in pending.iter().enumerate() {
+            prop_assert_eq!(table.is_armed(k), p, "armed state of slot {}", k);
+        }
+    }
+    // Draining what is left keeps the two in lock step too.
+    while let Some(ev) = heap.pop() {
+        popped.push((ev.time(), *ev.payload()));
+        prop_assert_eq!(
+            table.pop_before(SimTime::from_secs(f64::MAX)),
+            Some((ev.time(), *ev.payload()))
+        );
+    }
+    prop_assert!(table.is_empty());
+    prop_assert!(
+        popped.windows(2).all(|w| w[0].0 <= w[1].0),
+        "pops out of time order"
+    );
+    Ok(())
 }
 
 proptest! {
@@ -42,61 +159,17 @@ proptest! {
         slots in 1..=MAX_SLOTS,
         ops in proptest::collection::vec(op_strategy(), 1..400),
     ) {
-        let mut table = TimerTable::new(slots);
-        let mut heap = EventQueue::new();
-        // The heap's handle per slot (stale once fired or cancelled) and
-        // its view of which slots are pending.
-        let mut ids: Vec<Option<EventId>> = vec![None; slots];
-        let mut pending = vec![false; slots];
-        let mut popped = Vec::new();
+        replay_against_heap(slots, ops)?;
+    }
 
-        for op in ops {
-            let at = |dt: u32| heap.watermark() + SimTime::from_secs(f64::from(dt));
-            match op {
-                Op::Schedule(k, dt) => {
-                    let (k, t) = (k % slots, at(dt));
-                    table.schedule(k, t);
-                    // An armed slot moves under a fresh sequence; a
-                    // disarmed one is scheduled anew.
-                    let moved = ids[k].is_some_and(|id| heap.reschedule(id, t));
-                    if !moved {
-                        ids[k] = Some(heap.schedule(t, k));
-                    }
-                    prop_assert_eq!(moved, pending[k], "re-arm of slot {}", k);
-                    pending[k] = true;
-                }
-                Op::Cancel(k) => {
-                    let k = k % slots;
-                    let cancelled = ids[k].is_some_and(|id| heap.cancel(id));
-                    prop_assert_eq!(table.cancel(k), cancelled, "cancel of slot {}", k);
-                    pending[k] = false;
-                }
-                Op::PopBefore(dt) => {
-                    let limit = at(dt);
-                    let from_heap = heap.pop_before(limit).map(|ev| (ev.time(), *ev.payload()));
-                    prop_assert_eq!(table.pop_before(limit), from_heap);
-                    if let Some((t, k)) = from_heap {
-                        pending[k] = false;
-                        popped.push((t, k));
-                    }
-                    prop_assert_eq!(table.watermark(), heap.watermark());
-                }
-            }
-            prop_assert_eq!(table.len(), heap.len());
-            prop_assert_eq!(table.is_empty(), heap.is_empty());
-            for (k, &p) in pending.iter().enumerate() {
-                prop_assert_eq!(table.is_armed(k), p, "armed state of slot {}", k);
-            }
-        }
-        // Draining what is left keeps the two in lock step too.
-        while let Some(ev) = heap.pop() {
-            popped.push((ev.time(), *ev.payload()));
-            prop_assert_eq!(
-                table.pop_before(SimTime::from_secs(f64::MAX)),
-                Some((ev.time(), *ev.payload()))
-            );
-        }
-        prop_assert!(table.is_empty());
-        prop_assert!(popped.windows(2).all(|w| w[0].0 <= w[1].0), "pops out of time order");
+    /// The same contract where the packed `(due, seq)` key must order
+    /// like the pair: due times a few ulps apart, from 1e-300 to 1e300
+    /// above the watermark, and `-0.0`.
+    #[test]
+    fn table_pops_like_the_heap_at_bit_level_due_times(
+        slots in 1..=MAX_SLOTS,
+        ops in proptest::collection::vec(bit_level_op_strategy(), 1..400),
+    ) {
+        replay_against_heap(slots, ops)?;
     }
 }

@@ -5,16 +5,22 @@
 //! packs the enabling rules and the dependency index into flat,
 //! cache-friendly arrays:
 //!
-//! * **Input arcs and conjunctive gate leaves** fuse into one flat
-//!   per-activity list of token-interval requirements
-//!   (`min <= tokens(place) <= max`): an arc `(p, need)` is
-//!   `[need, MAX]`, `Pred::has` is `[1, MAX]`, `Pred::empty` is
-//!   `[0, 0]`, and a top-level `All` contributes one entry per leaf.
-//!   Checking an activity is a short-circuit walk over contiguous
-//!   memory — the dominant case (every checkpoint-model gate is a
-//!   conjunction of one or two leaves) never leaves that loop.
-//! * **Residual gate predicates** (disjunctions and other shapes that
-//!   don't flatten into interval requirements) become *gate programs*:
+//! * **Place masks.** The marking keeps a bitset of its nonzero
+//!   places, and each activity's zero/nonzero tests lower to masks over
+//!   it: every `Has` or `Empty` leaf of a top-level conjunction (and
+//!   their negations), every input arc needing one token, and every
+//!   `Any` whose operands are all `Has` leaves. An activity then needs
+//!   `nonzero ⊇ must_have`, `nonzero ∩ must_be_empty = ∅` and
+//!   `nonzero ∩ any_of ≠ ∅` for each of its `any_of` groups: a few
+//!   word operations per 64 places. Every activity of the checkpoint
+//!   model lowers to masks alone.
+//! * **Token-interval requirements** (`min <= tokens(place) <= max`)
+//!   hold the conjunctive leaves that need a count, not just a nonzero
+//!   bit: an arc needing `n ≥ 2` tokens is `[n, MAX]`,
+//!   `Pred::at_least(p, n ≥ 2)` is `[n, MAX]` and its negation
+//!   `[0, n - 1]`. They are walked after the masks.
+//! * **Residual gate predicates** (other disjunctions, negated
+//!   compounds) become *gate programs*:
 //!   flat postfix bytecode ([`GateOp`]) over the token array, evaluated
 //!   by a fixed-size stack machine with zero dynamic dispatch. An
 //!   expression deeper than [`MAX_STACK`] becomes a single
@@ -62,7 +68,7 @@ pub(crate) enum GateOp {
 
 /// One token-interval requirement: activity enabling demands
 /// `min <= tokens(place) <= max`. Input arcs and conjunctive gate
-/// leaves both lower to this form.
+/// leaves that test more than zero/nonzero lower to this form.
 #[derive(Debug, Clone)]
 pub(crate) struct Req {
     place: u32,
@@ -70,19 +76,146 @@ pub(crate) struct Req {
     max: u64,
 }
 
+/// One word of an activity's place masks: bit `p % 64` of word
+/// `p / 64` stands for place `p`.
+#[derive(Debug, Clone, Copy, Default)]
+struct MaskWord {
+    /// Places that must hold a token.
+    must_have: u64,
+    /// Places that must be empty.
+    must_be_empty: u64,
+}
+
+/// One activity's enabling check: the mask word of places `0..64`
+/// inline, and `[start, end)` slices of the arenas of [`CompiledSan`],
+/// so that one lookup finds everything a model of up to 64 places
+/// needs.
+#[derive(Debug, Clone, Copy)]
+struct Check {
+    /// Places `0..64`; later words are in `CompiledSan::more_masks`.
+    first: MaskWord,
+    /// Into `any_of`, in words.
+    any_of: (u32, u32),
+    /// Into `reqs`.
+    reqs: (u32, u32),
+    /// Into `term_ops`.
+    terms: (u32, u32),
+}
+
+impl MaskWord {
+    /// Whether nonzero-place word `nz` satisfies this mask word.
+    #[inline]
+    fn admits(self, nz: u64) -> bool {
+        nz & self.must_have == self.must_have && nz & self.must_be_empty == 0
+    }
+}
+
+impl Check {
+    /// No interval requirement and no gate program: the masks decide.
+    #[inline]
+    fn masks_alone(&self) -> bool {
+        self.reqs.0 == self.reqs.1 && self.terms.0 == self.terms.1
+    }
+}
+
+/// The parts one activity's enabling rule lowers to, before they are
+/// appended to the arenas of [`CompiledSan`].
+#[derive(Default)]
+struct Lowered {
+    /// One word per 64 places.
+    masks: Vec<MaskWord>,
+    /// `any_of` groups, one word per 64 places each, concatenated.
+    any_of: Vec<u64>,
+    reqs: Vec<Req>,
+    residual: Vec<Pred>,
+}
+
+impl Lowered {
+    fn new(place_words: usize) -> Lowered {
+        Lowered {
+            masks: vec![MaskWord::default(); place_words],
+            ..Lowered::default()
+        }
+    }
+
+    fn must_have(&mut self, p: PlaceId) {
+        self.masks[p.0 >> 6].must_have |= 1u64 << (p.0 & 63);
+    }
+
+    fn must_be_empty(&mut self, p: PlaceId) {
+        self.masks[p.0 >> 6].must_be_empty |= 1u64 << (p.0 & 63);
+    }
+
+    fn req(&mut self, p: PlaceId, min: u64, max: u64) {
+        let place = u32::try_from(p.0).expect("more than 2^32 places");
+        self.reqs.push(Req { place, min, max });
+    }
+
+    /// Adds the conjunct `pred`: leaves (and negated leaves) of a
+    /// top-level conjunction become masks or [`Req`] entries, an `Any`
+    /// of `Has` leaves becomes an `any_of` group, and anything else —
+    /// other disjunctions, negated compounds — lands in `residual` for
+    /// the stack machine. The conjunction of all the parts is
+    /// equivalent to `pred`.
+    fn conjunct(&mut self, pred: &Pred) {
+        match pred {
+            // `tokens >= 0` always holds.
+            Pred::AtLeast(_, 0) => {}
+            Pred::Has(p) | Pred::AtLeast(p, 1) => self.must_have(*p),
+            Pred::Empty(p) => self.must_be_empty(*p),
+            Pred::AtLeast(p, n) => self.req(*p, *n, u64::MAX),
+            Pred::Not(x) => match &**x {
+                Pred::Has(p) | Pred::AtLeast(p, 1) => self.must_be_empty(*p),
+                Pred::Empty(p) => self.must_have(*p),
+                // ¬(tokens >= 0) is unsatisfiable: an empty interval.
+                Pred::AtLeast(p, 0) => self.req(*p, 1, 0),
+                Pred::AtLeast(p, n) => self.req(*p, 0, n - 1),
+                Pred::Not(y) => self.conjunct(y),
+                Pred::All(_) | Pred::Any(_) => self.residual.push(pred.clone()),
+            },
+            Pred::All(xs) => {
+                for x in xs {
+                    self.conjunct(x);
+                }
+            }
+            Pred::Any(xs) if xs.len() == 1 => self.conjunct(&xs[0]),
+            Pred::Any(xs) => {
+                let has = |x: &Pred| match x {
+                    Pred::Has(p) | Pred::AtLeast(p, 1) => Some(*p),
+                    _ => None,
+                };
+                if xs.iter().all(|x| has(x).is_some()) {
+                    // An empty group is `false`, as an empty `Any` is.
+                    let start = self.any_of.len();
+                    self.any_of.resize(start + self.masks.len(), 0);
+                    for p in xs.iter().filter_map(has) {
+                        self.any_of[start + (p.0 >> 6)] |= 1u64 << (p.0 & 63);
+                    }
+                } else {
+                    self.residual.push(pred.clone());
+                }
+            }
+        }
+    }
+}
+
 /// Flat arena built from a validated activity list; see the module docs.
 pub(crate) struct CompiledSan {
+    /// Words per place bitset (`ceil(places / 64)`, min 1).
+    place_words: usize,
+    /// Mask words past the first, `place_words - 1` per activity.
+    more_masks: Vec<MaskWord>,
+    /// `any_of` groups of all activities, `place_words` words each.
+    any_of: Vec<u64>,
     /// Interval requirements, all activities concatenated.
     reqs: Vec<Req>,
-    /// Per-activity `[start, end)` into `reqs`.
-    req_range: Vec<(u32, u32)>,
     /// Gate-program instructions, all residual gates of all activities
     /// concatenated.
     ops: Vec<GateOp>,
     /// Per-gate `[start, end)` into `ops`; one entry per residual term.
     term_ops: Vec<(u32, u32)>,
-    /// Per-activity `[start, end)` into `term_ops`.
-    term_range: Vec<(u32, u32)>,
+    /// Per-activity checks.
+    checks: Vec<Check>,
     /// Words per activity bitmask row (`ceil(activities / 64)`, min 1).
     pub(crate) mask_words: usize,
     /// Place-major rows of timed dependents: bit `a` of row `p` is set
@@ -123,12 +256,17 @@ impl CompiledSan {
     pub(crate) fn build(place_count: usize, activities: &[ActivityDef]) -> CompiledSan {
         let n = activities.len();
         let mask_words = n.div_ceil(64).max(1);
+        // At least one word, as in the marking's nonzero bitset, so an
+        // `any_of` group is never empty even in a model without places.
+        let place_words = place_count.div_ceil(64).max(1);
         let mut c = CompiledSan {
+            place_words,
+            more_masks: Vec::with_capacity(n * (place_words - 1)),
+            any_of: Vec::new(),
             reqs: Vec::new(),
-            req_range: Vec::with_capacity(n),
             ops: Vec::new(),
             term_ops: Vec::new(),
-            term_range: Vec::with_capacity(n),
+            checks: Vec::with_capacity(n),
             mask_words,
             place_timed_mask: vec![0; place_count * mask_words],
             place_inst_mask: vec![0; place_count * mask_words],
@@ -141,36 +279,17 @@ impl CompiledSan {
             inst_priority_order: Vec::new(),
         };
         let mut by_priority: Vec<(u32, u32)> = Vec::new();
-        let mut residual = Vec::new();
         for (i, def) in activities.iter().enumerate() {
-            let req_start = u32::try_from(c.reqs.len()).expect("req arena overflow");
+            let mut lowered = Lowered::new(place_words);
             for &(p, need) in &def.input_arcs {
-                c.reqs.push(Req {
-                    place: u32::try_from(p.0).expect("more than 2^32 places"),
-                    min: need,
-                    max: u64::MAX,
-                });
+                lowered.conjunct(&Pred::AtLeast(p, need));
             }
-            let term_start = u32::try_from(c.term_ops.len()).expect("term arena overflow");
             for g in &def.input_gates {
-                // Conjunctive leaves join the requirement list; only
-                // non-conjunctive residue needs a gate program.
-                split(g.pred(), &mut c.reqs, &mut residual);
-                for r in residual.drain(..) {
-                    let op_start = u32::try_from(c.ops.len()).expect("op arena overflow");
-                    if compilable(&r) {
-                        emit(&r, &mut c.ops);
-                    } else {
-                        c.ops.push(GateOp::Tree(Box::new(r)));
-                    }
-                    let op_end = u32::try_from(c.ops.len()).expect("op arena overflow");
-                    c.term_ops.push((op_start, op_end));
-                }
+                // Conjunctive leaves become masks and requirements;
+                // only non-conjunctive residue needs a gate program.
+                lowered.conjunct(g.pred());
             }
-            let req_end = u32::try_from(c.reqs.len()).expect("req arena overflow");
-            c.req_range.push((req_start, req_end));
-            let term_end = u32::try_from(c.term_ops.len()).expect("term arena overflow");
-            c.term_range.push((term_start, term_end));
+            c.push(lowered);
 
             // Dependency rows: the places whose token counts can flip
             // this activity's enabling.
@@ -211,28 +330,86 @@ impl CompiledSan {
         c
     }
 
-    /// Evaluates activity `a`'s enabling rule (interval requirements,
-    /// then residual gate programs, both short-circuit) against
-    /// `marking`. Equivalent by construction to
-    /// [`ActivityDef::enabled`]: enabling is a pure predicate, so
-    /// folding the gates' conjunctive leaves into the requirement walk
-    /// reorders evaluation without changing the result.
+    /// Appends one activity's lowered enabling rule to the arenas.
+    fn push(&mut self, lowered: Lowered) {
+        let arena = |len: usize| u32::try_from(len).expect("compiled arena overflow");
+        self.more_masks.extend_from_slice(&lowered.masks[1..]);
+        let any_start = arena(self.any_of.len());
+        self.any_of.extend(lowered.any_of);
+        let req_start = arena(self.reqs.len());
+        self.reqs.extend(lowered.reqs);
+        let term_start = arena(self.term_ops.len());
+        for r in lowered.residual {
+            let op_start = arena(self.ops.len());
+            if compilable(&r) {
+                emit(&r, &mut self.ops);
+            } else {
+                self.ops.push(GateOp::Tree(Box::new(r)));
+            }
+            self.term_ops.push((op_start, arena(self.ops.len())));
+        }
+        self.checks.push(Check {
+            first: lowered.masks[0],
+            any_of: (any_start, arena(self.any_of.len())),
+            reqs: (req_start, arena(self.reqs.len())),
+            terms: (term_start, arena(self.term_ops.len())),
+        });
+    }
+
+    /// Evaluates activity `a`'s enabling rule against `marking`: place
+    /// masks over its nonzero bitset, then interval requirements, then
+    /// residual gate programs, each short-circuit. Equivalent by
+    /// construction to [`ActivityDef::enabled`]: enabling is a pure
+    /// predicate, so splitting it into these parts reorders evaluation
+    /// without changing the result.
     #[inline]
     pub(crate) fn enabled(&self, a: usize, marking: &Marking) -> bool {
-        let (s, e) = self.req_range[a];
-        for r in &self.reqs[s as usize..e as usize] {
-            let t = marking.tokens(PlaceId(r.place as usize));
-            if t < r.min || t > r.max {
+        let nonzero = marking.nonzero_words();
+        let c = &self.checks[a];
+        if !c.first.admits(nonzero[0]) {
+            return false;
+        }
+        let more = self.place_words - 1;
+        if more > 0 {
+            let masks = &self.more_masks[a * more..(a + 1) * more];
+            if !nonzero[1..].iter().zip(masks).all(|(&nz, m)| m.admits(nz)) {
                 return false;
             }
         }
-        let (ts, te) = self.term_range[a];
-        for t in ts as usize..te as usize {
-            if !self.eval_term(self.term_ops[t], marking) {
+        let words = self.place_words;
+        let (mut g, end) = (c.any_of.0 as usize, c.any_of.1 as usize);
+        while g < end {
+            let group = &self.any_of[g..g + words];
+            if nonzero.iter().zip(group).all(|(&nz, &any)| nz & any == 0) {
+                return false;
+            }
+            g += words;
+        }
+        c.masks_alone() || self.counts_and_programs(c, marking)
+    }
+
+    /// The part of an enabling check the masks cannot decide: interval
+    /// requirements, then residual gate programs, both short-circuit.
+    /// Out of line, so the mask path stays small.
+    #[inline(never)]
+    fn counts_and_programs(&self, r: &Check, marking: &Marking) -> bool {
+        let (s, e) = r.reqs;
+        for req in &self.reqs[s as usize..e as usize] {
+            let t = marking.tokens(PlaceId(req.place as usize));
+            if t < req.min || t > req.max {
                 return false;
             }
         }
-        true
+        let (s, e) = r.terms;
+        self.term_ops[s as usize..e as usize]
+            .iter()
+            .all(|&term| self.eval_term(term, marking))
+    }
+
+    /// Whether activity `a` lowered to place masks alone, with no
+    /// interval requirement and no gate program.
+    pub(crate) fn masks_alone(&self, a: usize) -> bool {
+        self.checks[a].masks_alone()
     }
 
     /// Runs one gate program on the fixed-size stack machine.
@@ -318,64 +495,6 @@ fn set_bit(words: &mut [u64], bit: usize) {
 /// limits; anything else becomes one [`GateOp::Tree`].
 fn compilable(pred: &Pred) -> bool {
     arity_ok(pred) && depth(pred) <= MAX_STACK
-}
-
-/// Decomposes `pred` into interval requirements plus non-conjunctive
-/// residue: leaves (and negated leaves) of a top-level conjunction
-/// become [`Req`] entries; anything else — disjunctions, negated
-/// compounds — lands in `residual` for the stack machine. The
-/// conjunction of all emitted parts is equivalent to `pred`.
-fn split(pred: &Pred, reqs: &mut Vec<Req>, residual: &mut Vec<Pred>) {
-    let place = |p: &PlaceId| u32::try_from(p.0).expect("more than 2^32 places");
-    match pred {
-        Pred::Has(p) => reqs.push(Req {
-            place: place(p),
-            min: 1,
-            max: u64::MAX,
-        }),
-        Pred::AtLeast(p, n) => reqs.push(Req {
-            place: place(p),
-            min: *n,
-            max: u64::MAX,
-        }),
-        Pred::Empty(p) => reqs.push(Req {
-            place: place(p),
-            min: 0,
-            max: 0,
-        }),
-        Pred::Not(x) => match &**x {
-            Pred::Has(p) => reqs.push(Req {
-                place: place(p),
-                min: 0,
-                max: 0,
-            }),
-            Pred::Empty(p) => reqs.push(Req {
-                place: place(p),
-                min: 1,
-                max: u64::MAX,
-            }),
-            // ¬(tokens >= 0) is unsatisfiable: an empty interval.
-            Pred::AtLeast(p, 0) => reqs.push(Req {
-                place: place(p),
-                min: 1,
-                max: 0,
-            }),
-            Pred::AtLeast(p, n) => reqs.push(Req {
-                place: place(p),
-                min: 0,
-                max: n - 1,
-            }),
-            Pred::Not(y) => split(y, reqs, residual),
-            Pred::All(_) | Pred::Any(_) => residual.push(pred.clone()),
-        },
-        Pred::All(xs) => {
-            for x in xs {
-                split(x, reqs, residual);
-            }
-        }
-        Pred::Any(xs) if xs.len() == 1 => split(&xs[0], reqs, residual),
-        Pred::Any(_) => residual.push(pred.clone()),
-    }
 }
 
 fn arity_ok(pred: &Pred) -> bool {
@@ -518,6 +637,41 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn zero_nonzero_tests_lower_to_masks_and_counts_stay_intervals() {
+        let mut b = SanBuilder::new("lowering");
+        let p: Vec<_> = (0..70).map(|i| b.place(format!("p{i}"), 0)).collect();
+        let d = || crate::Delay::from(Dist::deterministic(1.0));
+        b.timed_activity("masks", d())
+            .input_arc(p[65], 1)
+            .enabled_if("leaves", Pred::has(p[1]).and(Pred::empty(p[66])))
+            .enabled_if("negated", Pred::at_least(p[2], 1).negate())
+            .enabled_if("any", Pred::has(p[3]).or(Pred::at_least(p[67], 1)))
+            .output_arc(p[0], 1)
+            .build();
+        b.timed_activity("counts", d())
+            .input_arc(p[4], 2)
+            .enabled_if("below", Pred::at_least(p[5], 3).negate())
+            .enabled_if("mixed_any", Pred::has(p[6]).or(Pred::empty(p[7])))
+            .output_arc(p[0], 1)
+            .build();
+        let san = b.build().unwrap();
+        let c = &san.compiled;
+        assert_eq!(c.place_words, 2);
+        assert!(c.masks_alone(0) && !c.masks_alone(1));
+        let bit = |i: usize| 1u64 << (i & 63);
+        assert_eq!(c.checks[0].first.must_have, bit(1));
+        assert_eq!(c.more_masks[0].must_have, bit(65));
+        assert_eq!(c.checks[0].first.must_be_empty, bit(2));
+        assert_eq!(c.more_masks[0].must_be_empty, bit(66));
+        assert_eq!(c.any_of, [bit(3), bit(67)]);
+        // Activity 1: two intervals and one gate program, no masks.
+        let m = [c.checks[1].first, c.more_masks[1]];
+        assert!(m.iter().all(|m| m.must_have | m.must_be_empty == 0));
+        assert_eq!(c.checks[1].reqs, (0, 2));
+        assert_eq!(c.checks[1].terms, (0, 1));
     }
 
     #[test]

@@ -44,9 +44,13 @@ impl fmt::Display for FluidId {
 /// resetting the window clears only the set bits, so the steady state
 /// allocates nothing and never scans the full place space. The mask
 /// doubles as the scheduler's input: it is OR-folded against precomputed
-/// place→activity dependency bitsets without walking the list. Equality
-/// ([`PartialEq`]) compares tokens and fluid levels only — never the
-/// bookkeeping.
+/// place→activity dependency bitsets without walking the list.
+///
+/// A second bitset mirrors which places hold at least one token, kept
+/// current by every token mutation at the cost of one bit write; the
+/// compiled enabling checks test zero/nonzero conditions against it a
+/// word at a time. Equality ([`PartialEq`]) compares tokens and fluid
+/// levels only — never the bookkeeping.
 #[derive(Debug, Clone)]
 pub struct Marking {
     tokens: Vec<u64>,
@@ -60,6 +64,9 @@ pub struct Marking {
     /// Bit-per-place mirror of `dirty`: bit `p` of word `p / 64` is set
     /// iff place `p` is in the list.
     dirty_words: Vec<u64>,
+    /// Bit `p % 64` of word `p / 64` is set iff place `p` holds a token;
+    /// at least one word.
+    nonzero: Vec<u64>,
 }
 
 impl PartialEq for Marking {
@@ -71,12 +78,14 @@ impl PartialEq for Marking {
 impl Marking {
     pub(crate) fn new(tokens: Vec<u64>, fluid: Vec<f64>) -> Marking {
         let places = tokens.len();
+        let nonzero = nonzero_words(&tokens);
         Marking {
             tokens,
             fluid,
             version: 0,
             dirty: Vec::with_capacity(places),
             dirty_words: vec![0; places.div_ceil(64)],
+            nonzero,
         }
     }
 
@@ -96,6 +105,7 @@ impl Marking {
             self.tokens[place.0] = count;
             self.version += 1;
             self.mark_dirty(place.0);
+            self.set_nonzero(place.0, count != 0);
         }
     }
 
@@ -105,6 +115,7 @@ impl Marking {
             self.tokens[place.0] += count;
             self.version += 1;
             self.mark_dirty(place.0);
+            self.set_nonzero(place.0, true);
         }
     }
 
@@ -123,6 +134,7 @@ impl Marking {
             self.tokens[place.0] = have - count;
             self.version += 1;
             self.mark_dirty(place.0);
+            self.set_nonzero(place.0, have != count);
         }
     }
 
@@ -202,9 +214,17 @@ impl Marking {
         &self.dirty_words
     }
 
+    /// The nonzero-place bitset: bit `p % 64` of word `p / 64` is set
+    /// iff place `p` holds at least one token. At least one word long.
+    #[inline]
+    pub(crate) fn nonzero_words(&self) -> &[u64] {
+        &self.nonzero
+    }
+
     /// Debug-build check that the dirty bitmask and the dirty list
-    /// describe the same set of places; called from the simulator's
-    /// per-event consistency assertion.
+    /// describe the same set of places, and that the nonzero bitset
+    /// matches the token counts; called from the simulator's per-event
+    /// consistency assertion.
     #[cfg(debug_assertions)]
     pub(crate) fn assert_dirty_consistency(&self) {
         let mut expect = vec![0u64; self.dirty_words.len()];
@@ -215,6 +235,22 @@ impl Marking {
             expect, self.dirty_words,
             "dirty bitmask out of sync with the dirty-place list"
         );
+        debug_assert_eq!(
+            nonzero_words(&self.tokens),
+            self.nonzero,
+            "nonzero bitset out of sync with the token counts"
+        );
+    }
+
+    #[inline]
+    fn set_nonzero(&mut self, place: usize, nonzero: bool) {
+        let word = &mut self.nonzero[place >> 6];
+        let bit = 1u64 << (place & 63);
+        if nonzero {
+            *word |= bit;
+        } else {
+            *word &= !bit;
+        }
     }
 
     fn mark_dirty(&mut self, place: usize) {
@@ -225,6 +261,15 @@ impl Marking {
             self.dirty.push(place as u32);
         }
     }
+}
+
+/// The nonzero-place bitset of `tokens` (see [`Marking`]).
+fn nonzero_words(tokens: &[u64]) -> Vec<u64> {
+    let mut words = vec![0u64; tokens.len().div_ceil(64).max(1)];
+    for (p, _) in tokens.iter().enumerate().filter(|(_, &t)| t != 0) {
+        words[p >> 6] |= 1u64 << (p & 63);
+    }
+    words
 }
 
 #[cfg(test)]
@@ -363,6 +408,24 @@ mod tests {
                 assert_mask_matches_list(&m);
             }
         }
+    }
+
+    #[test]
+    fn nonzero_bitset_tracks_tokens_across_words() {
+        let mut m = Marking::new(vec![0; 130], vec![]);
+        let bits = |m: &Marking| m.nonzero_words().to_vec();
+        assert_eq!(bits(&m), [0, 0, 0]);
+        m.add_tokens(PlaceId(129), 2);
+        m.set_tokens(PlaceId(64), 1);
+        m.add_tokens(PlaceId(0), 1);
+        assert_eq!(bits(&m), [1, 1, 1 << 1]);
+        m.remove_tokens(PlaceId(129), 1); // one left: still nonzero
+        m.remove_tokens(PlaceId(0), 1);
+        m.set_tokens(PlaceId(64), 0);
+        assert_eq!(bits(&m), [0, 0, 1 << 1]);
+        assert_eq!(bits(&Marking::new(vec![3, 0, 1], vec![])), [0b101]);
+        // A marking without places still has one (empty) word.
+        assert_eq!(bits(&Marking::new(vec![], vec![])), [0]);
     }
 
     #[test]

@@ -104,14 +104,24 @@ impl San {
         (0..self.activities.len()).map(ActivityId)
     }
 
-    /// Evaluates `activity`'s enabling rule through the compiled gate
-    /// programs — the code path the incremental scheduler's hot loop
-    /// runs. Equal to [`San::enabled_reference`] for every marking (the
-    /// debug-build consistency assertion and the equivalence test suites
-    /// enforce this).
+    /// Evaluates `activity`'s enabling rule through its compiled form
+    /// (place masks, interval requirements, gate programs) — the code
+    /// path the incremental scheduler's hot loop runs. Equal to
+    /// [`San::enabled_reference`] for every marking (the debug-build
+    /// consistency assertion and the equivalence test suites enforce
+    /// this).
     #[must_use]
     pub fn enabled_fast(&self, activity: ActivityId, marking: &Marking) -> bool {
         self.compiled.enabled(activity.0, marking)
+    }
+
+    /// Whether [`San::enabled_fast`] decides `activity` from the place
+    /// masks alone: every input arc needs one token, and every gate is a
+    /// conjunction of `Has`/`Empty` leaves and `Any`s of `Has` leaves,
+    /// so no token count is read and no gate program runs.
+    #[must_use]
+    pub fn enabled_by_masks_alone(&self, activity: ActivityId) -> bool {
+        self.compiled.masks_alone(activity.0)
     }
 
     /// Evaluates `activity`'s enabling rule by walking its definition

@@ -140,3 +140,103 @@ proptest! {
         }
     }
 }
+
+/// SplitMix64: the random source for predicate trees, seeded by
+/// proptest (the vendored proptest has no recursive strategies).
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// A random predicate of depth at most `depth` over `places`: leaves
+/// `Has`, `Empty` and `AtLeast(0..3)`, and `Not`, `All` and `Any` of up
+/// to three operands. One compound in four is an `Any` of `Has` leaves,
+/// the disjunction shape that lowers to a mask.
+fn random_pred(mix: &mut Mix, places: &[ckpt_san::PlaceId], depth: u32) -> Pred {
+    let place = |mix: &mut Mix| places[mix.below(places.len() as u64) as usize];
+    let leaf = depth == 0 || mix.below(5) < 2;
+    if leaf {
+        return match mix.below(3) {
+            0 => Pred::Has(place(mix)),
+            1 => Pred::Empty(place(mix)),
+            _ => Pred::AtLeast(place(mix), mix.below(3)),
+        };
+    }
+    let operands = |mix: &mut Mix| -> Vec<Pred> {
+        (0..mix.below(4))
+            .map(|_| random_pred(mix, places, depth - 1))
+            .collect()
+    };
+    match mix.below(4) {
+        0 => Pred::Not(Box::new(random_pred(mix, places, depth - 1))),
+        1 => Pred::All(operands(mix)),
+        2 => Pred::Any(operands(mix)),
+        _ => Pred::Any(
+            (0..1 + mix.below(3))
+                .map(|_| Pred::Has(place(mix)))
+                .collect(),
+        ),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Random gates (depth ≤ 4) and input arcs (1–3 tokens) on a net of
+    /// 70–130 places, so the place masks span two or three words and
+    /// most activities mix masks, interval requirements and gate
+    /// programs: the lowered check equals the definition walk for every
+    /// activity on random markings of 0–4 tokens per place.
+    #[test]
+    fn random_predicates_lower_exactly(
+        place_count in 70usize..131,
+        seed in 0u64..u64::MAX,
+        tokens in proptest::collection::vec(0u64..5, 130..131),
+    ) {
+        let mut mix = Mix(seed);
+        let mut b = SanBuilder::new("random");
+        let places: Vec<_> = (0..place_count)
+            .map(|i| b.place(format!("p{i}"), tokens[i]))
+            .collect();
+        for a in 0..1 + mix.below(12) {
+            let mut act = b.timed_activity(format!("a{a}"), Delay::from(Dist::exponential(1.0)));
+            for _ in 0..mix.below(3) {
+                let p = places[mix.below(place_count as u64) as usize];
+                act = act.input_arc(p, 1 + mix.below(3));
+            }
+            for g in 0..1 + mix.below(3) {
+                act = act.enabled_if(&format!("g{g}"), random_pred(&mut mix, &places, 4));
+            }
+            act.build();
+        }
+        let san = b.build().expect("random net is well-formed");
+        let mut m = san.initial_marking();
+        for round in 0..8 {
+            if round > 0 {
+                for &place in &places {
+                    m.set_tokens(place, mix.below(5));
+                }
+            }
+            for a in san.activity_ids() {
+                prop_assert_eq!(
+                    san.enabled_fast(a, &m),
+                    san.enabled_reference(a, &m),
+                    "diverged for {} (round {})",
+                    san.activity_name(a),
+                    round
+                );
+            }
+        }
+    }
+}

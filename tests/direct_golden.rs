@@ -8,6 +8,11 @@
 //! engine's own future-event list may be reimplemented freely, but it
 //! must pop events in the same `(time, FIFO)` order, so these values
 //! never change. A mismatch is a regression, not a test to update.
+//! The last two classes, `no_app_io` (no I/O phase, so the app-phase
+//! timer is cancelled) and `no_app_data_write` (zero-length data
+//! write), were captured later from the timer-table engine, before its
+//! config-derived durations became constants computed once per
+//! simulator; no other class reaches those two branches.
 //!
 //! Each class also runs with both `QueueKind`s passed to
 //! `DirectSimulator::with_queue`: the choice must not change a bit.
@@ -148,6 +153,12 @@ fn classes() -> Vec<(&'static str, SystemConfig, Row)> {
             build(b().failures_enabled(false)),
             FAILURES_DISABLED,
         ),
+        ("no_app_io", build(harsh().compute_fraction(1.0)), NO_APP_IO),
+        (
+            "no_app_data_write",
+            build(harsh().app_io_data_per_node_mb(0.0)),
+            NO_APP_DATA_WRITE,
+        ),
     ]
 }
 
@@ -279,4 +290,16 @@ const FAILURES_DISABLED: Row = [
     37319, 0x413b_7740_0000_0000, 0x413a_9ffc_ea0e_a165, 0x0000_0000_0000_0000,
     0, 0, 0, 0, 970, 0, 0, 0, 0, 0, 0, 0, 0,
     0x413a_9ffc_ea0e_a165, 0x40c2_f200_0000_0000, 0x40e6_2be2_be2b_d364, 0x0000_0000_0000_0000, 0x0000_0000_0000_0000,
+];
+#[rustfmt::skip]
+const NO_APP_IO: Row = [
+    4177, 0x413b_7740_0000_0000, 0x4110_edc7_5f81_f76f, 0x4124_2bc0_4a08_2d4b,
+    1895, 26, 0, 0, 154, 0, 0, 0, 1017, 895, 0, 0, 0,
+    0x412c_a2a3_f9c9_2903, 0x4099_7b40_b727_2f00, 0x40bd_3665_2cff_2660, 0x412a_04b1_9b81_4519, 0x0000_0000_0000_0000,
+];
+#[rustfmt::skip]
+const NO_APP_DATA_WRITE: Row = [
+    14531, 0x413b_7740_0000_0000, 0x4110_2684_ade5_c079, 0x4123_fb2c_5838_4a9c,
+    1984, 25, 0, 0, 148, 0, 0, 0, 1026, 968, 0, 0, 0,
+    0x412c_0e6e_af2b_2ad9, 0x4098_db6c_160a_c700, 0x40bc_2cad_f62e_3fe0, 0x412a_9b4a_3edd_7344, 0x0000_0000_0000_0000,
 ];
