@@ -123,9 +123,7 @@ SERVE FLAGS:
                              address is printed as 'listening on ADDR')
     --store DIR              job-store directory            [.ckptsim-store]
     --workers N              scheduler worker threads       [all cores]
-    --shards N               work units per job (1 = never shard)       [1]
-    --batch N                smallest replications per work unit        [1]
-    --snapshot-every N       journal persist cadence per work unit      [1]
+    --snapshot-every N       journal persist cadence per job, in reps   [1]
 
 CLIENT FLAGS:
     --server A               server address                 [127.0.0.1:7070]

@@ -57,16 +57,6 @@ pub fn serve(args: Vec<String>) -> Result<(), CkptError> {
                     .parse()
                     .map_err(|e| usage(format!("--workers: {e}")))?;
             }
-            "--shards" => {
-                tuning.shards = value_for("--shards")?
-                    .parse()
-                    .map_err(|e| usage(format!("--shards: {e}")))?;
-            }
-            "--batch" => {
-                tuning.batch = value_for("--batch")?
-                    .parse()
-                    .map_err(|e| usage(format!("--batch: {e}")))?;
-            }
             "--snapshot-every" => {
                 tuning.snapshot_every = value_for("--snapshot-every")?
                     .parse()

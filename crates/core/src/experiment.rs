@@ -4,12 +4,11 @@
 //!
 //! # Replication ranges
 //!
-//! A range `lo..hi` of replication indices is the unit of work:
-//! [`Experiment::run_range`] returns one [`Replicate`] per replication,
-//! and [`Experiment::estimate`] aggregates replicates. A whole run is a
-//! range plus one per sequential-stopping round, so ranges run apart —
-//! in any order, or read back from a journal — concatenate into the
-//! same estimate bit for bit.
+//! A whole run is the range `0..replications` plus one range per
+//! sequential-stopping round, all run by one `RangeRunner`; a
+//! replication read back from a [`ReplicationStore`] takes the place of
+//! running it, so a resumed run aggregates into the same estimate bit
+//! for bit.
 //!
 //! # Parallel execution
 //!
@@ -126,18 +125,18 @@ pub struct CachedReplication {
     pub events: u64,
 }
 
-/// One replication's outcome: what [`Experiment::run_range`] returns
-/// per replication and what [`Experiment::estimate`] aggregates.
+/// One replication's outcome, as a range run returns it and
+/// [`Experiment::estimate`] aggregates it.
 #[derive(Debug, Clone)]
-pub struct Replicate {
+struct Replicate {
     /// The replication's measurement-window metrics.
-    pub metrics: Metrics,
+    metrics: Metrics,
     /// Its wall-clock cost and event count.
-    pub profile: ReplicationProfile,
+    profile: ReplicationProfile,
     /// Its recording, when [`Experiment::observe`] was set and it ran.
-    pub recording: Option<Recorder>,
+    recording: Option<Recorder>,
     /// The panic the supervisor's same-seed retry recovered, if any.
-    pub fault: Option<WorkerFault>,
+    fault: Option<WorkerFault>,
 }
 
 impl From<CachedReplication> for Replicate {
@@ -387,7 +386,7 @@ pub enum Estimation {
 }
 
 /// Result of an experiment: per-replication metrics plus aggregate
-/// confidence intervals. Built only by [`Experiment::estimate`].
+/// confidence intervals. Built only by running an [`Experiment`].
 #[derive(Debug, Clone)]
 pub struct Estimate {
     config: SystemConfig,
@@ -833,36 +832,13 @@ impl Experiment {
         Ok(self.estimate(replicates))
     }
 
-    /// Runs replications `range` (replication `k` on seed
-    /// `base_seed + k`, after the warm-up) across [`Experiment::jobs`]
-    /// workers and returns their outcomes in index order. Each one is
-    /// looked up in and recorded into `control.store` as in a whole
-    /// run, so only indices inside `range` reach the store. A range is
-    /// always independent replications, whatever the estimation.
-    ///
-    /// # Errors
-    ///
-    /// As [`Experiment::run_controlled`]; an interrupt reports the
-    /// replications of this range that completed.
-    pub fn run_range(
-        &self,
-        range: Range<u32>,
-        control: RunControl<'_>,
-    ) -> Result<Vec<Replicate>, ExperimentError> {
-        let runner = RangeRunner::new(self, control, range.len())?;
-        let mut replicates = Vec::with_capacity(range.len());
-        runner.run(range, &mut replicates)?;
-        Ok(replicates)
-    }
-
     /// Aggregates `replicates`, in replication order, into this
     /// experiment's [`Estimate`] — the one way an estimate is built,
-    /// whether the replicates just ran, came from ranges run apart or
-    /// were read back from a journal. Under [`Estimation::BatchMeans`]
-    /// the replicates are the batches, and their profiles fold into the
-    /// single whole-run profile the estimate reports.
-    #[must_use]
-    pub fn estimate(&self, replicates: Vec<Replicate>) -> Estimate {
+    /// whether the replicates just ran or were read back from a
+    /// journal. Under [`Estimation::BatchMeans`] the replicates are the
+    /// batches, and their profiles fold into the single whole-run
+    /// profile the estimate reports.
+    fn estimate(&self, replicates: Vec<Replicate>) -> Estimate {
         let mut est = Estimate {
             config: self.config.clone(),
             engine: self.engine,
@@ -1745,122 +1721,6 @@ mod tests {
         // has a recording.
         assert_eq!(observed.recordings().len(), 3);
         assert!(observed.profiles().iter().all(|p| p.events > 0));
-    }
-
-    /// Records every store call a range makes, forwarding to one store
-    /// shared by all the ranges of a run.
-    struct Probe<'a> {
-        shared: &'a TestStore,
-        calls: Mutex<Vec<u32>>,
-    }
-
-    impl ReplicationStore for Probe<'_> {
-        fn lookup(&self, rep: u32) -> Option<CachedReplication> {
-            self.calls.lock().unwrap().push(rep);
-            self.shared.lookup(rep)
-        }
-
-        fn record(&self, rep: u32, metrics: &Metrics, events: u64) {
-            self.calls.lock().unwrap().push(rep);
-            self.shared.record(rep, metrics, events);
-        }
-    }
-
-    /// Every bit of a replicate that reaches a result: all `Metrics`
-    /// fields and the event count.
-    fn replicate_bits(m: &Metrics, events: u64) -> Vec<u64> {
-        let mut v = vec![
-            m.window_secs.to_bits(),
-            m.useful_work_secs.to_bits(),
-            m.work_lost_secs.to_bits(),
-            events,
-        ];
-        v.extend(
-            ckpt_obs::PhaseKind::ALL
-                .iter()
-                .map(|&p| m.phase_times.get(p).to_bits()),
-        );
-        v.push(m.counters.compute_failures);
-        v.push(m.counters.io_failures);
-        v.push(m.counters.master_failures);
-        v.push(m.counters.generic_failures);
-        v.push(m.counters.checkpoints_completed);
-        v.push(m.counters.checkpoints_aborted_timeout);
-        v.push(m.counters.checkpoints_aborted_io);
-        v.push(m.counters.checkpoints_aborted_master);
-        v.push(m.counters.recoveries);
-        v.push(m.counters.failed_recoveries);
-        v.push(m.counters.reboots);
-        v.push(m.counters.correlated_windows);
-        v.push(m.counters.spatial_co_failures);
-        v
-    }
-
-    fn estimate_bits(est: &Estimate) -> Vec<Vec<u64>> {
-        est.replicates()
-            .iter()
-            .zip(est.profiles())
-            .map(|(m, p)| replicate_bits(m, p.events))
-            .collect()
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig { cases: 12, ..proptest::ProptestConfig::default() })]
-
-        /// Ranges are the unit of work: `0..n` cut anywhere, run in any
-        /// order at any worker count against one store, concatenates
-        /// into exactly the estimate of one whole run, and each range
-        /// touches the store only inside itself.
-        #[test]
-        fn ranges_run_apart_concatenate_into_the_whole_run(
-            n in 1u32..8,
-            cuts in proptest::collection::vec(0u8..2, 7..8),
-            order in proptest::collection::vec(0u64..1_000, 8..9),
-            jobs in proptest::collection::vec(1usize..4, 8..9),
-            san in 0u8..2,
-        ) {
-            let engine = if san == 1 { EngineKind::San } else { EngineKind::Direct };
-            let exp = Experiment::new(SystemConfig::builder().processors(4_096).build().unwrap())
-                .engine(engine)
-                .transient(SimTime::from_hours(20.0))
-                .horizon(SimTime::from_hours(100.0))
-                .replications(n)
-                .seed(41);
-            let whole = exp.clone().jobs(1).run().unwrap();
-
-            let mut bounds = vec![0];
-            bounds.extend((1..n).filter(|&k| cuts[k as usize - 1] == 1));
-            bounds.push(n);
-            let mut ranges: Vec<Range<u32>> = bounds.windows(2).map(|w| w[0]..w[1]).collect();
-            ranges.sort_by_key(|r| order[r.start as usize]);
-
-            let shared = TestStore::default();
-            let mut pieces = Vec::new();
-            for (i, range) in ranges.into_iter().enumerate() {
-                let probe = Probe { shared: &shared, calls: Mutex::new(Vec::new()) };
-                let control = RunControl { store: Some(&probe), interrupt: None, progress: None };
-                let piece = exp.clone().jobs(jobs[i]).run_range(range.clone(), control).unwrap();
-                proptest::prop_assert_eq!(piece.len(), range.len());
-                let calls = probe.calls.into_inner().unwrap();
-                proptest::prop_assert!(
-                    calls.iter().all(|rep| range.contains(rep)),
-                    "range {:?} touched {:?}", range, calls
-                );
-                for rep in range.clone() {
-                    // One lookup (a miss) and one record per replication.
-                    proptest::prop_assert_eq!(calls.iter().filter(|&&c| c == rep).count(), 2);
-                }
-                pieces.push((range.start, piece));
-            }
-            pieces.sort_by_key(|(start, _)| *start);
-            let joined = exp.estimate(pieces.into_iter().flat_map(|(_, p)| p).collect());
-            proptest::prop_assert_eq!(estimate_bits(&joined), estimate_bits(&whole));
-            proptest::prop_assert_eq!(
-                joined.useful_work_fraction().mean.to_bits(),
-                whole.useful_work_fraction().mean.to_bits()
-            );
-            proptest::prop_assert_eq!(shared.cached.lock().unwrap().len(), n as usize);
-        }
     }
 
     #[test]

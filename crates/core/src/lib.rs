@@ -55,8 +55,7 @@ pub mod trace;
 pub use config::{ConfigError, CoordinationMode, SystemConfig};
 pub use experiment::{
     default_jobs, run_indexed, CachedReplication, EngineKind, Estimate, Estimation, Experiment,
-    ExperimentError, ObserveSpec, Replicate, ReplicationProfile, ReplicationStore, RunControl,
-    WorkerFault,
+    ExperimentError, ObserveSpec, ReplicationProfile, ReplicationStore, RunControl, WorkerFault,
 };
 pub use metrics::{Counters, Metrics, PhaseKind};
 pub use policy::{CheckpointPolicy, PolicySpec};

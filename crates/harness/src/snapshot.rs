@@ -73,15 +73,6 @@ pub enum SnapshotError {
         /// Replication of the repeated record.
         rep: u32,
     },
-    /// A journal that should hold every replication of a job lacks one.
-    MissingRecord {
-        /// Path involved.
-        path: String,
-        /// Sweep cell of the missing record.
-        cell: u32,
-        /// The first missing replication.
-        rep: u32,
-    },
 }
 
 impl fmt::Display for SnapshotError {
@@ -114,10 +105,6 @@ impl fmt::Display for SnapshotError {
             } => write!(
                 f,
                 "snapshot {path} line {line} records cell {cell} replication {rep} a second time; the file is corrupt"
-            ),
-            SnapshotError::MissingRecord { path, cell, rep } => write!(
-                f,
-                "snapshot {path} has no record of cell {cell} replication {rep}; refusing to publish without it"
             ),
         }
     }

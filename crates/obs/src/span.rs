@@ -1,5 +1,4 @@
-//! Hierarchical telemetry spans: `experiment → sweep-point →
-//! replication`.
+//! Hierarchical telemetry spans: `experiment → replication`.
 //!
 //! A [`SpanRecord`] is a finished, owned node of the span tree — the
 //! post-hoc record of one nested unit of work, carrying wall time,
@@ -12,7 +11,7 @@
 //!
 //! There is no live global collector: the experiment layer assembles
 //! trees from data it already owns (per-replication profiles and
-//! telemetry, sweep cell timings), in replication-index order, so span
+//! telemetry), in replication-index order, so span
 //! assembly adds nothing to the hot path.
 
 use crate::json_escape;
@@ -22,8 +21,6 @@ use crate::json_escape;
 pub enum SpanKind {
     /// A whole experiment (one set of replications of one config).
     Experiment,
-    /// One x-value of one series in a sweep.
-    SweepPoint,
     /// One replication.
     Replication,
 }
@@ -34,7 +31,6 @@ impl SpanKind {
     pub fn key(self) -> &'static str {
         match self {
             SpanKind::Experiment => "experiment",
-            SpanKind::SweepPoint => "sweep_point",
             SpanKind::Replication => "replication",
         }
     }
@@ -45,8 +41,7 @@ impl SpanKind {
 pub struct SpanRecord {
     /// Hierarchy level.
     pub kind: SpanKind,
-    /// Human-readable label (series/x for sweep points, `rep N` for
-    /// replications).
+    /// Human-readable label (`rep N` for replications).
     pub label: String,
     /// Wall nanoseconds spent in this span (0 when unmeasured).
     pub wall_nanos: u64,
@@ -129,21 +124,29 @@ mod tests {
 
     #[test]
     fn tree_serializes_depth_first() {
+        // exp → [inner → [rep 0], rep 1]: depth-first puts `rep 0`
+        // before its uncle `rep 1`.
         let mut root = SpanRecord::new(SpanKind::Experiment, "exp");
         root.wall_nanos = 5;
-        let mut point = SpanRecord::new(SpanKind::SweepPoint, "base/8");
+        let mut inner = SpanRecord::new(SpanKind::Experiment, "inner");
         let mut rep = SpanRecord::new(SpanKind::Replication, "rep 0");
         rep.events = 42;
-        point.children.push(rep);
-        root.children.push(point);
-        assert_eq!(root.len(), 3);
+        inner.children.push(rep);
+        root.children.push(inner);
+        root.children
+            .push(SpanRecord::new(SpanKind::Replication, "rep 1"));
+        assert_eq!(root.len(), 4);
         let j = root.to_json();
         assert!(j.starts_with("{\"kind\":\"experiment\",\"label\":\"exp\",\"wall_nanos\":5,"));
-        assert!(j.contains("\"kind\":\"sweep_point\",\"label\":\"base/8\""));
+        let at = |label: &str| j.find(&format!("\"label\":\"{label}\"")).unwrap();
+        assert!(
+            at("inner") < at("rep 0") && at("rep 0") < at("rep 1"),
+            "{j}"
+        );
         assert!(j.contains("\"kind\":\"replication\",\"label\":\"rep 0\""));
         assert_eq!(
             spans_json(&[root.clone(), root])
-                .matches("experiment")
+                .matches("\"label\":\"exp\"")
                 .count(),
             2
         );

@@ -14,13 +14,11 @@
 //!   trusted as complete (the result file is the completeness marker).
 //! * [`sched::Scheduler`] — a std-thread worker pool draining a
 //!   FIFO-per-tenant queue with round-robin fairness across tenants.
-//!   A job's replications are sharded into journal-backed **work
-//!   units**, each a replication range run by
-//!   [`ckpt_core::Experiment::run_range`] (the
-//!   [`ckpt_harness::SweepJournal`] is the unit of migration between
-//!   workers); the result is built from the journal once every unit is
-//!   in. Shard count, batch size, and snapshot interval are the three
-//!   tuning switches ([`sched::Tuning`]).
+//!   A job is one unit of work: a worker runs the whole spec through
+//!   the same execution core as `ckptsim run`, against the job's
+//!   [`ckpt_harness::SweepJournal`], so a failed job resubmitted later
+//!   resumes from what completed. Worker count and journal cadence are
+//!   the two tuning switches ([`sched::Tuning`]).
 //! * [`http`] / [`client`] — a minimal HTTP/1.1 + JSON transport over
 //!   [`std::net::TcpListener`]: submit a spec for a job id, poll
 //!   status, fetch the stored result bytes verbatim, or stream the

@@ -4,7 +4,7 @@
 //! document: every field is a pure function of the spec and the
 //! replication outcomes — no wall-clock times, no host parallelism —
 //! so the same spec produces the same bytes at any `--jobs` value, on
-//! a resumed run, or after sharded service execution. That determinism
+//! a resumed run, or through the service. That determinism
 //! is what lets the [`crate::store::JobStore`] serve cached bytes
 //! verbatim and still claim byte-identity with a fresh run.
 

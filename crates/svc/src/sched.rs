@@ -1,34 +1,25 @@
 //! The scheduler: a std-thread worker pool draining a fair
-//! FIFO-per-tenant queue of journal-backed work units.
+//! FIFO-per-tenant queue of jobs.
 //!
-//! Jobs enter through [`Scheduler::submit`]; each job's replication
-//! range is split into work units by [`crate::exec::unit_ranges`]
-//! under the three tuning switches of [`Tuning`] (shard count, batch
-//! size, snapshot interval). Units are queued FIFO within their
-//! tenant, and workers pick tenants round-robin, so one tenant's
+//! Jobs enter through [`Scheduler::submit`] and are queued FIFO within
+//! their tenant; workers pick tenants round-robin, so one tenant's
 //! thousand-job backlog cannot starve another's single submission.
 //!
-//! The [`ckpt_harness::SweepJournal`] is the unit of migration: a unit
-//! can run on any worker (or a future server process) because all of
-//! its completed replications live in the job's fingerprint-namespaced
-//! journal, not in the worker. A job of one unit runs whole and
-//! publishes at once ([`exec::run_whole`]); a sharded unit runs only
-//! its own replication range ([`exec::run_unit`]), and when the last
-//! one completes, [`exec::finalize`] reads every replication back from
-//! the journal and publishes the result into the [`JobStore`].
-//! Identical resubmissions then hit the cache without executing
-//! anything.
+//! A job is one unit of work: a worker runs the whole spec through
+//! [`exec::run_whole`], on the spec's own inner worker count, against
+//! the job's fingerprint-namespaced [`ckpt_harness::SweepJournal`], and
+//! publishes the result into the [`JobStore`]. Identical resubmissions
+//! then hit the cache without executing anything.
 //!
-//! Each run of a job is an *attempt*. A failed attempt stays failed: no
-//! later unit of it changes the job's status or publishes it.
-//! Resubmitting a failed job starts a new attempt over the same
-//! journal, which queues only the units with a replication the journal
-//! lacks; the units of the old attempt still queued or running touch
-//! nothing of the new one.
+//! A failed job keeps its journal, and resubmitting it queues it again
+//! over that journal: the new run replays what completed and runs only
+//! the rest. A job is queued or running at most once at a time, because
+//! a submission queues it only when it is unknown or `Failed`, and only
+//! the settle of its own run ends `Running`; so no earlier run of a job
+//! can touch the next one.
 
 use crate::exec;
 use crate::store::JobStore;
-use ckpt_core::ReplicationStore;
 use ckpt_harness::{CkptError, ExperimentSpec, SweepJournal};
 use ckpt_obs::{JsonlSink, ProgressSink, ProgressSnapshot};
 use std::collections::{HashMap, VecDeque};
@@ -37,22 +28,15 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// The scheduler's tuning switches. `shards`, `batch`, and
-/// `snapshot_every` are the three knobs that shape work units (see
-/// [`crate::exec::unit_ranges`]); `workers` sizes the thread pool that
-/// drains them.
+/// The scheduler's tuning switches: `workers` sizes the thread pool
+/// that drains the queue, `snapshot_every` sets each job's journal
+/// cadence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Tuning {
     /// Worker threads in the pool.
     pub workers: usize,
-    /// Target number of work units a job is sharded into (1 = never
-    /// shard; the unit keeps the spec's own inner worker count).
-    pub shards: usize,
-    /// Smallest number of replications a work unit may hold — the
-    /// floor that keeps small jobs from being over-split.
-    pub batch: u32,
     /// Journal persist cadence in completed replications
-    /// (0 = only at unit boundaries and on interrupt).
+    /// (0 = only when a job's run ends or is interrupted).
     pub snapshot_every: u32,
 }
 
@@ -60,8 +44,6 @@ impl Default for Tuning {
     fn default() -> Tuning {
         Tuning {
             workers: 2,
-            shards: 1,
-            batch: 1,
             snapshot_every: 1,
         }
     }
@@ -70,14 +52,13 @@ impl Default for Tuning {
 /// Where a submitted job currently stands.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobStatus {
-    /// Accepted; no unit has started.
+    /// Accepted; not started yet.
     Queued,
-    /// Executing. For single-unit jobs `completed`/`total` count
-    /// replications; for sharded jobs they count work units.
+    /// Executing: `completed` of `total` replications are in.
     Running {
-        /// Finished work items.
+        /// Finished replications.
         completed: usize,
-        /// Planned work items.
+        /// Planned replications.
         total: usize,
     },
     /// Finished; the result is in the store. `cached` is `true` when
@@ -117,27 +98,15 @@ pub struct SubmitOutcome {
 
 struct Job {
     spec: ExperimentSpec,
-    /// Counts the job's submissions that started a run; a unit belongs
-    /// to the attempt it was queued for.
-    attempt: u64,
     status: JobStatus,
     progress: Vec<String>,
     journal: Option<Arc<SweepJournal>>,
-    units_total: usize,
-    units_done: usize,
-}
-
-struct Unit {
-    fingerprint: u64,
-    attempt: u64,
-    range: (u32, u32),
-    exclusive: bool,
 }
 
 struct State {
-    /// One FIFO per tenant with queued units, in arrival order; a
-    /// tenant's entry goes when its queue drains.
-    queues: Vec<(String, VecDeque<Unit>)>,
+    /// One FIFO of job fingerprints per tenant with queued jobs, in
+    /// arrival order; a tenant's entry goes when its queue drains.
+    queues: Vec<(String, VecDeque<u64>)>,
     rr: usize,
     jobs: HashMap<u64, Job>,
     shutdown: bool,
@@ -153,7 +122,7 @@ struct Inner {
     executed_units: AtomicUsize,
 }
 
-/// The service scheduler. Dropping it interrupts in-flight units
+/// The service scheduler. Dropping it interrupts in-flight jobs
 /// (journals persist what completed) and joins the worker pool.
 pub struct Scheduler {
     inner: Arc<Inner>,
@@ -196,17 +165,23 @@ impl Scheduler {
         &self.inner.store
     }
 
-    /// Parses a job id (16 hex digits) back into a fingerprint.
+    /// Parses a job id back into a fingerprint. Only the canonical form
+    /// [`Scheduler::submit`] hands out, 16 lowercase hex digits, is an
+    /// id: a sign or an uppercase digit would make a second name for
+    /// the same job.
     #[must_use]
     pub fn parse_id(id: &str) -> Option<u64> {
-        (id.len() == 16).then(|| u64::from_str_radix(id, 16).ok())?
+        let canonical =
+            id.len() == 16 && id.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+        canonical
+            .then(|| u64::from_str_radix(id, 16).ok())
+            .flatten()
     }
 
     /// Submits `spec` for `tenant`. Content-addressed: a cached result
     /// short-circuits (nothing executes), an identical queued, running
-    /// or done job deduplicates, otherwise the job (or a failed job's
-    /// next attempt) is sharded into work units and queued FIFO within
-    /// the tenant.
+    /// or done job deduplicates, otherwise the job (or a failed job,
+    /// over the journal it holds) is queued FIFO within the tenant.
     ///
     /// # Errors
     ///
@@ -219,12 +194,9 @@ impl Scheduler {
             let duplicate = st.jobs.contains_key(&fingerprint);
             st.jobs.entry(fingerprint).or_insert_with(|| Job {
                 spec: spec.clone(),
-                attempt: 0,
                 status: JobStatus::Done { cached: true },
                 progress: Vec::new(),
                 journal: None,
-                units_total: 0,
-                units_done: 0,
             });
             return Ok(SubmitOutcome {
                 id,
@@ -232,17 +204,11 @@ impl Scheduler {
                 deduplicated: duplicate,
             });
         }
-        let plan = exec::unit_ranges(
-            spec.replications(),
-            spec.estimation(),
-            self.inner.tuning.shards,
-            self.inner.tuning.batch,
-        );
         // Claim the job first: a concurrent identical submission must
         // dedup against the claim rather than race the journal open
-        // below. A failed job is claimed by starting its next attempt
-        // over the journal it already holds.
-        let (attempt, journal) = {
+        // below. A failed job is claimed by queueing it again over the
+        // journal it already holds.
+        let journal = {
             let mut st = self.lock();
             match st.jobs.get_mut(&fingerprint) {
                 Some(job) if !matches!(job.status, JobStatus::Failed { .. }) => {
@@ -254,26 +220,21 @@ impl Scheduler {
                     });
                 }
                 Some(job) => {
-                    job.attempt += 1;
                     job.status = JobStatus::Queued;
                     job.progress.clear();
-                    job.units_done = 0;
-                    (job.attempt, job.journal.clone())
+                    job.journal.clone()
                 }
                 None => {
                     st.jobs.insert(
                         fingerprint,
                         Job {
                             spec: spec.clone(),
-                            attempt: 0,
                             status: JobStatus::Queued,
                             progress: Vec::new(),
                             journal: None,
-                            units_total: 0,
-                            units_done: 0,
                         },
                     );
-                    (0, None)
+                    None
                 }
             }
         };
@@ -291,41 +252,16 @@ impl Scheduler {
                 }
             },
         };
-        // A sharded job queues only the units with a replication the
-        // journal lacks. When it lacks none (the last attempt failed
-        // after its last record), the last unit still runs, because
-        // its completion finalizes the job.
-        let exclusive = plan.len() == 1;
-        let cell = journal.cell_store(0);
-        let mut units: Vec<(u32, u32)> = plan
-            .iter()
-            .copied()
-            .filter(|&(lo, hi)| exclusive || (lo..hi).any(|rep| cell.lookup(rep).is_none()))
-            .collect();
-        if units.is_empty() {
-            units.extend(plan.last());
-        }
         {
             let mut st = self.lock();
             if let Some(job) = st.jobs.get_mut(&fingerprint) {
-                job.journal = Some(Arc::clone(&journal));
-                job.units_total = units.len();
+                job.journal = Some(journal);
             }
-            let queue = match st.queues.iter().position(|(t, _)| t == tenant) {
-                Some(i) => &mut st.queues[i].1,
-                None => {
-                    st.queues.push((tenant.to_string(), VecDeque::new()));
-                    let last = st.queues.len() - 1;
-                    &mut st.queues[last].1
-                }
-            };
-            for range in units {
-                queue.push_back(Unit {
-                    fingerprint,
-                    attempt,
-                    range,
-                    exclusive,
-                });
+            match st.queues.iter_mut().find(|(t, _)| t == tenant) {
+                Some((_, queue)) => queue.push_back(fingerprint),
+                None => st
+                    .queues
+                    .push((tenant.to_string(), VecDeque::from([fingerprint]))),
             }
         }
         self.inner.work_cv.notify_all();
@@ -335,7 +271,6 @@ impl Scheduler {
             deduplicated: false,
         })
     }
-
     /// The job's current status; `None` for an unknown id. A job whose
     /// result survives in the store from a previous process reports
     /// `Done { cached: true }`.
@@ -408,8 +343,9 @@ impl Scheduler {
         }
     }
 
-    /// Work units executed so far (cache hits execute none) — the
-    /// observable "ran exactly once" counter the tests assert on.
+    /// Jobs executed so far (a cache hit or a deduplicated submission
+    /// executes none) — the observable "ran exactly once" counter the
+    /// tests assert on.
     #[must_use]
     pub fn executed_units(&self) -> usize {
         self.inner.executed_units.load(Ordering::SeqCst)
@@ -431,12 +367,11 @@ impl Drop for Scheduler {
     }
 }
 
-/// Forwards a single-unit job's per-replication progress into the job
-/// record, where pollers and the chunked HTTP stream read it.
+/// Forwards a job's per-replication progress into the job record, where
+/// pollers and the chunked HTTP stream read it.
 struct RecordingSink<'a> {
     inner: &'a Inner,
     fingerprint: u64,
-    attempt: u64,
 }
 
 impl ProgressSink for RecordingSink<'_> {
@@ -444,7 +379,7 @@ impl ProgressSink for RecordingSink<'_> {
         let line = JsonlSink::render(snapshot);
         {
             let mut st = self.inner.state.lock().expect("scheduler state poisoned");
-            if let Some(job) = current(&mut st, self.fingerprint, self.attempt) {
+            if let Some(job) = st.jobs.get_mut(&self.fingerprint) {
                 job.progress.push(line);
                 job.status = JobStatus::Running {
                     completed: snapshot.completed,
@@ -458,30 +393,30 @@ impl ProgressSink for RecordingSink<'_> {
 
 fn worker_loop(inner: &Inner) {
     loop {
-        let unit = {
+        let fingerprint = {
             let mut st = inner.state.lock().expect("scheduler state poisoned");
             loop {
                 if st.shutdown {
                     return;
                 }
-                if let Some(unit) = next_unit(&mut st) {
-                    break unit;
+                if let Some(fingerprint) = next_job(&mut st) {
+                    break fingerprint;
                 }
                 st = inner.work_cv.wait(st).expect("scheduler state poisoned");
             }
         };
-        execute_unit(inner, &unit);
+        execute(inner, fingerprint);
     }
 }
 
 /// Round-robin across tenants, FIFO within each: the fairness policy.
 /// A tenant whose queue drains is dropped, so the list holds only
 /// tenants with work and never grows with the number ever seen.
-fn next_unit(st: &mut State) -> Option<Unit> {
+fn next_job(st: &mut State) -> Option<u64> {
     while !st.queues.is_empty() {
         let i = st.rr % st.queues.len();
         let queue = &mut st.queues[i].1;
-        let unit = queue.pop_front();
+        let job = queue.pop_front();
         if queue.is_empty() {
             // The next tenant slides into slot `i` and is served next.
             st.queues.remove(i);
@@ -489,126 +424,48 @@ fn next_unit(st: &mut State) -> Option<Unit> {
         } else {
             st.rr = i + 1;
         }
-        if unit.is_some() {
-            return unit;
+        if job.is_some() {
+            return job;
         }
     }
     None
 }
 
-fn execute_unit(inner: &Inner, unit: &Unit) {
-    let (fingerprint, attempt) = (unit.fingerprint, unit.attempt);
+/// Runs the queued job `fingerprint` whole and settles it.
+fn execute(inner: &Inner, fingerprint: u64) {
     let (spec, journal) = {
         let mut st = inner.state.lock().expect("scheduler state poisoned");
-        let Some(job) = current(&mut st, fingerprint, attempt) else {
+        let Some(job) = st.jobs.get_mut(&fingerprint) else {
             return;
         };
-        if matches!(job.status, JobStatus::Failed { .. }) {
-            // A sibling unit already failed; don't burn workers on the
-            // rest of the job.
-            job.units_done += 1;
-            return;
-        }
-        if job.status == JobStatus::Queued {
-            job.status = JobStatus::Running {
-                completed: 0,
-                total: if unit.exclusive {
-                    job.spec.replications() as usize
-                } else {
-                    job.units_total
-                },
-            };
-        }
         let Some(journal) = job.journal.clone() else {
             return;
         };
+        job.status = JobStatus::Running {
+            completed: 0,
+            total: job.spec.replications() as usize,
+        };
         (job.spec.clone(), journal)
     };
-    let interrupt = Some(&inner.interrupt);
-    if unit.exclusive {
-        let sink = RecordingSink {
-            inner,
-            fingerprint,
-            attempt,
-        };
-        let published = exec::run_whole(&inner.store, &spec, &journal, interrupt, Some(&sink));
-        inner.executed_units.fetch_add(1, Ordering::SeqCst);
-        settle(inner, fingerprint, attempt, published);
-        return;
-    }
-    let ran = exec::run_unit(&spec, &journal, unit.range, interrupt);
+    let sink = RecordingSink { inner, fingerprint };
+    let published = exec::run_whole(
+        &inner.store,
+        &spec,
+        &journal,
+        Some(&inner.interrupt),
+        Some(&sink),
+    );
     inner.executed_units.fetch_add(1, Ordering::SeqCst);
-    let mut st = inner.state.lock().expect("scheduler state poisoned");
-    let finished = complete_unit(&mut st, fingerprint, attempt, ran);
-    drop(st);
-    inner.done_cv.notify_all();
-    if finished {
-        // Publish outside the lock: reading the journal back and
-        // rendering the result take a while.
-        settle(
-            inner,
-            fingerprint,
-            attempt,
-            exec::finalize(&inner.store, &spec, &journal),
-        );
-    }
+    settle(inner, fingerprint, published);
 }
 
-/// The job `fingerprint` if `attempt` is its current attempt: a unit of
-/// an older attempt finds nothing to touch.
-fn current(st: &mut State, fingerprint: u64, attempt: u64) -> Option<&mut Job> {
-    st.jobs
-        .get_mut(&fingerprint)
-        .filter(|job| job.attempt == attempt)
-}
-
-/// Records a sharded unit's outcome in its job and says whether the job
-/// is now complete and due to be finalized. `Failed` ends the attempt:
-/// once a unit failed, no sibling's outcome changes the status, and the
-/// attempt is never finalized. A unit of an older attempt changes
-/// nothing.
-fn complete_unit(
-    st: &mut State,
-    fingerprint: u64,
-    attempt: u64,
-    outcome: Result<(), CkptError>,
-) -> bool {
-    let Some(job) = current(st, fingerprint, attempt) else {
-        return false;
-    };
-    job.units_done += 1;
-    if matches!(job.status, JobStatus::Failed { .. }) {
-        return false;
-    }
-    match outcome {
-        Err(e) => {
-            job.status = JobStatus::Failed {
-                message: e.to_string(),
-            };
-            false
-        }
-        Ok(()) => {
-            job.progress.push(JsonlSink::render(&ProgressSnapshot::new(
-                "units",
-                job.units_done,
-                job.units_total,
-            )));
-            job.status = JobStatus::Running {
-                completed: job.units_done,
-                total: job.units_total,
-            };
-            job.units_done == job.units_total
-        }
-    }
-}
-
-/// Ends a job's `attempt` with its publish outcome: `Done`, releasing
-/// the journal (the store now answers every resubmission before the job
+/// Ends a job's run with its publish outcome: `Done`, releasing the
+/// journal (the store now answers every resubmission before the job
 /// table is consulted, so the journal is never read again), or
-/// `Failed`, keeping it for the next attempt.
-fn settle(inner: &Inner, fingerprint: u64, attempt: u64, published: Result<String, CkptError>) {
+/// `Failed`, keeping it for the next submission to resume from.
+fn settle(inner: &Inner, fingerprint: u64, published: Result<String, CkptError>) {
     let mut st = inner.state.lock().expect("scheduler state poisoned");
-    if let Some(job) = current(&mut st, fingerprint, attempt) {
+    if let Some(job) = st.jobs.get_mut(&fingerprint) {
         job.status = match published {
             Ok(_) => {
                 job.journal = None;
@@ -683,15 +540,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(store.root());
     }
 
+    /// On every engine, a job the service runs publishes the bytes a
+    /// local run of the same spec renders, whichever of several workers
+    /// takes it.
     #[test]
-    fn sharded_execution_publishes_the_same_bytes_as_unsharded() {
-        // Five replications split unevenly: 3 + 2 over two shards,
-        // 2 + 2 + 1 over three.
+    fn every_engine_publishes_the_bytes_of_a_local_run() {
         let engines = [
             (EngineKind::Direct, ReactivationMode::Resample),
             (EngineKind::San, ReactivationMode::Resample),
             (EngineKind::San, ReactivationMode::Lazy),
         ];
+        let store = store_in("engines");
+        let sched = Scheduler::new(
+            store.clone(),
+            Tuning {
+                workers: 3,
+                snapshot_every: 1,
+            },
+        );
         for (engine, mode) in engines {
             let cfg = SystemConfig::builder().processors(512).build().unwrap();
             let spec = ExperimentSpec::builder(cfg)
@@ -701,121 +567,35 @@ mod tests {
                 .horizon(SimTime::from_hours(60.0))
                 .replications(5)
                 .seed(3)
-                .jobs(1)
+                .jobs(2)
                 .build()
                 .unwrap();
-            let tag = format!("shard_{}_{mode:?}", engine.name());
-            let store_a = store_in(&format!("{tag}_1"));
-            let plain = Scheduler::new(store_a.clone(), Tuning::default());
-            let a = plain.submit("t", &spec).unwrap();
+            let local = crate::result::render(&spec, &spec.to_experiment().run().unwrap());
+            let out = sched.submit("t", &spec).unwrap();
             assert_eq!(
-                plain.wait(&a.id, Duration::from_secs(120)).unwrap(),
-                JobStatus::Done { cached: false }
+                sched.wait(&out.id, Duration::from_secs(120)).unwrap(),
+                JobStatus::Done { cached: false },
+                "{} {mode:?}",
+                engine.name()
             );
-            let body = plain.result(&a.id).unwrap().unwrap();
-            for shards in [2, 3] {
-                let store_b = store_in(&format!("{tag}_{shards}"));
-                let sharded = Scheduler::new(
-                    store_b.clone(),
-                    Tuning {
-                        workers: 3,
-                        shards,
-                        batch: 1,
-                        snapshot_every: 1,
-                    },
-                );
-                let b = sharded.submit("t", &spec).unwrap();
-                assert_eq!(
-                    sharded.wait(&b.id, Duration::from_secs(120)).unwrap(),
-                    JobStatus::Done { cached: false },
-                    "{tag}, {shards} shards"
-                );
-                assert_eq!(
-                    sharded.result(&b.id).unwrap().unwrap(),
-                    body,
-                    "{tag}, {shards} shards: sharding is a scheduling decision; \
-                     the result bytes must not move"
-                );
-                assert_eq!(sharded.executed_units(), shards, "{tag}: really sharded");
-                let _ = std::fs::remove_dir_all(store_b.root());
-            }
-            let _ = std::fs::remove_dir_all(store_a.root());
+            assert_eq!(
+                sched.result(&out.id).unwrap().unwrap(),
+                local,
+                "{} {mode:?}",
+                engine.name()
+            );
         }
+        assert_eq!(sched.executed_units(), engines.len());
+        let _ = std::fs::remove_dir_all(store.root());
     }
 
-    #[test]
-    fn a_failed_job_stays_failed_when_a_sibling_unit_succeeds() {
-        let mut st = State {
-            queues: Vec::new(),
-            rr: 0,
-            jobs: HashMap::new(),
-            shutdown: false,
-        };
-        let job = |status| Job {
-            spec: small_spec(7),
-            attempt: 0,
-            status,
-            progress: Vec::new(),
-            journal: None,
-            units_total: 2,
-            units_done: 0,
-        };
-        let failed = JobStatus::Failed {
-            message: "unit 0 failed".to_string(),
-        };
-        st.jobs.insert(1, job(failed.clone()));
-        st.jobs.get_mut(&1).unwrap().units_done = 1;
-        assert!(
-            !complete_unit(&mut st, 1, 0, Ok(())),
-            "a failed job must never be finalized"
-        );
-        assert_eq!(st.jobs[&1].status, failed, "Failed is terminal");
-        assert_eq!(st.jobs[&1].units_done, 2);
-
-        // A healthy job finalizes exactly when its last unit lands.
-        st.jobs.insert(2, job(JobStatus::Queued));
-        assert!(!complete_unit(&mut st, 2, 0, Ok(())));
-        assert_eq!(
-            st.jobs[&2].status,
-            JobStatus::Running {
-                completed: 1,
-                total: 2
-            }
-        );
-        assert!(complete_unit(&mut st, 2, 0, Ok(())));
-
-        // A unit of an older attempt touches nothing of the current one.
-        st.jobs.insert(3, job(JobStatus::Queued));
-        st.jobs.get_mut(&3).unwrap().attempt = 1;
-        assert!(!complete_unit(&mut st, 3, 0, Ok(())));
-        assert!(!complete_unit(
-            &mut st,
-            3,
-            0,
-            Err(CkptError::Usage("late".to_string()))
-        ));
-        assert_eq!(st.jobs[&3].status, JobStatus::Queued);
-        assert_eq!(st.jobs[&3].units_done, 0);
-        assert!(st.jobs[&3].progress.is_empty());
-    }
-
-    /// A failed sharded job resumes when it is resubmitted to the same
-    /// scheduler: the new attempt runs only the units with a replication
-    /// the journal lacks, and publishes what an uninterrupted run
-    /// renders.
+    /// A failed job resumes when it is resubmitted to the same
+    /// scheduler: the new run replays the journal the failed one kept
+    /// and publishes what an uninterrupted run renders.
     #[test]
     fn resubmitting_a_failed_job_resumes_it_from_the_journal() {
         let store = store_in("resubmit");
-        // One worker runs the units in queue order.
-        let sched = Scheduler::new(
-            store.clone(),
-            Tuning {
-                workers: 1,
-                shards: 3,
-                batch: 1,
-                snapshot_every: 1,
-            },
-        );
+        let sched = Scheduler::new(store.clone(), Tuning::default());
         let cfg = SystemConfig::builder().processors(512).build().unwrap();
         let spec = ExperimentSpec::builder(cfg)
             .transient(SimTime::from_hours(5.0))
@@ -826,8 +606,7 @@ mod tests {
             .build()
             .unwrap();
         let whole = spec.to_experiment().run().unwrap();
-        // Units (0,2), (2,4) and (4,6); the journal holds replications 0,
-        // 1 and 3, so the first unit has nothing left to run.
+        // The journal already holds replications 0, 1 and 3.
         let journal = store.open_journal(spec.fingerprint(), 1).unwrap();
         for rep in [0u32, 1, 3] {
             let i = rep as usize;
@@ -836,7 +615,7 @@ mod tests {
         journal.persist().unwrap();
         drop(journal);
 
-        // The first attempt fails: every unit it runs is interrupted.
+        // The first run fails: it is interrupted before it runs anything.
         sched.inner.interrupt.store(true, Ordering::SeqCst);
         let first = sched.submit("t", &spec).unwrap();
         assert!(
@@ -844,12 +623,12 @@ mod tests {
                 sched.wait(&first.id, Duration::from_secs(120)),
                 Some(JobStatus::Failed { .. })
             ),
-            "the interrupted attempt fails"
+            "the interrupted run fails"
         );
-        assert_eq!(
-            sched.executed_units(),
-            1,
-            "the failed unit ends the attempt"
+        assert_eq!(sched.executed_units(), 1);
+        assert!(
+            store.journal_path(spec.fingerprint()).exists(),
+            "a failed job keeps its journal"
         );
         sched.inner.interrupt.store(false, Ordering::SeqCst);
 
@@ -857,17 +636,13 @@ mod tests {
         assert_eq!(again.id, first.id);
         assert!(
             !again.deduplicated && !again.cached,
-            "a failed job starts a new attempt: {again:?}"
+            "a failed job runs again: {again:?}"
         );
         assert_eq!(
             sched.wait(&again.id, Duration::from_secs(120)).unwrap(),
             JobStatus::Done { cached: false }
         );
-        assert_eq!(
-            sched.executed_units(),
-            3,
-            "the new attempt runs units (2,4) and (4,6), not the journaled (0,2)"
-        );
+        assert_eq!(sched.executed_units(), 2);
         assert_eq!(
             sched.result(&again.id).unwrap().unwrap(),
             crate::result::render(&spec, &whole)
@@ -895,61 +670,47 @@ mod tests {
 
     #[test]
     fn finished_jobs_release_their_journal() {
-        let spec = small_spec(5);
-        for (tag, shards) in [("release_one", 1), ("release_sharded", 3)] {
-            let store = store_in(tag);
-            let tuning = Tuning {
-                shards,
-                ..Tuning::default()
-            };
-            let sched = Scheduler::new(store.clone(), tuning);
-            let out = sched.submit("t", &spec).unwrap();
-            assert_eq!(
-                sched.wait(&out.id, Duration::from_secs(120)).unwrap(),
-                JobStatus::Done { cached: false }
-            );
-            let fingerprint = Scheduler::parse_id(&out.id).unwrap();
-            assert!(
-                sched.lock().jobs[&fingerprint].journal.is_none(),
-                "{tag}: a published job must not keep its journal"
-            );
-            let _ = std::fs::remove_dir_all(store.root());
-        }
+        let store = store_in("release");
+        let sched = Scheduler::new(store.clone(), Tuning::default());
+        let out = sched.submit("t", &small_spec(5)).unwrap();
+        assert_eq!(
+            sched.wait(&out.id, Duration::from_secs(120)).unwrap(),
+            JobStatus::Done { cached: false }
+        );
+        let fingerprint = Scheduler::parse_id(&out.id).unwrap();
+        assert!(
+            sched.lock().jobs[&fingerprint].journal.is_none(),
+            "a published job must not keep its journal"
+        );
+        let _ = std::fs::remove_dir_all(store.root());
     }
 
-    /// Both publish paths, the single unit's and the sharded finalize,
-    /// delete the journal file; a restarted scheduler still answers the
-    /// resubmission from the result, byte for byte.
+    /// Publishing deletes the journal file; a restarted scheduler still
+    /// answers the resubmission from the result, byte for byte.
     #[test]
     fn finished_jobs_leave_no_journal_file_and_still_hit() {
         let spec = small_spec(6);
-        for (tag, shards) in [("no_journal_one", 1), ("no_journal_sharded", 3)] {
-            let store = store_in(tag);
-            let tuning = Tuning {
-                shards,
-                ..Tuning::default()
-            };
-            let sched = Scheduler::new(store.clone(), tuning);
-            let out = sched.submit("t", &spec).unwrap();
-            assert_eq!(
-                sched.wait(&out.id, Duration::from_secs(120)).unwrap(),
-                JobStatus::Done { cached: false }
-            );
-            let body = sched.result(&out.id).unwrap().unwrap();
-            drop(sched);
-            let fingerprint = Scheduler::parse_id(&out.id).unwrap();
-            assert!(
-                !store.journal_path(fingerprint).exists(),
-                "{tag}: a published job left its journal file"
-            );
+        let store = store_in("no_journal");
+        let sched = Scheduler::new(store.clone(), Tuning::default());
+        let out = sched.submit("t", &spec).unwrap();
+        assert_eq!(
+            sched.wait(&out.id, Duration::from_secs(120)).unwrap(),
+            JobStatus::Done { cached: false }
+        );
+        let body = sched.result(&out.id).unwrap().unwrap();
+        drop(sched);
+        let fingerprint = Scheduler::parse_id(&out.id).unwrap();
+        assert!(
+            !store.journal_path(fingerprint).exists(),
+            "a published job left its journal file"
+        );
 
-            let restarted = Scheduler::new(store.clone(), tuning);
-            let again = restarted.submit("t", &spec).unwrap();
-            assert!(again.cached, "{tag}: resubmission must hit the cache");
-            assert_eq!(restarted.result(&again.id).unwrap().unwrap(), body);
-            assert_eq!(restarted.executed_units(), 0);
-            let _ = std::fs::remove_dir_all(store.root());
-        }
+        let restarted = Scheduler::new(store.clone(), Tuning::default());
+        let again = restarted.submit("t", &spec).unwrap();
+        assert!(again.cached, "resubmission must hit the cache");
+        assert_eq!(restarted.result(&again.id).unwrap().unwrap(), body);
+        assert_eq!(restarted.executed_units(), 0);
+        let _ = std::fs::remove_dir_all(store.root());
     }
 
     #[test]
@@ -960,19 +721,12 @@ mod tests {
             jobs: HashMap::new(),
             shutdown: false,
         };
-        for (tenant, units) in [("a", 2), ("b", 1), ("c", 3)] {
-            let queue = (0..units)
-                .map(|k| Unit {
-                    fingerprint: u64::from(tenant.as_bytes()[0]),
-                    attempt: 0,
-                    range: (k, k + 1),
-                    exclusive: false,
-                })
-                .collect();
+        for (tenant, jobs) in [("a", 2), ("b", 1), ("c", 3)] {
+            let queue = std::iter::repeat_n(u64::from(tenant.as_bytes()[0]), jobs).collect();
             st.queues.push((tenant.to_string(), queue));
         }
-        let order: Vec<u8> = std::iter::from_fn(|| next_unit(&mut st))
-            .map(|u| u.fingerprint as u8)
+        let order: Vec<u8> = std::iter::from_fn(|| next_job(&mut st))
+            .map(|fingerprint| fingerprint as u8)
             .collect();
         assert_eq!(order, b"abcacc");
         assert!(st.queues.is_empty());
@@ -1012,5 +766,13 @@ mod tests {
         assert_eq!(sched.result("not-an-id").unwrap(), None);
         assert!(sched.progress("0000000000000000", 0).is_none());
         let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    #[test]
+    fn only_the_canonical_spelling_of_an_id_parses() {
+        assert_eq!(Scheduler::parse_id("00000000deadbeef"), Some(0xdead_beef));
+        assert_eq!(Scheduler::parse_id("+0000000deadbeef"), None, "a sign");
+        assert_eq!(Scheduler::parse_id("00000000DEADBEEF"), None, "uppercase");
+        assert_eq!(Scheduler::parse_id("00000000deadbee"), None, "15 digits");
     }
 }

@@ -98,34 +98,35 @@ fn the_cache_survives_a_server_restart() {
 }
 
 #[test]
-fn sharded_tuning_changes_scheduling_but_not_the_result_bytes() {
-    let dir_a = store_dir("tuning_a");
-    let dir_b = store_dir("tuning_b");
-    let (addr_a, _) = start_server(&dir_a, Tuning::default());
-    let (addr_b, sched_b) = start_server(
-        &dir_b,
-        Tuning {
-            workers: 3,
-            shards: 3,
-            batch: 1,
-            snapshot_every: 1,
-        },
-    );
-    let client_a = Client::new(&addr_a.to_string(), "t");
-    let client_b = Client::new(&addr_b.to_string(), "t");
-    let s = spec(9, 2);
-    let a = client_a.submit(&s.to_json()).unwrap();
-    let b = client_b.submit(&s.to_json()).unwrap();
-    let body_a = client_a
-        .wait_result(&a.id, Duration::from_secs(120))
-        .unwrap();
-    let body_b = client_b
-        .wait_result(&b.id, Duration::from_secs(120))
-        .unwrap();
-    assert_eq!(body_a, body_b, "sharding must not change the result");
-    assert!(sched_b.executed_units() >= 3, "the job really was sharded");
-    let _ = std::fs::remove_dir_all(&dir_a);
-    let _ = std::fs::remove_dir_all(&dir_b);
+fn tuning_changes_scheduling_but_not_the_result_bytes() {
+    // Three jobs at once, so three workers really run them side by side.
+    let specs = [spec(9, 2), spec(10, 1), spec(11, 2)];
+    let mut published: Vec<Vec<String>> = Vec::new();
+    for workers in [1, 3] {
+        for snapshot_every in [0, 1] {
+            let dir = store_dir(&format!("tuning_{workers}_{snapshot_every}"));
+            let tuning = Tuning {
+                workers,
+                snapshot_every,
+            };
+            let (addr, sched) = start_server(&dir, tuning);
+            let client = Client::new(&addr.to_string(), "t");
+            let ids: Vec<String> = specs
+                .iter()
+                .map(|s| client.submit(&s.to_json()).unwrap().id)
+                .collect();
+            let bodies = ids
+                .iter()
+                .map(|id| client.wait_result(id, Duration::from_secs(120)).unwrap())
+                .collect();
+            assert_eq!(sched.executed_units(), specs.len(), "{tuning:?}");
+            published.push(bodies);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+    for bodies in &published[1..] {
+        assert_eq!(bodies, &published[0], "tuning must not change the result");
+    }
 }
 
 #[test]
@@ -137,6 +138,38 @@ fn unknown_jobs_and_malformed_specs_are_rejected() {
     assert!(client.status("00000000deadbeef").is_err());
     assert_eq!(client.result("00000000deadbeef").unwrap(), None);
     assert!(client.progress("00000000deadbeef").is_err());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A job answers to its canonical id only: a leading `+` or uppercase
+/// digits spell the same number but are not its id.
+#[test]
+fn a_job_is_not_found_under_a_non_canonical_id() {
+    // A seed whose id starts with `0` and holds a letter, so that both
+    // the signed and the uppercase spelling parse to its number.
+    let s = (0..)
+        .map(|seed| spec(seed, 1))
+        .find(|s| {
+            let id = format!("{:016x}", s.fingerprint());
+            id.starts_with('0') && id.bytes().any(|b| b.is_ascii_alphabetic())
+        })
+        .unwrap();
+    let dir = store_dir("ids");
+    let (addr, _) = start_server(&dir, Tuning::default());
+    let client = Client::new(&addr.to_string(), "t");
+    let id = client.submit(&s.to_json()).unwrap().id;
+    client.wait_result(&id, Duration::from_secs(120)).unwrap();
+    let get = |path: String| raw_exchange(addr, &format!("GET {path} HTTP/1.1\r\n\r\n"));
+    assert!(get(format!("/v1/jobs/{id}")).starts_with("HTTP/1.1 200 "));
+    for other in [format!("+{}", &id[1..]), id.to_uppercase()] {
+        for path in [
+            format!("/v1/jobs/{other}"),
+            format!("/v1/jobs/{other}/result"),
+        ] {
+            let response = get(path.clone());
+            assert!(response.starts_with("HTTP/1.1 404 "), "{path}: {response}");
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -93,6 +93,10 @@ fn every_command_refuses_the_flags_it_cannot_honour() {
     }
     refused.push("submit --warmup 1".into());
     refused.push("optimize --manifest f".into());
+    // A service job is one unit: `serve` has no sharding knobs, and
+    // refuses them before it binds anything.
+    refused.push("serve --shards 2".into());
+    refused.push("serve --batch 1".into());
     for (study, _) in studies::STUDIES {
         for flag in ckpt_bench::args::OPTIONAL_FLAGS {
             // `--engine san` carries its value; the others take one.
