@@ -4,8 +4,9 @@
 //! semantics described in DESIGN.md §4 (the same semantics the SAN
 //! composition in [`crate::san_model`] encodes declaratively). Having two
 //! independently written simulators lets the test suite cross-validate
-//! them against each other; the direct one is also several times faster
-//! and is what the figure-regeneration benches use by default.
+//! them against each other; the direct one is the faster of the two and
+//! is what figure regeneration, `optimize` and the service run by
+//! default.
 //!
 //! # Example
 //!
@@ -32,7 +33,7 @@ use crate::metrics::{Counters, Metrics, PhaseKind, PhaseTimes};
 use crate::policy::CheckpointPolicy;
 use crate::trace::{AbortReason, TraceEvent};
 use ckpt_des::telem::{HotTelemetry, TelemetrySnapshot};
-use ckpt_des::{QueueKind, RngFactory, SimRng, SimTime, StreamId};
+use ckpt_des::{QueueKind, RngFactory, SimRng, SimTime, StreamId, TimerKey};
 use ckpt_obs::{ObsEvent, Observer};
 use ckpt_stats::dist::sample_max_exponential;
 use events::{AppPhase, Event, IoState, RecoveryStage, SysPhase};
@@ -245,7 +246,11 @@ impl<'c> DirectSimulator<'c> {
     /// integration tests compare the two.
     pub fn run_until_useful_work(&mut self, target: f64, deadline: SimTime) -> Option<SimTime> {
         assert!(target >= 0.0 && target.is_finite(), "bad work target");
-        while self.w < target {
+        loop {
+            self.run_app_cycle(deadline, Some(target));
+            if self.w >= target {
+                return Some(self.now);
+            }
             let (t, _) = self.timers.next()?;
             if t > deadline {
                 return None;
@@ -253,8 +258,7 @@ impl<'c> DirectSimulator<'c> {
             // If the system is accruing and would cross the target before
             // the next event, stop exactly at the crossing.
             if self.accruing() {
-                let need = target - self.w;
-                let crossing = self.now + SimTime::from_secs(need);
+                let crossing = self.crossing(target);
                 if crossing <= t {
                     self.advance_clock(crossing);
                     return Some(self.now);
@@ -263,12 +267,15 @@ impl<'c> DirectSimulator<'c> {
             let (t, event) = self.timers.pop_before(t).expect("the peeked event is due");
             self.fire(t, event);
         }
-        Some(self.now)
     }
 
     /// Runs until the absolute simulated time `horizon`.
     pub fn run_until(&mut self, horizon: SimTime) {
-        while let Some((t, event)) = self.timers.pop_before(horizon) {
+        loop {
+            self.run_app_cycle(horizon, None);
+            let Some((t, event)) = self.timers.pop_before(horizon) else {
+                break;
+            };
             self.fire(t, event);
             debug_assert!(
                 !self.cfg.failures_enabled()
@@ -408,6 +415,51 @@ impl<'c> DirectSimulator<'c> {
             }
         }
         self.now = to;
+    }
+
+    /// The instant useful work reaches `target` if it keeps accruing
+    /// from now with no event in between.
+    fn crossing(&self, target: f64) -> SimTime {
+        self.now + SimTime::from_secs(target - self.w)
+    }
+
+    /// The executing phase's inner loop (DESIGN.md §7k): fires the next
+    /// event for as long as it is an application-cycle one
+    /// ([`timers::APP_CYCLE`]) due at or before `limit` and, given a
+    /// work `target`, due before useful work reaches it. Returns at once
+    /// outside [`SysPhase::Executing`], and when the application does not
+    /// alternate phases (no application timer is ever armed then).
+    ///
+    /// Each event goes through [`DirectSimulator::fire`] exactly as in
+    /// the general loop. In this phase their handlers arm and cancel no
+    /// other timer, draw only from `rng_workload`, record nothing and
+    /// leave the phase as it is, so the least key among the other timers,
+    /// taken once, bounds the whole run of them; a tie with another timer
+    /// is left to the general loop by the exact key compare.
+    #[inline]
+    fn run_app_cycle(&mut self, limit: SimTime, target: Option<f64>) {
+        if self.phase != SysPhase::Executing || !self.derived.app_phases {
+            return;
+        }
+        let others = self.timers.least_key(!timers::APP_CYCLE);
+        loop {
+            let below = match target {
+                None => others,
+                Some(target) if self.w < target => {
+                    others.min(TimerKey::first_at(self.crossing(target)))
+                }
+                Some(_) => return,
+            };
+            let Some((t, event)) = self.timers.pop_among(timers::APP_CYCLE, below, limit) else {
+                return;
+            };
+            self.fire(t, event);
+            debug_assert_eq!(
+                self.phase,
+                SysPhase::Executing,
+                "{event:?} left the executing phase"
+            );
+        }
     }
 
     /// Advances the clock to `t` and handles `event`, just popped from

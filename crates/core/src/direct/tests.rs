@@ -600,3 +600,46 @@ fn recovery_time_distribution_families_behave_sanely() {
         assert!((0.0..1.0).contains(&f));
     }
 }
+
+/// Every float of `m` as IEEE-754 bits, then its counters.
+fn metric_bits(m: &Metrics) -> (Vec<u64>, Counters) {
+    let mut bits = vec![
+        m.window_secs.to_bits(),
+        m.useful_work_secs.to_bits(),
+        m.work_lost_secs.to_bits(),
+    ];
+    bits.extend(PhaseKind::ALL.map(|k| m.phase_times.get(k).to_bits()));
+    (bits, m.counters)
+}
+
+#[test]
+fn telemetry_sees_every_event_and_changes_no_bit() {
+    // Failures often enough that the application-cycle inner loop is
+    // entered and left many times, on both entry points.
+    let cfg = SystemConfig::builder()
+        .mttf_per_node(SimTime::from_years(0.25))
+        .build()
+        .unwrap();
+    let run = |probed: bool| {
+        let mut sim = DirectSimulator::new(&cfg, 11);
+        if probed {
+            sim.enable_telemetry();
+        }
+        let done = sim.run_until_useful_work(50.0 * 3600.0, SimTime::from_hours(1_000.0));
+        sim.reset_metrics();
+        sim.run(SimTime::from_hours(200.0));
+        let depths = sim.telemetry_snapshot().map(|t| t.queue_depth.count());
+        (
+            done.map(SimTime::as_secs).map(f64::to_bits),
+            metric_bits(&sim.metrics()),
+            sim.events_processed(),
+            depths,
+        )
+    };
+    let (plain_done, plain, plain_events, no_depths) = run(false);
+    let (done, probed, events, depths) = run(true);
+    assert!(plain_done.is_some(), "the work target is reached");
+    assert_eq!(no_depths, None);
+    assert_eq!(depths, Some(events), "one queue-depth sample per event");
+    assert_eq!((done, probed, events), (plain_done, plain, plain_events));
+}

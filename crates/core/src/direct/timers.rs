@@ -7,7 +7,17 @@
 //! executor runs on. This module only maps kinds to slots and back.
 
 use super::events::Event;
-use ckpt_des::{SimTime, TimerTable};
+use ckpt_des::{SimTime, TimerKey, TimerTable};
+
+/// The application cycle's event kinds as a slot mask: the only
+/// timers a handler run in the executing phase's inner loop touches
+/// (see `DirectSimulator::run_app_cycle`).
+pub(crate) const APP_CYCLE: u64 =
+    1 << Event::AppPhaseEnd as usize | 1 << Event::AppDataWriteDone as usize;
+
+/// Every kind's slot lies in the table's first block, which the masked
+/// methods below address.
+const _: () = assert!(Event::COUNT <= 64);
 
 /// [`TimerTable`] addressed by [`Event`] kind (see module docs).
 #[derive(Debug)]
@@ -50,6 +60,26 @@ impl Timers {
     /// before `limit`.
     pub(crate) fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, Event)> {
         self.0.pop_before(limit).map(|(t, k)| (t, Event::ALL[k]))
+    }
+
+    /// The least `(due, seq)` key among the pending events whose bit
+    /// is set in `mask`, or [`TimerKey::NEVER`] if none is pending.
+    pub(crate) fn least_key(&self, mask: u64) -> TimerKey {
+        self.0.least_key(mask).unwrap_or(TimerKey::NEVER)
+    }
+
+    /// Disarms and returns the pending event in `mask` with the least
+    /// key iff that key is below `below` and it is due at or before
+    /// `limit` (see [`TimerTable::pop_among`]).
+    pub(crate) fn pop_among(
+        &mut self,
+        mask: u64,
+        below: TimerKey,
+        limit: SimTime,
+    ) -> Option<(SimTime, Event)> {
+        self.0
+            .pop_among(mask, below, limit)
+            .map(|(t, k)| (t, Event::ALL[k]))
     }
 }
 

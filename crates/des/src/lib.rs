@@ -39,4 +39,4 @@ pub use hist::LogHistogram;
 pub use queue::{EventQueue, QueueKind};
 pub use rng::{RngFactory, SimRng, StreamId};
 pub use time::{SimTime, TimeError};
-pub use timers::TimerTable;
+pub use timers::{TimerKey, TimerTable};

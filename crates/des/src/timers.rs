@@ -13,6 +13,26 @@ fn key(due: SimTime, seq: u64) -> u128 {
     u128::from(due.to_bits()) << 64 | u128::from(seq)
 }
 
+/// A timer's pop-order key, `(due, seq)`: of two armed timers, the one
+/// with the lesser key pops first. The representation is private; a key
+/// only comes from [`TimerTable::least_key`] or [`TimerKey::first_at`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct TimerKey(u128);
+
+impl TimerKey {
+    /// A key above every key a timer can hold: the bound that excludes
+    /// no timer.
+    pub const NEVER: TimerKey = TimerKey(u128::MAX);
+
+    /// The least key due at `t`: a timer's key is below it exactly when
+    /// the timer is due before `t`.
+    #[inline]
+    #[must_use]
+    pub fn first_at(t: SimTime) -> TimerKey {
+        TimerKey(key(t, 0))
+    }
+}
+
 /// The due time a key was built from.
 #[inline]
 fn due_of(key: u128) -> SimTime {
@@ -38,7 +58,13 @@ impl Block {
     /// The armed slot with the least key and that key.
     #[inline]
     fn argmin(&self) -> Option<(usize, u128)> {
-        let mut bits = self.armed;
+        self.argmin_among(u64::MAX)
+    }
+
+    /// [`Block::argmin`] over the armed slots whose bit is set in `mask`.
+    #[inline]
+    fn argmin_among(&self, mask: u64) -> Option<(usize, u128)> {
+        let mut bits = self.armed & mask;
         if bits == 0 {
             return None;
         }
@@ -221,12 +247,61 @@ impl TimerTable {
         if due > limit {
             return None;
         }
+        self.take(slot, due);
+        Some((due, slot))
+    }
+
+    /// The least key among the armed slots of the first block (slots
+    /// `0..64`) whose bit is set in `mask`.
+    #[inline]
+    #[must_use]
+    pub fn least_key(&self, mask: u64) -> Option<TimerKey> {
+        self.low.argmin_among(mask).map(|(_, k)| TimerKey(k))
+    }
+
+    /// Disarms and returns the armed first-block slot in `mask` with the
+    /// least key **iff** that key is below `below` and the slot is due at
+    /// or before `limit`, advancing the watermark with the causality
+    /// check of [`TimerTable::pop_before`]; otherwise leaves the table
+    /// untouched and returns `None`.
+    ///
+    /// In a table of at most 64 slots, with `below` the
+    /// [`TimerTable::least_key`] of every other armed slot (or
+    /// [`TimerKey::NEVER`] if there is none), a slot this pops is exactly
+    /// the one `pop_before(limit)` would pop, and this scans only the
+    /// slots in `mask`. A caller that keeps the other slots
+    /// untouched between pops may reuse that bound; a fresh schedule
+    /// always takes a greater sequence, so a slot re-armed at the bound's
+    /// due time stays above it.
+    ///
+    /// # Panics
+    ///
+    /// As [`TimerTable::pop_before`].
+    #[inline]
+    pub fn pop_among(
+        &mut self,
+        mask: u64,
+        below: TimerKey,
+        limit: SimTime,
+    ) -> Option<(SimTime, usize)> {
+        let (slot, k) = self.low.argmin_among(mask)?;
+        let due = due_of(k);
+        if k >= below.0 || due > limit {
+            return None;
+        }
+        self.take(slot, due);
+        Some((due, slot))
+    }
+
+    /// Disarms `slot`, just found to be the next timer, and advances the
+    /// watermark to its `due` time.
+    #[inline]
+    fn take(&mut self, slot: usize, due: SimTime) {
         if due < self.watermark {
             scheduled_into_the_past(due, self.watermark);
         }
         self.cancel(slot);
         self.watermark = due;
-        Some((due, slot))
     }
 
     /// The causality watermark: the due time of the most recently popped
@@ -251,8 +326,8 @@ impl TimerTable {
     }
 }
 
-/// The causality check's failure, kept out of line so the check costs
-/// [`TimerTable::pop_before`] one comparison.
+/// The causality check's failure, kept out of line so the check costs a
+/// pop one comparison.
 #[cold]
 #[inline(never)]
 fn scheduled_into_the_past(due: SimTime, watermark: SimTime) -> ! {

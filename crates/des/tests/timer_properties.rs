@@ -4,8 +4,12 @@
 //! the same `(time, slot)` sequence and agree on which slots are
 //! pending. This is the contract that lets both engines run on the
 //! table and still replay the event order of the heap bit for bit.
+//!
+//! The masked pop, [`TimerTable::pop_among`], is checked against
+//! [`TimerTable::pop_before`] on the same table: whatever it pops is
+//! exactly what `pop_before` would have popped.
 
-use ckpt_des::{EventId, EventQueue, SimTime, TimerTable};
+use ckpt_des::{EventId, EventQueue, SimTime, TimerKey, TimerTable};
 use proptest::prelude::*;
 
 /// More than one bitset word of slots, so the scans cross a word
@@ -151,8 +155,132 @@ fn replay_against_heap(slots: usize, ops: Vec<Op>) -> Result<(), TestCaseError> 
     Ok(())
 }
 
+/// The bound a masked pop is given.
+#[derive(Debug, Clone, Copy)]
+enum Bound {
+    /// The least key outside the mask: the bound that makes the masked
+    /// pop pop what `pop_before` would.
+    Others,
+    /// The lesser of that and the least key due at a cut-off time,
+    /// relative to the watermark (the direct engine's work-target
+    /// crossing).
+    OthersAndCut(Due),
+    /// The least key inside the mask itself: nothing is below it.
+    OwnLeast,
+}
+
+/// An operation of the masked-pop property.
+#[derive(Debug, Clone)]
+enum MaskedOp {
+    /// Schedule, re-arm, cancel or pop as in [`Op`].
+    Plain(Op),
+    /// Masked pop of the slots in `mask`, due by `limit` (relative to the
+    /// watermark).
+    PopAmong { mask: u64, bound: Bound, limit: Due },
+}
+
+fn masked_op_strategy() -> impl Strategy<Value = MaskedOp> {
+    let mask = prop_oneof![
+        1 => 0..=u64::MAX,
+        2 => (0..64usize, 0..64usize).prop_map(|(a, b)| 1 << a | 1 << b),
+    ];
+    let bound = prop_oneof![
+        3 => Just(Bound::Others),
+        2 => (0u32..4).prop_map(|dt| Bound::OthersAndCut(Due::Step(dt))),
+        1 => Just(Bound::OwnLeast),
+    ];
+    prop_oneof![
+        6 => op_strategy().prop_map(MaskedOp::Plain),
+        4 => (mask, bound, (0u32..4)).prop_map(|(mask, bound, dt)| MaskedOp::PopAmong {
+            mask,
+            bound,
+            limit: Due::Step(dt),
+        }),
+    ]
+}
+
+/// Whether `table` has the same armed slots as `other` and the same
+/// watermark.
+fn same_state(table: &TimerTable, other: &TimerTable, slots: usize) -> bool {
+    table.watermark() == other.watermark()
+        && (0..slots).all(|k| table.is_armed(k) == other.is_armed(k))
+}
+
+/// Replays `ops` on a table of `slots` slots (at most one block), and
+/// checks every masked pop against `pop_before` on a copy of the table.
+fn masked_pops_agree_with_pop_before(
+    slots: usize,
+    ops: Vec<MaskedOp>,
+) -> Result<(), TestCaseError> {
+    let mut table = TimerTable::new(slots);
+    for op in ops {
+        let w = table.watermark();
+        match op {
+            MaskedOp::Plain(Op::Schedule(k, due)) => table.schedule(k % slots, due.at(w)),
+            MaskedOp::Plain(Op::Cancel(k)) => {
+                table.cancel(k % slots);
+            }
+            MaskedOp::Plain(Op::PopBefore(due)) => {
+                table.pop_before(due.at(w));
+            }
+            MaskedOp::PopAmong { mask, bound, limit } => {
+                let limit = limit.at(w);
+                let others = table.least_key(!mask).unwrap_or(TimerKey::NEVER);
+                let (below, cut) = match bound {
+                    Bound::Others => (others, None),
+                    Bound::OthersAndCut(cut) => {
+                        let cut = cut.at(w);
+                        (others.min(TimerKey::first_at(cut)), Some(cut))
+                    }
+                    Bound::OwnLeast => (table.least_key(mask).unwrap_or(TimerKey::NEVER), None),
+                };
+                let before = table.clone();
+                let mut oracle = table.clone();
+                let expected = oracle.pop_before(limit);
+                match table.pop_among(mask, below, limit) {
+                    Some((t, k)) => {
+                        prop_assert!(!matches!(bound, Bound::OwnLeast), "popped at its own key");
+                        prop_assert!(mask & 1 << k != 0, "slot {} is outside the mask", k);
+                        prop_assert_eq!(Some((t, k)), expected);
+                        prop_assert_eq!(
+                            Some(t.as_secs().to_bits()),
+                            expected.map(|(t, _)| t.as_secs().to_bits())
+                        );
+                        prop_assert!(cut.is_none_or(|cut| t < cut), "popped at or after the cut");
+                        prop_assert!(same_state(&table, &oracle, slots));
+                    }
+                    None => {
+                        prop_assert!(same_state(&table, &before, slots));
+                        prop_assert_eq!(table.len(), before.len());
+                        // With the plain bound a refusal is never a miss:
+                        // `pop_before` pops nothing, or a slot outside.
+                        if matches!(bound, Bound::Others) {
+                            prop_assert!(
+                                expected.is_none_or(|(_, k)| mask & 1 << k == 0),
+                                "refused {:?}, which pop_before pops",
+                                expected
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Schedules on integer steps, so due-time ties between masked and
+    /// other slots are common and only the sequence orders them.
+    #[test]
+    fn masked_pop_pops_what_pop_before_would(
+        slots in 1..=64usize,
+        ops in proptest::collection::vec(masked_op_strategy(), 1..400),
+    ) {
+        masked_pops_agree_with_pop_before(slots, ops)?;
+    }
 
     #[test]
     fn table_pops_like_the_heap(

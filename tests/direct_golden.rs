@@ -8,11 +8,21 @@
 //! engine's own future-event list may be reimplemented freely, but it
 //! must pop events in the same `(time, FIFO)` order, so these values
 //! never change. A mismatch is a regression, not a test to update.
-//! The last two classes, `no_app_io` (no I/O phase, so the app-phase
-//! timer is cancelled) and `no_app_data_write` (zero-length data
-//! write), were captured later from the timer-table engine, before its
+//! The classes `no_app_io` (no I/O phase, so the app-phase timer is
+//! cancelled) and `no_app_data_write` (zero-length data write) were
+//! captured later from the timer-table engine, before its
 //! config-derived durations became constants computed once per
 //! simulator; no other class reaches those two branches.
+//!
+//! The last two were captured before the engine ran the application
+//! cycle in its own inner loop. `app_cycle_to_horizon` (no failures, no
+//! checkpoint within the run) ends its 180 s cycle exactly on both the
+//! 50 h and the 550 h horizon, so a timer due at the limit fires.
+//! `load_adaptive_policy` feeds the policy every recorded model event.
+//! An application timer tied with the checkpoint trigger needs no class
+//! of its own: `failures_disabled` reaches that tie at every checkpoint
+//! (970 times in its window) and `table3_defaults` 666 times, the
+//! trigger popping first each time.
 //!
 //! Each class also runs with both `QueueKind`s passed to
 //! `DirectSimulator::with_queue`: the choice must not change a bit.
@@ -20,7 +30,7 @@
 use ckptsim::des::SimTime;
 use ckptsim::model::config::{ErrorPropagation, GenericCorrelated, RecoveryTimeModel};
 use ckptsim::model::direct::DirectSimulator;
-use ckptsim::model::{CoordinationMode, Metrics, PhaseKind, QueueKind, SystemConfig};
+use ckptsim::model::{CoordinationMode, Metrics, PhaseKind, PolicySpec, QueueKind, SystemConfig};
 
 /// One window, flattened: `[events, window_secs, useful_work_secs,
 /// work_lost_secs, <13 counters in declaration order>, <5 phase times
@@ -158,6 +168,19 @@ fn classes() -> Vec<(&'static str, SystemConfig, Row)> {
             "no_app_data_write",
             build(harsh().app_io_data_per_node_mb(0.0)),
             NO_APP_DATA_WRITE,
+        ),
+        (
+            "app_cycle_to_horizon",
+            build(
+                b().failures_enabled(false)
+                    .checkpoint_interval(SimTime::from_hours(1_000.0)),
+            ),
+            APP_CYCLE_TO_HORIZON,
+        ),
+        (
+            "load_adaptive_policy",
+            build(harsh().policy(PolicySpec::load_adaptive_default())),
+            LOAD_ADAPTIVE_POLICY,
         ),
     ]
 }
@@ -302,4 +325,17 @@ const NO_APP_DATA_WRITE: Row = [
     14531, 0x413b_7740_0000_0000, 0x4110_2684_ade5_c079, 0x4123_fb2c_5838_4a9c,
     1984, 25, 0, 0, 148, 0, 0, 0, 1026, 968, 0, 0, 0,
     0x412c_0e6e_af2b_2ad9, 0x4098_db6c_160a_c700, 0x40bc_2cad_f62e_3fe0, 0x412a_9b4a_3edd_7344, 0x0000_0000_0000_0000,
+];
+
+#[rustfmt::skip]
+const APP_CYCLE_TO_HORIZON: Row = [
+    32999, 0x413b_7740_0000_0000, 0x413b_7740_0000_0000, 0x0000_0000_0000_0000,
+    0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+    0x413b_7740_0000_0000, 0x0000_0000_0000_0000, 0x0000_0000_0000_0000, 0x0000_0000_0000_0000, 0x0000_0000_0000_0000,
+];
+#[rustfmt::skip]
+const LOAD_ADAPTIVE_POLICY: Row = [
+    27975, 0x413b_7740_0000_0000, 0x4124_0aa3_e63b_490d, 0x4101_a782_7bf3_481c,
+    1902, 30, 0, 0, 2666, 0, 7, 0, 997, 918, 0, 0, 0,
+    0x4128_7023_5c10_aef5, 0x40db_eb1b_362a_47c0, 0x40ff_3754_e868_f356, 0x4129_b819_2d30_e062, 0x0000_0000_0000_0000,
 ];
