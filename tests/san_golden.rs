@@ -15,9 +15,10 @@
 //! and it must list every re-pinned value in CHANGES.md.
 
 use ckptsim::des::SimTime;
-use ckptsim::model::config::{ErrorPropagation, GenericCorrelated};
+use ckptsim::model::config::{ErrorPropagation, GenericCorrelated, RecoveryTimeModel};
 use ckptsim::model::san_model::{CheckpointSan, RunOptions};
 use ckptsim::model::{CoordinationMode, Metrics, PhaseKind, SystemConfig};
+use ckptsim::obs::NoopObserver;
 use ckptsim::san::{ReactivationMode, Scheduling};
 
 /// One window, flattened: `[events, window_secs, useful_work_secs,
@@ -93,7 +94,27 @@ fn classes() -> Vec<(&'static str, SystemConfig, [Row; 2])> {
             ),
             [MAX_OF_N_APP_IO_RESAMPLE, MAX_OF_N_APP_IO_LAZY],
         ),
+        // Every `Keep` timer that can be exponential is: the system
+        // quiesce (`coord`), recovery stage 2 and the I/O restart.
+        (
+            "exponential_timers",
+            build(exponential_timers()),
+            [EXPONENTIAL_TIMERS_RESAMPLE, EXPONENTIAL_TIMERS_LAZY],
+        ),
+        // A system MTTF of about three minutes: failure completions often
+        // fall before the next deterministic timer.
+        (
+            "harsh_failures",
+            build(b().mttf_per_node(SimTime::from_years(0.05))),
+            [HARSH_FAILURES_RESAMPLE, HARSH_FAILURES_LAZY],
+        ),
     ]
+}
+
+fn exponential_timers() -> ckptsim::model::config::SystemConfigBuilder {
+    SystemConfig::builder()
+        .coordination(CoordinationMode::SystemExponential)
+        .recovery_time_model(RecoveryTimeModel::Exponential)
 }
 
 #[test]
@@ -119,6 +140,44 @@ fn every_configuration_class_reproduces_its_pinned_window() {
                     "{what} ({reactivation}, {scheduling:?}) diverged from its pinned window"
                 );
             }
+        }
+    }
+}
+
+/// The hot-loop probes of the `exponential_timers` class (seed 2004),
+/// which count every pending timer and every settled event: per
+/// reactivation mode, `[queue_depth count, queue_depth sum, dirty_set
+/// count, dirty_set sum, rng_draws]` over the transient and the window.
+/// Metrics alone cannot see a probe that miscounts pending timers.
+#[test]
+fn exponential_timers_probes_reproduce_their_pinned_counts() {
+    let model = CheckpointSan::build(&exponential_timers().build().unwrap()).unwrap();
+    let modes = [ReactivationMode::Resample, ReactivationMode::Lazy];
+    for (reactivation, golden) in modes.into_iter().zip(EXPONENTIAL_TIMERS_PROBES) {
+        for scheduling in [Scheduling::Incremental, Scheduling::FullScan] {
+            let opts = RunOptions {
+                seed: 2_004,
+                transient: SimTime::from_hours(50.0),
+                horizon: SimTime::from_hours(500.0),
+                scheduling,
+                reactivation,
+                ..RunOptions::default()
+            };
+            let (_, telem) = model
+                .run_observed(&opts, &mut NoopObserver, true)
+                .expect("replication runs");
+            let t = telem.expect("probes were on");
+            let probes = [
+                t.queue_depth.count(),
+                t.queue_depth.sum(),
+                t.dirty_set.count(),
+                t.dirty_set.sum(),
+                t.rng_draws,
+            ];
+            assert_eq!(
+                probes, golden,
+                "exponential_timers ({reactivation}, {scheduling:?}) probes diverged"
+            );
         }
     }
 }
@@ -170,4 +229,32 @@ const MAX_OF_N_APP_IO_LAZY: Row = [
     42225, 0x413b_7740_0000_0000, 0x4130_c4db_7bb0_24bd, 0x4116_509b_7615_397f,
     483, 6, 0, 0, 611, 0, 0, 0, 409, 0, 0, 0, 0,
     0x4136_5902_5935_731d, 0x40ed_8330_14aa_ecf4, 0x40dc_3c4b_6a1a_54e0, 0x410e_0997_c3e6_6142, 0x0000_0000_0000_0000,
+];
+#[rustfmt::skip]
+const EXPONENTIAL_TIMERS_RESAMPLE: Row = [
+    43272, 0x413b_7740_0000_0000, 0x4131_8e8a_1cbb_554e, 0x4115_7fa8_c544_4702,
+    482, 3, 0, 0, 639, 0, 0, 0, 423, 0, 0, 0, 0,
+    0x4136_ee74_4e0c_670e, 0x40b8_a6fc_a4a0_23a0, 0x40de_350b_d3cf_6618, 0x410f_ba84_2ffd_d9af, 0x0000_0000_0000_0000,
+];
+#[rustfmt::skip]
+const EXPONENTIAL_TIMERS_LAZY: Row = [
+    43799, 0x413b_7740_0000_0000, 0x4132_2cdc_267e_6417, 0x4114_15ae_9bd7_f3fe,
+    453, 8, 0, 0, 661, 0, 0, 0, 389, 0, 0, 0, 0,
+    0x4137_3247_cd74_6117, 0x40b9_fcbf_429d_07a0, 0x40df_1d9a_0686_e468, 0x410d_7428_5977_327b, 0x0000_0000_0000_0000,
+];
+#[rustfmt::skip]
+const HARSH_FAILURES_RESAMPLE: Row = [
+    19658, 0x413b_7740_0000_0000, 0xc042_f70e_f596_4000, 0x4119_96af_d8f3_e6de,
+    9431, 155, 0, 0, 0, 0, 0, 0, 2199, 0, 0, 0, 0,
+    0x4119_9618_207c_3a2c, 0x0000_0000_0000_0000, 0x0000_0000_0000_0000, 0x4135_11b9_f7e0_f175, 0x0000_0000_0000_0000,
+];
+#[rustfmt::skip]
+const HARSH_FAILURES_LAZY: Row = [
+    19532, 0x413b_7740_0000_0000, 0x0000_0000_0000_0000, 0x4119_9624_7ce4_1597,
+    9387, 160, 0, 0, 0, 0, 0, 0, 2207, 0, 0, 0, 0,
+    0x4119_9624_7ce4_1596, 0x0000_0000_0000_0000, 0x0000_0000_0000_0000, 0x4135_11b6_e0c6_fa9a, 0x0000_0000_0000_0000,
+];
+const EXPONENTIAL_TIMERS_PROBES: [[u64; 5]; 2] = [
+    [31458, 104256, 31458, 97965, 66252],
+    [31815, 105473, 31815, 99094, 2433],
 ];
