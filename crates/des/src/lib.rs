@@ -37,6 +37,6 @@ mod timers;
 pub use event::{EventId, ScheduledEvent};
 pub use hist::LogHistogram;
 pub use queue::{EventQueue, QueueKind};
-pub use rng::{RngFactory, SimRng, StreamId};
+pub use rng::{exponential_from_unit, RngFactory, SimRng, StreamId};
 pub use time::{SimTime, TimeError};
-pub use timers::{TimerKey, TimerTable};
+pub use timers::{Ticket, TimerKey, TimerTable};

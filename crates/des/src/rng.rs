@@ -194,8 +194,10 @@ impl SimRng {
 
     /// Exponential sample with the given rate (mean `1/rate`) by the
     /// inverse-CDF transform `-ln(U) / rate`: one uniform, one `ln`.
-    /// Every exponential draw in the workspace funnels through here,
-    /// and its sequence is pinned by tests.
+    /// Every exponential variate in the workspace is this transform,
+    /// [`exponential_from_unit`] of one [`SimRng::open_unit`] (the SAN
+    /// executor draws the uniform itself and defers the transform), and
+    /// its sequence is pinned by tests.
     ///
     /// # Panics
     ///
@@ -205,7 +207,7 @@ impl SimRng {
             rate > 0.0 && rate.is_finite(),
             "exponential rate must be positive and finite, got {rate}"
         );
-        -self.open_unit().ln() / rate
+        exponential_from_unit(self.open_unit(), rate)
     }
 
     /// Bernoulli trial with success probability `p` (clamped to [0, 1]).
@@ -225,6 +227,16 @@ impl SimRng {
             }
         }
     }
+}
+
+/// The exponential variate of rate `rate` that the open uniform `u`
+/// maps to, `-ln(u) / rate`: the transform of [`SimRng::exponential`],
+/// for a caller that draws `u` now and needs the variate only later.
+/// Same `u`, same `rate`, same bits.
+#[inline]
+#[must_use]
+pub fn exponential_from_unit(u: f64, rate: f64) -> f64 {
+    -u.ln() / rate
 }
 
 impl RngCore for SimRng {

@@ -33,6 +33,13 @@ impl TimerKey {
     }
 }
 
+/// A sequence number taken ahead of arming: a timer armed with
+/// [`TimerTable::schedule_with`] under a ticket orders among the others
+/// exactly as if [`TimerTable::schedule`] had armed it when the ticket
+/// was taken. The number itself stays private.
+#[derive(Debug, Clone, Copy)]
+pub struct Ticket(u64);
+
 /// The due time a key was built from.
 #[inline]
 fn due_of(key: u128) -> SimTime {
@@ -169,6 +176,35 @@ impl TimerTable {
         self.next_seq += 1;
         let block = self.block_mut(slot);
         block.keys[slot & 63] = key(due, seq);
+        block.armed |= 1 << (slot & 63);
+    }
+
+    /// Takes the sequence number the next [`TimerTable::schedule`] would
+    /// have stamped, for a timer whose due time is not known yet.
+    #[inline]
+    pub fn ticket(&mut self) -> Ticket {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        Ticket(seq)
+    }
+
+    /// Arms `slot` to fire at `due` under `ticket`, replacing any pending
+    /// timer of that slot: it pops exactly where a
+    /// [`TimerTable::schedule`] made when the ticket was taken would pop,
+    /// ties with other timers due at `due` included.
+    ///
+    /// # Panics
+    ///
+    /// As [`TimerTable::schedule`].
+    #[inline]
+    pub fn schedule_with(&mut self, slot: usize, due: SimTime, ticket: Ticket) {
+        debug_assert!(
+            due >= self.watermark,
+            "attempted to schedule an event at {due} before current time {}",
+            self.watermark
+        );
+        let block = self.block_mut(slot);
+        block.keys[slot & 63] = key(due, ticket.0);
         block.armed |= 1 << (slot & 63);
     }
 

@@ -8,8 +8,12 @@
 //! The masked pop, [`TimerTable::pop_among`], is checked against
 //! [`TimerTable::pop_before`] on the same table: whatever it pops is
 //! exactly what `pop_before` would have popped.
+//!
+//! A ticketed arm, [`TimerTable::schedule_with`], is checked against a
+//! plain [`TimerTable::schedule`] made when the ticket was taken: held
+//! back until it could be the next pop, it pops the same.
 
-use ckpt_des::{EventId, EventQueue, SimTime, TimerKey, TimerTable};
+use ckpt_des::{EventId, EventQueue, SimTime, Ticket, TimerKey, TimerTable};
 use proptest::prelude::*;
 
 /// More than one bitset word of slots, so the scans cross a word
@@ -269,8 +273,119 @@ fn masked_pops_agree_with_pop_before(
     Ok(())
 }
 
+/// An operation of the ticket property.
+#[derive(Debug, Clone)]
+enum TicketOp {
+    /// Schedule, re-arm, cancel or pop as in [`Op`].
+    Plain(Op),
+    /// Take a ticket for a slot due at a time relative to the watermark,
+    /// and arm it only once it could be the next pop.
+    Defer(usize, Due),
+}
+
+fn ticket_op_strategy() -> impl Strategy<Value = TicketOp> {
+    let due = prop_oneof![
+        3 => (0u32..4).prop_map(Due::Step),
+        1 => (0u64..3).prop_map(Due::Ulps),
+    ];
+    prop_oneof![
+        6 => op_strategy().prop_map(TicketOp::Plain),
+        4 => ((0..MAX_SLOTS), due).prop_map(|(k, due)| TicketOp::Defer(k, due)),
+    ]
+}
+
+/// Arms every held ticket of `table` due at or before `bound`, as a
+/// deferring executor does before a pop.
+fn arm_held(table: &mut TimerTable, held: &mut [Option<(SimTime, Ticket)>], bound: SimTime) {
+    for (k, h) in held.iter_mut().enumerate() {
+        if let Some((due, ticket)) = *h {
+            if due <= bound {
+                table.schedule_with(k, due, ticket);
+                *h = None;
+            }
+        }
+    }
+}
+
+/// Replays `ops` on a table that schedules every timer at once and on
+/// one that takes a ticket for each [`TicketOp::Defer`] and arms it
+/// under that ticket only before a pop that could pop it: only those
+/// due by the lesser of the limit and the armed timers' next due time.
+/// Both must pop the same slots at the same due bits, keep the same
+/// watermark, and hold the same pending set throughout.
+fn ticketed_arms_pop_like_plain_ones(
+    slots: usize,
+    ops: Vec<TicketOp>,
+) -> Result<(), TestCaseError> {
+    let mut plain = TimerTable::new(slots);
+    let mut ticketed = TimerTable::new(slots);
+    let mut held: Vec<Option<(SimTime, Ticket)>> = vec![None; slots];
+    for op in ops {
+        let w = plain.watermark();
+        match op {
+            TicketOp::Defer(k, due) => {
+                let (k, t) = (k % slots, due.at(w));
+                plain.schedule(k, t);
+                ticketed.cancel(k);
+                held[k] = Some((t, ticketed.ticket()));
+            }
+            TicketOp::Plain(Op::Schedule(k, due)) => {
+                let (k, t) = (k % slots, due.at(w));
+                plain.schedule(k, t);
+                ticketed.schedule(k, t);
+                held[k] = None;
+            }
+            TicketOp::Plain(Op::Cancel(k)) => {
+                let k = k % slots;
+                let was = ticketed.cancel(k) || held[k].take().is_some();
+                prop_assert_eq!(plain.cancel(k), was, "cancel of slot {}", k);
+            }
+            TicketOp::Plain(Op::PopBefore(due)) => {
+                let limit = due.at(w);
+                let bound = ticketed.next().map_or(limit, |(t, _)| t.min(limit));
+                arm_held(&mut ticketed, &mut held, bound);
+                let expected = plain.pop_before(limit);
+                let got = ticketed.pop_before(limit);
+                prop_assert_eq!(got, expected);
+                prop_assert_eq!(
+                    got.map(|(t, _)| t.as_secs().to_bits()),
+                    expected.map(|(t, _)| t.as_secs().to_bits())
+                );
+                prop_assert_eq!(ticketed.watermark(), plain.watermark());
+            }
+        }
+        let pending = held.iter().filter(|h| h.is_some()).count();
+        prop_assert_eq!(plain.len(), ticketed.len() + pending);
+        for (k, h) in held.iter().enumerate() {
+            prop_assert_eq!(plain.is_armed(k), ticketed.is_armed(k) || h.is_some());
+            prop_assert!(
+                !(ticketed.is_armed(k) && h.is_some()),
+                "slot {} both armed and held",
+                k
+            );
+        }
+    }
+    let end = SimTime::from_secs(f64::MAX);
+    arm_held(&mut ticketed, &mut held, end);
+    while let Some(expected) = plain.pop_before(end) {
+        prop_assert_eq!(ticketed.pop_before(end), Some(expected));
+    }
+    prop_assert!(ticketed.is_empty());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Integer-step due times, so a held timer often ties with an armed
+    /// one and only the ticket's sequence orders them.
+    #[test]
+    fn a_ticketed_arm_pops_like_an_arm_at_ticket_time(
+        slots in 1..=MAX_SLOTS,
+        ops in proptest::collection::vec(ticket_op_strategy(), 1..400),
+    ) {
+        ticketed_arms_pop_like_plain_ones(slots, ops)?;
+    }
 
     /// Schedules on integer steps, so due-time ties between masked and
     /// other slots are common and only the sequence orders them.

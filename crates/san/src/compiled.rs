@@ -26,13 +26,19 @@
 //!   expression deeper than [`MAX_STACK`] becomes a single
 //!   [`GateOp::Tree`] op that evaluates it with [`Pred::eval`] — same
 //!   result, tree-walk cost.
-//! * **Dependencies** are bitmasks: one bit per activity, one row per
-//!   place (`place → timed dependents`, `place → instantaneous
-//!   dependents`) set from each activity's input arcs and its gates'
-//!   [`Pred::reads`], plus one global row of the `Resample` timers,
-//!   which are revisited on every event. The scheduler OR-folds the
-//!   rows of the event's dirty places and walks set bits in ascending
-//!   index order.
+//! * **Dependencies** are bitmasks, one row per place, set from each
+//!   activity's input arcs and its gates' [`Pred::reads`]: `place →
+//!   timed dependents` with one bit per activity, plus one global row
+//!   of the `Resample` timers, which are revisited on every event; and
+//!   `place → instantaneous dependents` with one bit per *priority
+//!   rank*, bit `r` standing for the activity at rank `r` of
+//!   `inst_priority_order`. The scheduler OR-folds the rows of the
+//!   event's dirty places and walks set bits in ascending order: timed
+//!   activities by index, instantaneous ones by firing priority.
+//! * **Deferrable exponentials.** Each timed activity whose delay is a
+//!   marking-independent exponential with a rate in the range of
+//!   [`ExpTimer::of`] carries its rate and lower-bound scale, so the
+//!   executor can defer the logarithm of its draw.
 //!
 //! Everything here is *derived* state: the tree-walk path
 //! ([`ActivityDef::enabled`]) remains the semantic reference, and the
@@ -42,6 +48,7 @@
 use crate::activity::{ActivityDef, Delay, Reactivation, Timing};
 use crate::marking::{Marking, PlaceId};
 use crate::pred::Pred;
+use ckpt_des::{exponential_from_unit, SimTime};
 use ckpt_stats::Dist;
 
 /// Stack budget of the gate-program interpreter. Expressions needing
@@ -199,6 +206,60 @@ impl Lowered {
     }
 }
 
+/// A timed activity whose completions the executor may defer: its delay
+/// is `Dist::Exponential { rate }`, and `scale` turns a drawn uniform
+/// `u` into a lower bound `(1 − u)·scale` on the delay `−ln(u)/rate`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ExpTimer {
+    rate: f64,
+    /// `(1/rate)·(1 − 2⁻²⁰)`: the mean, shrunk by a rounding margin.
+    scale: f64,
+}
+
+impl ExpTimer {
+    /// The rounding margin of the lower bound: `1 − 2⁻²⁰`, far below
+    /// `1 − ε` for every rounding and libm `ln` error the bound and the
+    /// exact delay carry (a few units in the last place).
+    const MARGIN: f64 = 1.0 - 1.0 / (1u64 << 20) as f64;
+
+    /// The deferral data of `delay`, if it is an exponential whose every
+    /// delay is a finite normal number: `rate > 0`, `37/rate` finite (a
+    /// drawn uniform is at least 2⁻⁵³, so `−ln u < 37`), and
+    /// `2⁻¹⁰⁴/rate` normal (the least bound, `2⁻⁵³·scale`, is above it).
+    /// A deferred delay then can never be a [`SanError::BadDelay`], and
+    /// neither it nor its bound loses precision to underflow.
+    ///
+    /// [`SanError::BadDelay`]: crate::SanError::BadDelay
+    pub(crate) fn of(delay: &Delay) -> Option<ExpTimer> {
+        let &Delay::Dist(Dist::Exponential { rate }) = delay else {
+            return None;
+        };
+        let eligible = rate > 0.0
+            && (37.0 / rate).is_finite()
+            && f64::EPSILON * f64::EPSILON / rate >= f64::MIN_POSITIVE;
+        eligible.then(|| ExpTimer {
+            rate,
+            scale: (1.0 / rate) * ExpTimer::MARGIN,
+        })
+    }
+
+    /// A lower bound, in seconds, on the due time `base + −ln(u)/rate`:
+    /// `base + (1 − u)·scale`. It holds because `−ln u ≥ 1 − u`, the
+    /// margin of `scale` covers every rounding of both sides, and adding
+    /// `base` rounds monotonically, exactly as `SimTime` addition does.
+    #[inline]
+    pub(crate) fn lower_due(self, base: SimTime, u: f64) -> f64 {
+        base.as_secs() + (1.0 - u) * self.scale
+    }
+
+    /// The due time [`SimRng::exponential`](ckpt_des::SimRng::exponential)
+    /// would have given a timer that drew `u` at `base`, to the bit.
+    #[inline]
+    pub(crate) fn exact_due(self, base: SimTime, u: f64) -> SimTime {
+        base + SimTime::from_secs(exponential_from_unit(u, self.rate))
+    }
+}
+
 /// Flat arena built from a validated activity list; see the module docs.
 pub(crate) struct CompiledSan {
     /// Words per place bitset (`ceil(places / 64)`, min 1).
@@ -221,7 +282,12 @@ pub(crate) struct CompiledSan {
     /// Place-major rows of timed dependents: bit `a` of row `p` is set
     /// iff timed activity `a` depends on place `p`.
     place_timed_mask: Vec<u64>,
-    /// Place-major rows of instantaneous dependents.
+    /// Words per instantaneous-rank bitmask row (`ceil(instantaneous
+    /// activities / 64)`, min 1).
+    pub(crate) rank_words: usize,
+    /// Place-major rows of instantaneous dependents, by priority rank:
+    /// bit `r` of row `p` is set iff the activity at rank `r` of
+    /// `inst_priority_order` depends on place `p`.
     place_inst_mask: Vec<u64>,
     /// Timed activities re-checked on every event: exactly the
     /// [`Reactivation::Resample`] ones, whose contract is to redraw on
@@ -245,17 +311,27 @@ pub(crate) struct CompiledSan {
     lazy_elidable_words: Vec<u64>,
     /// Bit `a` set iff activity `a` is timed.
     pub(crate) timed_words: Vec<u64>,
-    /// Bit `a` set iff activity `a` is instantaneous.
-    pub(crate) inst_words: Vec<u64>,
+    /// Bit `r` set for every rank `r` of `inst_priority_order`.
+    pub(crate) all_ranks: Vec<u64>,
     /// Every instantaneous activity, highest priority first (ties by
     /// definition order) — the firing order of the settle loop.
     pub(crate) inst_priority_order: Vec<u32>,
+    /// Per activity, its deferral data if its completions may be
+    /// deferred (see [`ExpTimer::of`]).
+    exp_timers: Vec<Option<ExpTimer>>,
+    /// The activities with deferral data, ascending.
+    pub(crate) deferrable: Vec<u32>,
 }
 
 impl CompiledSan {
     pub(crate) fn build(place_count: usize, activities: &[ActivityDef]) -> CompiledSan {
         let n = activities.len();
         let mask_words = n.div_ceil(64).max(1);
+        let inst_count = activities
+            .iter()
+            .filter(|def| matches!(def.timing, Timing::Instantaneous { .. }))
+            .count();
+        let rank_words = inst_count.div_ceil(64).max(1);
         // At least one word, as in the marking's nonzero bitset, so an
         // `any_of` group is never empty even in a model without places.
         let place_words = place_count.div_ceil(64).max(1);
@@ -269,14 +345,23 @@ impl CompiledSan {
             checks: Vec::with_capacity(n),
             mask_words,
             place_timed_mask: vec![0; place_count * mask_words],
-            place_inst_mask: vec![0; place_count * mask_words],
+            rank_words,
+            place_inst_mask: vec![0; place_count * rank_words],
             global_timed_mask: vec![0; mask_words],
             global_timed_mask_lazy: vec![0; mask_words],
             resample_words: vec![0; mask_words],
             lazy_elidable_words: vec![0; mask_words],
             timed_words: vec![0; mask_words],
-            inst_words: vec![0; mask_words],
+            all_ranks: vec![0; rank_words],
             inst_priority_order: Vec::new(),
+            exp_timers: activities
+                .iter()
+                .map(|def| match &def.timing {
+                    Timing::Timed(delay) => ExpTimer::of(delay),
+                    Timing::Instantaneous { .. } => None,
+                })
+                .collect(),
+            deferrable: Vec::new(),
         };
         let mut by_priority: Vec<(u32, u32)> = Vec::new();
         for (i, def) in activities.iter().enumerate() {
@@ -291,26 +376,20 @@ impl CompiledSan {
             }
             c.push(lowered);
 
-            // Dependency rows: the places whose token counts can flip
-            // this activity's enabling.
-            let place_mask = match def.timing {
-                Timing::Timed(_) => &mut c.place_timed_mask,
-                Timing::Instantaneous { .. } => &mut c.place_inst_mask,
-            };
-            let reads = def.input_gates.iter().flat_map(|g| g.pred().reads());
-            for p in def.input_arcs.iter().map(|&(p, _)| p).chain(reads) {
-                set_bit(&mut place_mask[p.0 * mask_words..(p.0 + 1) * mask_words], i);
-            }
-
             match def.timing {
                 Timing::Instantaneous { priority } => {
-                    set_bit(&mut c.inst_words, i);
                     by_priority.push((
                         priority,
                         u32::try_from(i).expect("more than 2^32 activities"),
                     ));
                 }
                 Timing::Timed(ref delay) => {
+                    // Dependency rows: the places whose token counts can
+                    // flip this activity's enabling.
+                    for p in dependencies(def) {
+                        let row = &mut c.place_timed_mask[p.0 * mask_words..(p.0 + 1) * mask_words];
+                        set_bit(row, i);
+                    }
                     set_bit(&mut c.timed_words, i);
                     if def.reactivation == Reactivation::Resample {
                         set_bit(&mut c.resample_words, i);
@@ -327,6 +406,19 @@ impl CompiledSan {
         }
         by_priority.sort_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)));
         c.inst_priority_order = by_priority.into_iter().map(|(_, a)| a).collect();
+        for (rank, &a) in c.inst_priority_order.iter().enumerate() {
+            set_bit(&mut c.all_ranks, rank);
+            for p in dependencies(&activities[a as usize]) {
+                set_bit(
+                    &mut c.place_inst_mask[p.0 * rank_words..(p.0 + 1) * rank_words],
+                    rank,
+                );
+            }
+        }
+        c.deferrable = (0..n)
+            .filter(|&a| c.exp_timers[a].is_some())
+            .map(|a| u32::try_from(a).expect("more than 2^32 activities"))
+            .collect();
         c
     }
 
@@ -461,10 +553,16 @@ impl CompiledSan {
         &self.place_timed_mask[p * self.mask_words..(p + 1) * self.mask_words]
     }
 
-    /// Row of instantaneous dependents for place `p`.
+    /// Row of instantaneous dependents for place `p`, by priority rank.
     #[inline]
     pub(crate) fn place_inst_row(&self, p: usize) -> &[u64] {
-        &self.place_inst_mask[p * self.mask_words..(p + 1) * self.mask_words]
+        &self.place_inst_mask[p * self.rank_words..(p + 1) * self.rank_words]
+    }
+
+    /// Activity `a`'s deferral data, if its completions may be deferred.
+    #[inline]
+    pub(crate) fn exp_timer(&self, a: usize) -> Option<ExpTimer> {
+        self.exp_timers[a]
     }
 
     /// Whether activity `a` is timed.
@@ -489,6 +587,13 @@ impl CompiledSan {
 
 fn set_bit(words: &mut [u64], bit: usize) {
     words[bit >> 6] |= 1u64 << (bit & 63);
+}
+
+/// The places whose token counts can flip `def`'s enabling: its input
+/// arcs' and the places its input gates' predicates read.
+fn dependencies(def: &ActivityDef) -> impl Iterator<Item = PlaceId> + '_ {
+    let reads = def.input_gates.iter().flat_map(|g| g.pred().reads());
+    def.input_arcs.iter().map(|&(p, _)| p).chain(reads)
 }
 
 /// Whether `pred` compiles within the interpreter's stack and arity
@@ -560,6 +665,8 @@ mod tests {
     use super::*;
     use crate::gate::InputGate;
     use crate::model::SanBuilder;
+    use ckpt_des::SimRng;
+    use proptest::prelude::*;
 
     #[test]
     fn depth_accounts_for_parked_operands() {
@@ -700,14 +807,15 @@ mod tests {
         // under its place p1 for lazy mode; i0 depends on p1.
         assert_eq!(c.place_timed_row(p0.0), &[0b001]);
         assert_eq!(c.place_timed_row(p1.0), &[0b010]);
-        assert_eq!(c.place_inst_row(p1.0), &[0b100]);
+        // i0 is the only instantaneous activity: rank 0.
+        assert_eq!(c.place_inst_row(p1.0), &[0b1]);
         assert_eq!(c.global_timed_mask, &[0b010]);
         // t1's delay is a plain exponential, so lazy mode elides its
         // redraws and drops it from the global row — the p1 place row
         // still reaches it when its enabling can change.
         assert_eq!(c.global_timed_mask_lazy, &[0b000]);
         assert_eq!(c.timed_words, &[0b011]);
-        assert_eq!(c.inst_words, &[0b100]);
+        assert_eq!(c.all_ranks, &[0b1]);
         assert_eq!(c.inst_priority_order, &[2]);
         assert!(c.is_timed(0) && c.is_timed(1) && !c.is_timed(2));
         assert!(!c.is_resample(0) && c.is_resample(1) && !c.is_resample(2));
@@ -736,5 +844,121 @@ mod tests {
         assert!(c.is_resample(1) && c.is_lazy_elidable(1));
         assert_eq!(c.global_timed_mask, &[0b011]);
         assert_eq!(c.global_timed_mask_lazy, &[0b001]);
+    }
+
+    fn exp_timer(rate: f64) -> Option<ExpTimer> {
+        ExpTimer::of(&Delay::from(Dist::Exponential { rate }))
+    }
+
+    /// The least and the greatest eligible rate.
+    fn eligibility_edges() -> (f64, f64) {
+        let next = |r: f64, step: i64| f64::from_bits(r.to_bits().wrapping_add_signed(step));
+        let mut least = 37.0 / f64::MAX;
+        while exp_timer(least).is_none() {
+            least = next(least, 1);
+        }
+        let mut most = f64::EPSILON * f64::EPSILON / f64::MIN_POSITIVE;
+        while exp_timer(most).is_none() {
+            most = next(most, -1);
+        }
+        assert!(exp_timer(next(least, -1)).is_none() && exp_timer(next(most, 1)).is_none());
+        (least, most)
+    }
+
+    #[test]
+    fn only_plain_exponentials_with_finite_normal_delays_are_deferrable() {
+        let (least, most) = eligibility_edges();
+        assert!(least > 0.0 && (37.0 / least).is_finite() && least < 1e-300);
+        assert!(most > 1e270);
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE] {
+            assert!(exp_timer(rate).is_none(), "rate {rate}");
+        }
+        assert!(ExpTimer::of(&Delay::from(Dist::deterministic(1.0))).is_none());
+        assert!(ExpTimer::of(&Delay::from_fn(|_, rng| rng.exponential(1.0))).is_none());
+        let mut b = SanBuilder::new("deferrable");
+        let p = b.place("p", 1);
+        for (name, delay) in [
+            ("det", Delay::from(Dist::deterministic(1.0))),
+            ("keep", Delay::from(Dist::exponential(2.0))),
+            ("closure", Delay::from_fn(|_, rng| rng.exponential(1.0))),
+            ("resample", Delay::from(Dist::exponential(3.0))),
+        ] {
+            let a = b
+                .timed_activity(name, delay)
+                .input_arc(p, 1)
+                .output_arc(p, 1);
+            let a = if name == "resample" {
+                a.reactivation(Reactivation::Resample)
+            } else {
+                a
+            };
+            a.build();
+        }
+        b.instantaneous_activity("inst", 0).input_arc(p, 2).build();
+        let san = b.build().unwrap();
+        // `Keep` and `Resample` exponentials alike; nothing else.
+        assert_eq!(san.compiled.deferrable, [1, 3]);
+    }
+
+    #[test]
+    fn exact_due_is_the_samplers_due_to_the_bit() {
+        let (least, most) = eligibility_edges();
+        let mut draws = SimRng::seed_from_u64(5);
+        let mut sampler = draws.clone();
+        for (k, rate) in [least, 1e-12, 0.3, 1.0, 7.5e4, 1e12, most]
+            .into_iter()
+            .cycle()
+            .take(700)
+            .enumerate()
+        {
+            let base = SimTime::from_secs(k as f64 * 1234.5);
+            let u = draws.open_unit();
+            let d = sampler.exponential(rate);
+            let exp = exp_timer(rate).unwrap();
+            assert_eq!(exp.exact_due(base, u), base + SimTime::from_secs(d));
+            assert_eq!(draws.words_drawn(), sampler.words_drawn());
+        }
+    }
+
+    /// Open uniforms as `SimRng::open_unit` draws them, `k·2⁻⁵³`: the
+    /// least, around one half, just below one, and anywhere.
+    fn unit() -> impl Strategy<Value = f64> {
+        let ulp = 1.0 / (1u64 << 53) as f64;
+        prop_oneof![
+            (1u64..16).prop_map(move |k| k as f64 * ulp),
+            (0u64..128).prop_map(move |k| 0.5 + (k as f64 - 64.0) * ulp),
+            (1u64..4096).prop_map(move |k| 1.0 - k as f64 * ulp),
+            (1u64..1 << 53).prop_map(move |k| k as f64 * ulp),
+        ]
+    }
+
+    /// Rates from 1e-12 to 1e12, and at either eligibility edge.
+    fn rate() -> impl Strategy<Value = f64> {
+        let (least, most) = eligibility_edges();
+        prop_oneof![
+            6 => (-12.0f64..12.0).prop_map(|e| 10f64.powf(e)),
+            1 => (0u64..8).prop_map(move |k| f64::from_bits(least.to_bits() + k)),
+            1 => (0u64..8).prop_map(move |k| f64::from_bits(most.to_bits() - k)),
+        ]
+    }
+
+    /// Draw times from 0 to 1e12 s.
+    fn base() -> impl Strategy<Value = SimTime> {
+        prop_oneof![
+            1 => Just(SimTime::ZERO),
+            4 => (-3.0f64..12.0).prop_map(|e| SimTime::from_secs(10f64.powf(e))),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 4096, ..ProptestConfig::default() })]
+
+        /// The lower bound a deferred completion is kept under never
+        /// exceeds the due time it resolves to.
+        #[test]
+        fn lower_due_never_exceeds_the_exact_due(u in unit(), rate in rate(), base in base()) {
+            let exp = exp_timer(rate).unwrap();
+            prop_assert!(exp.lower_due(base, u) <= exp.exact_due(base, u).as_secs());
+        }
     }
 }

@@ -6,7 +6,7 @@ use crate::marking::Marking;
 use crate::model::San;
 use crate::reward::{RewardReport, RewardSpec, RewardValue};
 use ckpt_des::telem::{HotTelemetry, TelemetrySnapshot};
-use ckpt_des::{SimRng, SimTime, TimerTable};
+use ckpt_des::{SimRng, SimTime, Ticket, TimerKey, TimerTable};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -105,6 +105,16 @@ impl fmt::Display for ReactivationMode {
     }
 }
 
+/// A deferred exponential completion: the uniform drawn at `base` under
+/// `ticket`, and a lower bound on the due time it maps to, in seconds.
+#[derive(Debug, Clone, Copy)]
+struct Deferred {
+    lower: f64,
+    base: SimTime,
+    u: f64,
+    ticket: Ticket,
+}
+
 /// Cold per-reward state: consulted when registering, reporting, or
 /// accruing impulses, but not on the per-event integration path (whose
 /// working set lives in the simulator's dense parallel arrays).
@@ -171,6 +181,16 @@ pub struct Simulator<'m> {
     /// Pending completions, one slot per activity (only timed ones are
     /// ever armed).
     timers: TimerTable,
+    /// Pending completions not yet in `timers`, per activity: drawn, but
+    /// not due before the next timer (see [`Simulator::pop_before`]).
+    /// A timed activity is pending iff it is armed in `timers` or
+    /// deferred here, never both.
+    deferred: Vec<Option<Deferred>>,
+    /// At or below the lower bound of every deferred completion, in
+    /// seconds; infinite if none is deferred. A cancel leaves it where
+    /// it is, and each walk over the deferred completions makes it
+    /// exact again.
+    deferred_floor: f64,
     sampled_version: Vec<u64>,
     rng: SimRng,
     rewards: Vec<RewardState>,
@@ -207,9 +227,10 @@ pub struct Simulator<'m> {
     /// Visit bitmask scratch for reconciliation: one bit per timed
     /// activity to revisit this event.
     timed_acc: Vec<u64>,
-    /// Candidate bitmask scratch for settling: one bit per
-    /// instantaneous activity that may have become enabled.
-    inst_acc: Vec<u64>,
+    /// Candidate bitmask scratch for settling: bit `r` set iff the
+    /// instantaneous activity of priority rank `r` may have become
+    /// enabled.
+    inst_ranks: Vec<u64>,
     /// Queue-depth / dirty-set distribution probes; `Some` once
     /// [`Simulator::enable_telemetry`] switched them on (see
     /// [`ckpt_des::telem`]); boxed, so an unobserved run carries one
@@ -271,6 +292,8 @@ impl<'m> Simulator<'m> {
             marking: san.initial_marking(),
             now: SimTime::ZERO,
             timers: TimerTable::new(n),
+            deferred: vec![None; n],
+            deferred_floor: f64::INFINITY,
             sampled_version: vec![0; n],
             rng: SimRng::seed_from_u64(seed),
             rewards: Vec::new(),
@@ -288,7 +311,7 @@ impl<'m> Simulator<'m> {
             reactivation,
             weights_scratch: Vec::new(),
             timed_acc: vec![0; san.compiled.mask_words],
-            inst_acc: vec![0; san.compiled.mask_words],
+            inst_ranks: vec![0; san.compiled.rank_words],
             telem: None,
             redraws_elided: 0,
         };
@@ -472,7 +495,7 @@ impl<'m> Simulator<'m> {
         if condition(&self.marking) {
             return Ok(Some(self.now));
         }
-        while let Some((t, a)) = self.timers.pop_before(horizon) {
+        while let Some((t, a)) = self.pop_before(horizon) {
             self.step_event(t, ActivityId(a))?;
             if condition(&self.marking) {
                 return Ok(Some(self.now));
@@ -493,7 +516,7 @@ impl<'m> Simulator<'m> {
     /// Returns [`SanError`] on instantaneous livelock or invalid sampled
     /// delays.
     pub fn run_until(&mut self, horizon: SimTime) -> Result<(), SanError> {
-        while let Some((t, a)) = self.timers.pop_before(horizon) {
+        while let Some((t, a)) = self.pop_before(horizon) {
             self.step_event(t, ActivityId(a))?;
         }
         if horizon > self.now {
@@ -503,12 +526,72 @@ impl<'m> Simulator<'m> {
         Ok(())
     }
 
+    /// Pops the next completion due at or before `horizon`, deferred
+    /// ones included.
+    ///
+    /// First it arms, at its exact due time and under its ticket, every
+    /// deferred completion that could be that pop: those whose lower
+    /// bound is at or before `bound`, the lesser of the next armed
+    /// timer's due time and `horizon`. One pass suffices: whatever pops
+    /// is due by `bound`, while a completion left deferred is due after
+    /// it, so it can neither pop first nor tie with what does. One armed
+    /// here orders by its ticket, as if armed when drawn. While the
+    /// deferred floor is above `bound` there is nothing to arm.
+    #[inline]
+    fn pop_before(&mut self, horizon: SimTime) -> Option<(SimTime, usize)> {
+        let next = self.timers.next();
+        let bound = next.map_or(horizon, |(due, _)| due.min(horizon));
+        if self.deferred_floor > bound.as_secs() {
+            // The timer found is the next: pop it by its slot rather
+            // than scan for it again.
+            return match next {
+                Some((_, slot)) if slot < 64 => {
+                    self.timers.pop_among(1 << slot, TimerKey::NEVER, horizon)
+                }
+                _ => self.timers.pop_before(horizon),
+            };
+        }
+        let compiled = &self.san.compiled;
+        let mut floor = f64::INFINITY;
+        for &a in &compiled.deferrable {
+            let a = a as usize;
+            let Some(d) = self.deferred[a] else {
+                continue;
+            };
+            if d.lower > bound.as_secs() {
+                floor = floor.min(d.lower);
+                continue;
+            }
+            let exp = compiled
+                .exp_timer(a)
+                .expect("deferred timers are deferrable");
+            let due = exp.exact_due(d.base, d.u);
+            debug_assert!(
+                due.as_secs() >= d.lower,
+                "deferred due {due} below its bound {}",
+                d.lower
+            );
+            self.timers.schedule_with(a, due, d.ticket);
+            self.deferred[a] = None;
+        }
+        self.deferred_floor = floor;
+        self.timers.pop_before(horizon)
+    }
+
+    /// Number of pending completions, armed or deferred.
+    fn pending_count(&self) -> usize {
+        self.timers.len() + self.deferred.iter().flatten().count()
+    }
+
     /// Processes one timed completion at `t`, just popped (and so
     /// disarmed): advance the clock, fire, settle instantaneous
     /// activities, reconcile timed schedules.
     fn step_event(&mut self, t: SimTime, activity: ActivityId) -> Result<(), SanError> {
-        if let Some(telem) = &mut self.telem {
-            telem.record_queue_depth(self.timers.len());
+        if self.telem.is_some() {
+            let depth = self.pending_count();
+            if let Some(telem) = &mut self.telem {
+                telem.record_queue_depth(depth);
+            }
         }
         self.integrate_to(t);
         self.now = t;
@@ -671,7 +754,9 @@ impl<'m> Simulator<'m> {
     /// Fires enabled instantaneous activities (highest priority first,
     /// ties by definition order) until none remain.
     ///
-    /// The candidates are a bitmask. With `all` (initialization and the
+    /// The candidates are a bitmask over priority ranks (bit `r` is the
+    /// activity at rank `r` of `inst_priority_order`, which is sorted
+    /// priority desc, index asc). With `all` (initialization and the
     /// full scan) it starts as every instantaneous activity. Otherwise
     /// it starts empty: between events no instantaneous activity is
     /// enabled (the previous settle reached a fixpoint, and neither
@@ -679,23 +764,22 @@ impl<'m> Simulator<'m> {
     /// token counts), so the only ones that can have become enabled
     /// depend on a place dirtied during this event. Each round folds in
     /// the `place → instantaneous dependents` rows of the places dirtied
-    /// since the previous round, then fires the first enabled candidate
-    /// in `inst_priority_order`, which is sorted (priority desc, index
-    /// asc).
+    /// since the previous round, then fires the enabled candidate of
+    /// least rank. A candidate found disabled stays a candidate.
     fn settle(&mut self, all: bool) -> Result<(), SanError> {
         let san = self.san;
         let compiled = &san.compiled;
         if all {
-            self.inst_acc.copy_from_slice(&compiled.inst_words);
+            self.inst_ranks.copy_from_slice(&compiled.all_ranks);
         } else {
-            self.inst_acc.fill(0);
+            self.inst_ranks.fill(0);
         }
         let mut consumed = 0usize;
         let mut fired = 0u32;
         loop {
             for &p in &self.marking.dirty_places()[consumed..] {
                 for (acc, &row) in self
-                    .inst_acc
+                    .inst_ranks
                     .iter_mut()
                     .zip(compiled.place_inst_row(p as usize))
                 {
@@ -703,15 +787,7 @@ impl<'m> Simulator<'m> {
                 }
             }
             consumed = self.marking.dirty_places().len();
-            if self.inst_acc.iter().all(|&w| w == 0) {
-                return Ok(()); // no candidates at all — the common case
-            }
-            let chosen = compiled
-                .inst_priority_order
-                .iter()
-                .map(|&a| a as usize)
-                .find(|&a| self.inst_acc[a >> 6] & (1u64 << (a & 63)) != 0 && self.enabled(a));
-            let Some(idx) = chosen else {
+            let Some(idx) = self.first_enabled_candidate() else {
                 return Ok(());
             };
             self.fire(ActivityId(idx))?;
@@ -722,6 +798,24 @@ impl<'m> Simulator<'m> {
                 });
             }
         }
+    }
+
+    /// The enabled settle candidate of least priority rank, as an
+    /// activity index.
+    #[inline]
+    fn first_enabled_candidate(&self) -> Option<usize> {
+        let order = &self.san.compiled.inst_priority_order;
+        for (w, &word) in self.inst_ranks.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let a = order[w << 6 | bits.trailing_zeros() as usize] as usize;
+                if self.enabled(a) {
+                    return Some(a);
+                }
+                bits &= bits - 1;
+            }
+        }
+        None
     }
 
     /// Brings timed-activity schedules in line with the marking,
@@ -781,13 +875,16 @@ impl<'m> Simulator<'m> {
     /// Brings timed activity `a`'s schedule in line with its enabling
     /// at marking `version`: cancel it, redraw and re-arm it, elide the
     /// redraw (lazy mode), or draw and arm it. The only place the
-    /// executor arms or cancels a timer (a pop disarms one).
+    /// executor arms, defers or cancels a timer (a pop disarms one, and
+    /// [`Simulator::pop_before`] arms deferred ones).
     fn reconcile(&mut self, a: usize, enabled: bool, version: u64) -> Result<(), SanError> {
         let compiled = &self.san.compiled;
-        match (enabled, self.timers.is_armed(a)) {
+        let armed = self.timers.is_armed(a);
+        match (enabled, armed || self.deferred[a].is_some()) {
             (false, true) => {
                 // Disabling aborts the activity; draws nothing.
                 self.timers.cancel(a);
+                self.deferred[a] = None;
             }
             (false, false) => {}
             (true, true) if !compiled.is_resample(a) || self.sampled_version[a] == version => {}
@@ -801,8 +898,27 @@ impl<'m> Simulator<'m> {
             (true, _) => {
                 // Arm, or redraw: re-arming takes a fresh sequence, as
                 // a cancel followed by a schedule would.
-                let at = self.sample_delay(a)?;
-                self.timers.schedule(a, at);
+                if let Some(exp) = compiled.exp_timer(a) {
+                    // The uniform and the sequence are taken now, in the
+                    // order `sample_delay` and `schedule` take them; the
+                    // logarithm waits until the completion could be next.
+                    let u = self.rng.open_unit();
+                    let ticket = self.timers.ticket();
+                    if armed {
+                        self.timers.cancel(a);
+                    }
+                    let lower = exp.lower_due(self.now, u);
+                    self.deferred[a] = Some(Deferred {
+                        lower,
+                        base: self.now,
+                        u,
+                        ticket,
+                    });
+                    self.deferred_floor = self.deferred_floor.min(lower);
+                } else {
+                    let at = self.sample_delay(a)?;
+                    self.timers.schedule(a, at);
+                }
                 self.sampled_version[a] = version;
             }
         }
@@ -810,10 +926,11 @@ impl<'m> Simulator<'m> {
     }
 
     /// Verifies the scheduler's core invariants against a ground-truth
-    /// scan (debug builds only): every timed activity is scheduled iff
-    /// enabled, no instantaneous activity is enabled between events, the
-    /// compiled enabling check agrees with the definition walk for every
-    /// activity, and the marking's dirty bitmask mirrors its dirty list.
+    /// scan (debug builds only): every timed activity is pending (armed
+    /// or deferred, never both) iff enabled, no instantaneous activity is
+    /// enabled between events, the compiled enabling check agrees with
+    /// the definition walk for every activity, and the marking's dirty
+    /// bitmask mirrors its dirty list.
     /// A schedule violation means a dependency row misses a place some
     /// enabling rule reads; a compiled/reference disagreement means a
     /// gate-program compilation bug.
@@ -831,9 +948,19 @@ impl<'m> Simulator<'m> {
             );
             match def.timing {
                 Timing::Timed(_) => {
+                    debug_assert!(
+                        !(self.timers.is_armed(i) && self.deferred[i].is_some()),
+                        "timed activity '{}' both armed and deferred",
+                        def.name
+                    );
+                    debug_assert!(
+                        self.deferred[i].is_none_or(|d| self.deferred_floor <= d.lower),
+                        "timed activity '{}' deferred below the floor",
+                        def.name
+                    );
                     debug_assert_eq!(
                         reference,
-                        self.timers.is_armed(i),
+                        self.timers.is_armed(i) || self.deferred[i].is_some(),
                         "timed activity '{}' out of sync with its schedule — \
                          its enabling changed without any place of its \
                          dependency row changing",
@@ -876,7 +1003,7 @@ impl fmt::Debug for Simulator<'_> {
         f.debug_struct("Simulator")
             .field("model", &self.san.name())
             .field("now", &self.now)
-            .field("pending_events", &self.timers.len())
+            .field("pending_events", &self.pending_count())
             .finish()
     }
 }
@@ -1089,6 +1216,44 @@ mod tests {
         assert_eq!(sim.firing_count(low), 0);
         assert!(sim.marking().has_token(hi));
         assert!(!sim.marking().has_token(lo));
+    }
+
+    #[test]
+    fn settle_fires_by_priority_rank_across_words() {
+        // 130 instantaneous activities (three rank words), all waiting on
+        // one trigger and each on a token of its own. Priorities repeat
+        // and run against definition order, so rank order differs from
+        // index order. Only ranks from 70 on hold their own token: the
+        // walk passes 70 disabled candidates, into the second word, and
+        // three trigger tokens fire ranks 70, 71 and 72 in that order.
+        let priority = |k: usize| (k * 37) % 50;
+        let mut by_rank: Vec<usize> = (0..130).collect();
+        by_rank.sort_by_key(|&k| (std::cmp::Reverse(priority(k)), k));
+        let mut b = SanBuilder::new("ranks");
+        let src = b.place("src", 1);
+        let trigger = b.place("trigger", 0);
+        b.timed_activity("arm", Delay::from(Dist::deterministic(1.0)))
+            .input_arc(src, 1)
+            .output_arc(trigger, 3)
+            .build();
+        for k in 0..130 {
+            let rank = by_rank.iter().position(|&j| j == k).unwrap();
+            let own = b.place(format!("own{k}"), u64::from(rank >= 70));
+            b.instantaneous_activity(format!("i{k}"), priority(k) as u32)
+                .input_arc(trigger, 1)
+                .input_arc(own, 1)
+                .build();
+        }
+        let san = b.build().unwrap();
+        assert_eq!(san.compiled.rank_words, 3);
+        let mut log = FiringLog::default();
+        let mut sim = Simulator::new(&san, 0).unwrap();
+        sim.set_observer(&mut log);
+        sim.run_until(SimTime::from_secs(2.0)).unwrap();
+        drop(sim);
+        let fired: Vec<&str> = log.0.iter().skip(1).map(|(_, n)| n.as_str()).collect();
+        let expected: Vec<String> = by_rank[70..73].iter().map(|k| format!("i{k}")).collect();
+        assert_eq!(fired, expected);
     }
 
     #[test]
