@@ -24,6 +24,17 @@
 //! (970 times in its window) and `table3_defaults` 666 times, the
 //! trigger popping first each time.
 //!
+//! The last two classes were captured before the application cycle ran
+//! on two timers held outside the table, each for the one branch of
+//! that cycle no earlier class reached (counted on an instrumented
+//! copy): `ckpt_write_outlasts_cycle` (a 655 s file-system write, so the
+//! I/O phase ends while a checkpoint write keeps the I/O nodes busy)
+//! and `app_data_outlasts_cycle` (a 205 s app-data write, so it ends
+//! while the previous cycle's data is still being written). The
+//! `JOBS` pins of `run_until_useful_work` were captured then too: no
+//! earlier pin stopped the cycle at the work-target crossing, and two
+//! of them put the crossing exactly on an application timer's due time.
+//!
 //! Each class also runs with both `QueueKind`s passed to
 //! `DirectSimulator::with_queue`: the choice must not change a bit.
 
@@ -182,6 +193,16 @@ fn classes() -> Vec<(&'static str, SystemConfig, Row)> {
             build(harsh().policy(PolicySpec::load_adaptive_default())),
             LOAD_ADAPTIVE_POLICY,
         ),
+        (
+            "ckpt_write_outlasts_cycle",
+            build(harsh().fs_bandwidth_per_io_mbps(25.0)),
+            CKPT_WRITE_OUTLASTS_CYCLE,
+        ),
+        (
+            "app_data_outlasts_cycle",
+            build(harsh().app_io_data_per_node_mb(400.0)),
+            APP_DATA_OUTLASTS_CYCLE,
+        ),
     ]
 }
 
@@ -223,6 +244,51 @@ fn job_completion_time_is_pinned() {
 
 /// `(completion time in seconds as bits, events processed)`.
 const JOB_COMPLETION: (u64, u64) = (0x414f_d6ef_83ef_9491, 42698);
+
+#[test]
+fn job_completions_at_the_work_crossing_are_pinned() {
+    let b = SystemConfig::builder;
+    let harsh = || b().mttf_per_node(SimTime::from_years(0.25));
+    let no_checkpoint = || {
+        b().failures_enabled(false)
+            .checkpoint_interval(SimTime::from_hours(1_000.0))
+    };
+    let cases = [
+        (b().failures_enabled(false), 200.0 * 3600.0 + 1_000.0),
+        // 20 whole cycles and then a compute phase: the crossing falls
+        // exactly on the `AppPhaseEnd` due time.
+        (no_checkpoint(), 171.0 + 20.0 * 180.0),
+        // Exactly 20 cycles: the crossing is the 20th cycle's end.
+        (no_checkpoint(), 20.0 * 180.0),
+        (
+            harsh().compute_fraction_jitter(Some((0.6, 0.95))),
+            200.0 * 3600.0,
+        ),
+        (harsh().fs_bandwidth_per_io_mbps(25.0), 100.0 * 3600.0),
+    ];
+    for (i, ((builder, target), golden)) in cases.into_iter().zip(JOBS).enumerate() {
+        let cfg = builder.build().expect("valid golden config");
+        let mut sim = DirectSimulator::new(&cfg, 78 + i as u64);
+        let done = sim
+            .run_until_useful_work(target, SimTime::from_hours(10_000.0))
+            .expect("the job finishes before the deadline");
+        assert_eq!(
+            (done.as_secs().to_bits(), sim.events_processed()),
+            golden,
+            "job {i}"
+        );
+    }
+}
+
+/// [`JOB_COMPLETION`]'s pair for each case of
+/// `job_completions_at_the_work_crossing_are_pinned`.
+const JOBS: [(u64, u64); 5] = [
+    (0x4126_b259_2492_493e, 14015),
+    (0x40ad_7600_0000_0000, 60),
+    (0x40ac_2000_0000_0000, 58),
+    (0x4150_1026_967f_3b05, 43224),
+    (0x4142_1049_2952_2a02, 23206),
+];
 
 #[rustfmt::skip]
 const TABLE3_DEFAULTS: Row = [
@@ -338,4 +404,16 @@ const LOAD_ADAPTIVE_POLICY: Row = [
     27975, 0x413b_7740_0000_0000, 0x4124_0aa3_e63b_490d, 0x4101_a782_7bf3_481c,
     1902, 30, 0, 0, 2666, 0, 7, 0, 997, 918, 0, 0, 0,
     0x4128_7023_5c10_aef5, 0x40db_eb1b_362a_47c0, 0x40ff_3754_e868_f356, 0x4129_b819_2d30_e062, 0x0000_0000_0000_0000,
+];
+#[rustfmt::skip]
+const CKPT_WRITE_OUTLASTS_CYCLE: Row = [
+    19275, 0x413b_7740_0000_0000, 0x4110_8cec_4bcf_4131, 0x4124_72a7_54fb_5c9d,
+    1881, 23, 0, 0, 152, 0, 1, 0, 1008, 885, 0, 0, 0,
+    0x412c_b91d_7ae2_fd36, 0x409a_3a77_6bb1_4900, 0x40c3_8cba_3551_9530, 0x4129_da12_6091_e3d1, 0x0000_0000_0000_0000,
+];
+#[rustfmt::skip]
+const APP_DATA_OUTLASTS_CYCLE: Row = [
+    16744, 0x413b_7740_0000_0000, 0x4111_5213_4cb5_c9a4, 0x4123_9e92_7146_7ab4,
+    1917, 27, 0, 0, 158, 0, 0, 0, 1023, 911, 0, 0, 0,
+    0x412c_479c_17a1_5f86, 0x409a_b800_0000_0000, 0x40c4_17fc_254a_a570, 0x412a_4927_f7c9_75e4, 0x0000_0000_0000_0000,
 ];
