@@ -7,11 +7,11 @@
 //! executor runs on. This module only maps kinds to slots and back.
 
 use super::events::Event;
-use ckpt_des::{SimTime, TimerKey, TimerTable};
+use ckpt_des::{SimTime, Ticket, TimerKey, TimerTable};
 
-/// The application cycle's event kinds as a slot mask: the only
-/// timers a handler run in the executing phase's inner loop touches
-/// (see `DirectSimulator::run_app_cycle`).
+/// The application cycle's event kinds as a slot mask: the two timers
+/// the executing phase's application-cycle kernel holds outside the
+/// table (see `DirectSimulator::run_app_cycle`).
 pub(crate) const APP_CYCLE: u64 =
     1 << Event::AppPhaseEnd as usize | 1 << Event::AppDataWriteDone as usize;
 
@@ -68,18 +68,28 @@ impl Timers {
         self.0.least_key(mask).unwrap_or(TimerKey::NEVER)
     }
 
-    /// Disarms and returns the pending event in `mask` with the least
-    /// key iff that key is below `below` and it is due at or before
-    /// `limit` (see [`TimerTable::pop_among`]).
-    pub(crate) fn pop_among(
-        &mut self,
-        mask: u64,
-        below: TimerKey,
-        limit: SimTime,
-    ) -> Option<(SimTime, Event)> {
-        self.0
-            .pop_among(mask, below, limit)
-            .map(|(t, k)| (t, Event::ALL[k]))
+    /// Disarms `event` and returns its due time and ticket, or `None` if
+    /// it was not pending (see [`TimerTable::withdraw`]).
+    pub(crate) fn withdraw(&mut self, event: Event) -> Option<(SimTime, Ticket)> {
+        self.0.withdraw(event as usize)
+    }
+
+    /// The sequence number the next [`Timers::schedule`] would take.
+    pub(crate) fn ticket(&mut self) -> Ticket {
+        self.0.ticket()
+    }
+
+    /// Arms `event` at `due` under `ticket`, replacing any pending
+    /// instance (see [`TimerTable::schedule_with`]).
+    pub(crate) fn schedule_with(&mut self, event: Event, due: SimTime, ticket: Ticket) {
+        self.0.schedule_with(event as usize, due, ticket);
+    }
+
+    /// Records events popped outside the table, the first due at
+    /// `first` and the last at `last` (see
+    /// [`TimerTable::advance_watermark`]).
+    pub(crate) fn advance_watermark(&mut self, first: SimTime, last: SimTime) {
+        self.0.advance_watermark(first, last);
     }
 }
 

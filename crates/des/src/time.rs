@@ -108,6 +108,36 @@ impl SimTime {
         SimTime::from_hours(years * 8766.0)
     }
 
+    /// [`SimTime::from_mins`], rejecting what [`SimTime::try_from_secs`]
+    /// rejects, a value whose conversion overflows included.
+    ///
+    /// # Errors
+    ///
+    /// As [`SimTime::try_from_secs`].
+    pub fn try_from_mins(mins: f64) -> Result<SimTime, TimeError> {
+        SimTime::try_from_secs(mins * 60.0)
+    }
+
+    /// [`SimTime::from_hours`], rejecting what [`SimTime::try_from_secs`]
+    /// rejects, a value whose conversion overflows included.
+    ///
+    /// # Errors
+    ///
+    /// As [`SimTime::try_from_secs`].
+    pub fn try_from_hours(hours: f64) -> Result<SimTime, TimeError> {
+        SimTime::try_from_secs(hours * 3600.0)
+    }
+
+    /// [`SimTime::from_years`], rejecting what [`SimTime::try_from_secs`]
+    /// rejects, a value whose conversion overflows included.
+    ///
+    /// # Errors
+    ///
+    /// As [`SimTime::try_from_secs`].
+    pub fn try_from_years(years: f64) -> Result<SimTime, TimeError> {
+        SimTime::try_from_hours(years * 8766.0)
+    }
+
     /// The value in seconds.
     #[must_use]
     pub fn as_secs(self) -> f64 {
@@ -290,6 +320,22 @@ mod tests {
         assert!(SimTime::try_from_secs(f64::INFINITY).is_err());
         assert!(SimTime::try_from_secs(-1.0).is_err());
         assert!(SimTime::try_from_secs(0.0).is_ok());
+    }
+
+    #[test]
+    fn fallible_unit_constructors_match_and_reject_overflow() {
+        assert_eq!(SimTime::try_from_mins(1.5), Ok(SimTime::from_mins(1.5)));
+        assert_eq!(SimTime::try_from_hours(2.0), Ok(SimTime::from_hours(2.0)));
+        assert_eq!(SimTime::try_from_years(0.25), Ok(SimTime::from_years(0.25)));
+        for convert in [
+            SimTime::try_from_mins,
+            SimTime::try_from_hours,
+            SimTime::try_from_years,
+        ] {
+            assert!(convert(1e308).is_err(), "the conversion overflows");
+            assert!(convert(-1.0).is_err());
+            assert!(convert(f64::NAN).is_err());
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@ fn key(due: SimTime, seq: u64) -> u128 {
 
 /// A timer's pop-order key, `(due, seq)`: of two armed timers, the one
 /// with the lesser key pops first. The representation is private; a key
-/// only comes from [`TimerTable::least_key`] or [`TimerKey::first_at`].
+/// only comes from [`TimerTable::least_key`], [`TimerKey::first_at`] or
+/// [`TimerKey::of`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TimerKey(u128);
 
@@ -30,6 +31,15 @@ impl TimerKey {
     #[must_use]
     pub fn first_at(t: SimTime) -> TimerKey {
         TimerKey(key(t, 0))
+    }
+
+    /// The key of a timer due at `due` under `ticket`: the key it holds
+    /// once [`TimerTable::schedule_with`] arms it so, and the key a
+    /// timer taken out by [`TimerTable::withdraw`] held in the table.
+    #[inline]
+    #[must_use]
+    pub fn of(due: SimTime, ticket: Ticket) -> TimerKey {
+        TimerKey(key(due, ticket.0))
     }
 }
 
@@ -208,6 +218,22 @@ impl TimerTable {
         block.armed |= 1 << (slot & 63);
     }
 
+    /// Disarms `slot` and returns its due time and sequence, or `None`
+    /// if it was not armed. [`TimerTable::schedule_with`] under the
+    /// returned ticket puts it back exactly as it was: it then pops as
+    /// if it had never left.
+    #[inline]
+    pub fn withdraw(&mut self, slot: usize) -> Option<(SimTime, Ticket)> {
+        let block = self.block_mut(slot);
+        let bit = 1 << (slot & 63);
+        if block.armed & bit == 0 {
+            return None;
+        }
+        block.armed &= !bit;
+        let k = block.keys[slot & 63];
+        Some((due_of(k), Ticket(k as u64)))
+    }
+
     /// Disarms `slot`; returns whether it was armed.
     #[inline]
     pub fn cancel(&mut self, slot: usize) -> bool {
@@ -340,6 +366,25 @@ impl TimerTable {
         self.watermark = due;
     }
 
+    /// Records that timers held outside the table (see
+    /// [`TimerTable::withdraw`]) were popped in due order, the first due
+    /// at `first` and the last at `last`, by advancing the watermark to
+    /// `last` with the causality check of [`TimerTable::pop_before`] on
+    /// `first`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `first` is before the watermark, as
+    /// [`TimerTable::pop_before`] would have on popping that timer.
+    #[inline]
+    pub fn advance_watermark(&mut self, first: SimTime, last: SimTime) {
+        if first < self.watermark {
+            scheduled_into_the_past(first, self.watermark);
+        }
+        debug_assert!(first <= last, "popped {last} after {first}");
+        self.watermark = last;
+    }
+
     /// The causality watermark: the due time of the most recently popped
     /// timer. Timers must not be scheduled before it.
     #[must_use]
@@ -466,6 +511,15 @@ mod tests {
         assert_eq!(t.pop_before(at(3.0)), None);
         assert!(t.is_armed(1));
         assert_eq!(t.watermark(), at(2.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "before current time")]
+    fn a_pop_outside_the_table_below_the_watermark_panics() {
+        let mut t = TimerTable::new(2);
+        t.schedule(0, at(10.0));
+        t.pop_before(at(10.0));
+        t.advance_watermark(at(5.0), at(12.0));
     }
 
     #[test]

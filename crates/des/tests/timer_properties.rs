@@ -12,6 +12,11 @@
 //! A ticketed arm, [`TimerTable::schedule_with`], is checked against a
 //! plain [`TimerTable::schedule`] made when the ticket was taken: held
 //! back until it could be the next pop, it pops the same.
+//!
+//! A withdrawn slot, [`TimerTable::withdraw`], put back under its own
+//! ticket pops exactly as if it had never left, and a timer popped
+//! outside the table ([`TimerTable::advance_watermark`]) leaves the
+//! table as [`TimerTable::pop_before`] would.
 
 use ckpt_des::{EventId, EventQueue, SimTime, Ticket, TimerKey, TimerTable};
 use proptest::prelude::*;
@@ -374,8 +379,128 @@ fn ticketed_arms_pop_like_plain_ones(
     Ok(())
 }
 
+/// An operation of the withdrawal property.
+#[derive(Debug, Clone)]
+enum WithdrawOp {
+    /// Schedule, re-arm, cancel or pop as in [`Op`].
+    Plain(Op),
+    /// Take a slot out of the table, to be put back before the next pop.
+    Withdraw(usize),
+    /// Pop the next timer, if due by a time relative to the watermark,
+    /// by taking it out and advancing the watermark past it.
+    PopOutside(Due),
+}
+
+fn withdraw_op_strategy() -> impl Strategy<Value = WithdrawOp> {
+    prop_oneof![
+        6 => op_strategy().prop_map(WithdrawOp::Plain),
+        3 => (0..MAX_SLOTS).prop_map(WithdrawOp::Withdraw),
+        2 => (0u32..4).prop_map(|dt| WithdrawOp::PopOutside(Due::Step(dt))),
+    ]
+}
+
+/// Puts every withdrawn slot of `table` back under its own ticket.
+fn put_back(table: &mut TimerTable, held: &mut [Option<(SimTime, Ticket)>]) {
+    for (k, h) in held.iter_mut().enumerate() {
+        if let Some((due, ticket)) = h.take() {
+            table.schedule_with(k, due, ticket);
+        }
+    }
+}
+
+/// Replays `ops` on a plain table and on one whose slots are withdrawn
+/// and put back before the next pop, and some of whose pops happen
+/// outside the table. Both must pop the same slots at the same due
+/// bits, keep the same watermark and hold the same pending set; a
+/// withdrawn slot's `(due, ticket)` must rebuild the key it held.
+fn withdrawn_slots_pop_as_if_never_taken(
+    slots: usize,
+    ops: Vec<WithdrawOp>,
+) -> Result<(), TestCaseError> {
+    let mut plain = TimerTable::new(slots);
+    let mut moved = TimerTable::new(slots);
+    let mut held: Vec<Option<(SimTime, Ticket)>> = vec![None; slots];
+    for op in ops {
+        let w = plain.watermark();
+        match op {
+            WithdrawOp::Withdraw(k) => {
+                let k = k % slots;
+                if held[k].is_none() {
+                    let key = (k < 64).then(|| moved.least_key(1 << k)).flatten();
+                    held[k] = moved.withdraw(k);
+                    prop_assert_eq!(held[k].is_some(), plain.is_armed(k), "slot {}", k);
+                    prop_assert!(!moved.is_armed(k));
+                    if let (Some(key), Some((due, ticket))) = (key, held[k]) {
+                        prop_assert_eq!(TimerKey::of(due, ticket), key, "slot {}", k);
+                    }
+                }
+            }
+            WithdrawOp::Plain(Op::Schedule(k, due)) => {
+                let (k, t) = (k % slots, due.at(w));
+                plain.schedule(k, t);
+                moved.schedule(k, t);
+                held[k] = None;
+            }
+            WithdrawOp::Plain(Op::Cancel(k)) => {
+                let k = k % slots;
+                let was = moved.cancel(k) || held[k].take().is_some();
+                prop_assert_eq!(plain.cancel(k), was, "cancel of slot {}", k);
+            }
+            WithdrawOp::Plain(Op::PopBefore(due)) => {
+                let limit = due.at(w);
+                put_back(&mut moved, &mut held);
+                let expected = plain.pop_before(limit);
+                let got = moved.pop_before(limit);
+                prop_assert_eq!(got, expected);
+                prop_assert_eq!(
+                    got.map(|(t, _)| t.as_secs().to_bits()),
+                    expected.map(|(t, _)| t.as_secs().to_bits())
+                );
+            }
+            WithdrawOp::PopOutside(due) => {
+                let limit = due.at(w);
+                put_back(&mut moved, &mut held);
+                let expected = plain.pop_before(limit);
+                let got = match moved.next() {
+                    Some((t, k)) if t <= limit => {
+                        let (due, _) = moved.withdraw(k).expect("the next slot is armed");
+                        prop_assert_eq!(due.as_secs().to_bits(), t.as_secs().to_bits());
+                        moved.advance_watermark(due, due);
+                        Some((due, k))
+                    }
+                    _ => None,
+                };
+                prop_assert_eq!(got, expected);
+            }
+        }
+        prop_assert_eq!(moved.watermark(), plain.watermark());
+        let pending = held.iter().filter(|h| h.is_some()).count();
+        prop_assert_eq!(plain.len(), moved.len() + pending);
+        for (k, h) in held.iter().enumerate() {
+            prop_assert_eq!(plain.is_armed(k), moved.is_armed(k) || h.is_some());
+        }
+    }
+    put_back(&mut moved, &mut held);
+    let end = SimTime::from_secs(f64::MAX);
+    while let Some(expected) = plain.pop_before(end) {
+        prop_assert_eq!(moved.pop_before(end), Some(expected));
+    }
+    prop_assert!(moved.is_empty());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Integer-step due times, so a withdrawn timer often ties with
+    /// another and only its ticket orders them once it is back.
+    #[test]
+    fn a_withdrawn_slot_put_back_pops_as_if_it_never_left(
+        slots in 1..=MAX_SLOTS,
+        ops in proptest::collection::vec(withdraw_op_strategy(), 1..400),
+    ) {
+        withdrawn_slots_pop_as_if_never_taken(slots, ops)?;
+    }
 
     /// Integer-step due times, so a held timer often ties with an armed
     /// one and only the ticket's sequence orders them.
