@@ -7,6 +7,7 @@
 /// duplicating the plumbing.
 pub use ckpt_harness::ExecFlags;
 
+use ckpt_bench::args::duration;
 use ckpt_core::config::{CoordinationMode, ErrorPropagation, GenericCorrelated, SystemConfig};
 use ckpt_core::PolicySpec;
 use ckpt_des::SimTime;
@@ -86,19 +87,19 @@ pub fn parse_config(args: Vec<String>) -> Result<(SystemConfig, Vec<String>), Ck
             }
             "--interval-mins" => {
                 let v = value(&mut it, "--interval-mins")?;
-                b = b.checkpoint_interval(SimTime::from_mins(parse_num(&v, "--interval-mins")?));
+                b = b.checkpoint_interval(duration("--interval-mins", v, SimTime::try_from_mins)?);
             }
             "--mttf-years" => {
                 let v = value(&mut it, "--mttf-years")?;
-                b = b.mttf_per_node(SimTime::from_years(parse_num(&v, "--mttf-years")?));
+                b = b.mttf_per_node(duration("--mttf-years", v, SimTime::try_from_years)?);
             }
             "--mttr-mins" => {
                 let v = value(&mut it, "--mttr-mins")?;
-                b = b.mttr_system(SimTime::from_mins(parse_num(&v, "--mttr-mins")?));
+                b = b.mttr_system(duration("--mttr-mins", v, SimTime::try_from_mins)?);
             }
             "--mttq-secs" => {
                 let v = value(&mut it, "--mttq-secs")?;
-                b = b.mttq(SimTime::from_secs(parse_num(&v, "--mttq-secs")?));
+                b = b.mttq(duration("--mttq-secs", v, SimTime::try_from_secs)?);
             }
             "--compute-fraction" => {
                 let v = value(&mut it, "--compute-fraction")?;
@@ -120,7 +121,7 @@ pub fn parse_config(args: Vec<String>) -> Result<(SystemConfig, Vec<String>), Ck
             }
             "--timeout-secs" => {
                 let v = value(&mut it, "--timeout-secs")?;
-                b = b.timeout(Some(SimTime::from_secs(parse_num(&v, "--timeout-secs")?)));
+                b = b.timeout(Some(duration("--timeout-secs", v, SimTime::try_from_secs)?));
             }
             "--error-propagation" => {
                 let v = value(&mut it, "--error-propagation")?;

@@ -1,7 +1,8 @@
 //! The `ckptsim` front end: every table study renders, `figure all`
 //! writes every figure, `list` names exactly the figures `figure`
-//! accepts, and every command refuses (exit 2) the flags it cannot
-//! honour.
+//! accepts, every command refuses (exit 2) the flags it cannot
+//! honour, and every duration flag refuses (exit 2) a value no
+//! simulated time can hold.
 
 use ckpt_bench::{figures, runner, studies, RunOptions};
 
@@ -111,5 +112,47 @@ fn every_command_refuses_the_flags_it_cannot_honour() {
     }
     for args in refused {
         assert_eq!(ckpt_cli::run(argv(&args)), 2, "{args}");
+    }
+}
+
+#[test]
+fn every_duration_flag_refuses_values_no_time_can_hold() {
+    // Negative, NaN, infinite, and 1e308, which overflows in conversion
+    // (hours, minutes, years) or exceeds the longest accepted duration
+    // (seconds).
+    for flag in ["--hours", "--transient"] {
+        for value in ["-1", "nan", "inf", "1e308"] {
+            let args = argv(&format!("{flag} {value}"));
+            let err = RunOptions::parse(args).expect_err(value).to_string();
+            assert!(
+                err.starts_with(&format!("{flag}: ")),
+                "{flag} {value}: {err}"
+            );
+        }
+    }
+    let config_flags = [
+        "--interval-mins",
+        "--mttf-years",
+        "--mttr-mins",
+        "--mttq-secs",
+        "--timeout-secs",
+    ];
+    for flag in config_flags {
+        for value in ["-1", "nan", "inf", "1e308"] {
+            let args = argv(&format!("{flag} {value}"));
+            let err = ckpt_cli::config_flags::parse_config(args)
+                .expect_err(value)
+                .to_string();
+            assert!(
+                err.starts_with(&format!("{flag}: ")),
+                "{flag} {value}: {err}"
+            );
+        }
+    }
+    for flag in ["--hours", "--transient"].into_iter().chain(config_flags) {
+        for value in ["-1", "nan", "inf", "1e308"] {
+            let args = format!("run --quick --reps 1 {flag} {value}");
+            assert_eq!(ckpt_cli::run(argv(&args)), 2, "{args}");
+        }
     }
 }
