@@ -30,7 +30,7 @@ use crate::san_model::{CheckpointSan, ModelError, RunOptions as SanRunOptions};
 use ckpt_des::SimTime;
 use ckpt_obs::{
     MetricsRegistry, ModelEvent, ObsEvent, Observer, ProgressSink, ProgressSnapshot, Recorder,
-    ReplicationTelemetry, RunManifest, RunProfile, SpanKind, SpanRecord,
+    ReplicationTelemetry, RunManifest, SpanKind, SpanRecord,
 };
 use ckpt_san::ReactivationMode;
 use ckpt_stats::{ConfidenceInterval, Replications};
@@ -40,6 +40,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
+
+pub use ckpt_obs::ReplicationProfile;
 
 /// Why an experiment did not produce an estimate.
 ///
@@ -269,30 +271,6 @@ where
     }
     out.resize_with(count, || None);
     out
-}
-
-/// Wall-clock cost of one replication: how long it took and how many
-/// simulation events (direct-engine events or SAN activity firings) it
-/// processed, including its transient.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ReplicationProfile {
-    /// Wall-clock duration of the replication in seconds.
-    pub wall_secs: f64,
-    /// Simulation events the replication processed.
-    pub events: u64,
-}
-
-impl ReplicationProfile {
-    /// Simulation events per wall-clock second (0 for an instantaneous
-    /// measurement).
-    #[must_use]
-    pub fn events_per_sec(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.events as f64 / self.wall_secs
-        } else {
-            0.0
-        }
-    }
 }
 
 /// What each replication records beyond its metrics (see
@@ -544,14 +522,7 @@ impl Estimate {
             warmup: self.warmup,
             policy: self.config.policy().to_string(),
             config: self.config.summary(),
-            profiles: self
-                .profiles
-                .iter()
-                .map(|p| RunProfile {
-                    wall_secs: p.wall_secs,
-                    events: p.events,
-                })
-                .collect(),
+            profiles: self.profiles.clone(),
         }
     }
 

@@ -48,7 +48,7 @@ use ckpt_des::{QueueKind, SimTime};
 use ckpt_obs::{Observer, TraceBuffer};
 use ckpt_san::{
     ActivityId, Delay, InputGate, Pred, Reactivation, ReactivationMode, San, SanBuilder, SanError,
-    Scheduling, Simulator,
+    Simulator,
 };
 use ckpt_stats::Dist;
 use std::fmt;
@@ -98,7 +98,7 @@ impl From<SanError> for ModelError {
 /// [`CheckpointSan::run_observed`].
 ///
 /// `Default` mirrors the experiment layer's defaults (seed `0x5eed`,
-/// 1000-hour transient, 20000-hour horizon, default scheduling), so
+/// 1000-hour transient, 20000-hour horizon, default reactivation), so
 /// call sites override only what they care about:
 ///
 /// ```
@@ -120,9 +120,6 @@ pub struct RunOptions {
     pub transient: SimTime,
     /// Measurement window after the transient.
     pub horizon: SimTime,
-    /// Event-scheduling strategy; both choices are bit-identical on the
-    /// same seed (the full scan is kept as an equivalence oracle).
-    pub scheduling: Scheduling,
     /// Reactivation realisation. [`ReactivationMode::Resample`] (the
     /// default) is the bit-identity oracle; [`ReactivationMode::Lazy`]
     /// elides the redraws of marking-independent exponential timers —
@@ -139,7 +136,6 @@ impl Default for RunOptions {
             seed: 0x5eed,
             transient: SimTime::from_hours(1_000.0),
             horizon: SimTime::from_hours(20_000.0),
-            scheduling: Scheduling::default(),
             reactivation: ReactivationMode::default(),
             queue: QueueKind::default(),
         }
@@ -268,9 +264,9 @@ impl CheckpointSan {
     }
 
     /// Runs one steady-state replication: `opts.transient` warm-up is
-    /// discarded, then measures accumulate for `opts.horizon` under
-    /// `opts.scheduling`. This is the single steady-state entry point;
-    /// attach an observer with [`CheckpointSan::run_observed`].
+    /// discarded, then measures accumulate for `opts.horizon`. This is
+    /// the single steady-state entry point; attach an observer with
+    /// [`CheckpointSan::run_observed`].
     ///
     /// # Errors
     ///
@@ -337,8 +333,7 @@ impl CheckpointSan {
         telemetry: bool,
     ) -> Result<(RunOutcome, Option<TelemetrySnapshot>), ModelError> {
         let ids = self.ids;
-        let mut sim =
-            Simulator::with_exec_options(&self.san, opts.seed, opts.scheduling, opts.reactivation)?;
+        let mut sim = Simulator::with_reactivation(&self.san, opts.seed, opts.reactivation)?;
         if telemetry {
             sim.enable_telemetry();
         }
@@ -455,7 +450,7 @@ impl CheckpointSan {
     /// slices of `opts.horizon` after a single `opts.transient` (the
     /// batch-means procedure of
     /// [`crate::experiment::Estimation::BatchMeans`]), under `opts`'
-    /// seed, scheduling and reactivation mode. Hands each batch's
+    /// seed and reactivation mode. Hands each batch's
     /// metrics to `on_batch` as soon as its slice ends, together with
     /// the activity firings so far (transient included) for throughput
     /// accounting.
@@ -471,8 +466,7 @@ impl CheckpointSan {
     ) -> Result<(), ModelError> {
         let ids = self.ids;
         let slice = opts.horizon / f64::from(batches);
-        let mut sim =
-            Simulator::with_exec_options(&self.san, opts.seed, opts.scheduling, opts.reactivation)?;
+        let mut sim = Simulator::with_reactivation(&self.san, opts.seed, opts.reactivation)?;
         sim.run_for(opts.transient)?;
         let mut w0 = sim.marking().fluid(ids.work);
         let mut lost0 = sim.marking().fluid(ids.lost);

@@ -321,38 +321,26 @@ impl TimerTable {
         self.low.argmin_among(mask).map(|(_, k)| TimerKey(k))
     }
 
-    /// Disarms and returns the armed first-block slot in `mask` with the
-    /// least key **iff** that key is below `below` and the slot is due at
-    /// or before `limit`, advancing the watermark with the causality
-    /// check of [`TimerTable::pop_before`]; otherwise leaves the table
-    /// untouched and returns `None`.
-    ///
-    /// In a table of at most 64 slots, with `below` the
-    /// [`TimerTable::least_key`] of every other armed slot (or
-    /// [`TimerKey::NEVER`] if there is none), a slot this pops is exactly
-    /// the one `pop_before(limit)` would pop, and this scans only the
-    /// slots in `mask`. A caller that keeps the other slots
-    /// untouched between pops may reuse that bound; a fresh schedule
-    /// always takes a greater sequence, so a slot re-armed at the bound's
-    /// due time stays above it.
+    /// Disarms `slot`, which [`TimerTable::next`] just returned, and
+    /// returns its due time, advancing the watermark with the causality
+    /// check of [`TimerTable::pop_before`]: the pop `pop_before` would
+    /// make with a limit at or after that due time, without scanning
+    /// for the next timer again.
     ///
     /// # Panics
     ///
-    /// As [`TimerTable::pop_before`].
+    /// As [`TimerTable::pop_before`]. Debug builds also panic if `slot`
+    /// is not the next timer.
     #[inline]
-    pub fn pop_among(
-        &mut self,
-        mask: u64,
-        below: TimerKey,
-        limit: SimTime,
-    ) -> Option<(SimTime, usize)> {
-        let (slot, k) = self.low.argmin_among(mask)?;
-        let due = due_of(k);
-        if k >= below.0 || due > limit {
-            return None;
-        }
+    pub fn pop_slot(&mut self, slot: usize) -> SimTime {
+        debug_assert_eq!(
+            self.next().map(|(_, next)| next),
+            Some(slot),
+            "popped slot {slot}, which is not the next timer"
+        );
+        let due = due_of(self.block_mut(slot).keys[slot & 63]);
         self.take(slot, due);
-        Some((due, slot))
+        due
     }
 
     /// Disarms `slot`, just found to be the next timer, and advances the

@@ -5,9 +5,11 @@
 //! pending. This is the contract that lets both engines run on the
 //! table and still replay the event order of the heap bit for bit.
 //!
-//! The masked pop, [`TimerTable::pop_among`], is checked against
-//! [`TimerTable::pop_before`] on the same table: whatever it pops is
-//! exactly what `pop_before` would have popped.
+//! [`TimerTable::least_key`] is checked against the least key of the
+//! slots in its mask, found by withdrawing each, and
+//! [`TimerTable::pop_slot`] against [`TimerTable::pop_before`] on the
+//! same table: popping the next timer by its slot leaves the table as
+//! `pop_before` would.
 //!
 //! A ticketed arm, [`TimerTable::schedule_with`], is checked against a
 //! plain [`TimerTable::schedule`] made when the ticket was taken: held
@@ -164,47 +166,26 @@ fn replay_against_heap(slots: usize, ops: Vec<Op>) -> Result<(), TestCaseError> 
     Ok(())
 }
 
-/// The bound a masked pop is given.
-#[derive(Debug, Clone, Copy)]
-enum Bound {
-    /// The least key outside the mask: the bound that makes the masked
-    /// pop pop what `pop_before` would.
-    Others,
-    /// The lesser of that and the least key due at a cut-off time,
-    /// relative to the watermark (the direct engine's work-target
-    /// crossing).
-    OthersAndCut(Due),
-    /// The least key inside the mask itself: nothing is below it.
-    OwnLeast,
-}
-
-/// An operation of the masked-pop property.
+/// An operation of the least-key and slot-pop property.
 #[derive(Debug, Clone)]
-enum MaskedOp {
+enum KeyOp {
     /// Schedule, re-arm, cancel or pop as in [`Op`].
     Plain(Op),
-    /// Masked pop of the slots in `mask`, due by `limit` (relative to the
-    /// watermark).
-    PopAmong { mask: u64, bound: Bound, limit: Due },
+    /// The least key among the first-block slots in the mask.
+    LeastKey(u64),
+    /// Pop the next timer by its slot.
+    PopSlot,
 }
 
-fn masked_op_strategy() -> impl Strategy<Value = MaskedOp> {
+fn key_op_strategy() -> impl Strategy<Value = KeyOp> {
     let mask = prop_oneof![
         1 => 0..=u64::MAX,
         2 => (0..64usize, 0..64usize).prop_map(|(a, b)| 1 << a | 1 << b),
     ];
-    let bound = prop_oneof![
-        3 => Just(Bound::Others),
-        2 => (0u32..4).prop_map(|dt| Bound::OthersAndCut(Due::Step(dt))),
-        1 => Just(Bound::OwnLeast),
-    ];
     prop_oneof![
-        6 => op_strategy().prop_map(MaskedOp::Plain),
-        4 => (mask, bound, (0u32..4)).prop_map(|(mask, bound, dt)| MaskedOp::PopAmong {
-            mask,
-            bound,
-            limit: Due::Step(dt),
-        }),
+        6 => op_strategy().prop_map(KeyOp::Plain),
+        2 => mask.prop_map(KeyOp::LeastKey),
+        2 => Just(KeyOp::PopSlot),
     ]
 }
 
@@ -215,63 +196,45 @@ fn same_state(table: &TimerTable, other: &TimerTable, slots: usize) -> bool {
         && (0..slots).all(|k| table.is_armed(k) == other.is_armed(k))
 }
 
-/// Replays `ops` on a table of `slots` slots (at most one block), and
-/// checks every masked pop against `pop_before` on a copy of the table.
-fn masked_pops_agree_with_pop_before(
-    slots: usize,
-    ops: Vec<MaskedOp>,
-) -> Result<(), TestCaseError> {
+/// The least key among the armed first-block slots in `mask`, by
+/// withdrawing each from a copy of `table`.
+fn least_key_by_withdrawal(table: &TimerTable, mask: u64) -> Option<TimerKey> {
+    let mut copy = table.clone();
+    (0..64)
+        .filter(|&k| mask & 1 << k != 0)
+        .filter_map(|k| copy.withdraw(k))
+        .map(|(due, ticket)| TimerKey::of(due, ticket))
+        .min()
+}
+
+/// Replays `ops` on a table of `slots` slots, checking every least key
+/// against [`least_key_by_withdrawal`] and every pop by slot against
+/// `pop_before` on a copy of the table.
+fn keys_and_slot_pops_agree(slots: usize, ops: Vec<KeyOp>) -> Result<(), TestCaseError> {
     let mut table = TimerTable::new(slots);
     for op in ops {
         let w = table.watermark();
         match op {
-            MaskedOp::Plain(Op::Schedule(k, due)) => table.schedule(k % slots, due.at(w)),
-            MaskedOp::Plain(Op::Cancel(k)) => {
+            KeyOp::Plain(Op::Schedule(k, due)) => table.schedule(k % slots, due.at(w)),
+            KeyOp::Plain(Op::Cancel(k)) => {
                 table.cancel(k % slots);
             }
-            MaskedOp::Plain(Op::PopBefore(due)) => {
+            KeyOp::Plain(Op::PopBefore(due)) => {
                 table.pop_before(due.at(w));
             }
-            MaskedOp::PopAmong { mask, bound, limit } => {
-                let limit = limit.at(w);
-                let others = table.least_key(!mask).unwrap_or(TimerKey::NEVER);
-                let (below, cut) = match bound {
-                    Bound::Others => (others, None),
-                    Bound::OthersAndCut(cut) => {
-                        let cut = cut.at(w);
-                        (others.min(TimerKey::first_at(cut)), Some(cut))
-                    }
-                    Bound::OwnLeast => (table.least_key(mask).unwrap_or(TimerKey::NEVER), None),
+            KeyOp::LeastKey(mask) => {
+                prop_assert_eq!(table.least_key(mask), least_key_by_withdrawal(&table, mask));
+            }
+            KeyOp::PopSlot => {
+                let Some((due, slot)) = table.next() else {
+                    continue;
                 };
-                let before = table.clone();
                 let mut oracle = table.clone();
-                let expected = oracle.pop_before(limit);
-                match table.pop_among(mask, below, limit) {
-                    Some((t, k)) => {
-                        prop_assert!(!matches!(bound, Bound::OwnLeast), "popped at its own key");
-                        prop_assert!(mask & 1 << k != 0, "slot {} is outside the mask", k);
-                        prop_assert_eq!(Some((t, k)), expected);
-                        prop_assert_eq!(
-                            Some(t.as_secs().to_bits()),
-                            expected.map(|(t, _)| t.as_secs().to_bits())
-                        );
-                        prop_assert!(cut.is_none_or(|cut| t < cut), "popped at or after the cut");
-                        prop_assert!(same_state(&table, &oracle, slots));
-                    }
-                    None => {
-                        prop_assert!(same_state(&table, &before, slots));
-                        prop_assert_eq!(table.len(), before.len());
-                        // With the plain bound a refusal is never a miss:
-                        // `pop_before` pops nothing, or a slot outside.
-                        if matches!(bound, Bound::Others) {
-                            prop_assert!(
-                                expected.is_none_or(|(_, k)| mask & 1 << k == 0),
-                                "refused {:?}, which pop_before pops",
-                                expected
-                            );
-                        }
-                    }
-                }
+                prop_assert_eq!(oracle.pop_before(due), Some((due, slot)));
+                let popped = table.pop_slot(slot);
+                prop_assert_eq!(popped.as_secs().to_bits(), due.as_secs().to_bits());
+                prop_assert!(same_state(&table, &oracle, slots));
+                prop_assert_eq!(table.len(), oracle.len());
             }
         }
     }
@@ -512,14 +475,14 @@ proptest! {
         ticketed_arms_pop_like_plain_ones(slots, ops)?;
     }
 
-    /// Schedules on integer steps, so due-time ties between masked and
-    /// other slots are common and only the sequence orders them.
+    /// Schedules on integer steps, so due-time ties are common and only
+    /// the sequence orders them.
     #[test]
-    fn masked_pop_pops_what_pop_before_would(
-        slots in 1..=64usize,
-        ops in proptest::collection::vec(masked_op_strategy(), 1..400),
+    fn slot_pops_and_least_keys_match_their_oracles(
+        slots in 1..=MAX_SLOTS,
+        ops in proptest::collection::vec(key_op_strategy(), 1..400),
     ) {
-        masked_pops_agree_with_pop_before(slots, ops)?;
+        keys_and_slot_pops_agree(slots, ops)?;
     }
 
     #[test]

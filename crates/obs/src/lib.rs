@@ -43,7 +43,7 @@ pub mod telemetry;
 mod trace;
 
 pub use event::{AbortReason, ModelEvent, PhaseKind, PhaseTimes};
-pub use manifest::{json_escape, RunManifest, RunProfile, MANIFEST_SCHEMA_VERSION};
+pub use manifest::{json_escape, ReplicationProfile, RunManifest, MANIFEST_SCHEMA_VERSION};
 pub use observer::{NoopObserver, ObsEvent, Observer};
 pub use progress::{HumanSink, JsonlSink, MultiSink, NullSink, ProgressSink, ProgressSnapshot};
 pub use recorder::Recorder;

@@ -18,19 +18,22 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-/// Per-replication performance profile recorded in the manifest.
+/// Wall-clock cost of one replication, as recorded in the manifest:
+/// how long it took and how many simulation events (direct-engine
+/// events or SAN activity firings) it processed, its transient
+/// included.
 ///
 /// Wall-clock values live only here (provenance); nothing in the
 /// simulation-semantics path ever reads them.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RunProfile {
+pub struct ReplicationProfile {
     /// Wall-clock seconds the replication took.
     pub wall_secs: f64,
     /// Simulation events the replication processed.
     pub events: u64,
 }
 
-impl RunProfile {
+impl ReplicationProfile {
     /// Events per wall-clock second (0 over an empty measurement).
     #[must_use]
     pub fn events_per_sec(&self) -> f64 {
@@ -79,7 +82,7 @@ pub struct RunManifest {
     /// Model configuration as ordered key/value pairs.
     pub config: Vec<(String, String)>,
     /// Per-replication wall/events profiles, in replication order.
-    pub profiles: Vec<RunProfile>,
+    pub profiles: Vec<ReplicationProfile>,
 }
 
 /// Manifest schema emitted by [`RunManifest::to_json`]. History:
@@ -189,11 +192,11 @@ mod tests {
             policy: "fixed".into(),
             config: vec![("processors".into(), "65536".into())],
             profiles: vec![
-                RunProfile {
+                ReplicationProfile {
                     wall_secs: 0.5,
                     events: 1000,
                 },
-                RunProfile {
+                ReplicationProfile {
                     wall_secs: 0.6,
                     events: 1001,
                 },

@@ -1,9 +1,9 @@
 //! Compiled hot-path representation of a SAN.
 //!
 //! Built once by [`SanBuilder::build`](crate::SanBuilder::build) and
-//! consulted on every event by the incremental scheduler, this module
-//! packs the enabling rules and the dependency index into flat,
-//! cache-friendly arrays:
+//! consulted on every event by the simulator's incremental scheduler,
+//! this module packs the enabling rules and the dependency index into
+//! flat, cache-friendly arrays:
 //!
 //! * **Place masks.** The marking keeps a bitset of its nonzero
 //!   places, and each activity's zero/nonzero tests lower to masks over
@@ -41,9 +41,13 @@
 //!   executor can defer the logarithm of its draw.
 //!
 //! Everything here is *derived* state: the tree-walk path
-//! ([`ActivityDef::enabled`]) remains the semantic reference, and the
-//! debug-build consistency assertion in the simulator cross-checks the
-//! two on every event.
+//! ([`ActivityDef::enabled`]) remains the semantic reference, the
+//! enabling check of the full scan that visits every activity after
+//! every event. Debug builds of the simulator check the derived state
+//! against that scan on every event: the compiled check against the
+//! tree walk for every activity, each settle round's choice against a
+//! walk over every rank, and every timed activity's schedule against
+//! what the full scan's visit would leave.
 
 use crate::activity::{ActivityDef, Delay, Reactivation, Timing};
 use crate::marking::{Marking, PlaceId};
@@ -582,6 +586,20 @@ impl CompiledSan {
     #[inline]
     pub(crate) fn is_lazy_elidable(&self, a: usize) -> bool {
         self.lazy_elidable_words[a >> 6] & (1u64 << (a & 63)) != 0
+    }
+
+    /// Clears instantaneous activity `a`'s rank bit from every place
+    /// row: a dependency index that misses `a`, for mutation tests.
+    #[cfg(all(test, debug_assertions))]
+    pub(crate) fn forget_inst_dependent(&mut self, a: usize) {
+        let rank = self
+            .inst_priority_order
+            .iter()
+            .position(|&b| b as usize == a)
+            .expect("an instantaneous activity");
+        for row in self.place_inst_mask.chunks_mut(self.rank_words) {
+            row[rank >> 6] &= !(1u64 << (rank & 63));
+        }
     }
 }
 

@@ -74,4 +74,4 @@ pub use marking::{FluidId, Marking, PlaceId};
 pub use model::{ActivityBuilder, CaseBuilder, San, SanBuilder};
 pub use pred::Pred;
 pub use reward::{RewardReport, RewardSpec, RewardValue};
-pub use simulator::{ReactivationMode, SanObserver, Scheduling, Simulator};
+pub use simulator::{ReactivationMode, SanObserver, Simulator};

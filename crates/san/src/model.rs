@@ -26,8 +26,7 @@ pub struct San {
     pub(crate) flows: Vec<(FluidId, FlowRate)>,
     pub(crate) activities: Vec<ActivityDef>,
     /// Flat arena form of the enabling rules and the dependency index,
-    /// evaluated by the incremental scheduler's hot loop (see
-    /// `compiled.rs`).
+    /// evaluated by the simulator's hot loop (see `compiled.rs`).
     pub(crate) compiled: CompiledSan,
 }
 
@@ -106,10 +105,9 @@ impl San {
 
     /// Evaluates `activity`'s enabling rule through its compiled form
     /// (place masks, interval requirements, gate programs) — the code
-    /// path the incremental scheduler's hot loop runs. Equal to
-    /// [`San::enabled_reference`] for every marking (the debug-build
-    /// consistency assertion and the equivalence test suites enforce
-    /// this).
+    /// path the simulator's hot loop runs. Equal to
+    /// [`San::enabled_reference`] for every marking (the simulator's
+    /// debug-build checks enforce this after every event).
     #[must_use]
     pub fn enabled_fast(&self, activity: ActivityId, marking: &Marking) -> bool {
         self.compiled.enabled(activity.0, marking)

@@ -7,8 +7,8 @@
 //! stale, and [`San::build`](crate::SanBuilder::build) compiles it into
 //! a flat postfix program evaluated with no dynamic dispatch in the hot
 //! loop (see `compiled.rs`). [`Pred::eval`] is the reference semantics
-//! the compiled form must match; the full-scan scheduler evaluates
-//! gates with it.
+//! the compiled form must match; the simulator's debug-build checks
+//! evaluate gates with it.
 //!
 //! ```
 //! use ckpt_san::{Pred, SanBuilder};

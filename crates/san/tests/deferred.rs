@@ -11,8 +11,7 @@
 
 use ckpt_des::SimTime;
 use ckpt_san::{
-    Delay, Marking, Pred, Reactivation, RewardSpec, San, SanBuilder, SanObserver, Scheduling,
-    Simulator,
+    Delay, Marking, Pred, Reactivation, RewardSpec, San, SanBuilder, SanObserver, Simulator,
 };
 use ckpt_stats::Dist;
 use proptest::prelude::*;
@@ -39,9 +38,9 @@ fn exponential(rate: f64, eager: bool) -> Delay {
 
 /// Runs `san` to `horizon` and returns the firings, the event count and
 /// the reward total's bits.
-fn run(san: &San, seed: u64, horizon: f64, scheduling: Scheduling) -> (Firings, u64, u64) {
+fn run(san: &San, seed: u64, horizon: f64) -> (Firings, u64, u64) {
     let mut log = Firings::default();
-    let mut sim = Simulator::with_scheduling(san, seed, scheduling).expect("init");
+    let mut sim = Simulator::new(san, seed).expect("init");
     let p0 = san.place_by_name("p0").expect("ring has p0");
     sim.add_reward(RewardSpec::rate("ring0", move |m| m.tokens(p0) as f64))
         .unwrap();
@@ -107,7 +106,7 @@ fn ring(n: usize, resample: u32, fast: f64, start: f64, eager: bool) -> San {
     b.build().expect("ring is well-formed")
 }
 
-/// Both forms of the ring under both schedulers: identical runs.
+/// Both forms of the ring: identical runs.
 fn assert_deferral_invisible(
     n: usize,
     resample: u32,
@@ -116,22 +115,10 @@ fn assert_deferral_invisible(
     start: f64,
     horizon: f64,
 ) {
-    for scheduling in [Scheduling::Incremental, Scheduling::FullScan] {
-        let horizon = start + horizon;
-        let eager = run(
-            &ring(n, resample, fast, start, true),
-            seed,
-            horizon,
-            scheduling,
-        );
-        let deferred = run(
-            &ring(n, resample, fast, start, false),
-            seed,
-            horizon,
-            scheduling,
-        );
-        assert_eq!(eager, deferred, "{scheduling:?}, seed {seed}");
-    }
+    let horizon = start + horizon;
+    let eager = run(&ring(n, resample, fast, start, true), seed, horizon);
+    let deferred = run(&ring(n, resample, fast, start, false), seed, horizon);
+    assert_eq!(eager, deferred, "seed {seed}");
 }
 
 #[test]
@@ -142,12 +129,7 @@ fn a_vanishing_delay_ties_and_orders_by_its_draw() {
     // holds for ordinary rates: at 1e12 s, 1e-5 s vanishes.
     assert_deferral_invisible(4, 0b0101, 1e18, 3, 0.0, 200.0);
     assert_deferral_invisible(4, 0b0011, 1e5, 4, 1e12, 200.0);
-    let (log, ..) = run(
-        &ring(4, 0, 1e18, 0.0, false),
-        3,
-        20.0,
-        Scheduling::Incremental,
-    );
+    let (log, ..) = run(&ring(4, 0, 1e18, 0.0, false), 3, 20.0);
     let ties = log
         .0
         .windows(2)

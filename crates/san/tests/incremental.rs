@@ -1,18 +1,22 @@
-//! Equivalence of the incremental and full-scan schedulers.
+//! The incremental scheduler on nets built to stress it.
 //!
-//! The incremental scheduler's contract is **bit-identity**: on the same
-//! net and seed it must produce exactly the firing sequence, RNG draw
-//! order, reward values, and final marking of the full-scan reference
-//! executor — not statistically similar, *identical*. These tests pit
-//! the two against each other on hand-crafted nets covering every
-//! feature that interacts with scheduling (gate predicates, `Resample`
-//! timers, instantaneous priorities, probabilistic cases, fluid places,
-//! rewards) and on proptest-generated nets.
+//! The scheduler's contract is **bit-identity** with the full scan, the
+//! executor that visits every activity after every event and checks
+//! enabling by walking its definition: the same firing sequence, RNG
+//! draw order, reward values and final marking on the same net and
+//! seed. Debug builds (the test profile among them) check that on every
+//! event: each settle round fires what the full scan would fire, no
+//! visit the scheduler skipped would have changed a schedule, and every
+//! cached rate equals a fresh evaluation (DESIGN §7d). These tests run
+//! those checks on hand-crafted nets covering every feature that
+//! interacts with scheduling (gate predicates, `Resample` timers,
+//! instantaneous priorities, probabilistic cases, fluid places,
+//! rewards) and on proptest-generated nets, and require each run to
+//! repeat itself exactly.
 
 use ckpt_des::SimTime;
 use ckpt_san::{
-    Delay, Pred, Reactivation, RewardSpec, San, SanBuilder, SanError, SanObserver, Scheduling,
-    Simulator,
+    Delay, Pred, Reactivation, RewardSpec, San, SanBuilder, SanError, SanObserver, Simulator,
 };
 use ckpt_stats::Dist;
 use proptest::prelude::*;
@@ -38,15 +42,14 @@ impl SanObserver for Recorder {
     }
 }
 
-/// Runs `san` under `scheduling` and returns everything observable.
-fn run(
-    san: &San,
-    seed: u64,
-    horizon: f64,
-    scheduling: Scheduling,
-) -> (Recorder, ckpt_san::Marking, u64, Vec<(u64, u64)>) {
+/// Everything a run shows: firings and impulses, final marking, event
+/// count and reward totals.
+type Observed = (Recorder, ckpt_san::Marking, u64, Vec<(u64, u64)>);
+
+/// Runs `san` and returns everything observable.
+fn run(san: &San, seed: u64, horizon: f64) -> Observed {
     let mut rec = Recorder::default();
-    let mut sim = Simulator::with_scheduling(san, seed, scheduling).expect("init");
+    let mut sim = Simulator::new(san, seed).expect("init");
     sim.add_reward(RewardSpec::rate("window", |_| 1.0)).unwrap();
     if let Some(a0) = san.activity_by_name("a0") {
         sim.add_reward(RewardSpec::impulse_only("fires").with_impulse(a0, |_| 1.0))
@@ -67,21 +70,16 @@ fn run(
     (rec, marking, events, rewards)
 }
 
-/// Asserts both schedulers agree on every observable output.
-fn assert_equivalent(san: &San, seed: u64, horizon: f64) {
-    let (rec_inc, m_inc, ev_inc, rw_inc) = run(san, seed, horizon, Scheduling::Incremental);
-    let (rec_full, m_full, ev_full, rw_full) = run(san, seed, horizon, Scheduling::FullScan);
+/// Runs `san` twice under the per-event checks and asserts the runs
+/// agree on every observable output and fired something.
+fn assert_checked_run(san: &San, seed: u64, horizon: f64) {
+    let first = run(san, seed, horizon);
+    assert!(first.2 > 0, "nothing fired (seed {seed})");
     assert_eq!(
-        rec_inc.firings, rec_full.firings,
-        "firing sequences diverged (seed {seed})"
+        first,
+        run(san, seed, horizon),
+        "rerun diverged (seed {seed})"
     );
-    assert_eq!(
-        rec_inc.rewards, rec_full.rewards,
-        "reward streams diverged (seed {seed})"
-    );
-    assert_eq!(m_inc, m_full, "final markings diverged (seed {seed})");
-    assert_eq!(ev_inc, ev_full, "event counts diverged (seed {seed})");
-    assert_eq!(rw_inc, rw_full, "reward totals diverged (seed {seed})");
 }
 
 /// A deliberately gnarly net: a token ring whose activities carry gates
@@ -151,7 +149,7 @@ fn mixed_net(n: usize, resample: &[bool]) -> San {
 fn mixed_net_is_bit_identical_across_schedulers() {
     let san = mixed_net(5, &[false, true]);
     for seed in [0, 1, 7, 42, 1234] {
-        assert_equivalent(&san, seed, 300.0);
+        assert_checked_run(&san, seed, 300.0);
     }
 }
 
@@ -159,7 +157,7 @@ fn mixed_net_is_bit_identical_across_schedulers() {
 fn keep_only_net_is_bit_identical() {
     let san = mixed_net(6, &[false]);
     for seed in [3, 99] {
-        assert_equivalent(&san, seed, 500.0);
+        assert_checked_run(&san, seed, 500.0);
     }
 }
 
@@ -184,14 +182,12 @@ fn livelock_errors_match_across_schedulers() {
         .output_arc(a, 1)
         .build();
     let san = b.build().unwrap();
-    for scheduling in [Scheduling::Incremental, Scheduling::FullScan] {
-        let mut sim = Simulator::with_scheduling(&san, 0, scheduling).unwrap();
-        let err = sim.run_for(SimTime::from_secs(10.0)).unwrap_err();
-        assert!(
-            matches!(err, SanError::InstantaneousLivelock { .. }),
-            "{scheduling:?} must detect the livelock, got {err:?}"
-        );
-    }
+    let mut sim = Simulator::new(&san, 0).unwrap();
+    let err = sim.run_for(SimTime::from_secs(10.0)).unwrap_err();
+    assert!(
+        matches!(err, SanError::InstantaneousLivelock { .. }),
+        "the livelock must be detected, got {err:?}"
+    );
 }
 
 #[test]
@@ -208,22 +204,20 @@ fn refiring_with_no_dependent_dirty_places_is_rescheduled() {
         })
         .build();
     let san = b.build().unwrap();
-    for scheduling in [Scheduling::Incremental, Scheduling::FullScan] {
-        let mut sim = Simulator::with_scheduling(&san, 0, scheduling).unwrap();
-        sim.run_until(SimTime::from_secs(10.0)).unwrap();
-        assert_eq!(
-            sim.marking().fluid(acc),
-            5.0,
-            "{scheduling:?} must keep the self-loop ticking"
-        );
-    }
+    let mut sim = Simulator::new(&san, 0).unwrap();
+    sim.run_until(SimTime::from_secs(10.0)).unwrap();
+    assert_eq!(
+        sim.marking().fluid(acc),
+        5.0,
+        "the self-loop must keep ticking"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Randomized nets: whatever the mix of Resample timers, both
-    /// schedulers produce identical runs.
+    /// Randomized nets: whatever the mix of Resample timers, every
+    /// event passes the full-scan checks and the run repeats exactly.
     #[test]
     fn random_nets_are_bit_identical(
         n in 3usize..7,
@@ -233,12 +227,8 @@ proptest! {
     ) {
         let resample: Vec<bool> = (0..2).map(|i| resample_mask & (1 << i) != 0).collect();
         let san = mixed_net(n, &resample);
-        let (rec_inc, m_inc, ev_inc, rw_inc) = run(&san, seed, horizon, Scheduling::Incremental);
-        let (rec_full, m_full, ev_full, rw_full) = run(&san, seed, horizon, Scheduling::FullScan);
-        prop_assert_eq!(rec_inc.firings, rec_full.firings);
-        prop_assert_eq!(rec_inc.rewards, rec_full.rewards);
-        prop_assert_eq!(m_inc, m_full);
-        prop_assert_eq!(ev_inc, ev_full);
-        prop_assert_eq!(rw_inc, rw_full);
+        let first = run(&san, seed, horizon);
+        prop_assert!(first.2 > 0);
+        prop_assert_eq!(first, run(&san, seed, horizon));
     }
 }

@@ -3,8 +3,9 @@
 //! The paper estimates steady-state measures by simulation "with an
 //! initial transient period of 1000 hours" at "95 % confidence". This
 //! module provides the matching machinery: Welford single-pass moments,
-//! Student-t confidence intervals, batch means for single long runs, and
-//! a replication aggregator for independent runs.
+//! Student-t confidence intervals, a replication aggregator for
+//! independent runs, and the autocorrelation diagnostic for the batch
+//! means of a single long run.
 
 use std::fmt;
 
@@ -323,62 +324,6 @@ impl Extend<f64> for Replications {
     }
 }
 
-/// Batch-means estimator for a single long steady-state run: the
-/// observation stream is cut into `batch_size`-long batches whose means
-/// are treated as (approximately) independent.
-#[derive(Debug, Clone)]
-pub struct BatchMeans {
-    batch_size: u64,
-    current_sum: f64,
-    current_count: u64,
-    batches: OnlineStats,
-}
-
-impl BatchMeans {
-    /// Creates an estimator with the given batch size (observations per
-    /// batch). A batch size of zero saturates to 1 — an estimator that
-    /// can never complete a batch would silently report an empty,
-    /// zero-width interval forever.
-    #[must_use]
-    pub fn new(batch_size: u64) -> BatchMeans {
-        BatchMeans {
-            batch_size: batch_size.max(1),
-            current_sum: 0.0,
-            current_count: 0,
-            batches: OnlineStats::new(),
-        }
-    }
-
-    /// Adds one observation; completes a batch every `batch_size` pushes.
-    pub fn push(&mut self, x: f64) {
-        self.current_sum += x;
-        self.current_count += 1;
-        if self.current_count == self.batch_size {
-            self.batches.push(self.current_sum / self.batch_size as f64);
-            self.current_sum = 0.0;
-            self.current_count = 0;
-        }
-    }
-
-    /// Number of completed batches.
-    #[must_use]
-    pub fn batch_count(&self) -> u64 {
-        self.batches.count()
-    }
-
-    /// Mean over completed batches.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        self.batches.mean()
-    }
-
-    /// Confidence interval over completed batch means.
-    #[must_use]
-    pub fn confidence_interval(&self, level: f64) -> ConfidenceInterval {
-        self.batches.confidence_interval(level)
-    }
-}
-
 /// Lag-`k` sample autocorrelation of a series (biased estimator,
 /// denominator `n`), used to diagnose residual correlation between batch
 /// means: values near 0 mean the batches behave independently, values
@@ -673,46 +618,6 @@ mod tests {
         let ci = reps.confidence_interval(0.95);
         assert!(ci.contains(0.5));
         assert_eq!(reps.values().len(), 5);
-    }
-
-    #[test]
-    fn batch_means_basic() {
-        let mut bm = BatchMeans::new(10);
-        for i in 0..100 {
-            bm.push(f64::from(i % 10));
-        }
-        assert_eq!(bm.batch_count(), 10);
-        assert!((bm.mean() - 4.5).abs() < 1e-12);
-        // Every batch mean is identical → zero-width interval.
-        assert!(bm.confidence_interval(0.95).half_width < 1e-12);
-    }
-
-    #[test]
-    fn batch_means_ignores_partial_batch() {
-        let mut bm = BatchMeans::new(10);
-        for _ in 0..25 {
-            bm.push(1.0);
-        }
-        assert_eq!(bm.batch_count(), 2);
-    }
-
-    #[test]
-    fn batch_means_zero_size_saturates_to_one() {
-        // Regression: `new(0)` used to be a panic (and before that, an
-        // estimator that never completed a batch). Saturating to 1
-        // makes every push its own batch.
-        let mut bm = BatchMeans::new(0);
-        for x in [1.0, 2.0, 3.0] {
-            bm.push(x);
-        }
-        assert_eq!(bm.batch_count(), 3);
-        assert!((bm.mean() - 2.0).abs() < 1e-12);
-        let mut one = BatchMeans::new(1);
-        for x in [1.0, 2.0, 3.0] {
-            one.push(x);
-        }
-        assert_eq!(bm.batch_count(), one.batch_count());
-        assert_eq!(bm.mean().to_bits(), one.mean().to_bits());
     }
 
     #[test]

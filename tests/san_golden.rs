@@ -1,25 +1,27 @@
 //! The SAN engine, pinned bit for bit.
 //!
-//! Each configuration class of `tests/scheduler_equivalence.rs` runs a
-//! 50 h transient and a 500 h window from a fixed seed under both
+//! Each paper configuration class the SAN engine supports runs a 50 h
+//! transient and a 500 h window from a fixed seed under both
 //! reactivation modes; each window's `Metrics` (every field, as
 //! IEEE-754 bits) and the event count must equal the values below.
-//! Both `Scheduling` strategies must reproduce the same row.
+//! In a debug build every event of these runs also passes the
+//! executor's full-scan checks (DESIGN §7d), so each row is the full
+//! scan's row too.
 //!
-//! The scheduler-equivalence suites compare the incremental executor
-//! with the full-scan oracle, so they cannot see a change in draw or
-//! queue-operation order that hits both strategies at once. This file
-//! can. The executor's internals may be restructured freely, but a
-//! mismatch here is a regression, not a value to update. Only a change
-//! to the SAN model's semantics (ROADMAP item 1) may re-pin these rows,
-//! and it must list every re-pinned value in CHANGES.md.
+//! Those checks compare the executor with the full scan's semantics,
+//! so they cannot see a change in draw or queue-operation order that
+//! the full scan would make as well. This file can. The executor's
+//! internals may be restructured freely, but a mismatch here is a
+//! regression, not a value to update. Only a change to the SAN model's
+//! semantics (ROADMAP item 1) may re-pin these rows, and it must list
+//! every re-pinned value in CHANGES.md.
 
 use ckptsim::des::SimTime;
 use ckptsim::model::config::{ErrorPropagation, GenericCorrelated, RecoveryTimeModel};
 use ckptsim::model::san_model::{CheckpointSan, RunOptions};
 use ckptsim::model::{CoordinationMode, Metrics, PhaseKind, SystemConfig};
 use ckptsim::obs::NoopObserver;
-use ckptsim::san::{ReactivationMode, Scheduling};
+use ckptsim::san::ReactivationMode;
 
 /// One window, flattened: `[events, window_secs, useful_work_secs,
 /// work_lost_secs, <13 counters in declaration order>, <5 phase times
@@ -123,23 +125,20 @@ fn every_configuration_class_reproduces_its_pinned_window() {
         let model = CheckpointSan::build(&cfg).expect("model builds");
         let modes = [ReactivationMode::Resample, ReactivationMode::Lazy];
         for (reactivation, golden) in modes.into_iter().zip(golden) {
-            for scheduling in [Scheduling::Incremental, Scheduling::FullScan] {
-                let outcome = model
-                    .run(&RunOptions {
-                        seed: 2_000 + i as u64,
-                        transient: SimTime::from_hours(50.0),
-                        horizon: SimTime::from_hours(500.0),
-                        scheduling,
-                        reactivation,
-                        ..RunOptions::default()
-                    })
-                    .expect("replication runs");
-                assert_eq!(
-                    row(&outcome.metrics, outcome.events),
-                    golden,
-                    "{what} ({reactivation}, {scheduling:?}) diverged from its pinned window"
-                );
-            }
+            let outcome = model
+                .run(&RunOptions {
+                    seed: 2_000 + i as u64,
+                    transient: SimTime::from_hours(50.0),
+                    horizon: SimTime::from_hours(500.0),
+                    reactivation,
+                    ..RunOptions::default()
+                })
+                .expect("replication runs");
+            assert_eq!(
+                row(&outcome.metrics, outcome.events),
+                golden,
+                "{what} ({reactivation}) diverged from its pinned window"
+            );
         }
     }
 }
@@ -154,31 +153,28 @@ fn exponential_timers_probes_reproduce_their_pinned_counts() {
     let model = CheckpointSan::build(&exponential_timers().build().unwrap()).unwrap();
     let modes = [ReactivationMode::Resample, ReactivationMode::Lazy];
     for (reactivation, golden) in modes.into_iter().zip(EXPONENTIAL_TIMERS_PROBES) {
-        for scheduling in [Scheduling::Incremental, Scheduling::FullScan] {
-            let opts = RunOptions {
-                seed: 2_004,
-                transient: SimTime::from_hours(50.0),
-                horizon: SimTime::from_hours(500.0),
-                scheduling,
-                reactivation,
-                ..RunOptions::default()
-            };
-            let (_, telem) = model
-                .run_observed(&opts, &mut NoopObserver, true)
-                .expect("replication runs");
-            let t = telem.expect("probes were on");
-            let probes = [
-                t.queue_depth.count(),
-                t.queue_depth.sum(),
-                t.dirty_set.count(),
-                t.dirty_set.sum(),
-                t.rng_draws,
-            ];
-            assert_eq!(
-                probes, golden,
-                "exponential_timers ({reactivation}, {scheduling:?}) probes diverged"
-            );
-        }
+        let opts = RunOptions {
+            seed: 2_004,
+            transient: SimTime::from_hours(50.0),
+            horizon: SimTime::from_hours(500.0),
+            reactivation,
+            ..RunOptions::default()
+        };
+        let (_, telem) = model
+            .run_observed(&opts, &mut NoopObserver, true)
+            .expect("replication runs");
+        let t = telem.expect("probes were on");
+        let probes = [
+            t.queue_depth.count(),
+            t.queue_depth.sum(),
+            t.dirty_set.count(),
+            t.dirty_set.sum(),
+            t.rng_draws,
+        ];
+        assert_eq!(
+            probes, golden,
+            "exponential_timers ({reactivation}) probes diverged"
+        );
     }
 }
 
