@@ -54,7 +54,7 @@ pub mod trace;
 
 pub use config::{ConfigError, CoordinationMode, SystemConfig};
 pub use experiment::{
-    default_jobs, run_indexed, CachedReplication, EngineKind, Estimate, Estimation, Experiment,
+    default_jobs, run_indexed, CachedReplication, EngineKind, Estimate, Experiment,
     ExperimentError, ObserveSpec, ReplicationProfile, ReplicationStore, RunControl, WorkerFault,
 };
 pub use metrics::{Counters, Metrics, PhaseKind};

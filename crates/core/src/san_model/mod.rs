@@ -446,49 +446,6 @@ impl CheckpointSan {
         Ok((RunOutcome { metrics, events }, telemetry))
     }
 
-    /// Runs one long replication cut into `batches` equal measurement
-    /// slices of `opts.horizon` after a single `opts.transient` (the
-    /// batch-means procedure of
-    /// [`crate::experiment::Estimation::BatchMeans`]), under `opts`'
-    /// seed and reactivation mode. Hands each batch's
-    /// metrics to `on_batch` as soon as its slice ends, together with
-    /// the activity firings so far (transient included) for throughput
-    /// accounting.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SAN execution errors.
-    pub fn run_batched_profiled(
-        &self,
-        opts: &RunOptions,
-        batches: u32,
-        mut on_batch: impl FnMut(Metrics, u64),
-    ) -> Result<(), ModelError> {
-        let ids = self.ids;
-        let slice = opts.horizon / f64::from(batches);
-        let mut sim = Simulator::with_reactivation(&self.san, opts.seed, opts.reactivation)?;
-        sim.run_for(opts.transient)?;
-        let mut w0 = sim.marking().fluid(ids.work);
-        let mut lost0 = sim.marking().fluid(ids.lost);
-        let mut counters0 = self.read_counters(&sim);
-        for _ in 0..batches {
-            sim.run_for(slice)?;
-            let counters1 = self.read_counters(&sim);
-            let metrics = Metrics {
-                window_secs: slice.as_secs(),
-                useful_work_secs: sim.marking().fluid(ids.work) - w0,
-                work_lost_secs: sim.marking().fluid(ids.lost) - lost0,
-                counters: diff_counters(counters0, counters1),
-                phase_times: PhaseTimes::default(),
-            };
-            on_batch(metrics, sim.events_processed());
-            w0 = sim.marking().fluid(ids.work);
-            lost0 = sim.marking().fluid(ids.lost);
-            counters0 = counters1;
-        }
-        Ok(())
-    }
-
     fn read_counters(&self, sim: &Simulator<'_>) -> Counters {
         let count = |a: Option<ActivityId>| a.map_or(0, |id| sim.firing_count(id));
         Counters {

@@ -312,7 +312,7 @@ pub(crate) struct CompiledSan {
     /// fresh draw, so keeping the scheduled completion is
     /// distribution-equivalent. Marking-dependent delays stay eager (a
     /// rate change *must* be observed at the marking change).
-    lazy_elidable_words: Vec<u64>,
+    pub(crate) lazy_elidable_words: Vec<u64>,
     /// Bit `a` set iff activity `a` is timed.
     pub(crate) timed_words: Vec<u64>,
     /// Bit `r` set for every rank `r` of `inst_priority_order`.

@@ -3,9 +3,8 @@
 //! The paper estimates steady-state measures by simulation "with an
 //! initial transient period of 1000 hours" at "95 % confidence". This
 //! module provides the matching machinery: Welford single-pass moments,
-//! Student-t confidence intervals, a replication aggregator for
-//! independent runs, and the autocorrelation diagnostic for the batch
-//! means of a single long run.
+//! Student-t confidence intervals and a replication aggregator for
+//! independent runs.
 
 use std::fmt;
 
@@ -324,43 +323,6 @@ impl Extend<f64> for Replications {
     }
 }
 
-/// Lag-`k` sample autocorrelation of a series (biased estimator,
-/// denominator `n`), used to diagnose residual correlation between batch
-/// means: values near 0 mean the batches behave independently, values
-/// near 1 mean the batch size is too small for the confidence interval
-/// to be trusted.
-///
-/// Returns 0 for series shorter than `k + 2` or with zero variance.
-///
-/// # Example
-///
-/// ```
-/// use ckpt_stats::estimate::autocorrelation;
-///
-/// let alternating = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0];
-/// assert!(autocorrelation(&alternating, 1) < -0.8);
-/// let constant_trend = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
-/// assert!(autocorrelation(&constant_trend, 1) > 0.5);
-/// ```
-#[must_use]
-pub fn autocorrelation(series: &[f64], k: usize) -> f64 {
-    let n = series.len();
-    if n < k + 2 {
-        return 0.0;
-    }
-    let mean = series.iter().sum::<f64>() / n as f64;
-    let var: f64 = series.iter().map(|x| (x - mean) * (x - mean)).sum();
-    if var <= 0.0 {
-        return 0.0;
-    }
-    let cov: f64 = series[..n - k]
-        .iter()
-        .zip(&series[k..])
-        .map(|(a, b)| (a - mean) * (b - mean))
-        .sum();
-    cov / var
-}
-
 /// Two-sided Student-t critical value `t_{(1+level)/2, df}`.
 ///
 /// Exact tabulation for small degrees of freedom at the three standard
@@ -655,24 +617,6 @@ mod tests {
         // Ordinary case unchanged, sign-insensitive.
         assert!((ci(2.0, 0.1).relative_half_width() - 0.05).abs() < 1e-15);
         assert!((ci(-2.0, 0.1).relative_half_width() - 0.05).abs() < 1e-15);
-    }
-
-    #[test]
-    fn autocorrelation_of_iid_noise_is_small() {
-        use ckpt_des::SimRng;
-        let mut rng = SimRng::seed_from_u64(17);
-        let series: Vec<f64> = (0..10_000).map(|_| rng.exponential(1.0)).collect();
-        let r1 = autocorrelation(&series, 1);
-        assert!(r1.abs() < 0.05, "lag-1 autocorrelation {r1}");
-        let r5 = autocorrelation(&series, 5);
-        assert!(r5.abs() < 0.05, "lag-5 autocorrelation {r5}");
-    }
-
-    #[test]
-    fn autocorrelation_edge_cases() {
-        assert_eq!(autocorrelation(&[], 1), 0.0);
-        assert_eq!(autocorrelation(&[1.0, 2.0], 1), 0.0);
-        assert_eq!(autocorrelation(&[3.0; 10], 1), 0.0, "zero variance");
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //!   the maximum of `n` i.i.d. exponential quiesce times, sampled as
 //!   `Y = -1/λ · ln(1 − U^{1/n})` (Section 5 of the paper).
 //! * [`estimate`] — Welford online moments, Student-t confidence
-//!   intervals, replication aggregation and a batch-means
-//!   autocorrelation diagnostic, mirroring the
+//!   intervals and replication aggregation, mirroring the
 //!   steady-state estimation procedure the paper ran in Möbius (95 %
 //!   confidence, transient discard).
 //! * [`markov`] — a small continuous-time Markov chain toolkit: a dense

@@ -227,6 +227,31 @@ fn a_body_that_ends_early_is_refused_with_400() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn a_retired_batch_means_spec_is_refused_with_400() {
+    let dir = store_dir("batch_means");
+    let (addr, sched) = start_server(&dir, Tuning::default());
+    let body = spec(1, 1).to_json().replace(
+        "\"estimation\":\"replications\"",
+        "\"estimation\":{\"batch_means\":8}",
+    );
+    assert!(body.contains("batch_means"));
+    let response = raw_exchange(
+        addr,
+        &format!(
+            "POST /v1/jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        ),
+    );
+    assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+    assert!(
+        response.contains("batch-means estimation was retired"),
+        "{response}"
+    );
+    assert_eq!(sched.executed_units(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The longest line the server accepts is 8 KiB, CRLF included.
 const MAX_LINE: usize = 8 << 10;
 
