@@ -24,9 +24,6 @@ pub struct RunOptions {
     /// Worker threads for sweep cells and replications (default: all
     /// available cores; 1 forces the sequential path).
     pub jobs: usize,
-    /// Warm-up replications run and discarded before the measured ones
-    /// (recorded in manifests; never changes sampling).
-    pub warmup: u32,
     /// Write the merged model-event trace as JSON Lines to this path.
     pub trace: Option<String>,
     /// Write the metrics report (manifest + merged registry +
@@ -56,7 +53,6 @@ impl Default for RunOptions {
             seed: 0x5eed,
             csv: false,
             jobs: default_jobs(),
-            warmup: 0,
             trace: None,
             metrics: None,
             manifest: None,
@@ -77,13 +73,9 @@ where
         .map_err(|e| CkptError::Usage(format!("{flag}: {e}")))
 }
 
-/// The longest duration a flag accepts: 2⁵³ s, about 285 million years.
-/// Past it the `f64` simulation clock no longer resolves one second, so
-/// the model's shorter delays would leave the clock where it was.
-const MAX_FLAG_SECS: f64 = 9_007_199_254_740_992.0;
-
 /// Parses a duration flag's `value` in the unit `convert` takes (one of
-/// the `SimTime::try_from_*` constructors).
+/// the `SimTime::try_from_*` constructors), up to
+/// [`SimTime::MAX_RESOLVED_SECS`].
 ///
 /// # Errors
 ///
@@ -96,7 +88,7 @@ pub fn duration(
     convert: fn(f64) -> Result<SimTime, TimeError>,
 ) -> Result<SimTime, CkptError> {
     match convert(number(flag, value.clone())?) {
-        Ok(t) if t.as_secs() <= MAX_FLAG_SECS => Ok(t),
+        Ok(t) if t.as_secs() <= SimTime::MAX_RESOLVED_SECS => Ok(t),
         Ok(_) => Err(CkptError::Usage(format!(
             "{flag}: {value} is longer than 2^53 s"
         ))),
@@ -138,7 +130,6 @@ impl RunOptions {
                 }
                 "--seed" => opts.seed = number(&arg, value()?)?,
                 "--jobs" => opts.jobs = number::<usize>(&arg, value()?)?.max(1),
-                "--warmup" => opts.warmup = number(&arg, value()?)?,
                 "--trace" => opts.trace = Some(value()?),
                 "--metrics" => opts.metrics = Some(value()?),
                 "--manifest" => opts.manifest = Some(value()?),
@@ -197,7 +188,6 @@ impl RunOptions {
             self.exec.snapshot.is_some(),
             self.exec.resume.is_some(),
             self.exec.progress.is_some(),
-            self.warmup > 0,
             self.engine == EngineKind::San,
         ];
         let unhonoured = |(flag, given): &(&str, bool)| *given && !honoured.contains(flag);
@@ -211,9 +201,9 @@ impl RunOptions {
 }
 
 /// The flags only some commands honour, as typed on the command line:
-/// the output files, the journal, the progress stream, warm-up
-/// replications and the SAN engine.
-pub const OPTIONAL_FLAGS: [&str; 10] = [
+/// the output files, the journal, the progress stream and the SAN
+/// engine.
+pub const OPTIONAL_FLAGS: [&str; 9] = [
     "--trace",
     "--metrics",
     "--manifest",
@@ -222,7 +212,6 @@ pub const OPTIONAL_FLAGS: [&str; 10] = [
     "--snapshot",
     "--resume",
     "--progress",
-    "--warmup",
     "--engine san",
 ];
 
@@ -269,7 +258,10 @@ mod tests {
     #[test]
     fn durations_stop_at_two_to_the_53_seconds() {
         let secs = |v: &str| duration("--x", v.into(), SimTime::try_from_secs);
-        assert_eq!(secs("9007199254740992").unwrap().as_secs(), MAX_FLAG_SECS);
+        assert_eq!(
+            secs("9007199254740992").unwrap().as_secs(),
+            SimTime::MAX_RESOLVED_SECS
+        );
         let err = secs("9007199254740994").unwrap_err().to_string();
         assert_eq!(err, "--x: 9007199254740994 is longer than 2^53 s");
         assert!(secs("ten").is_err());
@@ -402,14 +394,6 @@ mod tests {
         assert!(parse(&["--queue", "wheel"]).is_err());
         assert!(parse(&["--reactivation"]).is_err());
         assert!(parse(&["--queue"]).is_err());
-    }
-
-    #[test]
-    fn warmup_parses_and_defaults_to_zero() {
-        assert_eq!(parse(&[]).unwrap().warmup, 0);
-        assert_eq!(parse(&["--warmup", "3"]).unwrap().warmup, 3);
-        assert!(parse(&["--warmup", "some"]).is_err());
-        assert!(parse(&["--warmup"]).is_err());
     }
 
     #[test]

@@ -227,13 +227,12 @@ pub fn run_sweep_controlled(
         let store = control
             .journal
             .map(|j| j.cell_store(u32::try_from(i).unwrap_or(u32::MAX)));
-        // Worker count and warm-up never change sampling, so they ride
-        // on the experiment: each cell gets its share of the leftover
-        // workers, and the resume fingerprint stays blind to both.
+        // Worker count never changes sampling, so it rides on the
+        // experiment: each cell gets its share of the leftover workers,
+        // and the resume fingerprint stays blind to it.
         let outcome = specs[i]
             .to_experiment()
             .jobs(inner_jobs)
-            .warmup(opts.warmup)
             .run_controlled(RunControl {
                 store: store.as_ref().map(|s| s as &dyn ReplicationStore),
                 interrupt: control.interrupt,
@@ -312,7 +311,6 @@ pub fn sweep_manifest_json(id: &str, cells: usize, opts: &RunOptions, wall_secs:
          \"version\": \"{}\",\n  \"figure\": \"{}\",\n  \"engine\": \"{}\",\n  \
          \"base_seed\": {},\n  \"transient_hours\": {:.6},\n  \
          \"horizon_hours\": {:.6},\n  \"replications\": {},\n  \"jobs\": {},\n  \
-         \"warmup\": {},\n  \
          \"host_parallelism\": {},\n  \"cells\": {},\n  \"wall_secs\": {:.6}\n}}\n",
         env!("CARGO_PKG_VERSION"),
         ckpt_obs::json_escape(id),
@@ -322,7 +320,6 @@ pub fn sweep_manifest_json(id: &str, cells: usize, opts: &RunOptions, wall_secs:
         opts.horizon.as_hours(),
         opts.reps,
         opts.jobs,
-        opts.warmup,
         std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         cells,
         wall_secs,
@@ -385,7 +382,6 @@ mod tests {
         assert!(j.contains("\"cells\": 12"));
         assert!(j.contains("\"engine\": \"direct\""));
         assert!(j.contains("\"schema_version\": 1"));
-        assert!(j.contains("\"warmup\": 0"));
         assert!(j.ends_with("}\n"));
     }
 

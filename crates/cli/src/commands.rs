@@ -118,7 +118,6 @@ pub fn run_single(args: Vec<String>) -> Result<(), CkptError> {
     let est = run_local(
         &spec,
         LocalRun {
-            warmup: opts.warmup,
             observe,
             control: RunControl {
                 store: store.as_ref().map(|s| s as &dyn ReplicationStore),
@@ -303,7 +302,7 @@ pub fn run_figure(mut args: Vec<String>) -> Result<(), CkptError> {
     }
     let id = args.remove(0);
     if id == "all" {
-        let honoured = ["--warmup", "--engine san"];
+        let honoured = ["--engine san"];
         let opts = RunOptions::parse(args)?.refuse_unhonoured("figure all", &honoured)?;
         return runner::run_all(std::path::Path::new("results"), &opts);
     }
@@ -314,7 +313,6 @@ pub fn run_figure(mut args: Vec<String>) -> Result<(), CkptError> {
         "--snapshot",
         "--resume",
         "--progress",
-        "--warmup",
         "--engine san",
     ];
     let opts = RunOptions::parse(args)?.refuse_unhonoured("figure", &honoured)?;

@@ -94,7 +94,6 @@ RUN FLAGS:
     --transient H            warm-up discard                [1000]
     --seed S                 base RNG seed                  [0x5eed]
     --jobs N                 worker threads (1 = sequential) [all cores]
-    --warmup N               warm-up replications, run and discarded   [0]
     --csv                    machine-readable output
     --quick                  fast smoke parameters
     --trace FILE             write the model-event trace as JSON Lines

@@ -285,13 +285,7 @@ fn run_search_with_sink(
 pub fn optimize(args: Vec<String>) -> Result<(), CkptError> {
     let (cfg, mut rest) = parse_config(args)?;
     let out = take_out_flag(&mut rest)?;
-    let honoured = [
-        "--snapshot",
-        "--resume",
-        "--progress",
-        "--warmup",
-        "--engine san",
-    ];
+    let honoured = ["--snapshot", "--resume", "--progress", "--engine san"];
     let opts = RunOptions::parse(rest)?.refuse_unhonoured("optimize", &honoured)?;
     signal::install();
     let sink = opts.progress_sink()?;

@@ -46,9 +46,10 @@ fn get_str<'a>(doc: &'a JsonValue, key: &str) -> Option<&'a str> {
     doc.get(key).and_then(JsonValue::as_str)
 }
 
-/// Summarizes a run manifest (schema v1 manifests — PR 2 era, no
-/// `policy` and possibly no `jobs`/`host_parallelism`/`warmup` — parse
-/// with defaults; v2 adds `policy`).
+/// Summarizes a run manifest. Older layouts parse with defaults: v1
+/// has no `policy` and possibly no `jobs`/`host_parallelism`, and the
+/// `warmup` count that manifests carried until warm-up replications
+/// were retired reads as 0 when absent.
 fn summarize_run_manifest(doc: &JsonValue) -> Vec<(String, JsonValue)> {
     let profiles = doc
         .get("profiles")

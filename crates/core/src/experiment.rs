@@ -2,10 +2,9 @@
 //! (transient discard + independent replications at 95 % confidence)
 //! over either simulation engine.
 //!
-//! # Replication ranges
+//! # One replication range
 //!
-//! A whole run is the range `0..replications` plus one range per
-//! sequential-stopping round, all run by one `RangeRunner`; a
+//! A run is the fixed range `0..replications` over one model build; a
 //! replication read back from a [`ReplicationStore`] takes the place of
 //! running it, so a resumed run aggregates into the same estimate bit
 //! for bit.
@@ -17,11 +16,7 @@
 //! matter which thread runs it or in what order. [`Experiment::jobs`]
 //! sets the worker count (default: all available cores); scheduling
 //! never changes sampling, so results are bit-identical across any
-//! `jobs` value. Sequential
-//! stopping runs in *chunks*: each round launches
-//! `min(jobs, remaining)` replications, then re-tests the confidence
-//! interval, so a parallel run may overshoot the target by at most one
-//! chunk — each replication it adds is still the same seed-`k` path.
+//! `jobs` value.
 
 use crate::config::SystemConfig;
 use crate::direct::DirectSimulator;
@@ -35,7 +30,6 @@ use ckpt_obs::{
 use ckpt_san::ReactivationMode;
 use ckpt_stats::{ConfidenceInterval, Replications};
 use std::fmt;
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -355,7 +349,6 @@ pub struct Estimate {
     transient: SimTime,
     horizon: SimTime,
     jobs: usize,
-    warmup: u32,
     replicates: Vec<Metrics>,
     profiles: Vec<ReplicationProfile>,
     recordings: Vec<Recorder>,
@@ -493,7 +486,6 @@ impl Estimate {
             jobs: self.jobs,
             host_parallelism: std::thread::available_parallelism()
                 .map_or(1, std::num::NonZeroUsize::get),
-            warmup: self.warmup,
             policy: self.config.policy().to_string(),
             config: self.config.summary(),
             profiles: self.profiles.clone(),
@@ -581,11 +573,9 @@ pub struct Experiment {
     transient: SimTime,
     horizon: SimTime,
     replications: u32,
-    target_precision: Option<(f64, u32)>,
     base_seed: u64,
     level: f64,
     jobs: usize,
-    warmup: u32,
     observe: Option<ObserveSpec>,
     reactivation: ReactivationMode,
 }
@@ -601,11 +591,9 @@ impl Experiment {
             transient: SimTime::from_hours(1_000.0),
             horizon: SimTime::from_hours(20_000.0),
             replications: 5,
-            target_precision: None,
             base_seed: 0x5eed,
             level: 0.95,
             jobs: default_jobs(),
-            warmup: 0,
             observe: None,
             reactivation: ReactivationMode::default(),
         }
@@ -676,20 +664,6 @@ impl Experiment {
         self
     }
 
-    /// Warm-up replications run and discarded before the measured ones
-    /// (default 0). Warm-up touches the same code paths as a real
-    /// replication — model build, event loop, reward accumulation — so
-    /// first-run effects (cold instruction cache, lazy page faults,
-    /// allocator growth) land outside the recorded wall-clock profiles.
-    /// Warm-up never changes sampling: measured replication `k` still
-    /// draws from seed `base_seed + k`, so metrics are bit-identical
-    /// with any warm-up count. The count is recorded in the manifest.
-    #[must_use]
-    pub fn warmup(mut self, n: u32) -> Experiment {
-        self.warmup = n;
-        self
-    }
-
     /// Attaches a [`Recorder`] to every replication (default: none —
     /// the zero-cost no-observer path). Recordings come back through
     /// [`Estimate::recordings`] in replication order. Observation
@@ -698,16 +672,6 @@ impl Experiment {
     #[must_use]
     pub fn observe(mut self, spec: ObserveSpec) -> Experiment {
         self.observe = Some(spec);
-        self
-    }
-
-    /// Sequential stopping (Möbius-style): after the configured
-    /// replications, keep adding replications until the useful-work
-    /// fraction's relative CI half-width drops to `rel_half_width`, or
-    /// `max_replications` is reached.
-    #[must_use]
-    pub fn target_precision(mut self, rel_half_width: f64, max_replications: u32) -> Experiment {
-        self.target_precision = Some((rel_half_width, max_replications));
         self
     }
 
@@ -753,7 +717,6 @@ impl Experiment {
             transient: self.transient,
             horizon: self.horizon,
             jobs: self.jobs,
-            warmup: self.warmup,
             replicates: Vec::with_capacity(replicates.len()),
             profiles: Vec::with_capacity(replicates.len()),
             recordings: Vec::new(),
@@ -888,193 +851,55 @@ impl Experiment {
         }
     }
 
-    /// The configured replications, then the sequential-stopping
-    /// rounds: every one a range of one [`RangeRunner`].
+    /// Runs the range `0..replications` on one model build — the one
+    /// place replications run — and returns its replicates in index
+    /// order. Errors surface in the order a sequential run would report
+    /// them; an interrupt that stopped the run before every replication
+    /// was claimed is [`ExperimentError::Interrupted`] counting the
+    /// completed replications, which always form a prefix.
     fn run_replications(&self, control: RunControl<'_>) -> Result<Vec<Replicate>, ExperimentError> {
-        let runner = RangeRunner::new(self, control, self.replications as usize)?;
-        let mut replicates = Vec::with_capacity(self.replications as usize);
-        runner.run(0..self.replications, &mut replicates)?;
-        if let Some((target, max_reps)) = self.target_precision {
-            // Incremental accumulator for the stopping rule: pushing
-            // each new replication is O(1), where rebuilding from the
-            // replicate list every round made the loop quadratic.
-            let fraction = |r: &Replicate| r.metrics.useful_work_fraction();
-            let mut accum: Replications = replicates.iter().map(fraction).collect();
-            let mut k = self.replications;
-            while k < max_reps
-                && accum.confidence_interval(self.level).relative_half_width() > target
-            {
-                // Chunked stopping: one round per CI test, sized to
-                // keep every worker busy without overshooting the cap.
-                let round = (max_reps - k).min(self.jobs.max(1) as u32);
-                runner
-                    .planned
-                    .store((k + round) as usize, Ordering::Relaxed);
-                runner.run(k..k + round, &mut replicates)?;
-                accum.extend(replicates[k as usize..].iter().map(fraction));
-                k += round;
-            }
-        }
-        Ok(replicates)
-    }
-}
-
-/// The one place replications run: the experiment, its model, its
-/// control handles and one progress count across every range it runs.
-struct RangeRunner<'a> {
-    exp: &'a Experiment,
-    san_model: Option<CheckpointSan>,
-    control: RunControl<'a>,
-    /// Completions so far. Counted and emitted under this one lock, so
-    /// snapshots leave in strictly increasing `completed` order at any
-    /// worker count.
-    done: Mutex<usize>,
-    /// The planned total; it grows when sequential stopping schedules
-    /// another round.
-    planned: AtomicUsize,
-    started: Instant,
-}
-
-impl<'a> RangeRunner<'a> {
-    /// Builds the model once and runs the warm-up: replications run and
-    /// discarded before anything is timed, on the leading seeds, so the
-    /// measured sampling is unaffected.
-    fn new(
-        exp: &'a Experiment,
-        control: RunControl<'a>,
-        planned: usize,
-    ) -> Result<RangeRunner<'a>, ExperimentError> {
-        let san_model = match exp.engine {
-            EngineKind::San => Some(CheckpointSan::build(&exp.config)?),
+        let san_model = match self.engine {
+            EngineKind::San => Some(CheckpointSan::build(&self.config)?),
             EngineKind::Direct => None,
         };
-        for w in 0..exp.warmup {
-            exp.run_one(san_model.as_ref(), w % exp.replications.max(1))?;
-        }
-        Ok(RangeRunner {
-            exp,
-            san_model,
-            control,
-            done: Mutex::new(0),
-            planned: AtomicUsize::new(planned),
-            started: Instant::now(),
-        })
-    }
-
-    /// Runs `range` and appends its replicates to `out` in index order.
-    /// Errors surface in the order a sequential run would report them;
-    /// an interrupt that stopped the range before every replication was
-    /// claimed is [`ExperimentError::Interrupted`] counting everything
-    /// in `out`, and the claimed replications always form a prefix.
-    fn run(&self, range: Range<u32>, out: &mut Vec<Replicate>) -> Result<(), ExperimentError> {
-        let exp = self.exp;
-        let count = range.len();
-        let slots = run_indexed(count, exp.jobs, self.control.interrupt, |i| {
-            let k = range.start + i as u32;
-            let result = exp.run_one_supervised(self.san_model.as_ref(), k, self.control.store);
-            if let Some(sink) = self.control.progress {
-                let mut done = self.done.lock().expect("progress lock poisoned");
+        let total = self.replications as usize;
+        // Completions so far. Counted and emitted under this one lock, so
+        // snapshots leave in strictly increasing `completed` order at any
+        // worker count.
+        let done = Mutex::new(0usize);
+        let started = Instant::now();
+        let slots = run_indexed(total, self.jobs, control.interrupt, |i| {
+            let result = self.run_one_supervised(san_model.as_ref(), i as u32, control.store);
+            if let Some(sink) = control.progress {
+                let mut done = done.lock().expect("progress lock poisoned");
                 *done += 1;
-                let total = self.planned.load(Ordering::Relaxed);
                 let mut snapshot = ProgressSnapshot::new("replications", *done, total);
                 // Provenance extras (HumanSink-only; the JSONL sink
                 // ignores them, keeping the stream deterministic).
-                let elapsed = self.started.elapsed().as_secs_f64();
-                if total >= *done {
-                    snapshot.eta_secs = Some(elapsed / *done as f64 * (total - *done) as f64);
-                }
+                let elapsed = started.elapsed().as_secs_f64();
+                snapshot.eta_secs = Some(elapsed / *done as f64 * (total - *done) as f64);
                 if let Ok(r) = &result {
                     snapshot.events_per_sec = Some(r.profile.events_per_sec());
                 }
-                snapshot.workers = Some(exp.jobs.min(count).max(1));
+                snapshot.workers = Some(self.jobs.min(total).max(1));
                 sink.progress(&snapshot);
             }
             result
         });
+        let mut replicates = Vec::with_capacity(total);
         let mut interrupted = false;
         for slot in slots {
             match slot {
-                Some(result) => out.push(result?),
+                Some(result) => replicates.push(result?),
                 None => interrupted = true,
             }
         }
         if interrupted {
             return Err(ExperimentError::Interrupted {
-                completed: out.len(),
+                completed: replicates.len(),
             });
         }
-        Ok(())
-    }
-}
-
-/// Result of a terminating job-completion experiment: wall-clock times
-/// to finish a fixed amount of useful work.
-#[derive(Debug, Clone)]
-pub struct CompletionEstimate {
-    times_secs: Vec<f64>,
-    timed_out: u32,
-    level: f64,
-}
-
-impl CompletionEstimate {
-    /// Completion times of the replications that finished, in seconds.
-    #[must_use]
-    pub fn times_secs(&self) -> &[f64] {
-        &self.times_secs
-    }
-
-    /// Replications that hit the deadline without finishing.
-    #[must_use]
-    pub fn timed_out(&self) -> u32 {
-        self.timed_out
-    }
-
-    /// Confidence interval of the completion time (seconds) over the
-    /// finished replications.
-    #[must_use]
-    pub fn completion_time(&self) -> ConfidenceInterval {
-        self.times_secs
-            .iter()
-            .copied()
-            .collect::<Replications>()
-            .confidence_interval(self.level)
-    }
-}
-
-impl Experiment {
-    /// Terminating analysis: the wall-clock time to complete `solve`
-    /// seconds of useful work (the quantity Daly's `expected_wall_time`
-    /// predicts), one run per configured replication. Runs that exceed
-    /// `deadline` are reported as timed out rather than failing.
-    ///
-    /// Uses the direct engine regardless of the configured
-    /// [`EngineKind`] (job runs are a direct-simulator feature).
-    #[must_use]
-    pub fn job_completion(&self, solve: SimTime, deadline: SimTime) -> CompletionEstimate {
-        let outcomes = run_indexed(self.replications as usize, self.jobs, None, |i| {
-            let seed = self.base_seed + i as u64;
-            let mut sim = DirectSimulator::new(&self.config, seed);
-            sim.run_until_useful_work(solve.as_secs(), deadline)
-                .map(SimTime::as_secs)
-        })
-        .into_iter()
-        .map(|slot| slot.expect("no interrupt flag was installed"))
-        .collect::<Vec<_>>();
-        let mut times = Vec::new();
-        let mut timed_out = 0;
-        // `outcomes` is in replication order, so `times_secs` matches
-        // the sequential path element for element.
-        for outcome in outcomes {
-            match outcome {
-                Some(t) => times.push(t),
-                None => timed_out += 1,
-            }
-        }
-        CompletionEstimate {
-            times_secs: times,
-            timed_out,
-            level: self.level,
-        }
+        Ok(replicates)
     }
 }
 
@@ -1135,66 +960,6 @@ mod tests {
         let est = quick(cfg, EngineKind::Direct);
         let mean = est.mean_of(|m| m.counters.checkpoints_completed as f64);
         assert!(mean > 0.0);
-    }
-
-    #[test]
-    fn target_precision_adds_replications_until_tight() {
-        let cfg = SystemConfig::builder().build().unwrap();
-        let loose = Experiment::new(cfg.clone())
-            .transient(SimTime::from_hours(100.0))
-            .horizon(SimTime::from_hours(500.0))
-            .replications(3)
-            .run()
-            .unwrap();
-        let initial_width = loose.useful_work_fraction().relative_half_width();
-        // Ask for half that width; the runner must add replications.
-        let tight = Experiment::new(cfg)
-            .transient(SimTime::from_hours(100.0))
-            .horizon(SimTime::from_hours(500.0))
-            .replications(3)
-            .target_precision(initial_width / 2.0, 40)
-            .run()
-            .unwrap();
-        assert!(
-            tight.replicates().len() > 3,
-            "sequential stopping must add replications"
-        );
-        assert!(
-            tight.useful_work_fraction().relative_half_width() <= initial_width / 2.0
-                || tight.replicates().len() == 40,
-            "either the target was met or the cap was hit"
-        );
-    }
-
-    #[test]
-    fn job_completion_estimates_wall_time() {
-        let cfg = SystemConfig::builder().build().unwrap();
-        let est = Experiment::new(cfg)
-            .replications(4)
-            .job_completion(SimTime::from_hours(20.0), SimTime::from_hours(1_000.0));
-        assert_eq!(est.times_secs().len(), 4);
-        assert_eq!(est.timed_out(), 0);
-        let ci = est.completion_time();
-        // 20 h of work at fraction ≈0.65 needs ≈31 h of wall clock.
-        assert!(
-            ci.mean > 20.0 * 3600.0 && ci.mean < 60.0 * 3600.0,
-            "completion {} h",
-            ci.mean / 3600.0
-        );
-    }
-
-    #[test]
-    fn job_completion_reports_timeouts() {
-        let cfg = SystemConfig::builder()
-            .processors(262_144)
-            .checkpoint_interval(SimTime::from_mins(240.0))
-            .build()
-            .unwrap();
-        let est = Experiment::new(cfg)
-            .replications(2)
-            .job_completion(SimTime::from_hours(100.0), SimTime::from_hours(300.0));
-        assert_eq!(est.timed_out(), 2);
-        assert!(est.times_secs().is_empty());
     }
 
     #[test]

@@ -51,6 +51,12 @@ impl SimTime {
     /// The origin of simulated time.
     pub const ZERO: SimTime = SimTime(0.0);
 
+    /// The latest time at which the clock still resolves one second:
+    /// 2⁵³ s, about 285 million years. Past it a one-second delay leaves
+    /// the clock where it was, so the model's shorter delays would stall
+    /// it; user-given durations and run lengths are bounded by it.
+    pub const MAX_RESOLVED_SECS: f64 = 9_007_199_254_740_992.0;
+
     /// Constructs a time from seconds.
     ///
     /// # Panics

@@ -38,6 +38,12 @@ pub enum SpecError {
         /// Requested horizon, hours.
         horizon_hours: f64,
     },
+    /// The run ends past [`SimTime::MAX_RESOLVED_SECS`] (transient plus
+    /// horizon), where the simulation clock no longer resolves a second.
+    RunTooLong {
+        /// Requested transient plus horizon, seconds.
+        end_secs: f64,
+    },
     /// Zero replications requested.
     NoReplications,
     /// Confidence level outside (0, 1).
@@ -68,6 +74,10 @@ impl fmt::Display for SpecError {
             } => write!(
                 f,
                 "transient cutoff ({transient_hours} h) must be strictly less than the horizon ({horizon_hours} h)"
+            ),
+            SpecError::RunTooLong { end_secs } => write!(
+                f,
+                "transient plus horizon ({end_secs} s) is longer than 2^53 s, the longest run the simulation clock resolves to a second"
             ),
             SpecError::NoReplications => write!(f, "at least one replication is required"),
             SpecError::BadConfidence { level } => {
@@ -448,9 +458,11 @@ impl ExperimentSpecBuilder {
     /// # Errors
     ///
     /// Rejects an empty measurement window
-    /// ([`SpecError::TransientExceedsHorizon`]), zero replications, a
-    /// confidence level outside (0, 1), and SAN + ablation-switch
-    /// combinations the SAN engine would refuse at run time.
+    /// ([`SpecError::TransientExceedsHorizon`]), a run that ends past
+    /// [`SimTime::MAX_RESOLVED_SECS`] ([`SpecError::RunTooLong`]), zero
+    /// replications, a confidence level outside (0, 1), and SAN +
+    /// ablation-switch combinations the SAN engine would refuse at run
+    /// time.
     pub fn build(self) -> Result<ExperimentSpec, SpecError> {
         let s = &self.spec;
         if s.transient.as_secs() >= s.horizon.as_secs() || s.horizon.is_zero() {
@@ -458,6 +470,10 @@ impl ExperimentSpecBuilder {
                 transient_hours: s.transient.as_hours(),
                 horizon_hours: s.horizon.as_hours(),
             });
+        }
+        let end_secs = s.transient.as_secs() + s.horizon.as_secs();
+        if end_secs > SimTime::MAX_RESOLVED_SECS {
+            return Err(SpecError::RunTooLong { end_secs });
         }
         if s.replications == 0 {
             return Err(SpecError::NoReplications);
@@ -958,6 +974,35 @@ mod tests {
             .horizon(SimTime::from_hours(400.0))
             .build();
         assert!(eq.is_err());
+    }
+
+    #[test]
+    fn rejects_a_run_that_ends_past_two_to_the_53_seconds() {
+        let cfg = SystemConfig::builder().build().unwrap();
+        let transient = SimTime::from_hours(1_000.0);
+        let run = |horizon_secs: f64| {
+            ExperimentSpec::builder(cfg.clone())
+                .transient(transient)
+                .horizon(SimTime::from_secs(horizon_secs))
+                .build()
+        };
+        // Ending exactly at the limit is accepted; one ulp past it is not.
+        let at_limit = SimTime::MAX_RESOLVED_SECS - transient.as_secs();
+        assert!(run(at_limit).is_ok());
+        let err = run(SimTime::MAX_RESOLVED_SECS).unwrap_err();
+        assert!(matches!(err, SpecError::RunTooLong { .. }), "{err:?}");
+        assert!(err.to_string().contains("longer than 2^53 s"), "{err}");
+        // The same rule holds for a spec that arrives as JSON.
+        let json = ExperimentSpec::builder(cfg.clone())
+            .build()
+            .unwrap()
+            .to_json()
+            .replace("\"horizon_secs\":72000000,", "\"horizon_secs\":1e300,");
+        assert!(json.contains("1e300"));
+        assert!(matches!(
+            ExperimentSpec::from_json(&json),
+            Err(SpecError::RunTooLong { end_secs }) if end_secs > 1e299
+        ));
     }
 
     #[test]

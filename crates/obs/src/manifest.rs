@@ -72,9 +72,6 @@ pub struct RunManifest {
     pub jobs: usize,
     /// `std::thread::available_parallelism` on the producing host.
     pub host_parallelism: usize,
-    /// Warm-up replications run and discarded before the recorded ones
-    /// (their wall time and events appear nowhere in this manifest).
-    pub warmup: u32,
     /// Active checkpoint-interval policy (e.g. `fixed`,
     /// `daly_optimal`), as rendered by `PolicySpec`'s `Display`.
     /// Schema v2; empty in manifests parsed from v1 documents.
@@ -123,7 +120,6 @@ impl RunManifest {
             "  \"host_parallelism\": {},\n",
             self.host_parallelism
         ));
-        s.push_str(&format!("  \"warmup\": {},\n", self.warmup));
         s.push_str(&format!(
             "  \"policy\": \"{}\",\n",
             json_escape(&self.policy)
@@ -188,7 +184,6 @@ mod tests {
             faults: 0,
             jobs: 4,
             host_parallelism: 8,
-            warmup: 1,
             policy: "fixed".into(),
             config: vec![("processors".into(), "65536".into())],
             profiles: vec![
@@ -209,7 +204,6 @@ mod tests {
         assert!(j.contains("\"policy\": \"fixed\""));
         assert!(j.contains("\"base_seed\": 24301"));
         assert!(j.contains("\"processors\": \"65536\""));
-        assert!(j.contains("\"warmup\": 1"));
         assert!(j.contains(
             "\"rep\": 1, \"wall_secs\": 0.600000, \"events\": 1001, \"events_per_sec\": 1668.3"
         ));
@@ -230,7 +224,6 @@ mod tests {
             faults: 1,
             jobs: 1,
             host_parallelism: 1,
-            warmup: 0,
             policy: String::new(),
             config: vec![],
             profiles: vec![],

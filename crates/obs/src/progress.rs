@@ -33,8 +33,7 @@ pub struct ProgressSnapshot<'a> {
     pub label: &'a str,
     /// Work units finished so far.
     pub completed: usize,
-    /// Total planned work units (may grow when sequential stopping
-    /// schedules more replications).
+    /// Total planned work units.
     pub total: usize,
     /// Free-form human detail for the unit just finished (provenance).
     pub detail: Option<&'a str>,

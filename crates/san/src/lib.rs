@@ -57,7 +57,6 @@
 
 mod activity;
 mod compiled;
-pub mod compose;
 pub mod dot;
 mod error;
 mod gate;

@@ -7,7 +7,7 @@
 //! closed-form **coordination distribution** — the maximum of `n` i.i.d.
 //! exponential quiesce times.
 
-use crate::special::{gamma, harmonic, harmonic2};
+use crate::special::{harmonic, harmonic2};
 use ckpt_des::SimRng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -54,35 +54,6 @@ pub enum Dist {
         low: f64,
         /// Upper bound.
         high: f64,
-    },
-    /// Two-phase hyper-exponential: with probability `p` the sample is
-    /// exponential at `rate1`, otherwise exponential at `rate2`. This is
-    /// the textbook model for "generic correlated failures" — the system
-    /// alternates between an independent and a correlated failure rate.
-    HyperExponential {
-        /// Probability of drawing from phase 1.
-        p: f64,
-        /// Phase-1 rate.
-        rate1: f64,
-        /// Phase-2 rate.
-        rate2: f64,
-    },
-    /// Erlang-`k`: sum of `k` exponentials, each at `rate` (so the mean is
-    /// `k/rate`). Useful as a lower-variance alternative to exponential
-    /// recovery times in ablations.
-    Erlang {
-        /// Number of exponential stages.
-        k: u32,
-        /// Per-stage rate.
-        rate: f64,
-    },
-    /// Weibull with the given shape and scale; shape < 1 gives the
-    /// decreasing hazard rate often observed in failure-trace studies.
-    Weibull {
-        /// Shape parameter k.
-        shape: f64,
-        /// Scale parameter λ.
-        scale: f64,
     },
     /// Maximum of `n` i.i.d. exponentials with per-node rate `rate`:
     /// the paper's coordination time, with CDF `(1 − e^{−λy})^n`,
@@ -160,50 +131,6 @@ impl Dist {
         Dist::Uniform { low, high }
     }
 
-    /// Two-phase hyper-exponential.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `p ∈ [0,1]` and both rates are positive and finite.
-    #[must_use]
-    pub fn hyper_exponential(p: f64, rate1: f64, rate2: f64) -> Dist {
-        assert!((0.0..=1.0).contains(&p), "p must be in [0,1], got {p}");
-        assert!(
-            rate1.is_finite() && rate1 > 0.0 && rate2.is_finite() && rate2 > 0.0,
-            "hyper-exponential rates must be positive, got {rate1}, {rate2}"
-        );
-        Dist::HyperExponential { p, rate1, rate2 }
-    }
-
-    /// Erlang-`k` with per-stage rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `k ≥ 1` and `rate > 0`.
-    #[must_use]
-    pub fn erlang(k: u32, rate: f64) -> Dist {
-        assert!(k >= 1, "erlang stages must be >= 1");
-        assert!(
-            rate.is_finite() && rate > 0.0,
-            "erlang rate must be positive, got {rate}"
-        );
-        Dist::Erlang { k, rate }
-    }
-
-    /// Weibull with shape and scale.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both parameters are positive and finite.
-    #[must_use]
-    pub fn weibull(shape: f64, scale: f64) -> Dist {
-        assert!(
-            shape.is_finite() && shape > 0.0 && scale.is_finite() && scale > 0.0,
-            "weibull parameters must be positive, got shape={shape}, scale={scale}"
-        );
-        Dist::Weibull { shape, scale }
-    }
-
     /// Maximum of `n` exponentials at per-node `rate` — the coordination
     /// time of Section 5 of the paper.
     ///
@@ -261,9 +188,6 @@ impl Dist {
             Dist::Deterministic { value } => value,
             Dist::Exponential { rate } => 1.0 / rate,
             Dist::Uniform { low, high } => 0.5 * (low + high),
-            Dist::HyperExponential { p, rate1, rate2 } => p / rate1 + (1.0 - p) / rate2,
-            Dist::Erlang { k, rate } => f64::from(k) / rate,
-            Dist::Weibull { shape, scale } => scale * gamma(1.0 + 1.0 / shape),
             Dist::MaxExponential { n, rate } => harmonic(n) / rate,
             Dist::LogNormal { mu, sigma } => (mu + sigma * sigma / 2.0).exp(),
         }
@@ -276,17 +200,6 @@ impl Dist {
             Dist::Deterministic { .. } => 0.0,
             Dist::Exponential { rate } => 1.0 / (rate * rate),
             Dist::Uniform { low, high } => (high - low) * (high - low) / 12.0,
-            Dist::HyperExponential { p, rate1, rate2 } => {
-                let m = self.mean();
-                let m2 = 2.0 * (p / (rate1 * rate1) + (1.0 - p) / (rate2 * rate2));
-                m2 - m * m
-            }
-            Dist::Erlang { k, rate } => f64::from(k) / (rate * rate),
-            Dist::Weibull { shape, scale } => {
-                let g1 = gamma(1.0 + 1.0 / shape);
-                let g2 = gamma(1.0 + 2.0 / shape);
-                scale * scale * (g2 - g1 * g1)
-            }
             Dist::MaxExponential { n, rate } => harmonic2(n) / (rate * rate),
             Dist::LogNormal { mu, sigma } => {
                 let s2 = sigma * sigma;
@@ -302,15 +215,6 @@ impl Sample for Dist {
             Dist::Deterministic { value } => value,
             Dist::Exponential { rate } => rng.exponential(rate),
             Dist::Uniform { low, high } => low + (high - low) * rng.open_unit(),
-            Dist::HyperExponential { p, rate1, rate2 } => {
-                if rng.bernoulli(p) {
-                    rng.exponential(rate1)
-                } else {
-                    rng.exponential(rate2)
-                }
-            }
-            Dist::Erlang { k, rate } => (0..k).map(|_| rng.exponential(rate)).sum(),
-            Dist::Weibull { shape, scale } => scale * (-rng.open_unit().ln()).powf(1.0 / shape),
             Dist::MaxExponential { n, rate } => sample_max_exponential(n, rate, rng),
             Dist::LogNormal { mu, sigma } => (mu + sigma * rng.standard_normal()).exp(),
         }
@@ -323,11 +227,6 @@ impl fmt::Display for Dist {
             Dist::Deterministic { value } => write!(f, "Det({value})"),
             Dist::Exponential { rate } => write!(f, "Exp(rate={rate})"),
             Dist::Uniform { low, high } => write!(f, "U[{low},{high}]"),
-            Dist::HyperExponential { p, rate1, rate2 } => {
-                write!(f, "HyperExp(p={p},{rate1},{rate2})")
-            }
-            Dist::Erlang { k, rate } => write!(f, "Erlang({k},rate={rate})"),
-            Dist::Weibull { shape, scale } => write!(f, "Weibull(k={shape},λ={scale})"),
             Dist::MaxExponential { n, rate } => write!(f, "MaxExp(n={n},rate={rate})"),
             Dist::LogNormal { mu, sigma } => write!(f, "LogNormal(μ={mu},σ={sigma})"),
         }
@@ -392,34 +291,6 @@ mod tests {
         }
         assert_eq!(d.mean(), 4.0);
         assert!((d.variance() - 16.0 / 12.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hyper_exponential_moments() {
-        let d = Dist::hyper_exponential(0.3, 1.0, 0.1);
-        let s = sample_stats(&d, 200_000, 3);
-        let expect_mean = 0.3 + 0.7 * 10.0;
-        assert!((s.mean() - expect_mean).abs() / expect_mean < 0.02);
-        assert!((d.mean() - expect_mean).abs() < 1e-12);
-        // Hyper-exponential has CV^2 >= 1.
-        assert!(d.variance() >= d.mean() * d.mean());
-    }
-
-    #[test]
-    fn erlang_moments() {
-        let d = Dist::erlang(4, 2.0);
-        let s = sample_stats(&d, 100_000, 4);
-        assert!((s.mean() - 2.0).abs() < 0.03, "mean {}", s.mean());
-        assert!((d.variance() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn weibull_shape_one_is_exponential() {
-        let d = Dist::weibull(1.0, 5.0);
-        assert!((d.mean() - 5.0).abs() < 1e-9);
-        assert!((d.variance() - 25.0).abs() < 1e-6);
-        let s = sample_stats(&d, 100_000, 5);
-        assert!((s.mean() - 5.0).abs() < 0.1);
     }
 
     #[test]
@@ -523,9 +394,9 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let d = Dist::hyper_exponential(0.25, 1.5, 0.5);
+        let d = Dist::max_exponential(1024, 0.1);
         let json = serde_json_like(&d);
-        assert!(json.contains("HyperExponential"));
+        assert!(json.contains("MaxExponential"));
     }
 
     // serde_json is not in the dependency set; a Debug-format check is the

@@ -315,14 +315,6 @@ impl FromIterator<f64> for Replications {
     }
 }
 
-impl Extend<f64> for Replications {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        for x in iter {
-            self.push(x);
-        }
-    }
-}
-
 /// Two-sided Student-t critical value `t_{(1+level)/2, df}`.
 ///
 /// Exact tabulation for small degrees of freedom at the three standard

@@ -3,8 +3,8 @@
 //! Three areas:
 //!
 //! * [`dist`] — the sampling distributions the DSN'05 model needs
-//!   (deterministic, exponential, uniform, hyper-exponential, Erlang,
-//!   Weibull) plus the paper's closed-form **coordination distribution**:
+//!   (deterministic, exponential, uniform, log-normal) plus the paper's
+//!   closed-form **coordination distribution**:
 //!   the maximum of `n` i.i.d. exponential quiesce times, sampled as
 //!   `Y = -1/λ · ln(1 − U^{1/n})` (Section 5 of the paper).
 //! * [`estimate`] — Welford online moments, Student-t confidence

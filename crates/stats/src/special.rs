@@ -1,4 +1,5 @@
-//! Special functions used by the distributions and analytic models.
+//! Special functions used by the distributions and analytic models:
+//! the harmonic numbers behind the max-of-`n` coordination moments.
 
 /// Euler–Mascheroni constant.
 pub const EULER_GAMMA: f64 = 0.577_215_664_901_532_9;
@@ -57,43 +58,6 @@ pub fn harmonic2(n: u64) -> f64 {
     }
 }
 
-/// Natural log of the gamma function (Lanczos approximation, |ε| < 1e-13
-/// for positive arguments), used by the Weibull/Erlang moments.
-#[must_use]
-pub fn ln_gamma(x: f64) -> f64 {
-    // Lanczos g=7, n=9 coefficients.
-    const COEFFS: [f64; 9] = [
-        0.999_999_999_999_809_9,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_8,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    if x < 0.5 {
-        // Reflection formula.
-        let pi = std::f64::consts::PI;
-        pi.ln() - (pi * x).sin().ln() - ln_gamma(1.0 - x)
-    } else {
-        let x = x - 1.0;
-        let mut a = COEFFS[0];
-        let t = x + 7.5;
-        for (i, &c) in COEFFS.iter().enumerate().skip(1) {
-            a += c / (x + i as f64);
-        }
-        0.5 * (2.0 * std::f64::consts::PI).ln() + (x + 0.5) * t.ln() - t + a.ln()
-    }
-}
-
-/// Gamma function for positive arguments.
-#[must_use]
-pub fn gamma(x: f64) -> f64 {
-    ln_gamma(x).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,24 +97,5 @@ mod tests {
         assert!((harmonic2(1) - 1.0).abs() < 1e-15);
         assert!((harmonic2(2) - 1.25).abs() < 1e-15);
         assert!((harmonic2(3) - (1.0 + 0.25 + 1.0 / 9.0)).abs() < 1e-14);
-    }
-
-    #[test]
-    fn gamma_matches_factorials() {
-        for n in 1..10u64 {
-            let fact: f64 = (1..n).map(|k| k as f64).product();
-            assert!(
-                (gamma(n as f64) - fact).abs() / fact < 1e-10,
-                "gamma({n}) = {} expected {fact}",
-                gamma(n as f64)
-            );
-        }
-    }
-
-    #[test]
-    fn gamma_half() {
-        let sqrt_pi = std::f64::consts::PI.sqrt();
-        assert!((gamma(0.5) - sqrt_pi).abs() < 1e-10);
-        assert!((gamma(1.5) - 0.5 * sqrt_pi).abs() < 1e-10);
     }
 }

@@ -20,13 +20,10 @@ use ckpt_obs::ProgressSink;
 use std::sync::atomic::AtomicBool;
 
 /// One local execution request: the spec plus the runtime-only knobs
-/// (`warmup`, observation, cache/interrupt/progress control) that are
+/// (observation, cache/interrupt/progress control) that are
 /// deliberately outside the spec and its fingerprint.
 #[derive(Default)]
 pub struct LocalRun<'a> {
-    /// Warm-up replications run before measuring (wall-clock only;
-    /// never affects results).
-    pub warmup: u32,
     /// Observation plan (traces/registries); `None` for plain runs.
     /// Observed runs skip replication-cache lookups by design.
     pub observe: Option<ObserveSpec>,
@@ -41,7 +38,7 @@ pub struct LocalRun<'a> {
 ///
 /// Everything [`ckpt_core::Experiment::run_controlled`] can return.
 pub fn run_local(spec: &ExperimentSpec, req: LocalRun<'_>) -> Result<Estimate, ExperimentError> {
-    let mut exp = spec.to_experiment().warmup(req.warmup);
+    let mut exp = spec.to_experiment();
     if let Some(observe) = req.observe {
         exp = exp.observe(observe);
     }

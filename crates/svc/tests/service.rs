@@ -252,6 +252,27 @@ fn a_retired_batch_means_spec_is_refused_with_400() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn a_spec_longer_than_the_clock_resolves_is_refused_with_400() {
+    let dir = store_dir("too_long");
+    let (addr, sched) = start_server(&dir, Tuning::default());
+    let body = spec(1, 1)
+        .to_json()
+        .replace("\"horizon_secs\":216000,", "\"horizon_secs\":1e300,");
+    assert!(body.contains("1e300"));
+    let response = raw_exchange(
+        addr,
+        &format!(
+            "POST /v1/jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        ),
+    );
+    assert!(response.starts_with("HTTP/1.1 400 "), "{response}");
+    assert!(response.contains("longer than 2^53 s"), "{response}");
+    assert_eq!(sched.executed_units(), 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The longest line the server accepts is 8 KiB, CRLF included.
 const MAX_LINE: usize = 8 << 10;
 

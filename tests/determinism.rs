@@ -2,8 +2,7 @@
 //! seed produce byte-identical per-replication results no matter how
 //! many worker threads run them. Replication `k` always draws from
 //! seed `base_seed + k`, so a parallel run is a reordering of the same
-//! sample paths — these tests pin that contract for both engines, for
-//! sequential stopping, and for job-completion runs.
+//! sample paths — these tests pin that contract for both engines.
 
 use ckptsim::des::SimTime;
 use ckptsim::model::{EngineKind, Estimate, Experiment, SystemConfig};
@@ -51,64 +50,6 @@ fn san_engine_is_identical_across_jobs() {
     let seq = experiment(&cfg, EngineKind::San, 1).run().unwrap();
     let par = experiment(&cfg, EngineKind::San, 8).run().unwrap();
     assert_bitwise_equal(&seq, &par);
-}
-
-/// Sequential stopping launches chunks of `jobs` replications per
-/// round, so a parallel run may add *more* replications than `jobs(1)`
-/// — but every replication `k` it runs must still be the seed-`k`
-/// sample path. Verify each against an independent single-replication
-/// run with that exact seed.
-#[test]
-fn sequential_stopping_preserves_per_replication_seeds() {
-    let cfg = SystemConfig::builder().build().unwrap();
-    let loose = experiment(&cfg, EngineKind::Direct, 1)
-        .replications(2)
-        .run()
-        .unwrap();
-    let target = loose.useful_work_fraction().relative_half_width() / 2.0;
-
-    let stopped = experiment(&cfg, EngineKind::Direct, 8)
-        .replications(2)
-        .target_precision(target, 12)
-        .run()
-        .unwrap();
-    assert!(
-        stopped.replicates().len() > 2,
-        "stopping rule was expected to add replications"
-    );
-    for (k, rep) in stopped.replicates().iter().enumerate() {
-        let single = Experiment::new(cfg.clone())
-            .transient(SimTime::from_hours(100.0))
-            .horizon(SimTime::from_hours(1_000.0))
-            .replications(1)
-            .seed(SEED + k as u64)
-            .jobs(1)
-            .run()
-            .unwrap();
-        assert_eq!(
-            rep.useful_work_secs.to_bits(),
-            single.replicates()[0].useful_work_secs.to_bits(),
-            "replication {k} did not use seed base_seed + {k}"
-        );
-    }
-}
-
-#[test]
-fn job_completion_is_identical_across_jobs() {
-    let cfg = SystemConfig::builder().build().unwrap();
-    let solve = SimTime::from_hours(20.0);
-    let deadline = SimTime::from_hours(1_000.0);
-    let seq = experiment(&cfg, EngineKind::Direct, 1).job_completion(solve, deadline);
-    let par = experiment(&cfg, EngineKind::Direct, 8).job_completion(solve, deadline);
-    assert_eq!(seq.timed_out(), par.timed_out());
-    assert_eq!(seq.times_secs().len(), par.times_secs().len());
-    for (k, (a, b)) in seq.times_secs().iter().zip(par.times_secs()).enumerate() {
-        assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "completion replication {k} diverged across worker counts"
-        );
-    }
 }
 
 /// Profiles ride along with every replication and carry real event

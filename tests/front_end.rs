@@ -156,3 +156,21 @@ fn every_duration_flag_refuses_values_no_time_can_hold() {
         }
     }
 }
+
+#[test]
+fn the_retired_warmup_flag_is_an_unknown_flag() {
+    use ckpt_cli::commands::{run_figure, run_single};
+    use ckpt_cli::optimize::optimize;
+    type Command = fn(Vec<String>) -> Result<(), ckpt_harness::CkptError>;
+    let cases: [(&str, Command, &str); 3] = [
+        ("run", run_single, "--quick --warmup 1"),
+        ("figure", run_figure, "fig5 --quick --warmup 1"),
+        ("optimize", optimize, "--warmup 1"),
+    ];
+    for (name, command, rest) in cases {
+        let err = command(argv(rest)).expect_err(name);
+        assert_eq!(err.to_string(), "unknown flag '--warmup'", "{name}");
+        assert_eq!(err.exit_code(), 2, "{name}");
+        assert_eq!(ckpt_cli::run(argv(&format!("{name} {rest}"))), 2, "{name}");
+    }
+}
