@@ -36,11 +36,6 @@ pub struct RunOptions {
     /// `--reactivation/--queue`), parsed and validated by [`ExecFlags`]
     /// — one implementation for every command.
     pub exec: ExecFlags,
-    /// Write the merged telemetry document (histograms + spans) as
-    /// JSON to this path.
-    pub histograms: Option<String>,
-    /// Write the Prometheus text exposition to this path at exit.
-    pub prom: Option<String>,
 }
 
 impl Default for RunOptions {
@@ -57,8 +52,6 @@ impl Default for RunOptions {
             metrics: None,
             manifest: None,
             exec: ExecFlags::default(),
-            histograms: None,
-            prom: None,
         }
     }
 }
@@ -133,8 +126,6 @@ impl RunOptions {
                 "--trace" => opts.trace = Some(value()?),
                 "--metrics" => opts.metrics = Some(value()?),
                 "--manifest" => opts.manifest = Some(value()?),
-                "--histograms" => opts.histograms = Some(value()?),
-                "--prom" => opts.prom = Some(value()?),
                 "--csv" => opts.csv = true,
                 "--quick" => {
                     opts.reps = 2;
@@ -183,8 +174,6 @@ impl RunOptions {
             self.trace.is_some(),
             self.metrics.is_some(),
             self.manifest.is_some(),
-            self.histograms.is_some(),
-            self.prom.is_some(),
             self.exec.snapshot.is_some(),
             self.exec.resume.is_some(),
             self.exec.progress.is_some(),
@@ -203,12 +192,10 @@ impl RunOptions {
 /// The flags only some commands honour, as typed on the command line:
 /// the output files, the journal, the progress stream and the SAN
 /// engine.
-pub const OPTIONAL_FLAGS: [&str; 9] = [
+pub const OPTIONAL_FLAGS: [&str; 7] = [
     "--trace",
     "--metrics",
     "--manifest",
-    "--histograms",
-    "--prom",
     "--snapshot",
     "--resume",
     "--progress",
@@ -276,11 +263,11 @@ mod tests {
 
     #[test]
     fn refuse_unhonoured_names_the_first_flag_not_honoured() {
-        let o = parse(&["--engine", "san", "--prom", "p", "--resume", "r"]).unwrap();
+        let o = parse(&["--engine", "san", "--manifest", "m", "--resume", "r"]).unwrap();
         assert!(o.clone().refuse_unhonoured("run", &OPTIONAL_FLAGS).is_ok());
         let err = o.refuse_unhonoured("figure", &["--resume", "--engine san"]);
         let msg = err.unwrap_err().to_string();
-        assert_eq!(msg, "'figure' does not support --prom");
+        assert_eq!(msg, "'figure' does not support --manifest");
         assert!(parse(&[]).unwrap().refuse_unhonoured("ablate", &[]).is_ok());
     }
 
@@ -340,23 +327,10 @@ mod tests {
 
     #[test]
     fn telemetry_flags_parse() {
-        let o = parse(&[
-            "--progress",
-            "p.jsonl",
-            "--histograms",
-            "h.json",
-            "--prom",
-            "m.prom",
-        ])
-        .unwrap();
+        let o = parse(&["--progress", "p.jsonl"]).unwrap();
         assert_eq!(o.exec.progress.as_deref(), Some("p.jsonl"));
-        assert_eq!(o.histograms.as_deref(), Some("h.json"));
-        assert_eq!(o.prom.as_deref(), Some("m.prom"));
         assert!(parse(&["--progress"]).is_err());
-        assert!(parse(&["--histograms"]).is_err());
-        assert!(parse(&["--prom"]).is_err());
-        let d = parse(&[]).unwrap();
-        assert!(d.exec.progress.is_none() && d.histograms.is_none() && d.prom.is_none());
+        assert!(parse(&[]).unwrap().exec.progress.is_none());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use ckpt_core::{
     san_model, Estimate, ObserveSpec, PhaseKind, ReplicationStore, RunControl, SystemConfig,
 };
 use ckpt_harness::{signal, CkptError, SpecError};
-use ckpt_obs::{spans_json, telemetry_json, ProgressSink, Recorder};
+use ckpt_obs::{ProgressSink, Recorder};
 use ckpt_svc::{run_local, LocalRun};
 use std::fmt::Write as _;
 
@@ -41,36 +41,34 @@ fn trace_jsonl(recordings: &[Recorder]) -> String {
     out
 }
 
-/// Renders the full metrics report: manifest, merged registry,
-/// per-replication registries, and the registry-vs-engine phase-time
-/// reconciliation verdicts.
+/// Renders the full metrics report (schema 2): manifest, merged
+/// registry and telemetry, and per replication its registry, telemetry
+/// and the registry-vs-engine phase-time reconciliation verdict.
 fn metrics_json(est: &Estimate) -> String {
-    let mut s = String::from("{\n\"schema_version\": 1,\n\"manifest\": ");
+    let mut s = String::from("{\n\"schema_version\": 2,\n\"manifest\": ");
     s.push_str(est.manifest().to_json().trim_end());
-    s.push_str(",\n\"merged_registry\": ");
-    match est.merged_registry() {
-        Some(reg) => s.push_str(&reg.to_json()),
-        None => s.push_str("null"),
-    }
-    s.push_str(",\n\"replications\": [");
-    let mut first = true;
+    let or_null = |json: Option<String>| json.unwrap_or_else(|| "null".into());
+    let registry = or_null(est.merged_registry().map(|r| r.to_json()));
+    let telemetry = or_null(est.merged_telemetry().map(|t| t.to_json()));
+    let _ = write!(
+        s,
+        ",\n\"merged_registry\": {registry},\n\"telemetry\": {telemetry},\n\"replications\": ["
+    );
     for (rep, rec) in est.recordings().iter().enumerate() {
-        let Some(reg) = rec.registry() else { continue };
-        if !first {
-            s.push(',');
-        }
-        first = false;
         let reconcile = match est.replicates().get(rep) {
-            Some(m) => match reg.reconcile(&m.phase_times, 1e-6) {
+            Some(m) => match rec.registry().reconcile(&m.phase_times, 1e-6) {
                 Ok(()) => "\"ok\"".to_string(),
                 Err(e) => format!("\"{}\"", ckpt_obs::json_escape(&e.to_string())),
             },
             None => "\"no metrics\"".to_string(),
         };
-        s.push_str(&format!(
-            "\n{{\"rep\":{rep},\"reconcile\":{reconcile},\"registry\":{}}}",
-            reg.to_json()
-        ));
+        let _ = write!(
+            s,
+            "{}\n{{\"rep\":{rep},\"reconcile\":{reconcile},\"registry\":{},\"telemetry\":{}}}",
+            if rep == 0 { "" } else { "," },
+            rec.registry().to_json(),
+            rec.telemetry().to_json()
+        );
     }
     s.push_str("\n]\n}\n");
     s
@@ -86,13 +84,12 @@ fn metrics_json(est: &Estimate) -> String {
 pub fn run_single(args: Vec<String>) -> Result<(), CkptError> {
     let (cfg, rest) = parse_config(args)?;
     let opts = RunOptions::parse(rest)?.refuse_unhonoured("run", &OPTIONAL_FLAGS)?;
-    let telemetry = opts.histograms.is_some() || opts.prom.is_some();
-    let observing = opts.trace.is_some() || opts.metrics.is_some() || telemetry;
+    let observing = opts.trace.is_some() || opts.metrics.is_some();
     if observing && opts.exec.journaling() {
         return Err(CkptError::Usage(
-            "--snapshot/--resume cannot be combined with \
-             --trace/--metrics/--histograms/--prom: observation re-executes \
-             every replication, so cached results would be ignored"
+            "--snapshot/--resume cannot be combined with --trace/--metrics: \
+             observation re-executes every replication, so cached results \
+             would be ignored"
                 .into(),
         ));
     }
@@ -101,16 +98,8 @@ pub fn run_single(args: Vec<String>) -> Result<(), CkptError> {
     let journal = opts.exec.open_journal(spec.fingerprint())?;
     let store = journal.as_ref().map(|j| j.cell_store(0));
     let sink = opts.progress_sink()?;
-    let observe = observing.then(|| {
-        let mut observe = ObserveSpec {
-            trace_capacity: opts.trace.as_ref().map(|_| TRACE_CAPACITY),
-            registry: true,
-            histograms: false,
-        };
-        if telemetry {
-            observe = observe.with_histograms();
-        }
-        observe
+    let observe = observing.then(|| ObserveSpec {
+        trace_capacity: opts.trace.as_ref().map(|_| TRACE_CAPACITY),
     });
     // `run` is a thin wrapper over the service execution core: the same
     // entry point the `ckptsim serve` workers use, so a local run and a
@@ -139,19 +128,6 @@ pub fn run_single(args: Vec<String>) -> Result<(), CkptError> {
     }
     if let Some(path) = &opts.manifest {
         write_file(path, &est.manifest().to_json())?;
-    }
-    if telemetry {
-        let label = format!("{}proc-{}", cfg.processors(), opts.engine.name());
-        let merged = est.merged_telemetry().unwrap_or_default();
-        if let Some(path) = &opts.histograms {
-            let tree = est.span_tree(&label);
-            let doc = telemetry_json(&label, &merged, &spans_json(std::slice::from_ref(&tree)));
-            write_file(path, &doc)?;
-        }
-        if let Some(path) = &opts.prom {
-            let text = ckpt_obs::export::exposition(est.merged_registry().as_ref(), Some(&merged));
-            write_file(path, &text)?;
-        }
     }
 
     print!("{}", render_report(&cfg, &est, &opts));

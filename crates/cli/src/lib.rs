@@ -97,7 +97,10 @@ RUN FLAGS:
     --csv                    machine-readable output
     --quick                  fast smoke parameters
     --trace FILE             write the model-event trace as JSON Lines
-    --metrics FILE           write metrics report (manifest + registries) as JSON
+    --metrics FILE           write the metrics report as JSON: manifest,
+                             registries and telemetry (failure-gap,
+                             queue-depth and dirty-set histograms, RNG
+                             draws, elided redraws), merged and per rep
     --manifest FILE          write just the run manifest as JSON
     --snapshot FILE          journal completed replications to FILE (crash safety)
     --snapshot-every N       append and sync the journal every N reps   [1]
@@ -105,10 +108,6 @@ RUN FLAGS:
     --quiet                  suppress per-rep profiles and progress heartbeats
                              (an explicit --progress FILE stream stays active)
     --progress FILE          stream deterministic progress records as JSON Lines
-    --histograms FILE        write merged telemetry as JSON: failure-gap,
-                             queue-depth and dirty-set histograms, RNG draws,
-                             elided redraws and per-replication spans
-    --prom FILE              write Prometheus text exposition at exit
     --reactivation MODE      resample | lazy                [resample]
                              lazy skips redraws of memoryless exponential
                              timers (--engine san only; new RNG stream)
@@ -510,10 +509,9 @@ mod tests {
     }
 
     #[test]
-    fn run_writes_histograms_and_prometheus_exports() {
-        let dir = std::env::temp_dir();
-        let hist = dir.join("ckptsim_cli_test_telemetry.json");
-        let prom = dir.join("ckptsim_cli_test_metrics.prom");
+    fn run_writes_telemetry_into_the_metrics_report() {
+        use ckpt_harness::json::{parse, JsonValue};
+        let metrics = std::env::temp_dir().join("ckptsim_cli_test_telemetry_metrics.json");
         assert_eq!(
             run(argv(&[
                 "run",
@@ -527,25 +525,35 @@ mod tests {
                 "20",
                 "--quiet",
                 "--csv",
-                "--histograms",
-                hist.to_str().unwrap(),
-                "--prom",
-                prom.to_str().unwrap(),
+                "--metrics",
+                metrics.to_str().unwrap(),
             ])),
             0
         );
-        let h = std::fs::read_to_string(&hist).unwrap();
-        assert!(h.contains("\"kind\": \"telemetry\""), "telemetry doc: {h}");
-        assert!(h.contains("\"failure_gap_secs\""));
-        assert!(h.contains("\"spans\""));
-        let doc = ckpt_harness::json::parse(&h).unwrap();
-        assert_eq!(doc.get("probes_enabled").unwrap().as_bool(), Some(true));
-        let p = std::fs::read_to_string(&prom).unwrap();
-        assert!(p.contains("# TYPE ckptsim_"), "exposition: {p}");
-        // The telemetry document is itself reportable.
-        assert_eq!(run(argv(&["report", hist.to_str().unwrap(), "--json"])), 0);
-        let _ = std::fs::remove_file(&hist);
-        let _ = std::fs::remove_file(&prom);
+        let doc = parse(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
+        let count =
+            |t: &JsonValue, name: &str| t.get("histograms")?.get(name)?.get("count")?.as_u64();
+        let events = |t: &JsonValue| t.get("events").and_then(JsonValue::as_u64).unwrap();
+        assert_eq!(doc.get("schema_version").unwrap().as_u64(), Some(2));
+        let telemetry = doc.get("telemetry").unwrap();
+        assert!(count(telemetry, "failure_gap_secs").unwrap() > 0);
+        assert!(count(telemetry, "queue_depth").unwrap() > 0);
+        assert!(telemetry.get("rng_draws").unwrap().as_u64().unwrap() > 0);
+        let reps = doc.get("replications").unwrap().as_array().unwrap();
+        assert_eq!(reps.len(), 2);
+        let mut rep_events = 0;
+        for rep in reps {
+            assert_eq!(rep.get("reconcile").unwrap().as_str(), Some("ok"));
+            rep_events += events(rep.get("telemetry").unwrap());
+        }
+        assert_eq!(rep_events, events(telemetry));
+        assert!(rep_events > 0);
+        // The metrics report, telemetry included, is itself reportable.
+        assert_eq!(
+            run(argv(&["report", metrics.to_str().unwrap(), "--json"])),
+            0
+        );
+        let _ = std::fs::remove_file(&metrics);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! manifests (`--manifest`, schema v1 or v2), metrics reports
 //! (`--metrics`), figure sweep manifests, `SweepJournal` snapshots
 //! (`--snapshot`: the append-only journal, or a schema 1 whole-document
-//! snapshot), optimize reports, and telemetry documents
-//! (`--histograms`) — sniffs each document's kind, and renders either
+//! snapshot), optimize reports, and the telemetry documents the retired
+//! `--histograms` flag wrote — sniffs each document's kind, and renders either
 //! aligned human tables or, with `--json`, one versioned machine
 //! document. Multiple run manifests (or telemetry documents) get a
 //! cross-run delta section against the first file given.
@@ -148,9 +148,31 @@ fn histogram_fields(name: &str, hist: &JsonValue) -> Vec<(String, JsonValue)> {
         .collect()
 }
 
-fn summarize_telemetry(doc: &JsonValue) -> Vec<(String, JsonValue)> {
-    let det = doc.get("deterministic");
-    let hists = det.and_then(|d| d.get("histograms"));
+/// Summarizes a telemetry section (`ReplicationTelemetry::to_json`
+/// layout): a metrics report's `telemetry`, or the `deterministic`
+/// object of a telemetry document written by the retired
+/// `--histograms` flag.
+fn summarize_telemetry(section: Option<&JsonValue>) -> Vec<(String, JsonValue)> {
+    let mut fields: Vec<(String, JsonValue)> = ["events", "rng_draws", "redraws_elided"]
+        .iter()
+        .map(|&k| {
+            let value = section.and_then(|d| get_u64(d, k)).unwrap_or(0);
+            (k.to_string(), JsonValue::from_u64(value))
+        })
+        .collect();
+    let hists = section.and_then(|d| d.get("histograms"));
+    for name in ["failure_gap_secs", "queue_depth", "dirty_set"] {
+        if let Some(h) = hists.and_then(|hs| hs.get(name)) {
+            fields.extend(histogram_fields(name, h));
+        }
+    }
+    fields
+}
+
+/// Summarizes a telemetry document: its envelope, then its
+/// `deterministic` section.
+fn summarize_telemetry_document(doc: &JsonValue) -> Vec<(String, JsonValue)> {
+    let probes = doc.get("probes_enabled").and_then(JsonValue::as_bool);
     let mut fields = vec![
         (
             "label".into(),
@@ -158,29 +180,22 @@ fn summarize_telemetry(doc: &JsonValue) -> Vec<(String, JsonValue)> {
         ),
         (
             "probes_enabled".into(),
-            JsonValue::Bool(
-                doc.get("probes_enabled")
-                    .and_then(JsonValue::as_bool)
-                    .unwrap_or(false),
-            ),
-        ),
-        (
-            "events".into(),
-            JsonValue::from_u64(det.and_then(|d| get_u64(d, "events")).unwrap_or(0)),
-        ),
-        (
-            "rng_draws".into(),
-            JsonValue::from_u64(det.and_then(|d| get_u64(d, "rng_draws")).unwrap_or(0)),
-        ),
-        (
-            "redraws_elided".into(),
-            JsonValue::from_u64(det.and_then(|d| get_u64(d, "redraws_elided")).unwrap_or(0)),
+            JsonValue::Bool(probes.unwrap_or(false)),
         ),
     ];
-    for name in ["failure_gap_secs", "queue_depth", "dirty_set"] {
-        if let Some(h) = hists.and_then(|hs| hs.get(name)) {
-            fields.extend(histogram_fields(name, h));
-        }
+    fields.extend(summarize_telemetry(doc.get("deterministic")));
+    fields
+}
+
+/// Summarizes a metrics report: its embedded run manifest, then (from
+/// schema 2 on) its merged `telemetry` section.
+fn summarize_metrics_report(doc: &JsonValue) -> Vec<(String, JsonValue)> {
+    let mut fields = doc
+        .get("manifest")
+        .map(summarize_run_manifest)
+        .unwrap_or_default();
+    if let Some(telemetry) = doc.get("telemetry") {
+        fields.extend(summarize_telemetry(Some(telemetry)));
     }
     fields
 }
@@ -313,15 +328,11 @@ pub fn summarize(label: &str, doc: &JsonValue) -> Result<JsonValue, CkptError> {
     let (kind, fields) = match get_str(doc, "kind") {
         Some("run_snapshot") => ("run_snapshot", summarize_snapshot(doc)),
         Some("optimize_report") => ("optimize_report", summarize_optimize(doc)),
-        Some("telemetry") => ("telemetry", summarize_telemetry(doc)),
+        Some("telemetry") => ("telemetry", summarize_telemetry_document(doc)),
         _ if doc.get("figure").is_some() => ("sweep_manifest", summarize_sweep_manifest(doc)),
-        // A --metrics report embeds the run manifest; summarize that.
-        _ if doc.get("merged_registry").is_some() => (
-            "metrics_report",
-            doc.get("manifest")
-                .map(summarize_run_manifest)
-                .unwrap_or_default(),
-        ),
+        _ if doc.get("merged_registry").is_some() => {
+            ("metrics_report", summarize_metrics_report(doc))
+        }
         _ if doc.get("profiles").is_some() && doc.get("engine").is_some() => {
             ("run_manifest", summarize_run_manifest(doc))
         }
@@ -638,6 +649,33 @@ mod tests {
         assert_eq!(get_str(&s, "kind"), Some("run_snapshot"));
         assert_eq!(get_u64(&s, "completed_replications"), Some(2));
         assert_eq!(get_u64(&s, "cells"), Some(2));
+    }
+
+    #[test]
+    fn metrics_reports_summarize_their_telemetry() {
+        let manifest = manifest_doc(1, 0.75).to_json();
+        let telemetry = r#"{"events": 9, "rng_draws": 40, "redraws_elided": 2, "histograms":
+              {"failure_gap_secs": {"count":2,"sum":10,"min":3,"max":7,"p50":3,"p90":7,"p99":7,"buckets":[[3,1],[7,1]]}}}"#;
+        let v2 = parse(&format!(
+            r#"{{"schema_version": 2, "manifest": {manifest}, "merged_registry": {{}},
+                "telemetry": {telemetry}, "replications": []}}"#
+        ))
+        .unwrap();
+        let s = summarize("m.json", &v2).unwrap();
+        assert_eq!(get_str(&s, "kind"), Some("metrics_report"));
+        assert_eq!(get_u64(&s, "events_total"), Some(2000));
+        assert_eq!(get_u64(&s, "events"), Some(9));
+        assert_eq!(get_u64(&s, "rng_draws"), Some(40));
+        assert_eq!(get_u64(&s, "redraws_elided"), Some(2));
+        assert_eq!(get_u64(&s, "failure_gap_secs_p90"), Some(7));
+        // A schema 1 report has no telemetry section, and no such fields.
+        let v1 = parse(&format!(
+            r#"{{"schema_version": 1, "manifest": {manifest}, "merged_registry": {{}}}}"#
+        ))
+        .unwrap();
+        let s = summarize("old.json", &v1).unwrap();
+        assert_eq!(get_u64(&s, "events_total"), Some(2000));
+        assert!(s.get("rng_draws").is_none());
     }
 
     #[test]

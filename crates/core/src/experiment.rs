@@ -25,7 +25,7 @@ use crate::san_model::{CheckpointSan, ModelError, RunOptions as SanRunOptions};
 use ckpt_des::SimTime;
 use ckpt_obs::{
     MetricsRegistry, ModelEvent, ObsEvent, Observer, ProgressSink, ProgressSnapshot, Recorder,
-    ReplicationTelemetry, RunManifest, SpanKind, SpanRecord,
+    ReplicationTelemetry, RunManifest,
 };
 use ckpt_san::ReactivationMode;
 use ckpt_stats::{ConfidenceInterval, Replications};
@@ -268,7 +268,13 @@ where
 }
 
 /// What each replication records beyond its metrics (see
-/// [`Experiment::observe`]).
+/// [`Experiment::observe`]): always a [`MetricsRegistry`] (event
+/// counters, activity firings, sim-time-weighted phase times) and
+/// [`ReplicationTelemetry`] (the inter-failure gap histogram and event
+/// count from the observed stream, plus the engine's queue-depth and
+/// dirty-set histograms, RNG-draw and elided-redraw counts, whose
+/// probes observation switches on for the whole replication, transient
+/// included), and optionally a trace.
 ///
 /// Observation never perturbs the simulation: observers are pure
 /// consumers of the event stream, so results stay bit-identical to an
@@ -278,43 +284,24 @@ pub struct ObserveSpec {
     /// Keep the last `n` model events of each replication in a ring
     /// buffer ([`ckpt_obs::TraceBuffer`]); `None` disables tracing.
     pub trace_capacity: Option<usize>,
-    /// Accumulate a [`MetricsRegistry`] (event counters, activity
-    /// firings, sim-time-weighted phase times) per replication.
-    pub registry: bool,
-    /// Accumulate [`ReplicationTelemetry`] per replication: the
-    /// inter-failure gap histogram and event counts from the observed
-    /// stream, plus the engine's queue-depth / dirty-set histograms,
-    /// RNG-draw and elided-redraw counts, which this switches on for
-    /// the whole replication, transient included.
-    pub histograms: bool,
 }
 
 impl ObserveSpec {
-    /// Registry only — the cheap default for phase-time accounting.
+    /// Registry and telemetry, no trace.
     #[must_use]
     pub fn metrics() -> ObserveSpec {
         ObserveSpec {
             trace_capacity: None,
-            registry: true,
-            histograms: false,
         }
     }
 
-    /// Registry plus a model-event trace of the given capacity.
+    /// Registry and telemetry plus a model-event trace of the given
+    /// capacity.
     #[must_use]
     pub fn full(trace_capacity: usize) -> ObserveSpec {
         ObserveSpec {
             trace_capacity: Some(trace_capacity),
-            registry: true,
-            histograms: false,
         }
-    }
-
-    /// The same spec with telemetry histograms enabled.
-    #[must_use]
-    pub fn with_histograms(mut self) -> ObserveSpec {
-        self.histograms = true;
-        self
     }
 }
 
@@ -401,10 +388,10 @@ impl Estimate {
 
     /// Merges every replication's [`MetricsRegistry`] into one
     /// aggregate (index order, so the result is deterministic at any
-    /// `jobs` value). `None` when no registry was recorded.
+    /// `jobs` value). `None` when the run was not observed.
     #[must_use]
     pub fn merged_registry(&self) -> Option<MetricsRegistry> {
-        let mut iter = self.recordings.iter().filter_map(Recorder::registry);
+        let mut iter = self.recordings.iter().map(Recorder::registry);
         let mut merged = iter.next()?.clone();
         for r in iter {
             merged.merge(r);
@@ -415,56 +402,16 @@ impl Estimate {
     /// Merges every replication's [`ReplicationTelemetry`] into one
     /// aggregate, in replication-index order. Histogram merges are
     /// associative over a fixed bucket layout, so the result — and its
-    /// JSON — is byte-identical at any `jobs` value. `None` when
-    /// telemetry was not enabled (see [`ObserveSpec::histograms`]).
+    /// JSON — is byte-identical at any `jobs` value. `None` when the
+    /// run was not observed.
     #[must_use]
     pub fn merged_telemetry(&self) -> Option<ReplicationTelemetry> {
-        let mut iter = self.recordings.iter().filter_map(Recorder::telemetry);
+        let mut iter = self.recordings.iter().map(Recorder::telemetry);
         let mut merged = iter.next()?.clone();
         for t in iter {
             merged.merge(t);
         }
         Some(merged)
-    }
-
-    /// Per-replication [`SpanRecord`]s (wall time, events, RNG draws),
-    /// in index order.
-    #[must_use]
-    pub fn replication_spans(&self) -> Vec<SpanRecord> {
-        self.profiles
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let mut span = SpanRecord::new(SpanKind::Replication, format!("rep {i}"));
-                span.wall_nanos = (p.wall_secs * 1.0e9) as u64;
-                span.events = p.events;
-                if let Some(t) = self.recordings.get(i).and_then(Recorder::telemetry) {
-                    span.rng_draws = t.rng_draws;
-                }
-                span
-            })
-            .collect()
-    }
-
-    /// The experiment's span tree: one [`SpanKind::Experiment`] root
-    /// (total wall time, events, RNG draws) over the
-    /// [`Estimate::replication_spans`]. Spans are provenance — wall
-    /// nanoseconds differ between runs — so they serialize under the
-    /// `provenance` section of telemetry documents, never into
-    /// bit-identity-checked output.
-    #[must_use]
-    pub fn span_tree(&self, label: &str) -> SpanRecord {
-        let mut root = SpanRecord::new(SpanKind::Experiment, label);
-        root.wall_nanos = (self.total_wall_secs() * 1.0e9) as u64;
-        root.events = self.profiles.iter().map(|p| p.events).sum();
-        root.rng_draws = self
-            .recordings
-            .iter()
-            .filter_map(Recorder::telemetry)
-            .map(|t| t.rng_draws)
-            .sum();
-        root.children = self.replication_spans();
-        root
     }
 
     /// Run manifest: full provenance (tool version, engine, seeds,
@@ -739,20 +686,12 @@ impl Experiment {
     /// comparable to the replication's [`Metrics`].
     fn run_one(&self, san_model: Option<&CheckpointSan>, k: u32) -> Result<Replicate, ModelError> {
         let seed = self.base_seed + u64::from(k);
-        let mut recorder = self.observe.map(|spec| {
-            let rec = Recorder::new(spec.trace_capacity, spec.registry);
-            if spec.histograms {
-                rec.with_telemetry()
-            } else {
-                rec
-            }
-        });
-        let telemetry = self.observe.is_some_and(|spec| spec.histograms);
+        let mut recorder = self.observe.map(|spec| Recorder::new(spec.trace_capacity));
         let start = Instant::now();
         let (metrics, events, engine_telem) = match san_model {
             None => {
                 let mut sim = DirectSimulator::new(&self.config, seed);
-                if telemetry {
+                if recorder.is_some() {
                     sim.enable_telemetry();
                 }
                 sim.run(self.transient);
@@ -781,7 +720,7 @@ impl Experiment {
                 };
                 let (outcome, telem) = match recorder.as_mut() {
                     None => (model.run(&opts)?, None),
-                    Some(rec) => model.run_observed(&opts, rec, telemetry)?,
+                    Some(rec) => model.run_observed(&opts, rec, true)?,
                 };
                 (outcome.metrics, outcome.events, telem)
             }
@@ -998,10 +937,7 @@ mod tests {
                     .unwrap()
                 };
                 let plain = run(None);
-                for spec in [
-                    ObserveSpec::full(64),
-                    ObserveSpec::metrics().with_histograms(),
-                ] {
+                for spec in [ObserveSpec::full(64), ObserveSpec::metrics()] {
                     let observed = run(Some(spec));
                     let label = format!("{engine:?}/{mode:?}/{spec:?}");
                     assert_eq!(observed.recordings().len(), 2, "{label}");
@@ -1014,12 +950,13 @@ mod tests {
                     }
                     let reg = observed.merged_registry().unwrap();
                     assert!(reg.window_secs() > 0.0, "{label}");
-                    if spec.histograms {
-                        let t = observed.merged_telemetry().unwrap();
-                        assert!(t.rng_draws > 0 && !t.queue_depth.is_empty(), "{label}");
-                    } else {
-                        assert!(!observed.recordings()[0].trace().unwrap().is_empty());
-                    }
+                    let t = observed.merged_telemetry().unwrap();
+                    assert!(t.rng_draws > 0 && !t.queue_depth.is_empty(), "{label}");
+                    let trace = observed.recordings()[0].trace();
+                    assert_eq!(
+                        trace.is_some_and(|t| !t.is_empty()),
+                        spec.trace_capacity.is_some()
+                    );
                 }
             }
         }

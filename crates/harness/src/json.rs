@@ -120,12 +120,6 @@ impl JsonValue {
             .find_map(|(k, v)| (k == key).then_some(v))
     }
 
-    /// True when the value is `null`.
-    #[must_use]
-    pub fn is_null(&self) -> bool {
-        matches!(self, JsonValue::Null)
-    }
-
     /// Serializes the value compactly (no insignificant whitespace).
     /// Deterministic: fields render in insertion order.
     #[must_use]

@@ -4,8 +4,9 @@
 //! [`ExperimentSpec`] replaces the free-function config plumbing the
 //! CLI, sweep engine, and bench binaries used to share: each front end
 //! builds a spec (validated at build time, so nonsensical combinations
-//! like a transient cutoff beyond the horizon are rejected before any
-//! simulation starts), serializes it into snapshots and manifests, and
+//! like a zero horizon or lazy reactivation on the direct engine are
+//! rejected before any simulation starts), serializes it into snapshots
+//! and manifests, and
 //! turns it into a runnable [`Experiment`] with
 //! [`ExperimentSpec::to_experiment`].
 //!
@@ -30,14 +31,9 @@ use std::fmt;
 pub enum SpecError {
     /// The embedded system configuration failed its own validation.
     Config(ConfigError),
-    /// The transient cutoff is not strictly before the horizon, so the
-    /// measurement window would be empty (or negative).
-    TransientExceedsHorizon {
-        /// Requested transient, hours.
-        transient_hours: f64,
-        /// Requested horizon, hours.
-        horizon_hours: f64,
-    },
+    /// The horizon, the measurement window that follows the transient,
+    /// is zero.
+    EmptyHorizon,
     /// The run ends past [`SimTime::MAX_RESOLVED_SECS`] (transient plus
     /// horizon), where the simulation clock no longer resolves a second.
     RunTooLong {
@@ -68,12 +64,9 @@ impl fmt::Display for SpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SpecError::Config(e) => write!(f, "{e}"),
-            SpecError::TransientExceedsHorizon {
-                transient_hours,
-                horizon_hours,
-            } => write!(
+            SpecError::EmptyHorizon => write!(
                 f,
-                "transient cutoff ({transient_hours} h) must be strictly less than the horizon ({horizon_hours} h)"
+                "the horizon (the measurement window after the transient) must be longer than zero"
             ),
             SpecError::RunTooLong { end_secs } => write!(
                 f,
@@ -457,19 +450,17 @@ impl ExperimentSpecBuilder {
     ///
     /// # Errors
     ///
-    /// Rejects an empty measurement window
-    /// ([`SpecError::TransientExceedsHorizon`]), a run that ends past
+    /// Rejects an empty measurement window ([`SpecError::EmptyHorizon`];
+    /// the window follows the transient, so any transient is valid), a
+    /// run that ends past
     /// [`SimTime::MAX_RESOLVED_SECS`] ([`SpecError::RunTooLong`]), zero
     /// replications, a confidence level outside (0, 1), and SAN +
     /// ablation-switch combinations the SAN engine would refuse at run
     /// time.
     pub fn build(self) -> Result<ExperimentSpec, SpecError> {
         let s = &self.spec;
-        if s.transient.as_secs() >= s.horizon.as_secs() || s.horizon.is_zero() {
-            return Err(SpecError::TransientExceedsHorizon {
-                transient_hours: s.transient.as_hours(),
-                horizon_hours: s.horizon.as_hours(),
-            });
+        if s.horizon.is_zero() {
+            return Err(SpecError::EmptyHorizon);
         }
         let end_secs = s.transient.as_secs() + s.horizon.as_secs();
         if end_secs > SimTime::MAX_RESOLVED_SECS {
@@ -960,20 +951,22 @@ mod tests {
     }
 
     #[test]
-    fn rejects_transient_at_or_beyond_horizon() {
+    fn rejects_only_an_empty_horizon() {
         let cfg = SystemConfig::builder().build().unwrap();
-        let err = ExperimentSpec::builder(cfg.clone())
-            .transient(SimTime::from_hours(500.0))
-            .horizon(SimTime::from_hours(400.0))
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, SpecError::TransientExceedsHorizon { .. }));
-        assert!(err.to_string().contains("strictly less"));
-        let eq = ExperimentSpec::builder(cfg)
-            .transient(SimTime::from_hours(400.0))
-            .horizon(SimTime::from_hours(400.0))
-            .build();
-        assert!(eq.is_err());
+        let spec = |transient: f64, horizon: f64| {
+            ExperimentSpec::builder(cfg.clone())
+                .transient(SimTime::from_hours(transient))
+                .horizon(SimTime::from_hours(horizon))
+                .build()
+        };
+        let err = spec(100.0, 0.0).unwrap_err();
+        assert_eq!(err, SpecError::EmptyHorizon);
+        assert!(err.to_string().contains("longer than zero"));
+        // The horizon is a window after the transient, so a transient
+        // at or past the horizon's length still measures something.
+        for (transient, horizon) in [(500.0, 400.0), (400.0, 400.0), (0.0, 1.0)] {
+            assert!(spec(transient, horizon).is_ok(), "{transient} / {horizon}");
+        }
     }
 
     #[test]

@@ -17,8 +17,10 @@
 //! * [`MetricsRegistry`] — counters plus sim-time-weighted phase
 //!   accumulators, reconcilable against an engine's own reward-variable
 //!   estimates as a built-in cross-check;
-//! * [`Recorder`] — the everything-on composite (trace + registry) used
-//!   by the experiment layer;
+//! * [`ReplicationTelemetry`] — mergeable histograms plus event and
+//!   RNG-draw counts, partly fed by the engines' hot-loop probes;
+//! * [`Recorder`] — the composite (optional trace, registry and
+//!   telemetry) attached to every observed replication;
 //! * [`RunManifest`] — run provenance (config, seeds, engine, host
 //!   parallelism, per-replication profiles) serialized as JSON next to
 //!   results.
@@ -32,14 +34,12 @@
 #![warn(missing_docs)]
 
 mod event;
-pub mod export;
 mod manifest;
 mod observer;
 pub mod progress;
 mod recorder;
 mod registry;
-pub mod span;
-pub mod telemetry;
+mod telemetry;
 mod trace;
 
 pub use event::{AbortReason, ModelEvent, PhaseKind, PhaseTimes};
@@ -48,6 +48,5 @@ pub use observer::{NoopObserver, ObsEvent, Observer};
 pub use progress::{HumanSink, JsonlSink, MultiSink, NullSink, ProgressSink, ProgressSnapshot};
 pub use recorder::Recorder;
 pub use registry::{MetricsRegistry, ReconcileError};
-pub use span::{spans_json, SpanKind, SpanRecord};
-pub use telemetry::{telemetry_json, ReplicationTelemetry};
+pub use telemetry::ReplicationTelemetry;
 pub use trace::{TraceBuffer, TraceEntry};

@@ -1,21 +1,20 @@
-//! The everything-on composite observer used by the experiment layer.
+//! The composite observer attached to every observed replication.
 
 use crate::telemetry::ReplicationTelemetry;
 use crate::{MetricsRegistry, ModelEvent, ObsEvent, Observer, PhaseKind, TraceBuffer};
 use ckpt_des::telem::TelemetrySnapshot;
 use ckpt_des::SimTime;
 
-/// An observer bundling an optional [`TraceBuffer`], an optional
-/// [`MetricsRegistry`], and optional [`ReplicationTelemetry`],
-/// forwarding every notification to whichever are enabled. One
-/// `Recorder` is attached per replication; the experiment layer
-/// returns them in replication-index order so downstream merging is
-/// deterministic at any `--jobs` value.
+/// An observer bundling an optional [`TraceBuffer`], a
+/// [`MetricsRegistry`] and [`ReplicationTelemetry`], forwarding every
+/// notification to each. One `Recorder` is attached per replication;
+/// the experiment layer returns them in replication-index order so
+/// downstream merging is deterministic at any `--jobs` value.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     trace: Option<TraceBuffer>,
-    registry: Option<MetricsRegistry>,
-    telemetry: Option<ReplicationTelemetry>,
+    registry: MetricsRegistry,
+    telemetry: ReplicationTelemetry,
     /// Sim time of the last failure event in the current window, for
     /// the inter-failure gap histogram.
     last_failure: Option<SimTime>,
@@ -23,24 +22,13 @@ pub struct Recorder {
 
 impl Recorder {
     /// Creates a recorder with a trace ring of `trace_capacity` entries
-    /// (if any) and a metrics registry (if `registry`).
+    /// (if any), an empty registry and empty telemetry.
     #[must_use]
-    pub fn new(trace_capacity: Option<usize>, registry: bool) -> Recorder {
+    pub fn new(trace_capacity: Option<usize>) -> Recorder {
         Recorder {
             trace: trace_capacity.map(TraceBuffer::new),
-            registry: registry.then(MetricsRegistry::new),
-            telemetry: None,
-            last_failure: None,
+            ..Recorder::default()
         }
-    }
-
-    /// Enables per-replication telemetry accumulation (event counts,
-    /// inter-failure gap histogram, and a slot for the engine's
-    /// hot-loop probes).
-    #[must_use]
-    pub fn with_telemetry(mut self) -> Recorder {
-        self.telemetry = Some(ReplicationTelemetry::new());
-        self
     }
 
     /// The recorded trace, if tracing was enabled.
@@ -49,25 +37,22 @@ impl Recorder {
         self.trace.as_ref()
     }
 
-    /// The metrics registry, if enabled.
+    /// The metrics registry.
     #[must_use]
-    pub fn registry(&self) -> Option<&MetricsRegistry> {
-        self.registry.as_ref()
+    pub fn registry(&self) -> &MetricsRegistry {
+        &self.registry
     }
 
-    /// The accumulated telemetry, if enabled.
+    /// The accumulated telemetry.
     #[must_use]
-    pub fn telemetry(&self) -> Option<&ReplicationTelemetry> {
-        self.telemetry.as_ref()
+    pub fn telemetry(&self) -> &ReplicationTelemetry {
+        &self.telemetry
     }
 
     /// Folds the engine's hot-loop probe snapshot, with its RNG-draw
-    /// and elided-redraw counts, into the telemetry (no-op when
-    /// telemetry is disabled).
+    /// and elided-redraw counts, into the telemetry.
     pub fn absorb_engine_telemetry(&mut self, snapshot: &TelemetrySnapshot) {
-        if let Some(t) = &mut self.telemetry {
-            t.absorb_engine(snapshot);
-        }
+        self.telemetry.absorb_engine(snapshot);
     }
 
     /// True when a failure event advances the inter-failure clock.
@@ -84,18 +69,15 @@ impl Observer for Recorder {
         if let Some(t) = &mut self.trace {
             t.on_event(at, event);
         }
-        if let Some(r) = &mut self.registry {
-            r.on_event(at, event);
-        }
-        if let Some(t) = &mut self.telemetry {
-            if let ObsEvent::Model(model) = event {
-                t.events += 1;
-                if Recorder::is_failure(model) {
-                    if let Some(prev) = self.last_failure {
-                        t.failure_gaps.record((at - prev).as_secs() as u64);
-                    }
-                    self.last_failure = Some(at);
+        self.registry.on_event(at, event);
+        if let ObsEvent::Model(model) = event {
+            self.telemetry.events += 1;
+            if Recorder::is_failure(model) {
+                if let Some(prev) = self.last_failure {
+                    let gap = (at - prev).as_secs() as u64;
+                    self.telemetry.failure_gaps.record(gap);
                 }
+                self.last_failure = Some(at);
             }
         }
     }
@@ -104,9 +86,7 @@ impl Observer for Recorder {
         if let Some(t) = &mut self.trace {
             t.on_window_begin(at, phase);
         }
-        if let Some(r) = &mut self.registry {
-            r.on_window_begin(at, phase);
-        }
+        self.registry.on_window_begin(at, phase);
         // Gaps are within-window quantities: the first failure after a
         // window opens starts the clock rather than closing a gap.
         self.last_failure = None;
@@ -116,9 +96,7 @@ impl Observer for Recorder {
         if let Some(t) = &mut self.trace {
             t.on_window_end(at);
         }
-        if let Some(r) = &mut self.registry {
-            r.on_window_end(at);
-        }
+        self.registry.on_window_end(at);
     }
 }
 
@@ -129,7 +107,7 @@ mod tests {
 
     #[test]
     fn forwards_to_enabled_parts() {
-        let mut rec = Recorder::new(Some(8), true);
+        let mut rec = Recorder::new(Some(8));
         rec.on_window_begin(SimTime::ZERO, PhaseKind::Executing);
         rec.on_event(
             SimTime::from_secs(1.0),
@@ -137,23 +115,23 @@ mod tests {
         );
         rec.on_window_end(SimTime::from_secs(2.0));
         assert_eq!(rec.trace().unwrap().len(), 1);
-        let reg = rec.registry().unwrap();
+        let reg = rec.registry();
         assert_eq!(reg.count("checkpoint_initiated"), 1);
         assert_eq!(reg.window_secs(), 2.0);
-        assert!(rec.telemetry().is_none());
+        assert_eq!(rec.telemetry().events, 1);
     }
 
     #[test]
     fn disabled_parts_stay_none() {
-        let rec = Recorder::new(None, false);
+        let rec = Recorder::new(None);
         assert!(rec.trace().is_none());
-        assert!(rec.registry().is_none());
-        assert!(rec.telemetry().is_none());
+        assert_eq!(rec.registry(), &MetricsRegistry::new());
+        assert_eq!(rec.telemetry().events, 0);
     }
 
     #[test]
     fn telemetry_counts_events_and_failure_gaps() {
-        let mut rec = Recorder::new(None, false).with_telemetry();
+        let mut rec = Recorder::new(None);
         rec.on_window_begin(SimTime::ZERO, PhaseKind::Executing);
         rec.on_event(
             SimTime::from_secs(100.0),
@@ -169,7 +147,7 @@ mod tests {
             ObsEvent::Model(ModelEvent::IoFailure),
         );
         rec.on_window_end(SimTime::from_secs(500.0));
-        let t = rec.telemetry().unwrap();
+        let t = rec.telemetry();
         assert_eq!(t.events, 3);
         assert_eq!(t.failure_gaps.count(), 1);
         // The 300 s gap lands in a log bucket containing 300.
@@ -178,7 +156,7 @@ mod tests {
 
     #[test]
     fn window_begin_resets_the_gap_clock() {
-        let mut rec = Recorder::new(None, false).with_telemetry();
+        let mut rec = Recorder::new(None);
         rec.on_event(
             SimTime::from_secs(10.0),
             ObsEvent::Model(ModelEvent::IoFailure),
@@ -189,7 +167,7 @@ mod tests {
             ObsEvent::Model(ModelEvent::IoFailure),
         );
         // The pre-window failure must not pair with the post-window one.
-        assert_eq!(rec.telemetry().unwrap().failure_gaps.count(), 0);
+        assert_eq!(rec.telemetry().failure_gaps.count(), 0);
     }
 
     #[test]
@@ -201,15 +179,11 @@ mod tests {
             ..TelemetrySnapshot::default()
         };
         snap.queue_depth.record(4);
-        let mut rec = Recorder::new(None, false).with_telemetry();
+        let mut rec = Recorder::new(None);
         rec.absorb_engine_telemetry(&snap);
-        let t = rec.telemetry().unwrap();
+        let t = rec.telemetry();
         assert_eq!(t.queue_depth.count(), 1);
         assert_eq!(t.rng_draws, 99);
         assert_eq!(t.redraws_elided, 7);
-        // Without telemetry enabled it's a no-op, not a panic.
-        let mut off = Recorder::new(None, false);
-        off.absorb_engine_telemetry(&snap);
-        assert!(off.telemetry().is_none());
     }
 }

@@ -50,20 +50,10 @@ impl MetricsRegistry {
         self.counters.get(key).copied().unwrap_or(0)
     }
 
-    /// All model-event counters, in key order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(k, v)| (*k, *v))
-    }
-
     /// Times a SAN activity fired (0 for the direct engine).
     #[must_use]
     pub fn activity_firings(&self, name: &str) -> u64 {
         self.activities.get(name).copied().unwrap_or(0)
-    }
-
-    /// All SAN activity firing counts, in name order.
-    pub fn activities(&self) -> impl Iterator<Item = (&str, u64)> + '_ {
-        self.activities.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
     /// Last observed running total of a SAN reward variable.

@@ -22,14 +22,13 @@
 //!   exponential redraws lazy reactivation skipped — again
 //!   sim-domain-deterministic.
 
-use crate::json_escape;
 use ckpt_des::telem::TelemetrySnapshot;
 use ckpt_des::LogHistogram;
 
 /// Telemetry accumulated for one replication (or, after merging, for a
 /// whole experiment). All fields are deterministic functions of the
-/// simulated trajectory — no wall-clock quantities live here (those go
-/// in spans; see [`crate::span`]).
+/// simulated trajectory — no wall-clock quantities live here (those are
+/// the run manifest's per-replication profiles).
 #[derive(Debug, Clone, Default)]
 pub struct ReplicationTelemetry {
     /// Sim-time gaps (whole seconds) between consecutive failure
@@ -78,20 +77,10 @@ impl ReplicationTelemetry {
         self.redraws_elided += other.redraws_elided;
     }
 
-    /// True when nothing was recorded at all.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.failure_gaps.is_empty()
-            && self.queue_depth.is_empty()
-            && self.dirty_set.is_empty()
-            && self.events == 0
-            && self.rng_draws == 0
-            && self.redraws_elided == 0
-    }
-
     /// Deterministic JSON object: fixed key order, integer-only
     /// histogram encodings. Byte-identical for equal state, which is
-    /// what makes `--histograms` output comparable across `--jobs`.
+    /// what makes the metrics report's `telemetry` sections comparable
+    /// across `--jobs`.
     #[must_use]
     pub fn to_json(&self) -> String {
         format!(
@@ -104,21 +93,6 @@ impl ReplicationTelemetry {
             self.dirty_set.to_json(),
         )
     }
-}
-
-/// Renders a full telemetry document: a versioned envelope holding the
-/// deterministic section ([`ReplicationTelemetry::to_json`]) and a
-/// provenance section (wall-clock spans, which legitimately differ
-/// between runs). Consumers comparing runs for bit-identity must
-/// compare the `deterministic` subtree only.
-#[must_use]
-pub fn telemetry_json(label: &str, merged: &ReplicationTelemetry, spans_json: &str) -> String {
-    format!(
-        "{{\n  \"telemetry_schema_version\": 1,\n  \"kind\": \"telemetry\",\n  \"label\": \"{}\",\n  \"probes_enabled\": true,\n  \"deterministic\": {},\n  \"provenance\": {{\"spans\": {}}}\n}}\n",
-        json_escape(label),
-        merged.to_json(),
-        spans_json,
-    )
 }
 
 #[cfg(test)]
@@ -156,10 +130,5 @@ mod tests {
             j.starts_with("{\"events\":0,\"rng_draws\":0,\"redraws_elided\":0,\"histograms\":{")
         );
         assert!(j.contains("\"dirty_set\":{"));
-        let doc = telemetry_json("run", &t, "[]");
-        assert!(doc.contains("\"telemetry_schema_version\": 1"));
-        assert!(doc.contains("\"kind\": \"telemetry\""));
-        assert!(doc.contains("\"deterministic\": {"));
-        assert!(doc.contains("\"provenance\": {\"spans\": []}"));
     }
 }

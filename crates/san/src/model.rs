@@ -208,13 +208,6 @@ impl SanBuilder {
         id
     }
 
-    /// Resolves an already-registered place by name without declaring an
-    /// initial marking (for read-only sharing).
-    #[must_use]
-    pub fn existing_place(&self, name: &str) -> Option<PlaceId> {
-        self.place_index.get(name).copied()
-    }
-
     /// Registers (or resolves) a fluid place. Same sharing rules as
     /// [`SanBuilder::place`] (initial levels are compared bitwise).
     pub fn fluid_place(&mut self, name: impl Into<String>, initial: f64) -> FluidId {
@@ -511,8 +504,6 @@ mod tests {
         let a = b.place("shared", 1);
         let a2 = b.place("shared", 1);
         assert_eq!(a, a2);
-        assert_eq!(b.existing_place("shared"), Some(a));
-        assert_eq!(b.existing_place("missing"), None);
     }
 
     #[test]

@@ -208,24 +208,6 @@ impl ConfidenceInterval {
         self.mean + self.half_width
     }
 
-    /// Relative half-width `half_width / |mean|` — the usual stopping
-    /// criterion for sequential simulation.
-    ///
-    /// # Degenerate cases
-    ///
-    /// A zero or non-finite mean has no meaningful relative precision;
-    /// both return `+inf` ("not precise enough" for any threshold)
-    /// rather than letting `0/0` or `x/NaN` leak NaN into stopping
-    /// rules, where every `<` comparison would silently hold.
-    #[must_use]
-    pub fn relative_half_width(&self) -> f64 {
-        if self.mean == 0.0 || !self.mean.is_finite() {
-            f64::INFINITY
-        } else {
-            self.half_width / self.mean.abs()
-        }
-    }
-
     /// True if `value` lies inside the interval.
     #[must_use]
     pub fn contains(&self, value: f64) -> bool {
@@ -561,7 +543,6 @@ mod tests {
         let ci = s.confidence_interval(0.95);
         assert!(ci.contains(s.mean()));
         assert!(ci.low() < ci.mean && ci.mean < ci.high());
-        assert!(ci.relative_half_width() > 0.0);
     }
 
     #[test]
@@ -585,30 +566,6 @@ mod tests {
         let ci = s.confidence_interval(0.95);
         assert_eq!(ci.half_width, 0.0);
         assert_eq!(ci.mean, 42.0);
-    }
-
-    #[test]
-    fn relative_half_width_degenerate_cases() {
-        fn ci(mean: f64, half: f64) -> ConfidenceInterval {
-            ConfidenceInterval {
-                mean,
-                half_width: half,
-                level: 0.95,
-                count: 5,
-            }
-        }
-        // Zero mean (of either sign) → +inf, never NaN.
-        assert_eq!(ci(0.0, 0.0).relative_half_width(), f64::INFINITY);
-        assert_eq!(ci(-0.0, 0.1).relative_half_width(), f64::INFINITY);
-        // NaN/infinite mean → +inf, so `rhw < threshold` stopping rules
-        // cannot silently accept a garbage estimate.
-        assert_eq!(ci(f64::NAN, 0.1).relative_half_width(), f64::INFINITY);
-        assert_eq!(ci(f64::INFINITY, 0.1).relative_half_width(), f64::INFINITY);
-        let would_stop = ci(f64::NAN, 0.1).relative_half_width() < 0.05;
-        assert!(!would_stop, "a NaN mean must never satisfy a stopping rule");
-        // Ordinary case unchanged, sign-insensitive.
-        assert!((ci(2.0, 0.1).relative_half_width() - 0.05).abs() < 1e-15);
-        assert!((ci(-2.0, 0.1).relative_half_width() - 0.05).abs() < 1e-15);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The `ckptsim` front end: every table study renders, `figure all`
 //! writes every figure, `list` names exactly the figures `figure`
 //! accepts, every command refuses (exit 2) the flags it cannot
-//! honour, and every duration flag refuses (exit 2) a value no
-//! simulated time can hold.
+//! honour, every duration flag refuses (exit 2) a value no simulated
+//! time can hold, retired flags are unknown flags, and a transient
+//! longer than the horizon still runs.
 
 use ckpt_bench::{figures, runner, studies, RunOptions};
 
@@ -173,4 +174,34 @@ fn the_retired_warmup_flag_is_an_unknown_flag() {
         assert_eq!(err.exit_code(), 2, "{name}");
         assert_eq!(ckpt_cli::run(argv(&format!("{name} {rest}"))), 2, "{name}");
     }
+}
+
+#[test]
+fn the_retired_telemetry_flags_are_unknown_flags() {
+    use ckpt_cli::commands::{run_figure, run_single};
+    type Command = fn(Vec<String>) -> Result<(), ckpt_harness::CkptError>;
+    let cases: [(&str, Command, &str, &str); 3] = [
+        ("run", run_single, "--quick --histograms f", "--histograms"),
+        ("run", run_single, "--quick --prom f", "--prom"),
+        (
+            "figure",
+            run_figure,
+            "fig5 --quick --histograms f",
+            "--histograms",
+        ),
+    ];
+    for (name, command, rest, flag) in cases {
+        let err = command(argv(rest)).expect_err(rest);
+        assert_eq!(err.to_string(), format!("unknown flag '{flag}'"), "{rest}");
+        assert_eq!(err.exit_code(), 2, "{rest}");
+        assert_eq!(ckpt_cli::run(argv(&format!("{name} {rest}"))), 2, "{rest}");
+    }
+}
+
+#[test]
+fn a_transient_longer_than_the_horizon_runs() {
+    // The horizon is a measurement window after the transient, so the
+    // window is never empty however long the transient is.
+    let args = argv("run --quick --reps 1 --transient 3000 --jobs 1");
+    assert_eq!(ckpt_cli::run(args), 0);
 }

@@ -105,7 +105,7 @@ fn phase_times_telescope_to_window_length() {
         let est = observed_estimate(engine);
         assert_eq!(est.recordings().len(), 2);
         for (rep, rec) in est.recordings().iter().enumerate() {
-            let reg = rec.registry().expect("registry recorded");
+            let reg = rec.registry();
             let window = reg.window_secs();
             assert!(window > 0.0);
             let total = reg.phase_times().total();
@@ -125,7 +125,7 @@ fn registry_reconciles_with_engine_phase_estimates() {
     for engine in [EngineKind::Direct, EngineKind::San] {
         let est = observed_estimate(engine);
         for (rep, rec) in est.recordings().iter().enumerate() {
-            let reg = rec.registry().expect("registry recorded");
+            let reg = rec.registry();
             let metrics = &est.replicates()[rep];
             reg.reconcile(&metrics.phase_times, 1e-6)
                 .unwrap_or_else(|e| panic!("{engine:?} rep {rep}: {e}"));
@@ -196,20 +196,20 @@ fn recordings_are_identical_at_any_job_count() {
 
 #[test]
 fn registry_reconciles_with_telemetry_enabled() {
-    // Turning the telemetry histograms on must not disturb the metrics
-    // pipeline: the registry still reconciles against the engine's own
-    // phase accounting to 1e-6 relative tolerance.
+    // The engine probes observation switches on must not disturb the
+    // metrics pipeline: the registry still reconciles against the
+    // engine's own phase accounting to 1e-6 relative tolerance.
     for engine in [EngineKind::Direct, EngineKind::San] {
         let est = Experiment::new(small_config(true))
             .engine(engine)
             .transient(SimTime::from_hours(50.0))
             .horizon(SimTime::from_hours(500.0))
             .replications(2)
-            .observe(ObserveSpec::metrics().with_histograms())
+            .observe(ObserveSpec::metrics())
             .run()
             .expect("experiment runs");
         for (rep, rec) in est.recordings().iter().enumerate() {
-            let reg = rec.registry().expect("registry recorded");
+            let reg = rec.registry();
             let metrics = &est.replicates()[rep];
             reg.reconcile(&metrics.phase_times, 1e-6)
                 .unwrap_or_else(|e| panic!("{engine:?} rep {rep}: {e}"));
@@ -243,7 +243,7 @@ fn merged_telemetry_is_identical_at_any_job_count() {
             .horizon(SimTime::from_hours(500.0))
             .replications(4)
             .jobs(jobs)
-            .observe(ObserveSpec::metrics().with_histograms())
+            .observe(ObserveSpec::metrics())
             .run()
             .expect("experiment runs")
             .merged_telemetry()
@@ -252,29 +252,4 @@ fn merged_telemetry_is_identical_at_any_job_count() {
     let seq = run(1);
     let par = run(8);
     assert_eq!(seq.to_json(), par.to_json());
-}
-
-#[test]
-fn span_tree_aggregates_replications() {
-    let est = Experiment::new(small_config(true))
-        .transient(SimTime::from_hours(50.0))
-        .horizon(SimTime::from_hours(500.0))
-        .replications(3)
-        .observe(ObserveSpec::metrics().with_histograms())
-        .run()
-        .expect("experiment runs");
-    let tree = est.span_tree("obs-test");
-    assert_eq!(tree.children.len(), 3);
-    let child_events: u64 = tree.children.iter().map(|c| c.events).sum();
-    assert_eq!(tree.events, child_events);
-    assert!(tree.events > 0, "replications processed no events");
-    let json = ckptsim::obs::spans_json(std::slice::from_ref(&tree));
-    assert!(
-        json.contains("\"kind\":\"experiment\""),
-        "bad spans json: {json}"
-    );
-    assert!(
-        json.contains("\"kind\":\"replication\""),
-        "bad spans json: {json}"
-    );
 }
