@@ -13,6 +13,10 @@ use std::net::TcpStream;
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+/// Most bytes reserved for a response body before it is read: the
+/// length comes from the server, and a longer body grows as it arrives.
+const RESERVE_LIMIT: usize = 1 << 20;
+
 /// What the server said about a submission.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SubmitReply {
@@ -183,10 +187,15 @@ impl Client {
             keep = false;
             self.read_chunked(&mut conn).map_err(Failure::Failed)?
         } else if let Some(len) = content_length {
-            let mut buf = vec![0u8; len];
-            conn.read_exact(&mut buf)
+            let mut buf = Vec::with_capacity(len.min(RESERVE_LIMIT));
+            conn.by_ref()
+                .take(len as u64)
+                .read_to_end(&mut buf)
                 .map_err(|e| failed("read body", e))?;
-            String::from_utf8_lossy(&buf).into_owned()
+            if buf.len() < len {
+                return Err(failed("read body", ErrorKind::UnexpectedEof.into()));
+            }
+            crate::http::utf8_text(buf)
         } else {
             keep = false;
             let mut buf = String::new();

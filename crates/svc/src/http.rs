@@ -7,7 +7,7 @@
 //! | route | meaning |
 //! |---|---|
 //! | `GET /v1/healthz` | liveness probe |
-//! | `POST /v1/jobs` | submit a spec (body = [`ExperimentSpec`] JSON, `X-Tenant` header) → job id |
+//! | `POST /v1/jobs` | submit a spec (body = [`ckpt_harness::ExperimentSpec`] JSON, `X-Tenant` header) → job id |
 //! | `GET /v1/jobs/{id}` | poll status |
 //! | `GET /v1/jobs/{id}/result` | the stored result bytes, verbatim |
 //! | `GET /v1/jobs/{id}/progress` | chunked JSONL progress stream until the job is terminal |
@@ -30,7 +30,7 @@
 
 use crate::sched::{JobStatus, Scheduler};
 use ckpt_harness::json::JsonValue;
-use ckpt_harness::{CkptError, ExperimentSpec};
+use ckpt_harness::CkptError;
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -227,7 +227,7 @@ fn read_request(reader: &mut BufReader<Deadline>) -> std::io::Result<Option<Requ
         method,
         path,
         tenant,
-        body: String::from_utf8_lossy(&body).into_owned(),
+        body: utf8_text(body),
         close,
     }))
 }
@@ -262,7 +262,13 @@ fn read_line(reader: &mut impl BufRead) -> std::io::Result<Option<String>> {
     if line.len() == MAX_LINE && line.last() != Some(&b'\n') {
         return Ok(None);
     }
-    Ok(Some(String::from_utf8_lossy(&line).into_owned()))
+    Ok(Some(utf8_text(line)))
+}
+
+/// `bytes` as text without a copy when they are UTF-8; otherwise each
+/// invalid sequence becomes U+FFFD, as [`String::from_utf8_lossy`] does.
+pub(crate) fn utf8_text(bytes: Vec<u8>) -> String {
+    String::from_utf8(bytes).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 /// Answers a request the server will not read to the end, and ends the
@@ -400,16 +406,14 @@ fn serve(out: &TcpStream, sched: &Scheduler, req: &Request) -> std::io::Result<b
             "OK",
             "{\"kind\":\"health\",\"status\":\"ok\"}\n".to_string(),
         ),
-        ("POST", "/v1/jobs") => match ExperimentSpec::from_json(&req.body) {
-            Ok(spec) => match sched.submit(&req.tenant, &spec) {
-                Ok(accepted) => (
-                    200,
-                    "OK",
-                    submit_body(&accepted.id, accepted.cached, accepted.deduplicated),
-                ),
-                Err(e) => server_error(&e),
-            },
-            Err(e) => (400, "Bad Request", error_body(&e.to_string())),
+        ("POST", "/v1/jobs") => match sched.submit_json(&req.tenant, &req.body) {
+            Ok(accepted) => (
+                200,
+                "OK",
+                submit_body(&accepted.id, accepted.cached, accepted.deduplicated),
+            ),
+            Err(CkptError::Spec(e)) => (400, "Bad Request", error_body(&e.to_string())),
+            Err(e) => server_error(&e),
         },
         ("GET", path) if path.starts_with("/v1/jobs/") => {
             let rest = &path["/v1/jobs/".len()..];

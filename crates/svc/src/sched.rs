@@ -9,7 +9,9 @@
 //! [`exec::run_whole`], on the spec's own inner worker count, against
 //! the job's fingerprint-namespaced [`ckpt_harness::SweepJournal`], and
 //! publishes the result into the [`JobStore`]. Identical resubmissions
-//! then hit the cache without executing anything.
+//! then hit the cache without executing anything; one that repeats the
+//! canonical bytes of an earlier accepted body is answered from the job
+//! table alone ([`Scheduler::submit_json`]).
 //!
 //! A failed job keeps its journal, and resubmitting it queues it again
 //! over that journal: the new run replays what completed and runs only
@@ -22,7 +24,9 @@ use crate::exec;
 use crate::store::JobStore;
 use ckpt_harness::{CkptError, ExperimentSpec, SweepJournal};
 use ckpt_obs::{JsonlSink, ProgressSink, ProgressSnapshot};
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
@@ -101,6 +105,22 @@ struct Job {
     status: JobStatus,
     progress: Vec<String>,
     journal: Option<Arc<SweepJournal>>,
+    /// The canonical JSON ([`ExperimentSpec::to_json`]) of the first
+    /// accepted [`Scheduler::submit_json`] body that was canonical, so
+    /// at most one spec body per job; indexed in [`State::bodies`].
+    body: Option<Box<str>>,
+}
+
+impl Job {
+    fn new(spec: &ExperimentSpec, status: JobStatus) -> Job {
+        Job {
+            spec: spec.clone(),
+            status,
+            progress: Vec::new(),
+            journal: None,
+            body: None,
+        }
+    }
 }
 
 struct State {
@@ -109,6 +129,9 @@ struct State {
     queues: Vec<(String, VecDeque<u64>)>,
     rr: usize,
     jobs: HashMap<u64, Job>,
+    /// [`Inner::body_key`] of every remembered [`Job::body`] → that
+    /// job's fingerprint. A body whose key is taken is not remembered.
+    bodies: HashMap<u64, u64>,
     shutdown: bool,
 }
 
@@ -120,6 +143,16 @@ struct Inner {
     done_cv: Condvar,
     interrupt: AtomicBool,
     executed_units: AtomicUsize,
+    /// Keys of [`State::bodies`], seeded at random per scheduler so
+    /// that bodies from outside cannot be made to collide.
+    body_hasher: RandomState,
+}
+
+impl Inner {
+    /// The index key of a spec body: a hash of its bytes.
+    fn body_key(&self, body: &str) -> u64 {
+        self.body_hasher.hash_one(body)
+    }
 }
 
 /// The service scheduler. Dropping it interrupts in-flight jobs
@@ -140,12 +173,14 @@ impl Scheduler {
                 queues: Vec::new(),
                 rr: 0,
                 jobs: HashMap::new(),
+                bodies: HashMap::new(),
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             interrupt: AtomicBool::new(false),
             executed_units: AtomicUsize::new(0),
+            body_hasher: RandomState::new(),
         });
         let workers = (0..tuning.workers.max(1))
             .map(|k| {
@@ -187,17 +222,77 @@ impl Scheduler {
     ///
     /// Cache/journal I/O ([`CkptError::Io`] / [`CkptError::Snapshot`]).
     pub fn submit(&self, tenant: &str, spec: &ExperimentSpec) -> Result<SubmitOutcome, CkptError> {
+        self.admit(tenant, spec, None)
+    }
+
+    /// Submits the spec JSON `body` for `tenant`: the `POST /v1/jobs`
+    /// route. The answer is the one [`ExperimentSpec::from_json`] then
+    /// [`Scheduler::submit`] give, except in the instant between a
+    /// run's publish and its settle, when the table still says running
+    /// and a remembered body is answered `cached: false`.
+    ///
+    /// A body byte-identical to a remembered one, of a job that is not
+    /// `Failed`, is answered from the job table: no parse, no
+    /// fingerprint, no store probe. That is exact because parsing and
+    /// fingerprinting are pure functions of the bytes. A body is
+    /// remembered when it is accepted, is the canonical JSON of its
+    /// spec, and its job has no body yet.
+    ///
+    /// # Errors
+    ///
+    /// [`CkptError::Spec`] for a body that is not a valid spec;
+    /// otherwise as [`Scheduler::submit`].
+    pub fn submit_json(&self, tenant: &str, body: &str) -> Result<SubmitOutcome, CkptError> {
+        let key = self.inner.body_key(body);
+        if let Some(outcome) = self.remembered(key, body) {
+            return Ok(outcome);
+        }
+        let spec = ExperimentSpec::from_json(body)?;
+        let canonical = (spec.to_json() == body).then_some((key, body));
+        self.admit(tenant, &spec, canonical)
+    }
+
+    /// The answer for a remembered `body` (whose [`Inner::body_key`]
+    /// is `key`): the job deduplicates, cached if it is done. `None` when
+    /// the body is not remembered or its job failed, which is queued
+    /// again only by [`Scheduler::admit`].
+    fn remembered(&self, key: u64, body: &str) -> Option<SubmitOutcome> {
+        let st = self.lock();
+        let fingerprint = *st.bodies.get(&key)?;
+        let job = st.jobs.get(&fingerprint)?;
+        if job.body.as_deref() != Some(body) {
+            return None;
+        }
+        let cached = match job.status {
+            JobStatus::Failed { .. } => return None,
+            JobStatus::Done { .. } => true,
+            JobStatus::Queued | JobStatus::Running { .. } => false,
+        };
+        Some(SubmitOutcome {
+            id: format!("{fingerprint:016x}"),
+            cached,
+            deduplicated: true,
+        })
+    }
+
+    /// The one fingerprint → answer-or-enqueue decision behind both
+    /// submit routes; an accepted submission remembers `body`, the
+    /// spec's canonical JSON and its [`Inner::body_key`], when given.
+    fn admit(
+        &self,
+        tenant: &str,
+        spec: &ExperimentSpec,
+        body: Option<(u64, &str)>,
+    ) -> Result<SubmitOutcome, CkptError> {
         let fingerprint = spec.fingerprint();
         let id = format!("{fingerprint:016x}");
-        if self.inner.store.lookup(fingerprint)?.is_some() {
+        if self.inner.store.contains(fingerprint)? {
             let mut st = self.lock();
             let duplicate = st.jobs.contains_key(&fingerprint);
-            st.jobs.entry(fingerprint).or_insert_with(|| Job {
-                spec: spec.clone(),
-                status: JobStatus::Done { cached: true },
-                progress: Vec::new(),
-                journal: None,
-            });
+            st.jobs
+                .entry(fingerprint)
+                .or_insert_with(|| Job::new(spec, JobStatus::Done { cached: true }));
+            remember(&mut st, fingerprint, body);
             return Ok(SubmitOutcome {
                 id,
                 cached: true,
@@ -213,6 +308,7 @@ impl Scheduler {
             match st.jobs.get_mut(&fingerprint) {
                 Some(job) if !matches!(job.status, JobStatus::Failed { .. }) => {
                     let cached = matches!(job.status, JobStatus::Done { .. });
+                    remember(&mut st, fingerprint, body);
                     return Ok(SubmitOutcome {
                         id,
                         cached,
@@ -225,15 +321,8 @@ impl Scheduler {
                     job.journal.clone()
                 }
                 None => {
-                    st.jobs.insert(
-                        fingerprint,
-                        Job {
-                            spec: spec.clone(),
-                            status: JobStatus::Queued,
-                            progress: Vec::new(),
-                            journal: None,
-                        },
-                    );
+                    st.jobs
+                        .insert(fingerprint, Job::new(spec, JobStatus::Queued));
                     None
                 }
             }
@@ -247,7 +336,15 @@ impl Scheduler {
             {
                 Ok(j) => Arc::new(j),
                 Err(e) => {
-                    self.lock().jobs.remove(&fingerprint);
+                    let mut st = self.lock();
+                    // A concurrent identical submission may have
+                    // remembered a body for the claim meanwhile.
+                    if let Some(Job {
+                        body: Some(body), ..
+                    }) = st.jobs.remove(&fingerprint)
+                    {
+                        st.bodies.remove(&self.inner.body_key(&body));
+                    }
                     return Err(CkptError::from(e));
                 }
             },
@@ -257,6 +354,7 @@ impl Scheduler {
             if let Some(job) = st.jobs.get_mut(&fingerprint) {
                 job.journal = Some(journal);
             }
+            remember(&mut st, fingerprint, body);
             match st.queues.iter_mut().find(|(t, _)| t == tenant) {
                 Some((_, queue)) => queue.push_back(fingerprint),
                 None => st
@@ -271,6 +369,7 @@ impl Scheduler {
             deduplicated: false,
         })
     }
+
     /// The job's current status; `None` for an unknown id. A job whose
     /// result survives in the store from a previous process reports
     /// `Done { cached: true }`.
@@ -288,8 +387,8 @@ impl Scheduler {
         Ok(self
             .inner
             .store
-            .lookup(fingerprint)?
-            .map(|_| JobStatus::Done { cached: true }))
+            .contains(fingerprint)?
+            .then_some(JobStatus::Done { cached: true }))
     }
 
     /// The stored result bytes, verbatim; `None` until the job is done.
@@ -353,6 +452,23 @@ impl Scheduler {
 
     fn lock(&self) -> MutexGuard<'_, State> {
         self.inner.state.lock().expect("scheduler state poisoned")
+    }
+}
+
+/// Remembers `body` for the job `fingerprint` if it has none yet and
+/// the body's key is free.
+fn remember(st: &mut State, fingerprint: u64, body: Option<(u64, &str)>) {
+    let Some((key, body)) = body else {
+        return;
+    };
+    let Some(job) = st.jobs.get_mut(&fingerprint) else {
+        return;
+    };
+    if job.body.is_none() {
+        if let Entry::Vacant(slot) = st.bodies.entry(key) {
+            slot.insert(fingerprint);
+            job.body = Some(body.into());
+        }
     }
 }
 
@@ -460,8 +576,8 @@ fn execute(inner: &Inner, fingerprint: u64) {
 }
 
 /// Ends a job's run with its publish outcome: `Done`, releasing the
-/// journal (the store now answers every resubmission before the job
-/// table is consulted, so the journal is never read again), or
+/// journal (every later resubmission is answered from the job table or
+/// the store, so the journal is never read again), or
 /// `Failed`, keeping it for the next submission to resume from.
 fn settle(inner: &Inner, fingerprint: u64, published: Result<String, CkptError>) {
     let mut st = inner.state.lock().expect("scheduler state poisoned");
@@ -493,15 +609,25 @@ mod tests {
     }
 
     fn small_spec(seed: u64) -> ExperimentSpec {
+        spec_with_jobs(seed, 1)
+    }
+
+    fn spec_with_jobs(seed: u64, jobs: usize) -> ExperimentSpec {
         let cfg = SystemConfig::builder().processors(512).build().unwrap();
         ExperimentSpec::builder(cfg)
             .transient(SimTime::from_hours(5.0))
             .horizon(SimTime::from_hours(60.0))
             .replications(3)
             .seed(seed)
-            .jobs(1)
+            .jobs(jobs)
             .build()
             .unwrap()
+    }
+
+    /// `body` with a line break before every key: the same spec, but
+    /// not its canonical bytes.
+    fn reindented(body: &str) -> String {
+        body.replace(",\"", ",\n  \"")
     }
 
     #[test]
@@ -713,12 +839,132 @@ mod tests {
         let _ = std::fs::remove_dir_all(store.root());
     }
 
+    /// A remembered body is answered from the job table alone: with
+    /// the store unreadable, the full path fails but the table answers.
+    #[test]
+    fn a_remembered_body_is_answered_without_the_store() {
+        let store = store_in("remembered");
+        let sched = Scheduler::new(store.clone(), Tuning::default());
+        let body = small_spec(7).to_json();
+        let first = sched.submit_json("t", &body).unwrap();
+        assert!(!first.cached && !first.deduplicated);
+        assert_eq!(
+            sched.wait(&first.id, Duration::from_secs(120)).unwrap(),
+            JobStatus::Done { cached: false }
+        );
+        std::fs::remove_dir_all(store.root()).unwrap();
+        std::fs::write(store.root(), "not a directory").unwrap();
+        assert!(sched.submit("t", &small_spec(7)).is_err());
+        assert!(sched.submit_json("t", &reindented(&body)).is_err());
+        let again = sched.submit_json("t", &body).unwrap();
+        assert_eq!(
+            again,
+            SubmitOutcome {
+                id: first.id,
+                cached: true,
+                deduplicated: true,
+            }
+        );
+        let _ = std::fs::remove_file(store.root());
+    }
+
+    /// A failed job is not answered from the table: its remembered
+    /// bytes queue it again, as any resubmission of it does.
+    #[test]
+    fn a_failed_job_resubmitted_with_its_remembered_bytes_is_queued_again() {
+        let store = store_in("failed_body");
+        let sched = Scheduler::new(store.clone(), Tuning::default());
+        let body = small_spec(9).to_json();
+        sched.inner.interrupt.store(true, Ordering::SeqCst);
+        let first = sched.submit_json("t", &body).unwrap();
+        assert!(matches!(
+            sched.wait(&first.id, Duration::from_secs(120)),
+            Some(JobStatus::Failed { .. })
+        ));
+        let fingerprint = Scheduler::parse_id(&first.id).unwrap();
+        let held = sched.lock().jobs[&fingerprint].body.clone();
+        assert_eq!(
+            held.as_deref(),
+            Some(body.as_str()),
+            "the accepted canonical body is remembered"
+        );
+        sched.inner.interrupt.store(false, Ordering::SeqCst);
+        let again = sched.submit_json("t", &body).unwrap();
+        assert_eq!(
+            again,
+            SubmitOutcome {
+                id: first.id.clone(),
+                cached: false,
+                deduplicated: false,
+            }
+        );
+        assert_eq!(
+            sched.wait(&again.id, Duration::from_secs(120)).unwrap(),
+            JobStatus::Done { cached: false }
+        );
+        assert_eq!(sched.executed_units(), 2);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    /// The memory a job holds for remembered bodies is one canonical
+    /// spec body at most: the first accepted canonical body stays, and
+    /// no other spelling of the same job, canonical or not, adds one.
+    #[test]
+    fn one_body_per_job_bounds_the_memory_held() {
+        let store = store_in("one_body");
+        let sched = Scheduler::new(store.clone(), Tuning::default());
+        let seeds = [21u64, 22, 23];
+        let first: Vec<String> = seeds
+            .iter()
+            .map(|&s| spec_with_jobs(s, 1).to_json())
+            .collect();
+        for body in &first {
+            let out = sched.submit_json("t", body).unwrap();
+            assert!(sched
+                .wait(&out.id, Duration::from_secs(120))
+                .unwrap()
+                .is_terminal());
+        }
+        for _ in 0..3 {
+            for &seed in &seeds {
+                for jobs in [2, 4] {
+                    let canonical = spec_with_jobs(seed, jobs).to_json();
+                    let out = sched.submit_json("t", &canonical).unwrap();
+                    assert!(out.cached && out.deduplicated, "{out:?}");
+                    let out = sched.submit_json("t", &reindented(&canonical)).unwrap();
+                    assert!(out.cached && out.deduplicated, "{out:?}");
+                }
+            }
+        }
+        // Copied out, so a failed assertion does not poison the lock.
+        let (jobs, bodies) = {
+            let st = sched.lock();
+            let jobs: HashMap<u64, Option<Box<str>>> = st
+                .jobs
+                .iter()
+                .map(|(&fingerprint, job)| (fingerprint, job.body.clone()))
+                .collect();
+            (jobs, st.bodies.clone())
+        };
+        assert_eq!(jobs.len(), seeds.len());
+        assert_eq!(bodies.len(), seeds.len(), "one index entry per job");
+        for (seed, body) in seeds.iter().zip(&first) {
+            let fingerprint = spec_with_jobs(*seed, 1).fingerprint();
+            assert_eq!(jobs[&fingerprint].as_deref(), Some(body.as_str()));
+            assert_eq!(bodies[&sched.inner.body_key(body)], fingerprint);
+        }
+        let held: usize = jobs.values().flatten().map(|b| b.len()).sum();
+        assert_eq!(held, first.iter().map(String::len).sum::<usize>());
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
     #[test]
     fn round_robin_stays_fair_as_drained_tenants_leave() {
         let mut st = State {
             queues: Vec::new(),
             rr: 0,
             jobs: HashMap::new(),
+            bodies: HashMap::new(),
             shutdown: false,
         };
         for (tenant, jobs) in [("a", 2), ("b", 1), ("c", 3)] {

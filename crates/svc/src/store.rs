@@ -7,7 +7,8 @@
 //!
 //! * `job-<fp>.result.json` — the finished result document, written
 //!   atomically ([`ckpt_harness::atomic_write`]). Its *presence* is the
-//!   completeness marker: lookups serve these bytes verbatim, so a
+//!   completeness marker: [`JobStore::contains`] probes it without
+//!   reading, and [`JobStore::lookup`] serves its bytes verbatim, so a
 //!   cache hit is byte-identical to the run that produced it.
 //! * `job-<fp>.journal.json` — the append-only replication journal
 //!   ([`ckpt_harness::SweepJournal`], fingerprint-namespaced via
@@ -67,6 +68,22 @@ impl JobStore {
     #[must_use]
     pub fn journal_path(&self, fingerprint: u64) -> PathBuf {
         SweepJournal::store_path(&self.root, fingerprint)
+    }
+
+    /// Whether a result for `fingerprint` is published here: one
+    /// metadata probe, no read. A journal left by an interrupted run
+    /// does **not** count as a result.
+    ///
+    /// # Errors
+    ///
+    /// [`CkptError::Io`] for any error other than the file not
+    /// existing.
+    pub fn contains(&self, fingerprint: u64) -> Result<bool, CkptError> {
+        let path = self.result_path(fingerprint);
+        path.try_exists().map_err(|e| CkptError::Io {
+            path: path.display().to_string(),
+            message: e.to_string(),
+        })
     }
 
     /// Returns the cached result bytes for `fingerprint`, verbatim, or
@@ -137,11 +154,14 @@ mod tests {
     fn lookup_misses_then_serves_stored_bytes_verbatim() {
         let store = store_in("roundtrip");
         assert_eq!(store.lookup(0xabcd).unwrap(), None);
+        assert!(!store.contains(0xabcd).unwrap());
         let body = "{\"kind\":\"job_result\",\"x\":1.5}\n";
         store.store(0xabcd, body).unwrap();
         assert_eq!(store.lookup(0xabcd).unwrap().as_deref(), Some(body));
+        assert!(store.contains(0xabcd).unwrap());
         // A different fingerprint stays a miss.
         assert_eq!(store.lookup(0xabce).unwrap(), None);
+        assert!(!store.contains(0xabce).unwrap());
         let _ = std::fs::remove_dir_all(store.root());
     }
 
@@ -152,6 +172,7 @@ mod tests {
         journal.persist().unwrap();
         assert!(store.journal_path(0x77).exists());
         assert_eq!(store.lookup(0x77).unwrap(), None);
+        assert!(!store.contains(0x77).unwrap());
         let _ = std::fs::remove_dir_all(store.root());
     }
 

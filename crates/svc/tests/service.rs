@@ -5,6 +5,7 @@
 
 use ckpt_core::SystemConfig;
 use ckpt_des::SimTime;
+use ckpt_harness::json::{parse, JsonValue};
 use ckpt_harness::ExperimentSpec;
 use ckpt_svc::{Client, JobStore, Scheduler, Server, Tuning};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
@@ -271,6 +272,142 @@ fn a_spec_longer_than_the_clock_resolves_is_refused_with_400() {
     assert!(response.contains("longer than 2^53 s"), "{response}");
     assert_eq!(sched.executed_units(), 0);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// POSTs `body` to `/v1/jobs` over a raw socket and returns the
+/// response's status code and body.
+fn post_job(addr: SocketAddr, body: &str) -> (u16, String) {
+    let response = raw_exchange(
+        addr,
+        &format!(
+            "POST /v1/jobs HTTP/1.1\r\nX-Tenant: t\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        ),
+    );
+    split_response(&response)
+}
+
+/// A GET's status code and body, over a raw socket.
+fn get(addr: SocketAddr, path: &str) -> (u16, String) {
+    split_response(&raw_exchange(addr, &format!("GET {path} HTTP/1.1\r\n\r\n")))
+}
+
+fn split_response(response: &str) -> (u16, String) {
+    let (head, body) = response.split_once("\r\n\r\n").expect("a whole response");
+    let code = head["HTTP/1.1 ".len()..][..3]
+        .parse()
+        .expect("a status code");
+    (code, body.to_string())
+}
+
+/// What `POST /v1/jobs` answers by parsing `body` with
+/// [`ExperimentSpec::from_json`] and submitting the spec with
+/// [`Scheduler::submit`]: status code and reply bytes.
+fn parse_and_submit(sched: &Scheduler, body: &str) -> (u16, String) {
+    let (code, doc) = match ExperimentSpec::from_json(body) {
+        Ok(spec) => {
+            let out = sched.submit("t", &spec).unwrap();
+            let doc = vec![
+                ("kind".to_string(), JsonValue::from_text("job_accepted")),
+                ("id".to_string(), JsonValue::from_text(&out.id)),
+                ("cached".to_string(), JsonValue::Bool(out.cached)),
+                (
+                    "deduplicated".to_string(),
+                    JsonValue::Bool(out.deduplicated),
+                ),
+            ];
+            (200, doc)
+        }
+        Err(e) => {
+            let doc = vec![
+                ("kind".to_string(), JsonValue::from_text("error")),
+                ("message".to_string(), JsonValue::from_text(&e.to_string())),
+            ];
+            (400, doc)
+        }
+    };
+    (code, JsonValue::Object(doc).to_json() + "\n")
+}
+
+/// `body`'s top-level keys in reverse order, compact: the same spec in
+/// other bytes.
+fn keys_reversed(body: &str) -> String {
+    let Ok(JsonValue::Object(mut fields)) = parse(body) else {
+        panic!("not an object: {body}");
+    };
+    fields.reverse();
+    JsonValue::Object(fields).to_json()
+}
+
+/// Every submit and status reply of a server that answers remembered
+/// bodies from its job table equals, byte for byte, the reply of a twin
+/// scheduler that parses and submits every body, over one sequence of
+/// canonical, re-spelled, malformed and refused bodies, each sent twice.
+#[test]
+fn remembered_bodies_get_the_replies_of_parse_and_submit() {
+    let (dir_a, dir_b) = (store_dir("diff_table"), store_dir("diff_twin"));
+    let (addr_a, sched_a) = start_server(&dir_a, Tuning::default());
+    let (addr_b, sched_b) = start_server(&dir_b, Tuning::default());
+    let one = spec(31, 1).to_json();
+    let two = spec(32, 2).to_json();
+    let bodies = [
+        one.clone(),
+        one.replace(",\"", ",\n  \""),
+        keys_reversed(&one),
+        spec(31, 4).to_json(),
+        format!(" {one}"),
+        two.replace(",\"", ",\n\t\""),
+        two.clone(),
+        keys_reversed(&two),
+        "{\"kind\":\"experiment_spec\",".to_string(),
+        "not json".to_string(),
+        one.replace(
+            "\"estimation\":\"replications\"",
+            "\"estimation\":{\"batch_means\":4}",
+        ),
+    ];
+    assert!(bodies[10].contains("batch_means"));
+    for body in &bodies {
+        for attempt in ["first", "repeated"] {
+            let (code, reply) = post_job(addr_a, body);
+            let expected = parse_and_submit(&sched_b, body);
+            assert_eq!(
+                (code, &reply),
+                (expected.0, &expected.1),
+                "{attempt} {body:?}"
+            );
+            if code != 200 {
+                continue;
+            }
+            let id = parse(&reply)
+                .unwrap()
+                .get("id")
+                .unwrap()
+                .as_str()
+                .unwrap()
+                .to_string();
+            for sched in [&sched_a, &sched_b] {
+                assert!(sched
+                    .wait(&id, Duration::from_secs(120))
+                    .is_some_and(|s| s.is_terminal()));
+            }
+            let path = format!("/v1/jobs/{id}");
+            assert_eq!(get(addr_a, &path), get(addr_b, &path), "{attempt} {body:?}");
+        }
+    }
+    for s in [&one, &two] {
+        let path = format!(
+            "/v1/jobs/{:016x}/result",
+            ExperimentSpec::from_json(s).unwrap().fingerprint()
+        );
+        let (code, result) = get(addr_a, &path);
+        assert_eq!(code, 200);
+        assert_eq!((code, result), get(addr_b, &path), "result bytes");
+    }
+    assert_eq!(sched_a.executed_units(), 2);
+    assert_eq!(sched_b.executed_units(), 2);
+    let _ = std::fs::remove_dir_all(&dir_a);
+    let _ = std::fs::remove_dir_all(&dir_b);
 }
 
 /// The longest line the server accepts is 8 KiB, CRLF included.

@@ -6,7 +6,10 @@
 #   3. status polling reports the job done,
 #   4. the progress stream is well-formed JSONL,
 #   5. a standard HTTP/1.1 client (Python's http.client) gets the same
-#      result bytes twice on one persistent connection.
+#      result bytes twice on one persistent connection,
+#   6. the spec resubmitted through http.client as re-indented JSON
+#      (not its canonical bytes, so the server parses and fingerprints
+#      it) is the same job, a cache hit, with the same result bytes.
 #
 # Environment:
 #   BIN  path to the ckptsim binary [target/release/ckptsim]
@@ -130,4 +133,28 @@ EOF
 cmp "$OUT/result1.json" "$OUT/python1.json"
 cmp "$OUT/result1.json" "$OUT/python2.json"
 
-echo "serve smoke OK: one execution, two byte-identical results"
+echo "== resubmit the spec as re-indented JSON (must parse to the same cache hit)"
+python3 - "$ADDR" "$JOB_ID" "$OUT" <<'EOF'
+import http.client, json, sys
+addr, job_id, out = sys.argv[1:]
+host, port = addr.rsplit(":", 1)
+spec = json.load(open(f"{out}/result1.json"))["spec"]
+body = json.dumps(spec, indent=2).encode()
+conn = http.client.HTTPConnection(host, int(port), timeout=30)
+conn.request("POST", "/v1/jobs", body=body, headers={"X-Tenant": "smoke"})
+resp = conn.getresponse()
+reply = resp.read()
+assert resp.status == 200, (resp.status, reply)
+doc = json.loads(reply)
+assert doc["id"] == job_id, f"re-indented spec got id {doc['id']}, not {job_id}"
+assert doc["cached"] is True, f"re-indented spec was not a cache hit: {reply!r}"
+conn.request("GET", f"/v1/jobs/{job_id}/result")
+resp = conn.getresponse()
+result = resp.read()
+assert resp.status == 200, (resp.status, result)
+open(f"{out}/python3.json", "wb").write(result)
+conn.close()
+EOF
+cmp "$OUT/result1.json" "$OUT/python3.json"
+
+echo "serve smoke OK: one execution, byte-identical results on every fetch"
